@@ -365,6 +365,71 @@ func BenchmarkInteractionLatency(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
+// Opening the STATS module (crossfilter histograms + LDA projection) on
+// the BookCrossing corpus of the wall-clock benchmark's focus workload:
+// 3,000 users, minsup 0.01, 1 worker, vocabulary 123, classes from the
+// first attribute (age). The groups cover the LDA fit, the PCA fallback
+// of single-class groups through the n×n Gram matrix (n < d) and the
+// d×d covariance (n ≥ d), and sizes from 30 to 1,038 members.
+
+var (
+	focusOnce sync.Once
+	focusEng  *core.Engine
+	focusErr  error
+)
+
+func focusFixture(b *testing.B) *core.Engine {
+	b.Helper()
+	focusOnce.Do(func() {
+		d, err := datagen.BookCrossing(datagen.SmallScale(42))
+		if err != nil {
+			focusErr = err
+			return
+		}
+		cfg := core.DefaultPipelineConfig()
+		cfg.Encode = datagen.BookCrossingEncodeOptions()
+		cfg.MinSupportFrac = 0.01
+		cfg.Workers = 1
+		focusEng, focusErr = core.Build(d, cfg)
+	})
+	if focusErr != nil {
+		b.Fatal(focusErr)
+	}
+	return focusEng
+}
+
+func BenchmarkFocus(b *testing.B) {
+	eng := focusFixture(b)
+	for _, g := range []struct {
+		id, size int
+		method   string
+	}{
+		{2403, 30, "lda"},  // 4 age classes
+		{2106, 128, "lda"}, // 5 age classes
+		{1625, 936, "lda"}, // item:book000000=liked, 5 age classes
+		{390, 93, "pca"},   // country=fr ∧ age=adult ∧ activity=inactive: Gram
+		{1014, 619, "pca"}, // age=adult: covariance
+		{0, 1038, "pca"},   // age=senior: covariance
+	} {
+		b.Run(fmt.Sprintf("%s/n=%d", g.method, g.size), func(b *testing.B) {
+			sess := eng.NewSession(greedy.DefaultConfig())
+			var fv *core.FocusView
+			var err error
+			for i := 0; i < b.N; i++ {
+				if fv, err = sess.Focus(g.id, ""); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// The list must keep covering what it claims to.
+			if len(fv.Members) != g.size || fv.Projection == nil || fv.Projection.Method != g.method {
+				b.Fatalf("group %d: %d members, projection %+v; want %d members by %s",
+					g.id, len(fv.Members), fv.Projection, g.size, g.method)
+			}
+		})
+	}
+}
+
+// ---------------------------------------------------------------------------
 // E8 — feedback ablation: selection cost and outcome with the
 // personalization term on and off.
 

@@ -24,8 +24,12 @@ type FocusView struct {
 	cf   *crossfilter.Engine
 	dims map[string]*crossfilter.Dimension
 
-	// Projection is the 2D embedding of the members; Points align with
-	// Members. Nil when the group has fewer than 3 members.
+	// Projection is the 2D embedding of the members' term-indicator
+	// vectors; Points align with Members. It is LDA over the ClassAttr
+	// classes (members missing the attribute form one more class), with
+	// a principal direction as the second axis when two classes give a
+	// single discriminant, and PCA when the members share one class.
+	// Nil when the group has fewer than 3 members or no terms.
 	Projection *lda.Result
 	// ClassAttr is the attribute whose values were the LDA classes.
 	ClassAttr string
@@ -87,21 +91,20 @@ func (s *Session) Focus(gid int, classAttr string) (*FocusView, error) {
 
 func (fv *FocusView) fitProjection(classIdx int) {
 	vocabLen := fv.eng.Tx.Vocab.Len()
-	rows := make([][]float64, len(fv.Members))
+	x := linalg.NewMat(len(fv.Members), vocabLen)
 	labels := make([]int, len(fv.Members))
 	for i, u := range fv.Members {
-		vec := make([]float64, vocabLen)
+		row := x.Data[i*vocabLen : (i+1)*vocabLen]
 		for _, id := range fv.eng.Tx.PerUser[u] {
-			vec[id] = 1
+			row[id] = 1
 		}
-		rows[i] = vec
 		l := fv.eng.Data.Users[u].Demo[classIdx]
 		if l == dataset.Missing {
 			l = -1
 		}
 		labels[i] = l
 	}
-	res, err := lda.Project(linalg.FromRows(rows), labels, lda.DefaultConfig())
+	res, err := lda.Project(x, labels, lda.DefaultConfig())
 	if err == nil {
 		fv.Projection = res
 	}

@@ -14,45 +14,73 @@ type Eigen struct {
 	Vectors *Mat
 }
 
+const (
+	// eigenTol is the relative stopping test: sweeps stop once the
+	// off-diagonal mass is below eigenTol·‖A‖_F. Jacobi converges
+	// quadratically, so the last sweep usually lands far below it.
+	eigenTol = 1e-15
+	// maxSweeps caps the cyclic sweeps. The Focus view's matrices take
+	// 3 to 16 on BookCrossing, so reaching the cap means the input is
+	// broken.
+	maxSweeps = 64
+)
+
 // SymEigen computes the eigendecomposition of a symmetric matrix with
-// the cyclic Jacobi rotation method. It errors on non-square or
-// asymmetric (beyond 1e-8) input. Convergence is quadratic; for the
-// ≤ few-hundred-dimensional scatter matrices of the Focus view a
-// handful of sweeps suffice.
+// the cyclic Jacobi rotation method. It errors on non-square,
+// asymmetric (beyond 1e-8) or non-finite input, and when the sweeps
+// fail to bring the off-diagonal mass below 1e-15·‖A‖_F within the
+// sweep cap, instead of returning unconverged values.
 func SymEigen(a *Mat) (*Eigen, error) {
+	eig, _, err := jacobi(a)
+	return eig, err
+}
+
+// jacobi is SymEigen that also reports the number of sweeps it ran.
+func jacobi(a *Mat) (*Eigen, int, error) {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: eigen of non-square %dx%d", a.Rows, a.Cols)
+		return nil, 0, fmt.Errorf("linalg: eigen of non-square %dx%d", a.Rows, a.Cols)
+	}
+	norm2 := 0.0
+	for _, x := range a.Data {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, 0, fmt.Errorf("linalg: eigen of non-finite matrix")
+		}
+		norm2 += x * x
 	}
 	if !a.IsSymmetric(1e-8) {
-		return nil, fmt.Errorf("linalg: eigen of asymmetric matrix")
+		return nil, 0, fmt.Errorf("linalg: eigen of asymmetric matrix")
 	}
 	n := a.Rows
 	m := a.Clone()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			x := (m.Data[i*n+j] + m.Data[j*n+i]) / 2
+			m.Data[i*n+j], m.Data[j*n+i] = x, x
+		}
+	}
 	v := Identity(n)
+	limit := eigenTol * eigenTol * norm2
 
-	const maxSweeps = 64
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := 0.0
+	sweeps := 0
+	for ; ; sweeps++ {
+		off := 0.0 // squared Frobenius norm of the off-diagonal part
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += m.At(i, j) * m.At(i, j)
+			for _, x := range m.Data[i*n+i+1 : (i+1)*n] {
+				off += 2 * x * x
 			}
 		}
-		if off < 1e-22 {
+		if off <= limit {
 			break
+		}
+		if sweeps == maxSweeps {
+			return nil, sweeps, fmt.Errorf("linalg: Jacobi did not converge in %d sweeps (off-diagonal %.3g, ‖A‖_F %.3g)",
+				maxSweeps, math.Sqrt(off), math.Sqrt(norm2))
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := m.At(p, q)
-				if math.Abs(apq) < 1e-15 {
-					continue
+				if m.Data[p*n+q] != 0 {
+					rotate(m, v, p, q)
 				}
-				app, aqq := m.At(p, p), m.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				rotate(m, v, p, q, c, s)
 			}
 		}
 	}
@@ -62,7 +90,7 @@ func SymEigen(a *Mat) (*Eigen, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(x, y int) bool {
+	sort.SliceStable(order, func(x, y int) bool {
 		return m.At(order[x], order[x]) > m.At(order[y], order[y])
 	})
 	for outCol, srcCol := range order {
@@ -71,73 +99,37 @@ func SymEigen(a *Mat) (*Eigen, error) {
 			eig.Vectors.Set(r, outCol, v.At(r, srcCol))
 		}
 	}
-	return eig, nil
+	return eig, sweeps, nil
 }
 
-// rotate applies the Jacobi rotation J(p,q,θ) as m ← JᵀmJ, v ← vJ.
-func rotate(m, v *Mat, p, q int, c, s float64) {
+// rotate applies the Jacobi rotation that zeroes m[p][q] as
+// m ← JᵀmJ, v ← vJ, keeping m exactly symmetric. The pivot entry is
+// set to zero rather than computed, so rounding never leaves an
+// off-diagonal floor that a relative stopping test could not pass.
+func rotate(m, v *Mat, p, q int) {
 	n := m.Rows
+	d := m.Data
+	apq := d[p*n+q]
+	theta := (d[q*n+q] - d[p*n+p]) / (2 * apq)
+	t := math.Copysign(1, theta) / (math.Abs(theta) + math.Hypot(theta, 1))
+	c := 1 / math.Sqrt(t*t+1)
+	s := t * c
+	d[p*n+p] -= t * apq
+	d[q*n+q] += t * apq
+	d[p*n+q], d[q*n+p] = 0, 0
 	for k := 0; k < n; k++ {
-		mkp, mkq := m.At(k, p), m.At(k, q)
-		m.Set(k, p, c*mkp-s*mkq)
-		m.Set(k, q, s*mkp+c*mkq)
+		if k == p || k == q {
+			continue
+		}
+		mkp, mkq := d[k*n+p], d[k*n+q]
+		np, nq := c*mkp-s*mkq, s*mkp+c*mkq
+		d[k*n+p], d[p*n+k] = np, np
+		d[k*n+q], d[q*n+k] = nq, nq
 	}
+	vd := v.Data
 	for k := 0; k < n; k++ {
-		mpk, mqk := m.At(p, k), m.At(q, k)
-		m.Set(p, k, c*mpk-s*mqk)
-		m.Set(q, k, s*mpk+c*mqk)
+		vkp, vkq := vd[k*n+p], vd[k*n+q]
+		vd[k*n+p] = c*vkp - s*vkq
+		vd[k*n+q] = s*vkp + c*vkq
 	}
-	for k := 0; k < n; k++ {
-		vkp, vkq := v.At(k, p), v.At(k, q)
-		v.Set(k, p, c*vkp-s*vkq)
-		v.Set(k, q, s*vkp+c*vkq)
-	}
-}
-
-// Covariance returns the sample covariance matrix of the rows of x
-// (observations × features), dividing by n−1; with one row it returns
-// the zero matrix.
-func Covariance(x *Mat) *Mat {
-	n, d := x.Rows, x.Cols
-	out := NewMat(d, d)
-	if n < 2 {
-		return out
-	}
-	means := ColumnMeans(x)
-	for i := 0; i < n; i++ {
-		for a := 0; a < d; a++ {
-			da := x.At(i, a) - means[a]
-			if da == 0 {
-				continue
-			}
-			for b := a; b < d; b++ {
-				out.Data[a*d+b] += da * (x.At(i, b) - means[b])
-			}
-		}
-	}
-	for a := 0; a < d; a++ {
-		for b := a; b < d; b++ {
-			v := out.At(a, b) / float64(n-1)
-			out.Set(a, b, v)
-			out.Set(b, a, v)
-		}
-	}
-	return out
-}
-
-// ColumnMeans returns the per-column means of x.
-func ColumnMeans(x *Mat) []float64 {
-	means := make([]float64, x.Cols)
-	if x.Rows == 0 {
-		return means
-	}
-	for i := 0; i < x.Rows; i++ {
-		for j := 0; j < x.Cols; j++ {
-			means[j] += x.At(i, j)
-		}
-	}
-	for j := range means {
-		means[j] /= float64(x.Rows)
-	}
-	return means
 }

@@ -1,9 +1,10 @@
-// Package linalg provides the small dense-matrix kernel needed by the
+// Package linalg provides the small dense-matrix kernel behind the
 // Focus view's Linear Discriminant Analysis (§II-B "Granular
-// Analysis"): matrix products, Gauss–Jordan inversion with partial
-// pivoting, and a cyclic Jacobi eigendecomposition for symmetric
-// matrices. Dimensions are the number of mining terms (tens to low
-// hundreds), so dense O(n³) algorithms are the right tool.
+// Analysis"): a row-major matrix, a Cholesky factorization with its
+// triangular solves, and a cyclic Jacobi eigendecomposition for
+// symmetric matrices. Dimensions are the number of mining terms (tens
+// to low hundreds), the number of focused members, or the number of
+// LDA classes, so dense algorithms are the right tool.
 package linalg
 
 import (
@@ -60,144 +61,6 @@ func (m *Mat) Clone() *Mat {
 	c := NewMat(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// T returns the transpose.
-func (m *Mat) T() *Mat {
-	t := NewMat(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns m × other.
-func (m *Mat) Mul(other *Mat) *Mat {
-	if m.Cols != other.Rows {
-		panic(fmt.Sprintf("linalg: mul shape %dx%d × %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-	out := NewMat(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < other.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * other.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns m × v for a column vector v.
-func (m *Mat) MulVec(v []float64) []float64 {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("linalg: mulvec shape %dx%d × %d", m.Rows, m.Cols, len(v)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for j := 0; j < m.Cols; j++ {
-			s += m.At(i, j) * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Add returns m + other.
-func (m *Mat) Add(other *Mat) *Mat {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("linalg: add shape mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += other.Data[i]
-	}
-	return out
-}
-
-// Scale returns s·m.
-func (m *Mat) Scale(s float64) *Mat {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
-// AddDiagonal returns m + λI (ridge regularization; used to keep LDA's
-// within-class scatter invertible on degenerate data).
-func (m *Mat) AddDiagonal(lambda float64) *Mat {
-	if m.Rows != m.Cols {
-		panic("linalg: AddDiagonal on non-square matrix")
-	}
-	out := m.Clone()
-	for i := 0; i < m.Rows; i++ {
-		out.Data[i*m.Cols+i] += lambda
-	}
-	return out
-}
-
-// Inverse returns m⁻¹ by Gauss–Jordan elimination with partial
-// pivoting, or an error when the matrix is (numerically) singular.
-func (m *Mat) Inverse() (*Mat, error) {
-	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("linalg: inverse of non-square %dx%d", m.Rows, m.Cols)
-	}
-	n := m.Rows
-	a := m.Clone()
-	inv := Identity(n)
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot, maxAbs := -1, 0.0
-		for r := col; r < n; r++ {
-			if abs := math.Abs(a.At(r, col)); abs > maxAbs {
-				pivot, maxAbs = r, abs
-			}
-		}
-		if pivot < 0 || maxAbs < 1e-12 {
-			return nil, fmt.Errorf("linalg: singular matrix at column %d", col)
-		}
-		a.swapRows(col, pivot)
-		inv.swapRows(col, pivot)
-		// Normalize pivot row.
-		p := a.At(col, col)
-		for j := 0; j < n; j++ {
-			a.Set(col, j, a.At(col, j)/p)
-			inv.Set(col, j, inv.At(col, j)/p)
-		}
-		// Eliminate the column elsewhere.
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := a.At(r, col)
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				a.Set(r, j, a.At(r, j)-f*a.At(col, j))
-				inv.Set(r, j, inv.At(r, j)-f*inv.At(col, j))
-			}
-		}
-	}
-	return inv, nil
-}
-
-func (m *Mat) swapRows(i, j int) {
-	if i == j {
-		return
-	}
-	ri := m.Data[i*m.Cols : (i+1)*m.Cols]
-	rj := m.Data[j*m.Cols : (j+1)*m.Cols]
-	for k := range ri {
-		ri[k], rj[k] = rj[k], ri[k]
-	}
 }
 
 // IsSymmetric reports approximate symmetry within tol.
