@@ -103,11 +103,14 @@ type Selection struct {
 type Optimizer struct {
 	space *groups.Space
 	ix    *index.Index
+	// now is the clock SelectNext measures its budget against;
+	// time.Now outside tests.
+	now func() time.Time
 }
 
 // New returns an optimizer bound to a space and its similarity index.
 func New(space *groups.Space, ix *index.Index) *Optimizer {
-	return &Optimizer{space: space, ix: ix}
+	return &Optimizer{space: space, ix: ix, now: time.Now}
 }
 
 // candidate is one pool entry.
@@ -123,7 +126,7 @@ type candidate struct {
 // clicks focal. fb may be nil (no personalization). The call returns
 // within roughly cfg.TimeLimit plus one candidate scan.
 func (o *Optimizer) SelectNext(focal *groups.Group, fb *feedback.Vector, cfg Config) (Selection, error) {
-	start := time.Now()
+	start := o.now()
 	if cfg.K <= 0 {
 		return Selection{}, fmt.Errorf("greedy: K must be positive, got %d", cfg.K)
 	}
@@ -137,7 +140,7 @@ func (o *Optimizer) SelectNext(focal *groups.Group, fb *feedback.Vector, cfg Con
 	sel := Selection{Candidates: len(cands)}
 	if len(cands) == 0 {
 		sel.Diversity = 1
-		sel.Elapsed = time.Since(start)
+		sel.Elapsed = o.now().Sub(start)
 		return sel, nil
 	}
 
@@ -155,7 +158,7 @@ func (o *Optimizer) SelectNext(focal *groups.Group, fb *feedback.Vector, cfg Con
 	deadlineHit := false
 construct:
 	for len(st.chosen) < k {
-		if !unbounded && len(st.chosen) > 0 && time.Now().After(deadline) {
+		if !unbounded && len(st.chosen) > 0 && o.now().After(deadline) {
 			deadlineHit = true
 			for ci := range cands {
 				if len(st.chosen) >= k {
@@ -195,7 +198,7 @@ construct:
 					if st.inChosen[ci] {
 						continue
 					}
-					if time.Now().After(deadline) {
+					if o.now().After(deadline) {
 						deadlineHit = true
 						break rounds
 					}
@@ -217,7 +220,7 @@ construct:
 	}
 	sel.Coverage, sel.Diversity, sel.Feedback = st.objectives()
 	sel.Objective = st.score()
-	sel.Elapsed = time.Since(start)
+	sel.Elapsed = o.now().Sub(start)
 	sel.DeadlineHit = deadlineHit
 	return sel, nil
 }

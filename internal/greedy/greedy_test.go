@@ -154,8 +154,16 @@ func TestZeroBudgetStillReturnsK(t *testing.T) {
 func TestMoreBudgetNeverWorse(t *testing.T) {
 	// The anytime property: the objective is non-decreasing in budget
 	// (same pool, deterministic greedy start, improving swaps only).
+	// The clock advances one microsecond per reading, so a budget is a
+	// fixed number of deadline checks and a loaded machine cannot cut
+	// the 1 ms run's greedy construction short.
 	s, ix := fixture(t, 6, 120, 60)
 	o := New(s, ix)
+	var ticks time.Duration
+	o.now = func() time.Time {
+		ticks += time.Microsecond
+		return time.Unix(0, 0).Add(ticks)
+	}
 	base := DefaultConfig()
 	base.K = 6
 	budgets := []time.Duration{0, time.Millisecond, 50 * time.Millisecond, 500 * time.Millisecond}

@@ -354,7 +354,7 @@ func oracle(x *linalg.Mat, labels []int, cfg Config) (*Result, float64, error) {
 		}
 	}
 	d := work.Cols
-	eig, err := linalg.SymEigen(denseCovariance(work))
+	eig, err := linalg.SymEigen(linalg.Covariance(work))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -369,7 +369,7 @@ func oracle(x *linalg.Mat, labels []int, cfg Config) (*Result, float64, error) {
 
 func oracleLDA(x *linalg.Mat, labels, classes []int, ridge float64) (*Result, float64, error) {
 	d := x.Cols
-	grand := denseMeans(x)
+	grand := linalg.ColumnMeans(x)
 	sw := linalg.NewMat(d, d)
 	sb := linalg.NewMat(d, d)
 	for _, cls := range classes {
@@ -379,7 +379,7 @@ func oracleLDA(x *linalg.Mat, labels, classes []int, ridge float64) (*Result, fl
 				rows = append(rows, x.Data[i*d:(i+1)*d])
 			}
 		}
-		mean := denseMeans(linalg.FromRows(rows))
+		mean := linalg.ColumnMeans(linalg.FromRows(rows))
 		for _, r := range rows {
 			for a := 0; a < d; a++ {
 				for b := 0; b < d; b++ {
@@ -444,22 +444,9 @@ func oracleLDA(x *linalg.Mat, labels, classes []int, ridge float64) (*Result, fl
 	return denseEmbed(x, axes, ceig.Values, "lda"), kappa, nil
 }
 
-func denseMeans(x *linalg.Mat) []float64 {
-	means := make([]float64, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		for j := 0; j < x.Cols; j++ {
-			means[j] += x.At(i, j)
-		}
-	}
-	for j := range means {
-		means[j] /= float64(x.Rows)
-	}
-	return means
-}
-
 func denseStandardize(x *linalg.Mat) *linalg.Mat {
 	out := x.Clone()
-	means := denseMeans(x)
+	means := linalg.ColumnMeans(x)
 	for j := 0; j < x.Cols; j++ {
 		variance := 0.0
 		for i := 0; i < x.Rows; i++ {
@@ -472,20 +459,6 @@ func denseStandardize(x *linalg.Mat) *linalg.Mat {
 		}
 		for i := 0; i < x.Rows; i++ {
 			out.Set(i, j, (x.At(i, j)-means[j])/sd)
-		}
-	}
-	return out
-}
-
-func denseCovariance(x *linalg.Mat) *linalg.Mat {
-	n, d := x.Rows, x.Cols
-	out := linalg.NewMat(d, d)
-	means := denseMeans(x)
-	for i := 0; i < n; i++ {
-		for a := 0; a < d; a++ {
-			for b := 0; b < d; b++ {
-				out.Data[a*d+b] += (x.At(i, a) - means[a]) * (x.At(i, b) - means[b])
-			}
 		}
 	}
 	return out

@@ -116,6 +116,29 @@ func TestPropEigenReconstruction(t *testing.T) {
 	}
 }
 
+func TestCovariance(t *testing.T) {
+	x := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	c := Covariance(x)
+	// Var of {1,3,5} = 4; covariance with {2,4,6} = 4.
+	if !approx(c.At(0, 0), 4, 1e-12) || !approx(c.At(0, 1), 4, 1e-12) {
+		t.Fatalf("cov = %v", c.Data)
+	}
+	if got := Covariance(FromRows([][]float64{{1, 2}})); got.At(0, 0) != 0 {
+		t.Fatal("single-row covariance should be zero")
+	}
+}
+
+func TestColumnMeans(t *testing.T) {
+	x := FromRows([][]float64{{1, 10}, {3, 20}})
+	m := ColumnMeans(x)
+	if m[0] != 2 || m[1] != 15 {
+		t.Fatalf("means = %v", m)
+	}
+	if got := ColumnMeans(NewMat(0, 3)); len(got) != 3 {
+		t.Fatal("empty means")
+	}
+}
+
 func TestIdentity(t *testing.T) {
 	id := Identity(3)
 	if id.At(0, 0) != 1 || id.At(0, 1) != 0 {

@@ -1,8 +1,8 @@
 // Package linalg provides the small dense-matrix kernel behind the
 // Focus view's Linear Discriminant Analysis (§II-B "Granular
 // Analysis"): a row-major matrix, a Cholesky factorization with its
-// triangular solves, and a cyclic Jacobi eigendecomposition for
-// symmetric matrices. Dimensions are the number of mining terms (tens
+// triangular solves, a cyclic Jacobi eigendecomposition for symmetric
+// matrices, and dense column means and covariance. Dimensions are the number of mining terms (tens
 // to low hundreds), the number of focused members, or the number of
 // LDA classes, so dense algorithms are the right tool.
 package linalg
