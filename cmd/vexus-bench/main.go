@@ -1,8 +1,7 @@
-// vexus-bench regenerates every quantitative claim of the paper
-// (DESIGN.md §5): run `vexus-bench -e all` for the full suite or
-// `-e e1,e4` for a subset. Each experiment prints a table whose shape
-// should match the paper's claim; EXPERIMENTS.md records a captured
-// run side by side with the claims.
+// vexus-bench regenerates every quantitative claim of the paper: run
+// `vexus-bench -e all` for the full suite or `-e e1,e4` for a subset.
+// Each experiment prints a table whose shape should match the paper's
+// claim.
 package main
 
 import (

@@ -31,7 +31,7 @@ var (
 // eviction) runs, with every fail-closed invariant asserted. The
 // regression sub-object of the JSON note is what -baseline gates on.
 func runP7(seed uint64, scale string) error {
-	header("p7", "cluster sustains interactive latency and fails closed under churn (DESIGN.md §5)")
+	header("p7", "cluster sustains interactive latency and fails closed under churn")
 
 	cfg := loadsim.Config{
 		Users:  2_000,

@@ -6,8 +6,8 @@
 // The public surface lives under internal/ packages wired together by
 // internal/core (the engine and session), with executables in cmd/ and
 // runnable scenarios in examples/. bench_test.go at this root holds one
-// benchmark per experiment in EXPERIMENTS.md; cmd/vexus-bench prints
-// the corresponding paper-style tables.
+// benchmark per experiment; cmd/vexus-bench prints the corresponding
+// paper-style tables.
 //
 // # Concurrency
 //

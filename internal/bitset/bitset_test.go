@@ -379,9 +379,9 @@ func BenchmarkJaccardBitset(b *testing.B) {
 	}
 }
 
-// BenchmarkJaccardMap is the ablation baseline for design decision 1 in
-// DESIGN.md: Jaccard over Go map-based sets, for comparison with the
-// word-parallel bitset implementation above.
+// BenchmarkJaccardMap is the ablation baseline for the bitset design:
+// Jaccard over Go map-based sets, for comparison with the word-parallel
+// bitset implementation above.
 func BenchmarkJaccardMap(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	n := 100_000

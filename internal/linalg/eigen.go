@@ -8,7 +8,8 @@ import (
 
 // Eigen holds the eigendecomposition of a symmetric matrix:
 // A = V · diag(Values) · Vᵀ, eigenvalues descending, eigenvectors as
-// the *columns* of Vectors.
+// the *columns* of Vectors — all n of them from SymEigen, the leading
+// k from TopEigen.
 type Eigen struct {
 	Values  []float64
 	Vectors *Mat
@@ -19,14 +20,17 @@ const (
 	// off-diagonal mass is below eigenTol·‖A‖_F. Jacobi converges
 	// quadratically, so the last sweep usually lands far below it.
 	eigenTol = 1e-15
-	// maxSweeps caps the cyclic sweeps. The Focus view's matrices take
-	// 3 to 16 on BookCrossing, so reaching the cap means the input is
-	// broken.
+	// maxSweeps caps the cyclic sweeps. BookCrossing's Focus matrices
+	// take 3 to 16 and the 1e-6…1e6 test spectrum 19, so reaching the
+	// cap means the input is broken.
 	maxSweeps = 64
 )
 
 // SymEigen computes the eigendecomposition of a symmetric matrix with
-// the cyclic Jacobi rotation method. It errors on non-square,
+// the cyclic Jacobi rotation method: slow (a full n×n eigenvector
+// matrix, several sweeps of n²/2 rotations) but simple and accurate,
+// it is the reference that TopEigen and the LDA fit are tested
+// against, and has no caller outside tests. It errors on non-square,
 // asymmetric (beyond 1e-8) or non-finite input, and when the sweeps
 // fail to bring the off-diagonal mass below 1e-15·‖A‖_F within the
 // sweep cap, instead of returning unconverged values.
@@ -37,18 +41,12 @@ func SymEigen(a *Mat) (*Eigen, error) {
 
 // jacobi is SymEigen that also reports the number of sweeps it ran.
 func jacobi(a *Mat) (*Eigen, int, error) {
-	if a.Rows != a.Cols {
-		return nil, 0, fmt.Errorf("linalg: eigen of non-square %dx%d", a.Rows, a.Cols)
+	if err := checkSymmetric(a); err != nil {
+		return nil, 0, err
 	}
 	norm2 := 0.0
 	for _, x := range a.Data {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, 0, fmt.Errorf("linalg: eigen of non-finite matrix")
-		}
 		norm2 += x * x
-	}
-	if !a.IsSymmetric(1e-8) {
-		return nil, 0, fmt.Errorf("linalg: eigen of asymmetric matrix")
 	}
 	n := a.Rows
 	m := a.Clone()

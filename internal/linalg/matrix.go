@@ -1,8 +1,12 @@
 // Package linalg provides the small dense-matrix kernel behind the
 // Focus view's Linear Discriminant Analysis (§II-B "Granular
 // Analysis"): a row-major matrix, a Cholesky factorization with its
-// triangular solves, a cyclic Jacobi eigendecomposition for symmetric
-// matrices, and dense column means and covariance. Dimensions are the number of mining terms (tens
+// triangular solves, and TopEigen, the symmetric eigensolver
+// (Householder tridiagonalization and implicit QL) that returns every
+// eigenvalue but only the leading eigenvectors. A cyclic Jacobi
+// eigendecomposition (SymEigen) and dense column means and covariance
+// are the independent references that the tests check TopEigen and
+// the LDA fit against. Dimensions are the number of mining terms (tens
 // to low hundreds), the number of focused members, or the number of
 // LDA classes, so dense algorithms are the right tool.
 package linalg

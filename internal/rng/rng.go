@@ -1,8 +1,7 @@
 // Package rng provides deterministic, splittable pseudo-randomness for
 // every stochastic component of VEXUS (data generation, simulated
-// explorers, layout jitter). All experiment rows in EXPERIMENTS.md are
-// reproducible because every random draw flows from an explicit seed
-// through this package.
+// explorers, layout jitter). Every experiment is reproducible because
+// every random draw flows from an explicit seed through this package.
 //
 // The generator is xorshift64* — tiny, fast, and good enough for
 // simulation workloads (not cryptographic).
