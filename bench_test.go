@@ -19,7 +19,6 @@ import (
 	"vexus/internal/mining"
 	"vexus/internal/mining/birch"
 	"vexus/internal/mining/lcm"
-	"vexus/internal/mining/momri"
 	"vexus/internal/mining/stream"
 	"vexus/internal/rng"
 	"vexus/internal/simulate"
@@ -477,14 +476,13 @@ func BenchmarkOfflinePipeline(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Design ablation: the four miners on identical transactions.
+// Design ablation: the three miners on identical transactions.
 
 func BenchmarkMiners(b *testing.B) {
 	fixtures(b)
 	tx := fixTx
 	miners := []mining.Miner{
 		lcm.New(mining.Options{MinSupport: 30, MaxLen: 4}),
-		momri.New(momri.DefaultConfig(30)),
 		stream.New(stream.Config{Support: 0.02, Epsilon: 0.002, MaxLen: 3}),
 		birch.New(birch.DefaultConfig()),
 	}
@@ -497,8 +495,6 @@ func BenchmarkMiners(b *testing.B) {
 				switch m.Name() {
 				case "streammining":
 					miner = stream.New(stream.Config{Support: 0.02, Epsilon: 0.002, MaxLen: 3})
-				case "alpha-momri":
-					miner = momri.New(momri.DefaultConfig(30))
 				case "birch":
 					miner = birch.New(birch.DefaultConfig())
 				default:

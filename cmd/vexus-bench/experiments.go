@@ -886,7 +886,6 @@ func runF1(_ uint64, _ string) error {
   internal/dataset      user database [user, item, value] + demographics
   internal/mining       transaction encoding, Miner interface
   internal/mining/lcm      LCM closed frequent itemsets   (datasets)
-  internal/mining/momri    alpha-MOMRI multi-objective     (datasets)
   internal/mining/stream   lossy-counting stream miner     (streams)
   internal/mining/birch    BIRCH CF-tree clustering        (streams)
   internal/groups       user-group space + overlap graph G
@@ -896,7 +895,8 @@ online (internal/core.Session):
   CONTEXT   internal/feedback                normalized profile, unlearn
   STATS     internal/crossfilter + internal/lda   coordinated histograms, 2D focus view
   HISTORY   core.Session.Backtrack           navigation trail
-  MEMO      core.Memo                        bookmarked groups/users (Save)
+  MEMO      core.Memo                        bookmarked groups/users
+  SAVE      internal/action                  action-log trail (save v2, replay)
 `)
 	return nil
 }

@@ -16,7 +16,6 @@
 //	POST   /api/v1/sessions?dataset=           → 201, full state + ETag
 //	DELETE /api/v1/sessions/{sid}              → 204
 //	GET    /api/v1/sessions/{sid}/state        → full state; If-None-Match honored (304)
-//	GET    /api/v1/state?sid=                  → same, legacy address shape
 //	POST   /api/v1/sessions/{sid}/actions      → apply an action batch
 //
 // The actions body is a JSON array of typed actions ({"op":"explore",
@@ -28,13 +27,11 @@
 // metrics (explore) and a state *diff*; with ?full=1 a successful
 // batch returns the full state snapshot instead. The ETag header
 // always reflects the state after the applied prefix and equals
-// `"<sid>.<mutations>"`. The bundled page posts these batches; the
-// former legacy one-action endpoints (/api/explore, /api/backtrack,
-// /api/focus, /api/brush, /api/unlearn, /api/bookmark) are gone.
-// Session lifecycle keeps its legacy twins (POST /api/session → 200,
-// DELETE /api/session?sid=) alongside /api/v1/sessions, and the read
-// endpoints (/api/state, /api/sessions, /api/datasets, the SVGs)
-// are unchanged.
+// `"<sid>.<mutations>"`. The bundled page posts these batches.
+// Sessions have one address, /api/v1/sessions/{sid}; the only ?sid=
+// endpoints are the two SVGs the page embeds as images
+// (/api/groupviz.svg, /api/focus.svg). The ops reads /api/sessions and
+// /api/datasets take no session.
 //
 // # Deployment shapes
 //

@@ -55,14 +55,14 @@
 // the pre-action state (shown groups added/removed, focal change,
 // CONTEXT/MEMO deltas, mutation counter): the server's POST
 // /api/v1/sessions/{sid}/actions returns these diffs per batch entry
-// (?full=1 for a full snapshot), and the /api/state ETag is derived
-// from the same mutation counter, so diff consumers always hold a
-// current validator. Four frontends share the path: the HTTP server
-// (the bundled page posts v1 batches; the legacy one-action mutation
-// shims are gone), session persistence (the v2 SAVE format serializes
-// the complete action log and still loads lossy v1 files), the vexus
-// CLI's -script replay, and internal/simulate, whose campaigns emit
-// their trails as replayable action logs.
+// (?full=1 for a full snapshot), and the state ETag is derived from
+// the same mutation counter, so diff consumers always hold a current
+// validator. Four frontends share the path: the HTTP server (the
+// bundled page posts v1 batches), session persistence (the v2 SAVE
+// format serializes the complete action log; it is the only format
+// written or read), the vexus CLI's -script replay, and
+// internal/simulate, whose campaigns emit their trails as replayable
+// action logs.
 //
 // # Warm starts and the dataset catalog
 //
@@ -85,14 +85,14 @@
 // On top of it, cmd/vexus-server -datasets serves a whole catalog: a
 // directory of <name>.json dataset specs with <name>.snap snapshots
 // alongside. Engines build or warm-load lazily on the first request
-// naming them (POST /api/session?dataset=, default dataset when the
-// parameter is absent), concurrent first requests share one build, at
-// most -max-engines engines stay resident (LRU, session-free datasets
-// evicted first), and each dataset owns an isolated session registry.
-// GET /api/datasets lists residency; GET /api/state carries an ETag
-// derived from the session's mutation counter and honors
-// If-None-Match with 304, so pollers stop re-downloading unchanged
-// state snapshots.
+// naming them (POST /api/v1/sessions?dataset=, default dataset when
+// the parameter is absent), concurrent first requests share one build,
+// at most -max-engines engines stay resident (LRU, session-free
+// datasets evicted first), and each dataset owns an isolated session
+// registry. GET /api/datasets lists residency; GET
+// /api/v1/sessions/{sid}/state carries an ETag derived from the
+// session's mutation counter and honors If-None-Match with 304, so
+// pollers stop re-downloading unchanged state snapshots.
 //
 // # Sharded session serving
 //

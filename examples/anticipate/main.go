@@ -1,9 +1,10 @@
 // Anticipate demonstrates the two Fig. 1 extensions: the Prefetcher
 // (the paper's "VEXUS … uses [the explorer profile] to anticipate
 // follow-up steps and select groups on-the-fly") and the SAVE module
-// (session trails serialize as JSON and replay against a rebuilt
-// engine). It measures the perceived latency of a click with and
-// without anticipation, then saves, restores, and verifies the session.
+// (a session's action log serializes as JSON and replays through
+// action.Apply against a rebuilt engine). It measures the perceived
+// latency of a click with and without anticipation, then saves,
+// restores, and verifies the session.
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 	"log"
 	"time"
 
+	"vexus/internal/action"
 	"vexus/internal/core"
 	"vexus/internal/datagen"
 	"vexus/internal/greedy"
@@ -58,24 +60,27 @@ func main() {
 	fmt.Printf("click latency with anticipation:    %8v (cache hit: %v)\n",
 		warmMS.Round(time.Microsecond), cached)
 
-	// --- SAVE: persist the trail, replay it elsewhere. ---------------
-	if _, _, err := p.Explore(sess.Shown()[0]); err != nil {
-		log.Fatal(err)
+	// --- SAVE: persist the action log, replay it elsewhere. ---------
+	saved := action.New(eng, cfg)
+	apply := func(a action.Action) {
+		if _, err := action.Apply(saved, a); err != nil {
+			log.Fatal(err)
+		}
 	}
-	if err := sess.BookmarkGroup(sess.Focal()); err != nil {
-		log.Fatal(err)
-	}
+	apply(action.Action{Op: action.Start})
+	apply(action.Action{Op: action.Explore, Group: saved.Sess.Shown()[0]})
+	apply(action.Action{Op: action.BookmarkGroup, Group: saved.Sess.Focal()})
 	var buf bytes.Buffer
-	if err := sess.Save(&buf); err != nil {
+	if err := saved.Save(&buf); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nsaved session: %d bytes of JSON\n", buf.Len())
+	fmt.Printf("\nsaved session: %d actions, %d bytes of JSON\n", len(saved.Log), buf.Len())
 
-	restored := eng.NewSession(cfg)
+	restored := action.New(eng, cfg)
 	if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("restored: %d history steps, focal %q, %d memo groups\n",
-		len(restored.History()), eng.GroupLabel(restored.Focal()),
-		len(restored.Memo().Groups()))
+		len(restored.Sess.History()), eng.GroupLabel(restored.Sess.Focal()),
+		len(restored.Sess.Memo().Groups()))
 }

@@ -1,12 +1,12 @@
 // Package action is the typed, versioned vocabulary of VEXUS
 // exploration interactions (§II-B) and the single dispatcher every
-// frontend routes through: the HTTP server (legacy /api/* shims and the
-// /api/v1 batch endpoint), session persistence (the SAVE module's v2
-// trail format), the vexus CLI's -script replay, and the synthetic
-// explorers of internal/simulate all mutate a session exclusively via
-// Apply. One code path means one behavior: a simulated campaign, a
-// replayed save file and a live explorer clicking in the browser
-// exercise byte-identical state transitions.
+// frontend routes through: the HTTP server (the /api/v1 batch
+// endpoint), session persistence (the SAVE module's v2 trail format),
+// the vexus CLI's -script replay, and the synthetic explorers of
+// internal/simulate all mutate a session exclusively via Apply. One
+// code path means one behavior: a simulated campaign, a replayed save
+// file and a live explorer clicking in the browser exercise
+// byte-identical state transitions.
 //
 // An Action is pure data — an operation kind plus the operands that
 // kind takes. The JSON form is one object per action with an "op"
@@ -22,7 +22,7 @@
 // deltas, and the session's mutation counter — computed against the
 // pre-action state. Diffs are what let the server stream changes
 // instead of full state snapshots, and the mutation counter is the
-// number the /api/state ETag derives from.
+// number the session's state ETag derives from.
 package action
 
 import (
@@ -234,7 +234,13 @@ func (a *Action) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("action: op %q does not take field %q", raw.Op, f)
 		}
 	}
-	*a = Action{Op: raw.Op, Groups: raw.Groups, Values: raw.Values}
+	*a = Action{Op: raw.Op, Groups: raw.Groups}
+	// An explicit empty list clears the brush exactly like an absent
+	// one; keep nil as the one form, which is also what MarshalJSON
+	// writes back, so a decoded trail re-decodes deeply equal.
+	if len(raw.Values) > 0 {
+		a.Values = raw.Values
+	}
 	if raw.Group != nil {
 		a.Group = *raw.Group
 	}
@@ -286,11 +292,10 @@ func DecodeLog(data []byte) ([]Action, error) {
 		return acts, nil
 	}
 	var wrapped struct {
-		Version   int             `json:"version"`
-		Miner     string          `json:"miner"`
-		NumGroups int             `json:"numGroups"`
-		Actions   []Action        `json:"actions"`
-		Extra     json.RawMessage `json:"-"`
+		Version   int      `json:"version"`
+		Miner     string   `json:"miner"`
+		NumGroups int      `json:"numGroups"`
+		Actions   []Action `json:"actions"`
 	}
 	if err := json.Unmarshal(trimmed, &wrapped); err != nil {
 		return nil, err

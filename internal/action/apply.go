@@ -26,8 +26,8 @@ type Session struct {
 	// close it (the displayed groups changed under it).
 	Focus *core.FocusView
 	// Mutations counts successfully applied actions. The server's
-	// /api/state ETag is derived from it, and every Diff carries it, so
-	// a client consuming diffs always knows its current validator.
+	// state ETag is derived from it, and every Diff carries it, so a
+	// client consuming diffs always knows its current validator.
 	Mutations uint64
 	// Log is the trail of applied actions, oldest first. Save writes
 	// it; Load rebuilds state by replaying it.

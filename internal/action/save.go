@@ -4,39 +4,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 )
 
-// savedLog is the v2 SAVE format: the complete action trail, verbatim.
-// Where v1 (internal/core.savedSession) kept only the Explore clicks
-// plus final memo/unlearn outcomes — losing Brush, Focus, UnlearnUser
-// and the interleaving of unlearns with clicks, and flattening
-// Backtrack into whatever trail survived it — v2 replays exactly what
-// the explorer did, in order, through the same Apply dispatcher live
-// traffic uses.
+// savedLog is the SAVE format, version 2: the complete action trail,
+// verbatim, so a load replays exactly what the explorer did, in order,
+// through the same Apply dispatcher live traffic uses.
 type savedLog struct {
 	Version int `json:"version"`
-	// Miner and NumGroups guard against gross engine mismatch, exactly
-	// like v1: descriptions are the real identity, so a rebuilt space
-	// over identical data replays identically.
+	// Miner and NumGroups guard against gross engine mismatch:
+	// descriptions are the real identity, so a rebuilt space over
+	// identical data replays identically.
 	Miner     string   `json:"miner"`
 	NumGroups int      `json:"numGroups"`
 	Actions   []Action `json:"actions"`
 }
 
-// savedSessionV1 mirrors internal/core's v1 on-disk shape for
-// backward-compatible loading.
-type savedSessionV1 struct {
-	Version   int      `json:"version"`
-	Miner     string   `json:"miner"`
-	NumGroups int      `json:"numGroups"`
-	Clicks    []int    `json:"clicks"`
-	MemoG     []int    `json:"memoGroups"`
-	MemoU     []string `json:"memoUsers"`
-	Unlearned []string `json:"unlearnedTerms"`
-}
-
-// Save serializes the session's complete action log as a v2 trail.
+// Save serializes the session's complete action log.
 func (s *Session) Save(w io.Writer) error {
 	eng := s.Sess.Engine()
 	saved := savedLog{
@@ -54,13 +37,9 @@ func (s *Session) Save(w io.Writer) error {
 }
 
 // Load restores a saved trail into this (fresh) session by replaying
-// its actions through Apply. Both formats load: a v2 file replays its
-// action log verbatim; a v1 file (the click-only format of
-// internal/core) is first translated into the action vocabulary —
-// Start, the unlearns, the clicks in order, then the bookmarks — which
-// reproduces exactly the replay core.Session.Load performs. After a
-// successful Load the session's log holds the replayed actions, so
-// re-saving writes v2 regardless of the input version.
+// its action log through Apply. Only version 2 files load; any other
+// version is rejected. After a successful Load the session's log holds
+// the replayed actions.
 func (s *Session) Load(r io.Reader) error {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -72,59 +51,27 @@ func (s *Session) Load(r io.Reader) error {
 	if err := json.Unmarshal(raw, &probe); err != nil {
 		return fmt.Errorf("action: decoding saved session: %w", err)
 	}
-
-	var miner string
-	var numGroups int
-	var acts []Action
-	switch probe.Version {
-	case 2:
-		var saved savedLog
-		if err := json.Unmarshal(raw, &saved); err != nil {
-			return fmt.Errorf("action: decoding v2 session: %w", err)
-		}
-		miner, numGroups, acts = saved.Miner, saved.NumGroups, saved.Actions
-
-	case 1:
-		var saved savedSessionV1
-		if err := json.Unmarshal(raw, &saved); err != nil {
-			return fmt.Errorf("action: decoding v1 session: %w", err)
-		}
-		miner, numGroups = saved.Miner, saved.NumGroups
-		acts = append(acts, Action{Op: Start})
-		for _, t := range saved.Unlearned {
-			field, value, ok := strings.Cut(t, "=")
-			if !ok {
-				return fmt.Errorf("action: malformed unlearned term %q", t)
-			}
-			acts = append(acts, Action{Op: Unlearn, Field: field, Value: value})
-		}
-		for _, gid := range saved.Clicks {
-			acts = append(acts, Action{Op: Explore, Group: gid})
-		}
-		for _, gid := range saved.MemoG {
-			acts = append(acts, Action{Op: BookmarkGroup, Group: gid})
-		}
-		for _, uid := range saved.MemoU {
-			acts = append(acts, Action{Op: BookmarkUser, User: uid})
-		}
-
-	default:
+	if probe.Version != 2 {
 		return fmt.Errorf("action: unsupported session version %d", probe.Version)
+	}
+	var saved savedLog
+	if err := json.Unmarshal(raw, &saved); err != nil {
+		return fmt.Errorf("action: decoding v2 session: %w", err)
 	}
 
 	eng := s.Sess.Engine()
-	if numGroups != eng.Space.Len() {
+	if saved.NumGroups != eng.Space.Len() {
 		return fmt.Errorf("action: saved session has %d groups, engine has %d",
-			numGroups, eng.Space.Len())
+			saved.NumGroups, eng.Space.Len())
 	}
-	if miner != "" && miner != eng.Miner {
+	if saved.Miner != "" && saved.Miner != eng.Miner {
 		return fmt.Errorf("action: saved session mined with %q, engine with %q",
-			miner, eng.Miner)
+			saved.Miner, eng.Miner)
 	}
 	s.Log = nil
 	s.Mutations = 0
 	s.Focus = nil
-	if err := ApplyAllQuiet(s, acts); err != nil {
+	if err := ApplyAllQuiet(s, saved.Actions); err != nil {
 		return fmt.Errorf("action: replaying saved session: %w", err)
 	}
 	return nil

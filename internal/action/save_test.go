@@ -7,11 +7,10 @@ import (
 	"testing"
 )
 
-// walk drives a trail that exercises every lossy spot of the v1
-// format — a backtrack mid-trail, a user unlearn (v1 has no field for
-// it), and a trailing open focus view with a brush (v1 cannot
-// represent STATS state at all) — and returns the external id of the
-// unlearned user.
+// walk drives a trail that exercises every spot the old click-only
+// (v1) format lost — a backtrack mid-trail, a user unlearn, and a
+// trailing open focus view with a brush — and returns the external id
+// of the unlearned user.
 func walk(t *testing.T, s *Session) string {
 	t.Helper()
 	eng := s.Sess.Engine()
@@ -92,98 +91,35 @@ func TestSaveLoadV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2PreservesWhereV1Drops is the satellite regression for the
-// lossy v1 format: the same trail saved through core's v1 Save has no
-// representation for unlearned users or the open focus view's brush,
-// so its replay diverges from the original session — while the v2
-// trail replays exactly.
+// TestV2PreservesWhereV1Drops pins what the removed click-only v1
+// format lost and v2 must keep: the open focus view with its brush,
+// and a user the explorer explicitly unlearned, which a click-only
+// replay silently re-learned.
 func TestV2PreservesWhereV1Drops(t *testing.T) {
 	eng := testEngine(t)
 	s := New(eng, detCfg())
 	unlearned := walk(t, s)
 
-	// v1 via core.Session.Save (click-only).
-	var v1 bytes.Buffer
-	if err := s.Sess.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
-	v1Restored := New(eng, detCfg())
-	if err := v1Restored.Load(bytes.NewReader(v1.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-
-	// v2 via the action layer.
 	var v2 bytes.Buffer
 	if err := s.Save(&v2); err != nil {
 		t.Fatal(err)
 	}
-	v2Restored := New(eng, detCfg())
-	if err := v2Restored.Load(bytes.NewReader(v2.Bytes())); err != nil {
+	restored := New(eng, detCfg())
+	if err := restored.Load(bytes.NewReader(v2.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-
-	want := signature(t, s)
-	if got := signature(t, v2Restored); got != want {
+	if got, want := signature(t, restored), signature(t, s); got != want {
 		t.Fatalf("v2 did not reproduce the trail:\n got %s\nwant %s", got, want)
 	}
-	if v2Restored.Focus == nil || v2Restored.Focus.SelectedCount() != s.Focus.SelectedCount() {
+	if restored.Focus == nil || restored.Focus.SelectedCount() != s.Focus.SelectedCount() {
 		t.Fatal("v2 did not restore the brushed focus view")
 	}
-
-	// v1 cannot represent the open focus view or its brush.
-	if v1Restored.Focus != nil {
-		t.Fatal("v1 replay restored a focus view it cannot represent")
-	}
-	// v1 has no field for unlearned users: the replay silently
-	// re-learns a user the explorer explicitly removed.
 	u := eng.Data.UserIndex(unlearned)
 	if got := s.Sess.Feedback().UserScore(u); got != 0 {
 		t.Fatalf("original session still scores unlearned user %q at %v", unlearned, got)
 	}
-	if got := v2Restored.Sess.Feedback().UserScore(u); got != 0 {
+	if got := restored.Sess.Feedback().UserScore(u); got != 0 {
 		t.Fatalf("v2 replay re-learned unlearned user %q (%v)", unlearned, got)
-	}
-	if got := v1Restored.Sess.Feedback().UserScore(u); got == 0 {
-		t.Fatalf("v1 replay kept user %q at zero — the lossy-format regression no longer demonstrates anything", unlearned)
-	}
-}
-
-func TestLoadV1Compat(t *testing.T) {
-	eng := testEngine(t)
-	// A click-only trail: v1 represents it faithfully, so the action
-	// loader must reproduce it exactly from the v1 file.
-	s := New(eng, detCfg())
-	mustApply := func(a Action) {
-		t.Helper()
-		if _, err := Apply(s, a); err != nil {
-			t.Fatalf("%v: %v", a, err)
-		}
-	}
-	mustApply(Action{Op: Start})
-	mustApply(Action{Op: Unlearn, Field: "gender", Value: "male"})
-	mustApply(Action{Op: Explore, Group: s.Sess.Shown()[0]})
-	mustApply(Action{Op: Explore, Group: s.Sess.Shown()[1]})
-	mustApply(Action{Op: BookmarkGroup, Group: s.Sess.Shown()[0]})
-	mustApply(Action{Op: BookmarkUser, User: eng.Data.Users[3].ID})
-
-	var v1 bytes.Buffer
-	if err := s.Sess.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
-	restored := New(eng, detCfg())
-	if err := restored.Load(bytes.NewReader(v1.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := signature(t, restored), signature(t, s); got != want {
-		t.Fatalf("v1 compat replay diverged:\n got %s\nwant %s", got, want)
-	}
-	// Re-saving after a v1 load writes v2.
-	var resaved bytes.Buffer
-	if err := restored.Save(&resaved); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resaved.String(), `"version": 2`) {
-		t.Fatal("re-save after v1 load is not v2")
 	}
 }
 
@@ -196,15 +132,15 @@ func TestLoadRejects(t *testing.T) {
 		{"garbage", "not json"},
 		{"unknown version", `{"version":9}`},
 		{"v2 group mismatch", `{"version":2,"miner":"lcm","numGroups":1,"actions":[]}`},
-		{"v1 group mismatch", `{"version":1,"numGroups":1}`},
+		{"v1 (no longer read)", `{"version":1,"numGroups":1}`},
 		{"v2 bad action", `{"version":2,"miner":"lcm","numGroups":` +
 			itoa(s.Sess.Engine().Space.Len()) + `,"actions":[{"op":"explore"}]}`},
 		{"v2 failing action", `{"version":2,"miner":"lcm","numGroups":` +
 			itoa(s.Sess.Engine().Space.Len()) + `,"actions":[{"op":"bookmarkUser","user":"ghost"}]}`},
 		{"v2 miner mismatch", `{"version":2,"miner":"ouija","numGroups":` +
 			itoa(s.Sess.Engine().Space.Len()) + `,"actions":[]}`},
-		{"v1 malformed term", `{"version":1,"numGroups":` +
-			itoa(s.Sess.Engine().Space.Len()) + `,"unlearnedTerms":["no-equals"]}`},
+		{"v1 (no longer read)", `{"version":1,"numGroups":` +
+			itoa(s.Sess.Engine().Space.Len()) + `,"unlearnedTerms":["gender=male"]}`},
 	}
 	for _, c := range cases {
 		if err := s.Load(strings.NewReader(c.in)); err == nil {

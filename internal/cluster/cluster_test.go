@@ -377,6 +377,34 @@ func TestGatewayDeleteAndUnknownSession(t *testing.T) {
 	}
 }
 
+// TestGatewayRemovedLegacyAddresses: the gateway no longer mirrors the
+// legacy lifecycle and read addresses; for a live session each answers
+// 404 or 405, never a proxied 200.
+func TestGatewayRemovedLegacyAddresses(t *testing.T) {
+	eng := testEngine(t)
+	_, ts := testCluster(t, eng, 2)
+	st, _ := createV1(t, ts.URL)
+	for _, c := range []struct{ method, path string }{
+		{http.MethodGet, "/api/state?sid=" + st.Session},
+		{http.MethodGet, "/api/v1/state?sid=" + st.Session},
+		{http.MethodPost, "/api/session"},
+		{http.MethodDelete, "/api/session?sid=" + st.Session},
+	} {
+		req, _ := http.NewRequest(c.method, ts.URL+c.path, nil)
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusNotFound && res.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 404 or 405", c.method, c.path, res.StatusCode)
+		}
+	}
+	if _, _, status := getStateRaw(t, ts.URL, st.Session); status != http.StatusOK {
+		t.Fatalf("session lost after legacy probes: status %d", status)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Drain: replay-based migration moves every session, seamlessly.
 

@@ -10,10 +10,11 @@
 // systems: a Gateway owns routing and topology but no session state,
 // and shards own sessions but know nothing of each other. Session ids
 // map to shards by rendezvous hashing (hash.go), the gateway proxies
-// the public /api and /api/v1 surface sticky-by-sid, and topology
-// changes (Join, Drain) move exactly the sessions the hash reassigns
-// via export → replay → delete, blocking traffic only per migrating
-// session, never globally.
+// the public session surface (/api/v1/sessions/{sid}/*, plus the
+// page's two ?sid= SVGs) sticky-by-sid, and topology changes (Join,
+// Drain) move exactly the sessions the hash reassigns via export →
+// replay → delete, blocking traffic only per migrating session, never
+// globally.
 //
 // Determinism contract: a migrated session is byte-identical to one
 // that never moved provided every shard serves a bit-identical engine
@@ -347,14 +348,8 @@ func (g *Gateway) Routes() http.Handler {
 
 	// Session lifecycle: creation picks the shard by hashing a
 	// gateway-minted sid; deletion follows the sid and drops the route.
-	handle("POST /api/v1/sessions", func(w http.ResponseWriter, r *http.Request) {
-		g.handleCreate(w, r, http.StatusCreated)
-	})
-	handle("POST /api/session", func(w http.ResponseWriter, r *http.Request) {
-		g.handleCreate(w, r, http.StatusOK)
-	})
+	handle("POST /api/v1/sessions", g.handleCreate)
 	handle("DELETE /api/v1/sessions/{sid}", g.bySID(pathSID))
-	handle("DELETE /api/session", g.bySID(querySID))
 
 	// Session-scoped traffic: proxied to the owner, verbatim. The SSE
 	// diff stream has its own pass-through: it must not pin the
@@ -362,8 +357,6 @@ func (g *Gateway) Routes() http.Handler {
 	handle("GET /api/v1/sessions/{sid}/state", g.bySID(pathSID))
 	handle("GET /api/v1/sessions/{sid}/events", g.handleEvents)
 	handle("POST /api/v1/sessions/{sid}/actions", g.bySID(pathSID))
-	handle("GET /api/v1/state", g.bySID(querySID))
-	handle("GET /api/state", g.bySID(querySID))
 	handle("GET /api/groupviz.svg", g.bySID(querySID))
 	handle("GET /api/focus.svg", g.bySID(querySID))
 
@@ -396,8 +389,8 @@ func (g *Gateway) Routes() http.Handler {
 	return mux
 }
 
-// pathSID / querySID extract the session id from the two addressing
-// shapes the API supports.
+// pathSID / querySID extract the session id from the v1 path and from
+// the SVG endpoints' query.
 func pathSID(r *http.Request) string  { return r.PathValue("sid") }
 func querySID(r *http.Request) string { return r.FormValue("sid") }
 
@@ -515,32 +508,26 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, sh *Shard, path 
 		return 0
 	}
 	defer res.Body.Close()
-	return copyResponse(w, res, 0)
+	return copyResponse(w, res)
 }
 
-// copyResponse relays a shard response to the client; statusOverride
-// (non-zero) replaces the status code — the legacy create endpoint
-// answers 200 where the cluster-internal create answers 201. The body
-// copy flushes after every write when the client connection supports
+// copyResponse relays a shard response to the client. The body copy
+// flushes after every write when the client connection supports
 // it: for buffered JSON responses that costs one extra flush, and for
 // streaming responses (the SSE diff stream) it is what makes events
 // reach the client as they happen instead of sitting in the gateway's
 // write buffer until the stream ends.
-func copyResponse(w http.ResponseWriter, res *http.Response, statusOverride int) int {
+func copyResponse(w http.ResponseWriter, res *http.Response) int {
 	for k, vs := range res.Header {
 		w.Header()[k] = vs
 	}
-	status := res.StatusCode
-	if statusOverride != 0 && status == http.StatusCreated {
-		status = statusOverride
-	}
-	w.WriteHeader(status)
+	w.WriteHeader(res.StatusCode)
 	var dst io.Writer = w
 	if f, ok := w.(http.Flusher); ok {
 		dst = flushWriter{w: w, f: f}
 	}
 	_, _ = io.Copy(dst, res.Body)
-	return status
+	return res.StatusCode
 }
 
 // flushWriter flushes the client connection after every write, so each
@@ -592,7 +579,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer res.Body.Close()
-	if copyResponse(w, res, 0) == http.StatusNotFound {
+	if copyResponse(w, res) == http.StatusNotFound {
 		g.dropRoute(sid)
 	}
 }
@@ -601,7 +588,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 // eligible shard, create there under that id, and record the route.
 // Rendezvous placement means the session lands exactly where every
 // later hash lookup will point.
-func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request, wantStatus int) {
+func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// The placement read-lock pins the topology from the eligibility
 	// snapshot until the route is recorded: Drain marks a shard
 	// draining under the write lock, so once that mark is visible no
@@ -633,7 +620,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request, wantStatu
 		g.routes[sid] = &route{shard: sh.name}
 		g.mu.Unlock()
 	}
-	copyResponse(w, res, wantStatus)
+	copyResponse(w, res)
 }
 
 // dropRoute forgets a session's residency (deletion, expiry).

@@ -53,7 +53,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer res.Body.Close()
-		copyResponse(w, res, 0)
+		copyResponse(w, res)
 		return
 	}
 

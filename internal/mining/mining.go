@@ -1,10 +1,10 @@
 // Package mining provides the shared substrate for user-group
 // discovery: the encoding of users into transactions over an interned
 // term vocabulary, vertical tid-lists for fast support counting, and
-// the Miner interface that all discovery algorithms (LCM, α-MOMRI,
-// stream mining, BIRCH) implement. The paper treats VEXUS as
-// independent of the discovery algorithm (§II-A); this interface is
-// that independence made concrete.
+// the Miner interface that all discovery algorithms (LCM, stream
+// mining, BIRCH) implement. The paper treats VEXUS as independent of
+// the discovery algorithm (§II-A); this interface is that independence
+// made concrete.
 package mining
 
 import (
@@ -122,8 +122,8 @@ type Options struct {
 	// MaxGroups groups — the first MaxGroups in its enumeration order —
 	// together with an error wrapping ErrTooManyGroups, so callers may
 	// either fail or proceed with the truncated collection. Miners that
-	// bound their output by construction (momri's K, birch's K) never
-	// trip it; stream bounds memory via lossy counting instead.
+	// bound their output by construction (birch's K) never trip it;
+	// stream bounds memory via lossy counting instead.
 	MaxGroups int
 }
 
@@ -177,7 +177,7 @@ type ParallelMiner interface {
 
 // MineParallel mines with m's parallel entry point when it has one
 // (LCM today) and falls back to the sequential Mine otherwise
-// (momri/birch/stream, until they adopt ParallelMiner).
+// (birch/stream, until they adopt ParallelMiner).
 func MineParallel(m Miner, t *Transactions, opts ParallelOptions) ([]*groups.Group, error) {
 	if pm, ok := m.(ParallelMiner); ok {
 		return pm.MineParallel(t, opts.Workers)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"os"
 	"path/filepath"
 	"sync"
@@ -49,15 +48,15 @@ func catalogServer(t testing.TB, dir string, maxEngines int) (*Catalog, *httptes
 func TestCatalogSessionScoping(t *testing.T) {
 	_, ts := catalogServer(t, writeSpecs(t), 0)
 
-	a, res := post(t, ts, "/api/session", url.Values{"dataset": {"authors"}})
-	if res.StatusCode != http.StatusOK {
+	a, res := createIn(t, ts, "authors")
+	if res.StatusCode != http.StatusCreated {
 		t.Fatalf("create authors session: status %d", res.StatusCode)
 	}
 	if a.Dataset != "authors" {
 		t.Fatalf("session dataset %q, want authors", a.Dataset)
 	}
-	b, res := post(t, ts, "/api/session", url.Values{"dataset": {"books"}})
-	if res.StatusCode != http.StatusOK {
+	b, res := createIn(t, ts, "books")
+	if res.StatusCode != http.StatusCreated {
 		t.Fatalf("create books session: status %d", res.StatusCode)
 	}
 	if b.Dataset != "books" {
@@ -105,15 +104,15 @@ func TestCatalogDefaultAndUnknownDataset(t *testing.T) {
 	_, ts := catalogServer(t, writeSpecs(t), 0)
 
 	// No dataset parameter: the lexicographically first name serves.
-	st, res := post(t, ts, "/api/session", nil)
-	if res.StatusCode != http.StatusOK {
+	st, res := createIn(t, ts, "")
+	if res.StatusCode != http.StatusCreated {
 		t.Fatalf("default create: status %d", res.StatusCode)
 	}
 	if st.Dataset != "authors" {
 		t.Fatalf("default dataset %q, want authors", st.Dataset)
 	}
 	// Unknown names 404 instead of silently falling back.
-	_, res = post(t, ts, "/api/session", url.Values{"dataset": {"nope"}})
+	_, res = createIn(t, ts, "nope")
 	if res.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown dataset: status %d, want 404", res.StatusCode)
 	}
@@ -121,7 +120,7 @@ func TestCatalogDefaultAndUnknownDataset(t *testing.T) {
 
 func TestCatalogListsDatasets(t *testing.T) {
 	_, ts := catalogServer(t, writeSpecs(t), 0)
-	if _, res := post(t, ts, "/api/session", url.Values{"dataset": {"authors"}}); res.StatusCode != http.StatusOK {
+	if _, res := createIn(t, ts, "authors"); res.StatusCode != http.StatusCreated {
 		t.Fatalf("create: status %d", res.StatusCode)
 	}
 	resp, err := http.Get(ts.URL + "/api/datasets")
@@ -156,7 +155,7 @@ func TestCatalogListsDatasets(t *testing.T) {
 func TestCatalogSnapshotWarmStart(t *testing.T) {
 	dir := writeSpecs(t)
 	cat1, ts1 := catalogServer(t, dir, 0)
-	if _, res := post(t, ts1, "/api/session", url.Values{"dataset": {"authors"}}); res.StatusCode != http.StatusOK {
+	if _, res := createIn(t, ts1, "authors"); res.StatusCode != http.StatusCreated {
 		t.Fatalf("create: status %d", res.StatusCode)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "authors.snap")); err != nil {
@@ -167,8 +166,8 @@ func TestCatalogSnapshotWarmStart(t *testing.T) {
 	}
 
 	cat2, ts2 := catalogServer(t, dir, 0)
-	st, res := post(t, ts2, "/api/session", url.Values{"dataset": {"authors"}})
-	if res.StatusCode != http.StatusOK {
+	st, res := createIn(t, ts2, "authors")
+	if res.StatusCode != http.StatusCreated {
 		t.Fatalf("warm create: status %d", res.StatusCode)
 	}
 	if len(st.Shown) == 0 {
@@ -187,12 +186,12 @@ func TestCatalogSnapshotWarmStart(t *testing.T) {
 func TestCatalogEngineLRUEviction(t *testing.T) {
 	cat, ts := catalogServer(t, writeSpecs(t), 1)
 
-	a, res := post(t, ts, "/api/session", url.Values{"dataset": {"authors"}})
-	if res.StatusCode != http.StatusOK {
+	a, res := createIn(t, ts, "authors")
+	if res.StatusCode != http.StatusCreated {
 		t.Fatalf("create authors: status %d", res.StatusCode)
 	}
-	b, res := post(t, ts, "/api/session", url.Values{"dataset": {"books"}})
-	if res.StatusCode != http.StatusOK {
+	b, res := createIn(t, ts, "books")
+	if res.StatusCode != http.StatusCreated {
 		t.Fatalf("create books: status %d", res.StatusCode)
 	}
 	resident := 0
@@ -214,7 +213,7 @@ func TestCatalogEngineLRUEviction(t *testing.T) {
 		t.Fatalf("surviving dataset's session: status %d", res.StatusCode)
 	}
 	// The evicted dataset rebuilds (warm, from its snapshot) on demand.
-	if _, res := post(t, ts, "/api/session", url.Values{"dataset": {"authors"}}); res.StatusCode != http.StatusOK {
+	if _, res := createIn(t, ts, "authors"); res.StatusCode != http.StatusCreated {
 		t.Fatalf("re-acquire evicted dataset: status %d", res.StatusCode)
 	}
 }
@@ -255,15 +254,16 @@ func TestCatalogSingleflight(t *testing.T) {
 	}
 }
 
-// TestStateETagRoundTrip: GET /api/state carries an ETag derived from
-// the session's mutation counter; If-None-Match on the current value
-// gets 304 with no body, and any mutation invalidates it.
+// TestStateETagRoundTrip: GET /api/v1/sessions/{sid}/state carries an
+// ETag derived from the session's mutation counter; If-None-Match on
+// the current value gets 304 with no body, and any mutation
+// invalidates it.
 func TestStateETagRoundTrip(t *testing.T) {
 	_, ts := testServer(t, DefaultConfig())
 	st := createSession(t, ts)
 	sid := st.Session
 
-	res1, err := http.Get(ts.URL + "/api/state?sid=" + sid)
+	res1, err := http.Get(ts.URL + "/api/v1/sessions/" + sid + "/state")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestStateETagRoundTrip(t *testing.T) {
 		t.Fatal("state response carries no ETag")
 	}
 
-	req, _ := http.NewRequest("GET", ts.URL+"/api/state?sid="+sid, nil)
+	req, _ := http.NewRequest("GET", ts.URL+"/api/v1/sessions/"+sid+"/state", nil)
 	req.Header.Set("If-None-Match", etag)
 	res2, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -300,7 +300,7 @@ func TestStateETagRoundTrip(t *testing.T) {
 	if newTag == "" || newTag == etag {
 		t.Fatalf("mutation ETag %q did not advance from %q", newTag, etag)
 	}
-	req, _ = http.NewRequest("GET", ts.URL+"/api/state?sid="+sid, nil)
+	req, _ = http.NewRequest("GET", ts.URL+"/api/v1/sessions/"+sid+"/state", nil)
 	req.Header.Set("If-None-Match", etag)
 	res3, err := http.DefaultClient.Do(req)
 	if err != nil {

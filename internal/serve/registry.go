@@ -50,8 +50,8 @@ const defaultMinEvictIdle = 10 * time.Second
 // to the *same* session serialize while requests to different sessions
 // run fully in parallel — the engine underneath is immutable after
 // Build and shared by all sessions of the same dataset. Every
-// mutation, legacy or v1, goes through action.Apply, which advances
-// the mutation counter the /api/state ETag derives from.
+// mutation goes through action.Apply, which advances the mutation
+// counter the session's state ETag derives from.
 type clientSession struct {
 	id      string
 	dataset string       // catalog name of the dataset this session explores

@@ -20,11 +20,11 @@ import (
 
 // server multiplexes many concurrent explorers over a catalog of
 // immutable engines: every client owns an isolated action.Session
-// (created via POST /api/v1/sessions or the legacy POST /api/session,
-// optionally scoped to a named dataset with ?dataset=) addressed by
-// its session id. Sessions lock individually, so explorers never
-// serialize on each other — only on their own in-flight request — and
-// datasets build or snapshot-load lazily on first use.
+// (created via POST /api/v1/sessions, optionally scoped to a named
+// dataset with ?dataset=) addressed by its session id at
+// /api/v1/sessions/{sid}. Sessions lock individually, so explorers
+// never serialize on each other — only on their own in-flight request
+// — and datasets build or snapshot-load lazily on first use.
 //
 // Every mutation routes through internal/action.Apply via the /api/v1
 // batch endpoint — the only write path — so the per-action Diff
@@ -163,9 +163,6 @@ func (s *Server) Routes() http.Handler {
 	// Live datasets: batched, sequence-numbered ingestion (and its
 	// ?preview=1 lossy-counting dry run).
 	handle("POST /api/v1/datasets/{name}/ingest", s.handleDatasetIngest)
-	// GET /api/v1/state?sid= mirrors the legacy address shape for
-	// clients migrating one endpoint at a time.
-	handle("GET /api/v1/state", s.handleState)
 
 	// Observability surface: liveness, readiness, and the Prometheus
 	// exposition. /metrics is served straight off the registry — it is
@@ -174,15 +171,10 @@ func (s *Server) Routes() http.Handler {
 	handle("GET /api/v1/readyz", s.handleReadyz)
 	mux.Handle("GET /metrics", s.met.reg.Handler())
 
-	// Legacy addressing kept for session lifecycle and reads; the
-	// legacy one-action mutation shims (/api/explore, /api/backtrack,
-	// …) are gone — the bundled page posts /api/v1 action batches now,
-	// and so must every other client.
-	handle("POST /api/session", s.handleSessionCreate)
-	handle("DELETE /api/session", s.handleSessionDelete)
+	// Ops reads, and the two SVG renderings the bundled page embeds as
+	// <img> sources — which is why they take the session as ?sid=.
 	handle("GET /api/sessions", s.handleSessions)
 	handle("GET /api/datasets", s.handleDatasets)
-	handle("GET /api/state", s.handleState)
 	handle("GET /api/groupviz.svg", s.handleGroupVizSVG)
 	handle("GET /api/focus.svg", s.handleFocusSVG)
 
@@ -210,15 +202,14 @@ func (s *Server) Routes() http.Handler {
 	return mux
 }
 
-// session resolves the sid parameter to a live session (whatever
-// dataset it belongs to), writing the 4xx itself when it can't: 400
-// for a missing id, 404 for an unknown or expired one.
+// session resolves the ?sid= parameter of the SVG endpoints to a live
+// session (whatever dataset it belongs to).
 func (s *Server) session(w http.ResponseWriter, r *http.Request) (*clientSession, bool) {
 	return s.sessionByID(w, r.FormValue("sid"))
 }
 
-// sessionByID is the sid-explicit variant backing both the legacy
-// query-parameter and the v1 path-segment addressing.
+// sessionByID resolves a session id, writing the 4xx itself when it
+// can't: 400 for a missing id, 404 for an unknown or expired one.
 func (s *Server) sessionByID(w http.ResponseWriter, sid string) (*clientSession, bool) {
 	if sid == "" {
 		http.Error(w, "missing session id (create one with POST /api/v1/sessions)", http.StatusBadRequest)
@@ -369,40 +360,25 @@ func (s *Server) writeState(w http.ResponseWriter, cs *clientSession) {
 	_ = json.NewEncoder(w).Encode(s.state(cs))
 }
 
-// createSession backs both creation endpoints; status is the success
-// code (200 legacy, 201 v1).
-func (s *Server) createSession(w http.ResponseWriter, dataset string, status int) {
-	cs, err := s.cat.createSession(dataset)
+// writeCreated answers a session creation: 201, the session's address
+// in Location, its validator and its initial state.
+func (s *Server) writeCreated(w http.ResponseWriter, cs *clientSession) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	w.Header().Set("Location", "/api/v1/sessions/"+cs.id)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("ETag", cs.etag())
+	w.WriteHeader(http.StatusCreated)
+	_ = json.NewEncoder(w).Encode(s.state(cs))
+}
+
+func (s *Server) handleV1SessionCreate(w http.ResponseWriter, r *http.Request) {
+	cs, err := s.cat.createSession(r.FormValue("dataset"))
 	if err != nil {
 		writeCreateError(w, err)
 		return
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if status == http.StatusCreated {
-		w.Header().Set("Location", "/api/v1/sessions/"+cs.id)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("ETag", cs.etag())
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(s.state(cs))
-}
-
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.createSession(w, r.FormValue("dataset"), http.StatusOK)
-}
-
-func (s *Server) handleV1SessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.createSession(w, r.FormValue("dataset"), http.StatusCreated)
-}
-
-func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	cs, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	s.cat.removeSession(cs.id, s.deleteReason(r))
-	w.WriteHeader(http.StatusNoContent)
+	s.writeCreated(w, cs)
 }
 
 func (s *Server) handleV1SessionDelete(w http.ResponseWriter, r *http.Request) {
@@ -450,23 +426,11 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 	}{s.cat.defaultName, s.cat.status()})
 }
 
-func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	cs, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	s.stateResponse(w, r, cs)
-}
-
 func (s *Server) handleV1State(w http.ResponseWriter, r *http.Request) {
 	cs, ok := s.sessionByID(w, r.PathValue("sid"))
 	if !ok {
 		return
 	}
-	s.stateResponse(w, r, cs)
-}
-
-func (s *Server) stateResponse(w http.ResponseWriter, r *http.Request, cs *clientSession) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if etag := cs.etag(); etagMatches(r.Header.Get("If-None-Match"), etag) {

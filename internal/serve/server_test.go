@@ -61,28 +61,20 @@ func testServer(t testing.TB, scfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// post sends a form POST and decodes the JSON state on 200.
-func post(t testing.TB, ts *httptest.Server, path string, form url.Values) (stateDTO, *http.Response) {
+// createIn sends POST /api/v1/sessions, scoped to dataset when it is
+// non-empty, and decodes the JSON state on 201.
+func createIn(t testing.TB, ts *httptest.Server, dataset string) (stateDTO, *http.Response) {
 	t.Helper()
-	res, err := http.PostForm(ts.URL+path, form)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	var st stateDTO
-	if res.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
-			t.Fatalf("POST %s: bad JSON: %v", path, err)
-		}
-	} else {
-		_, _ = io.Copy(io.Discard, res.Body)
+	st, res := createSessionErr(ts, dataset)
+	if res == nil {
+		t.Fatalf("session create in %q: request failed", dataset)
 	}
 	return st, res
 }
 
 func getState(t testing.TB, ts *httptest.Server, sid string) (stateDTO, *http.Response) {
 	t.Helper()
-	res, err := http.Get(ts.URL + "/api/state?sid=" + sid)
+	res, err := http.Get(ts.URL + "/api/v1/sessions/" + sid + "/state")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +127,8 @@ func actErr(ts *httptest.Server, sid string, acts ...action.Action) (stateDTO, *
 
 func createSession(t testing.TB, ts *httptest.Server) stateDTO {
 	t.Helper()
-	st, res := post(t, ts, "/api/session", nil)
-	if res.StatusCode != http.StatusOK {
+	st, res := createIn(t, ts, "")
+	if res.StatusCode != http.StatusCreated {
 		t.Fatalf("session create: status %d", res.StatusCode)
 	}
 	if st.Session == "" {
@@ -255,14 +247,25 @@ func TestBadSessionAndParams(t *testing.T) {
 	st := createSession(t, ts)
 	sid := st.Session
 
+	call := func(method, path string) *http.Response {
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		return res
+	}
 	cases := []struct {
 		name string
 		do   func() *http.Response
 		want int
 	}{
-		{"state missing sid", func() *http.Response {
-			_, res := getState(t, ts, "")
-			return res
+		{"svg missing sid", func() *http.Response {
+			return call(http.MethodGet, "/api/groupviz.svg")
 		}, http.StatusBadRequest},
 		{"state unknown sid", func() *http.Response {
 			_, res := getState(t, ts, "deadbeef")
@@ -289,6 +292,22 @@ func TestBadSessionAndParams(t *testing.T) {
 			_, res := act(t, ts, fresh.Session, action.Action{Op: action.Brush, Attr: "gender", Values: []string{"female"}})
 			return res
 		}, http.StatusBadRequest},
+		// The legacy lifecycle and read addresses are gone, even for a
+		// live session: GETs reach the page handler's 404, POST and
+		// DELETE fall through to the GET-only page route (405). They
+		// come last: a DELETE that still worked would end the session.
+		{"removed GET /api/state", func() *http.Response {
+			return call(http.MethodGet, "/api/state?sid="+sid)
+		}, http.StatusNotFound},
+		{"removed GET /api/v1/state", func() *http.Response {
+			return call(http.MethodGet, "/api/v1/state?sid="+sid)
+		}, http.StatusNotFound},
+		{"removed POST /api/session", func() *http.Response {
+			return call(http.MethodPost, "/api/session")
+		}, http.StatusMethodNotAllowed},
+		{"removed DELETE /api/session", func() *http.Response {
+			return call(http.MethodDelete, "/api/session?sid="+sid)
+		}, http.StatusMethodNotAllowed},
 	}
 	for _, c := range cases {
 		if res := c.do(); res.StatusCode != c.want {
@@ -301,7 +320,7 @@ func TestSessionDelete(t *testing.T) {
 	_, ts := testServer(t, DefaultConfig())
 	st := createSession(t, ts)
 
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/session?sid="+st.Session, nil)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/sessions/"+st.Session, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +383,7 @@ func TestSessionCreateBurstDoesNotEvictActive(t *testing.T) {
 
 	first := createSession(t, ts)
 	second := createSession(t, ts)
-	_, res := post(t, ts, "/api/session", nil)
+	_, res := createIn(t, ts, "")
 	if res.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("create over active capacity: status %d, want 503", res.StatusCode)
 	}
@@ -437,8 +456,8 @@ func TestConcurrentSessionIsolation(t *testing.T) {
 		wg.Add(1)
 		go func(e int) {
 			defer wg.Done()
-			st := createSessionErr(ts)
-			if st == nil {
+			st, res := createSessionErr(ts, "")
+			if res == nil || res.StatusCode != http.StatusCreated {
 				errs <- fmt.Errorf("explorer %d: session create failed", e)
 				return
 			}
@@ -501,32 +520,17 @@ func TestConcurrentSessionIsolation(t *testing.T) {
 	}
 }
 
-// createSessionErr / postErr are the non-fatal variants used inside
-// stress goroutines (testing.T is not goroutine-safe for Fatal).
-func createSessionErr(ts *httptest.Server) *stateDTO {
-	res, err := http.Post(ts.URL+"/api/session", "application/x-www-form-urlencoded", nil)
-	if err != nil {
-		return nil
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return nil
-	}
+// createSessionErr is createIn's non-fatal variant, used inside stress
+// goroutines (testing.T is not goroutine-safe for Fatal); a nil
+// response means the request itself failed.
+func createSessionErr(ts *httptest.Server, dataset string) (stateDTO, *http.Response) {
 	var st stateDTO
-	if json.NewDecoder(res.Body).Decode(&st) != nil {
-		return nil
-	}
-	return &st
-}
-
-func postErr(ts *httptest.Server, path string, form url.Values) (stateDTO, *http.Response) {
-	var st stateDTO
-	res, err := http.PostForm(ts.URL+path, form)
+	res, err := http.PostForm(ts.URL+"/api/v1/sessions", url.Values{"dataset": {dataset}})
 	if err != nil {
 		return st, nil
 	}
 	defer res.Body.Close()
-	if res.StatusCode == http.StatusOK {
+	if res.StatusCode == http.StatusCreated {
 		if json.NewDecoder(res.Body).Decode(&st) != nil {
 			return st, nil
 		}

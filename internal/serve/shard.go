@@ -64,13 +64,7 @@ func (s *Server) handleShardSessionCreate(w http.ResponseWriter, r *http.Request
 		writeCreateError(w, err)
 		return
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	w.Header().Set("Location", "/api/v1/sessions/"+cs.id)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("ETag", cs.etag())
-	w.WriteHeader(http.StatusCreated)
-	_ = json.NewEncoder(w).Encode(s.state(cs))
+	s.writeCreated(w, cs)
 }
 
 // handleShardSessionList is GET /internal/cluster/sessions: the

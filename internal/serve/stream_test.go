@@ -559,8 +559,8 @@ func TestEvictionPinsStreamingSessions(t *testing.T) {
 func TestCatalogEngineEvictionClosesStreams(t *testing.T) {
 	_, ts := catalogServer(t, writeSpecs(t), 1)
 
-	a, res := post(t, ts, "/api/session", url.Values{"dataset": {"authors"}})
-	if res.StatusCode != http.StatusOK {
+	a, res := createIn(t, ts, "authors")
+	if res.StatusCode != http.StatusCreated {
 		t.Fatalf("create authors session: status %d", res.StatusCode)
 	}
 	stream := openStream(t, ts.URL+"/api/v1/sessions/"+a.Session+"/events", "")
@@ -570,7 +570,7 @@ func TestCatalogEngineEvictionClosesStreams(t *testing.T) {
 
 	// Touching the second dataset overflows maxResident=1 and evicts
 	// authors along with its sessions.
-	if _, res := post(t, ts, "/api/session", url.Values{"dataset": {"books"}}); res.StatusCode != http.StatusOK {
+	if _, res := createIn(t, ts, "books"); res.StatusCode != http.StatusCreated {
 		t.Fatalf("create books session: status %d", res.StatusCode)
 	}
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"testing"
 
@@ -415,7 +414,7 @@ func TestEtagMatches(t *testing.T) {
 func TestSessionsReportNonResidentDatasets(t *testing.T) {
 	_, ts := catalogServer(t, writeSpecs(t), 0)
 	// Touch only "authors": "books" never builds.
-	if _, res := post(t, ts, "/api/session", url.Values{"dataset": {"authors"}}); res.StatusCode != http.StatusOK {
+	if _, res := createIn(t, ts, "authors"); res.StatusCode != http.StatusCreated {
 		t.Fatalf("create: status %d", res.StatusCode)
 	}
 	resp, err := http.Get(ts.URL + "/api/sessions")

@@ -427,45 +427,35 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-// TestSessionReplayAgainstSnapshotEngine pins the PR-1/PR-2 replay
-// contract across the new snapshot boundary: a session trail saved
-// against the freshly built engine must replay bit-identically against
-// a snapshot-loaded engine at every worker count.
+// TestSessionReplayAgainstSnapshotEngine pins the replay contract
+// across the snapshot boundary: a click trail that follows the
+// optimizer's own output (explore, explore one of the selected groups,
+// unlearn, bookmark), saved against the freshly built engine, must
+// replay bit-identically against a snapshot-loaded engine at every
+// worker count.
 func TestSessionReplayAgainstSnapshotEngine(t *testing.T) {
 	eng, cfg := builtEngine(t)
 	gcfg := greedy.DefaultConfig()
 	gcfg.TimeLimit = 0 // deterministic replay
 
-	// Drive a trail on the fresh engine: explore, unlearn, bookmark.
-	orig := eng.NewSession(gcfg)
-	orig.Start()
-	sel, err := orig.Explore(orig.Shown()[0])
-	if err != nil {
-		t.Fatal(err)
+	orig := action.New(eng, gcfg)
+	apply := func(a action.Action) {
+		t.Helper()
+		if _, err := action.Apply(orig, a); err != nil {
+			t.Fatalf("%v: %v", a, err)
+		}
 	}
-	if len(sel.IDs) == 0 {
+	apply(action.Action{Op: action.Start})
+	apply(action.Action{Op: action.Explore, Group: orig.Sess.Shown()[0]})
+	if len(orig.Sess.Shown()) == 0 {
 		t.Skip("no candidates on fixture engine")
 	}
-	if _, err := orig.Explore(sel.IDs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := orig.Unlearn("gender", "male"); err != nil {
-		t.Fatal(err)
-	}
-	if err := orig.BookmarkGroup(sel.IDs[0]); err != nil {
-		t.Fatal(err)
-	}
+	picked := orig.Sess.Shown()[0]
+	apply(action.Action{Op: action.Explore, Group: picked})
+	apply(action.Action{Op: action.Unlearn, Field: "gender", Value: "male"})
+	apply(action.Action{Op: action.BookmarkGroup, Group: picked})
 	var trail bytes.Buffer
 	if err := orig.Save(&trail); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: the trail replayed on the *fresh* engine. (Replay is
-	// not byte-state restoration — unlearned terms re-apply before the
-	// clicks — so the contract is replay-equals-replay, fresh vs
-	// snapshot, not replay-equals-live-session.)
-	ref := eng.NewSession(gcfg)
-	if err := ref.Load(bytes.NewReader(trail.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 
@@ -478,14 +468,14 @@ func TestSessionReplayAgainstSnapshotEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		replayed := loaded.NewSession(gcfg)
+		replayed := action.New(loaded, gcfg)
 		if err := replayed.Load(bytes.NewReader(trail.Bytes())); err != nil {
 			t.Fatalf("workers=%d: replay: %v", workers, err)
 		}
-		if replayed.Focal() != ref.Focal() {
-			t.Fatalf("workers=%d: focal %d vs %d", workers, replayed.Focal(), ref.Focal())
+		if replayed.Sess.Focal() != orig.Sess.Focal() {
+			t.Fatalf("workers=%d: focal %d vs %d", workers, replayed.Sess.Focal(), orig.Sess.Focal())
 		}
-		wShown, gShown := ref.Shown(), replayed.Shown()
+		wShown, gShown := orig.Sess.Shown(), replayed.Sess.Shown()
 		if len(wShown) != len(gShown) {
 			t.Fatalf("workers=%d: shown %d vs %d", workers, len(gShown), len(wShown))
 		}
@@ -494,14 +484,14 @@ func TestSessionReplayAgainstSnapshotEngine(t *testing.T) {
 				t.Fatalf("workers=%d: shown slot %d: %d vs %d", workers, i, gShown[i], wShown[i])
 			}
 		}
-		if len(replayed.History()) != len(ref.History()) {
-			t.Fatalf("workers=%d: history %d vs %d", workers, len(replayed.History()), len(ref.History()))
+		if len(replayed.Sess.History()) != len(orig.Sess.History()) {
+			t.Fatalf("workers=%d: history %d vs %d", workers, len(replayed.Sess.History()), len(orig.Sess.History()))
 		}
-		if !replayed.Memo().HasGroup(sel.IDs[0]) {
+		if !replayed.Sess.Memo().HasGroup(picked) {
 			t.Fatalf("workers=%d: bookmark lost in replay", workers)
 		}
 		male := loaded.Space.Vocab.Lookup("gender", "male")
-		if male >= 0 && replayed.Feedback().TermScore(male) != 0 {
+		if male >= 0 && replayed.Sess.Feedback().TermScore(male) != 0 {
 			t.Fatalf("workers=%d: unlearned term re-learned", workers)
 		}
 	}
@@ -522,11 +512,10 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	}
 }
 
-// TestActionLogReplayAgainstSnapshotEngine is the v2 twin of the test
-// above: a complete action trail (including focus + brush, which the
-// v1 format cannot represent) saved through internal/action replays
-// bit-identically against snapshot-loaded engines at every worker
-// count.
+// TestActionLogReplayAgainstSnapshotEngine is the STATS twin of the
+// test above: a trail with focus + brush saved through internal/action
+// replays bit-identically against snapshot-loaded engines at every
+// worker count, open focus view and mutation counter included.
 func TestActionLogReplayAgainstSnapshotEngine(t *testing.T) {
 	eng, cfg := builtEngine(t)
 	gcfg := greedy.DefaultConfig()
