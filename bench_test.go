@@ -85,42 +85,18 @@ func BenchmarkGreedyTimeLimit(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E2 — index construction at different materialization fractions.
+// Exact neighbour lookup: the engine's index stores no lists, so every
+// explore computes its focal group's list at the optimizer's pool size.
 
-func BenchmarkIndexMaterialization(b *testing.B) {
+var sinkNeighbors []index.Neighbor
+
+func BenchmarkNeighbors(b *testing.B) {
 	eng := fixtures(b)
-	for _, frac := range []float64{0.01, 0.10, 1.00} {
-		b.Run(fmt.Sprintf("frac=%.2f", frac), func(b *testing.B) {
-			var mem int
-			for i := 0; i < b.N; i++ {
-				ix, err := index.Build(eng.Space, frac)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mem = ix.MemoryBytes()
-			}
-			b.ReportMetric(float64(mem)/(1<<20), "MB")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Parallel offline build: index materialization sharded across worker
-// counts. Every worker count produces a bit-identical index (the
-// equivalence test in internal/index holds that); this benchmark
-// measures the wall-clock scaling. Speedup tops out at the physical
-// core count — on a 1-core runner all worker counts time alike.
-
-func BenchmarkParallelIndexBuild(b *testing.B) {
-	eng := fixtures(b)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := index.BuildParallel(eng.Space, 0.10, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	pool := greedy.DefaultConfig().CandidatePool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkNeighbors = eng.Index.Neighbors(i%eng.Space.Len(), pool)
 	}
 }
 

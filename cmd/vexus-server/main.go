@@ -221,7 +221,7 @@ func main() {
 					"snapshot", *snap, "elapsed", time.Since(start).Round(time.Millisecond))
 			} else {
 				logger.Info("offline pipeline done", "groups", eng.Space.Len(), "users", data.NumUsers(),
-					"mine", eng.Timings.Mine, "index", eng.Timings.Index)
+					"mine", eng.Timings.Mine)
 			}
 			srv = serve.New(eng, gcfg, scfg)
 		}

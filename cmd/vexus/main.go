@@ -76,8 +76,8 @@ func main() {
 		fmt.Printf("%d groups (%s) warm-loaded from %s in %v\n\n",
 			eng.Space.Len(), eng.Miner, *snap, time.Since(start).Round(1e6))
 	} else {
-		fmt.Printf("%d groups mined (%s) in %v; index: %v\n\n",
-			eng.Space.Len(), eng.Miner, eng.Timings.Mine.Round(1e6), eng.Timings.Index.Round(1e6))
+		fmt.Printf("%d groups mined (%s) in %v\n\n",
+			eng.Space.Len(), eng.Miner, eng.Timings.Mine.Round(1e6))
 	}
 
 	gcfg := greedy.DefaultConfig()

@@ -9,6 +9,19 @@
 // benchmark per experiment; cmd/vexus-bench prints the corresponding
 // paper-style tables.
 //
+// # Deviation: exact neighbour lists on demand
+//
+// §II-A materializes the top 10% of each group's inverted similarity
+// list. This optimizer asks the index for a candidate pool of 4,096
+// neighbours, which reaches past that prefix on nearly every group, so
+// a materialized prefix would be built and stored but almost never
+// read. The engine's index (index.New) therefore stores no lists and
+// computes each exact list when an explore asks for it; no build,
+// snapshot or ingest pays for prefixes. The paper's partial
+// materialization stays as a study: vexus-bench E2 builds it with
+// index.BuildParallel and measures memory, lookup cost and the
+// optimizer objective against the fraction.
+//
 // # Concurrency
 //
 // internal/parallel is the worker-pool primitive behind every
@@ -17,10 +30,9 @@
 // default) with determinism guaranteed by slot-writes — each unit of
 // work owns its output slot and per-worker scratch, so any worker
 // count produces bit-identical results. The offline pipeline uses it
-// in groups.NewSpaceParallel (user→groups inversion),
-// Space.ComputeStatsParallel, and index.BuildParallel (per-group
-// inverted lists); the online path uses it to score large candidate
-// pools in the greedy optimizer (greedy.Config.Workers).
+// in groups.NewSpaceParallel (user→groups inversion) and
+// Space.ComputeStatsParallel; the online path uses it to score large
+// candidate pools in the greedy optimizer (greedy.Config.Workers).
 //
 // Group discovery and evaluation parallelize the same way:
 // lcm.MineParallel fans the top-level PPC enumeration subtrees over
@@ -69,14 +81,14 @@
 // internal/store is the layer between the offline pipeline and online
 // serving: it serializes a built engine into a versioned binary
 // snapshot — little-endian, length-prefixed CRC-checked sections
-// (schema, users, items, actions, vocab, transactions, groups, index,
-// meta), bitsets as raw word arrays, no reflection — and loads it back
+// (schema, users, items, actions, vocab, transactions, groups, meta),
+// bitsets as raw word arrays, no reflection — and loads it back
 // bit-identical to a fresh core.Build. The header carries a SHA-256
 // content address of the dataset + pipeline config
 // (store.ComputeFingerprint); store.BuildOrLoad serves a snapshot only
 // on an exact match and otherwise rebuilds and overwrites it, so a
-// stale snapshot can cost time but never correctness. Group and index
-// sections embed per-record offset tables and decode in parallel
+// stale snapshot can cost time but never correctness. The group
+// section embeds a per-record offset table and decodes in parallel
 // (slot-writes again); derived state (user→group inversion, tid-lists,
 // size order) is reconstructed deterministically rather than stored.
 // The cmd/vexus and cmd/vexus-server -snapshot flags wire this in, and

@@ -42,8 +42,13 @@ func TestBuildPipeline(t *testing.T) {
 	if eng.Miner != "lcm" {
 		t.Fatalf("miner = %q", eng.Miner)
 	}
-	if eng.Index.Fraction() != 0.10 {
-		t.Fatalf("index fraction = %v", eng.Index.Fraction())
+	if f := eng.Config().IndexFraction; f != 0.10 {
+		t.Fatalf("normalized index fraction = %v", f)
+	}
+	// The engine's index answers every lookup exactly and stores no
+	// prefix, whatever the configured fraction.
+	if n := eng.Index.MemoryBytes(); n != 0 {
+		t.Fatalf("engine index materializes %d bytes", n)
 	}
 	if eng.Timings.Mine <= 0 {
 		t.Fatal("mining timing not recorded")

@@ -1,5 +1,5 @@
 // Package core implements VEXUS itself: the offline pipeline of Fig. 1
-// (ETL'd dataset → group discovery → inverted-index generation) and the
+// (ETL'd dataset → group discovery → inverted similarity index) and the
 // interactive exploration session with the five visual modules of
 // Fig. 2 — GROUPVIZ (the k displayed groups), CONTEXT (the feedback
 // vector), STATS (crossfilter histograms + LDA focus view over a
@@ -35,13 +35,16 @@ type PipelineConfig struct {
 	// MaxGroups aborts pattern explosion for the default miner
 	// (default 100000).
 	MaxGroups int
-	// IndexFraction is the materialized share of each inverted list
-	// (default 0.10, the paper's operating point).
+	// IndexFraction is the paper's materialized share of each inverted
+	// list (default 0.10). The engine ignores it: its index computes
+	// exact lists on demand (see internal/index). The field stays only
+	// for the §II-A study (vexus-bench E2) and the wall-clock
+	// benchmark's traced run, which build the prefix index themselves.
 	IndexFraction float64
 	// Workers bounds the goroutines used by the parallel stages of the
 	// pipeline — group discovery (for miners implementing
-	// mining.ParallelMiner), space inversion, and index
-	// materialization (0 = runtime.NumCPU(), 1 = fully sequential).
+	// mining.ParallelMiner) and space inversion (0 = runtime.NumCPU(),
+	// 1 = fully sequential).
 	// Any value produces bit-identical engines; only wall clock
 	// changes.
 	Workers int
@@ -61,7 +64,8 @@ func DefaultPipelineConfig() PipelineConfig {
 
 // Normalized returns a copy with every result-affecting default filled
 // in, exactly as Build applies them (mirroring mining.Options.Normalized):
-// MaxLen 0 → 4, MaxGroups 0 → 100000, IndexFraction 0 → 0.10.
+// MaxLen 0 → 4, MaxGroups 0 → 100000. IndexFraction 0 → 0.10 too,
+// though no engine reads it.
 // MinSupportFrac is left as given — its floor depends on the dataset
 // size and is exposed separately via EffectiveMinSupport. Two configs
 // that normalize equal build bit-identical engines on the same data,
@@ -95,7 +99,6 @@ func (cfg PipelineConfig) EffectiveMinSupport(numUsers int) int {
 type Timings struct {
 	Encode time.Duration
 	Mine   time.Duration
-	Index  time.Duration
 }
 
 // BatchDigest is the SHA-256 content address of one ingestion batch —
@@ -184,13 +187,6 @@ func Build(d *dataset.Dataset, cfg PipelineConfig) (*Engine, error) {
 		return nil, fmt.Errorf("core: building space: %w", err)
 	}
 
-	start = time.Now()
-	ix, err := index.BuildParallel(space, cfg.IndexFraction, cfg.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("core: index: %w", err)
-	}
-	indexTime := time.Since(start)
-
 	order := make([]int, space.Len())
 	for i := range order {
 		order[i] = i
@@ -201,14 +197,13 @@ func Build(d *dataset.Dataset, cfg PipelineConfig) (*Engine, error) {
 		Data:      d,
 		Tx:        tx,
 		Space:     space,
-		Index:     ix,
+		Index:     index.New(space),
 		Miner:     miner.Name(),
 		sizeOrder: order,
 		cfg:       cfg,
 		Timings: Timings{
 			Encode: encodeTime,
 			Mine:   mineTime,
-			Index:  indexTime,
 		},
 	}, nil
 }

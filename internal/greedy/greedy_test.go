@@ -30,11 +30,7 @@ func fixture(t testing.TB, seed uint64, u, n int) (*groups.Space, *index.Index) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := index.Build(s, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, ix
+	return s, index.New(s)
 }
 
 func TestSelectNextBasic(t *testing.T) {
@@ -88,11 +84,7 @@ func TestSelectNextNoCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := index.Build(s, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := New(s, ix).SelectNext(s.Group(0), nil, DefaultConfig())
+	sel, err := New(s, index.New(s)).SelectNext(s.Group(0), nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,28 @@
 // Package index implements the per-group inverted similarity index of
 // §II-A: for each group g, a list of all other groups in decreasing
-// order of Jaccard similarity to g. To reduce time and space, only the
-// top fraction of each list is materialized (the paper materializes
-// 10% and reports it adequate, citing [14]); lookups beyond the
-// materialized prefix fall back to an exact on-the-fly computation, so
+// order of Jaccard similarity to g.
+//
+// The engine's index is New: it stores no lists and computes each
+// exact list on demand. The paper materializes the top 10% of every
+// list, but the optimizer asks for a pool of 4,096 neighbours, which
+// reaches past that prefix on nearly every group, so a stored prefix
+// would cost set-up time and memory without ever answering a lookup.
+// BuildParallel keeps the paper's partial materialization for the
+// §II-A study (vexus-bench E2): the top fraction of each list is
+// stored, and lookups beyond it fall back to the exact computation, so
 // correctness never depends on the fraction — only latency does.
 //
-// Construction exploits the group overlap graph: Jaccard(g, h) > 0
+// Every list exploits the group overlap graph: Jaccard(g, h) > 0
 // requires a shared member, so candidates for g's list are exactly the
 // groups reachable through g's members (space.Neighbors), not all
 // |G|−1 groups. Disjoint groups tie at similarity 0 and are never
-// materialized.
+// listed.
 package index
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"vexus/internal/groups"
 	"vexus/internal/parallel"
@@ -27,74 +34,79 @@ type Neighbor struct {
 	Sim float64
 }
 
-// Index holds the (partially) materialized inverted lists.
+// Index answers inverted-list lookups over one group space.
 type Index struct {
 	space *groups.Space
-	frac  float64
+	// sizes caches each group's member count: with intersection sizes
+	// accumulated by counting (see accumulate), Jaccard reduces to
+	// |A∩B| / (|A|+|B|−|A∩B|) with no bitset work at all.
+	sizes []int
+	// scratch pools the |G|-sized counter arrays of exact lookups, so
+	// concurrent sessions each take one instead of allocating per call.
+	scratch sync.Pool
+
 	// lists[g] is the materialized prefix of g's inverted list,
-	// descending similarity, ties broken by ascending id.
+	// descending similarity, ties broken by ascending id; only
+	// BuildParallel sets lists and overlapCount (nil for New).
 	lists [][]Neighbor
 	// overlapCount[g] is the number of groups with non-zero
 	// similarity to g (length of the full meaningful list).
 	overlapCount []int
-	// sizes caches each group's member count: with intersection sizes
-	// accumulated by counting (see computeListInto), Jaccard reduces
-	// to |A∩B| / (|A|+|B|−|A∩B|) with no bitset work at all.
-	sizes []int
 	// DisableFallback makes Neighbors return at most the materialized
 	// prefix instead of recomputing exactly — the configuration that
 	// exposes what partial materialization costs downstream (E2).
 	DisableFallback bool
 }
 
-// Build materializes the top frac ∈ (0,1] of each group's inverted
-// list with one worker per CPU. frac is measured against |G|−1 (the
-// paper's definition), but zero-similarity entries are never stored:
-// the materialized prefix of g is min(ceil(frac·(|G|−1)), #overlapping
-// groups) entries long.
-func Build(space *groups.Space, frac float64) (*Index, error) {
-	return BuildParallel(space, frac, 0)
+// scratch is one exact lookup's working memory: cnt[h] accumulates
+// |g ∩ h| and is all-zero between uses; touched lists the non-zero
+// slots so they can be re-zeroed without a |G| pass.
+type scratch struct {
+	cnt     []int32
+	touched []int32
 }
 
-// BuildParallel is Build with an explicit worker count (<= 0 means
-// runtime.NumCPU()). Each group's inverted list depends only on the
-// immutable space, so groups shard across workers — every worker
-// carries its own cnt/touched scratch and writes only its groups'
-// slots in lists/overlapCount, making the result bit-identical to the
-// 1-worker build (TestParallelBuildEquivalence holds this invariant).
+// New returns the index the engine serves from: it stores no lists,
+// and every Neighbors call computes the exact list of its group.
+func New(space *groups.Space) *Index {
+	n := space.Len()
+	ix := &Index{space: space, sizes: make([]int, n)}
+	for gid := 0; gid < n; gid++ {
+		ix.sizes[gid] = space.Group(gid).Size()
+	}
+	ix.scratch.New = func() any {
+		return &scratch{cnt: make([]int32, n), touched: make([]int32, 0, 1024)}
+	}
+	return ix
+}
+
+// BuildParallel materializes the top frac ∈ (0,1] of each group's
+// inverted list, the §II-A operating point E2 studies, over `workers`
+// goroutines (<= 0 means runtime.NumCPU()). frac is measured against
+// |G|−1 (the paper's definition), but zero-similarity entries are
+// never stored: the materialized prefix of g is min(ceil(frac·(|G|−1)),
+// #overlapping groups) entries long. Each group's list depends only on
+// the immutable space, so groups shard across workers — each block of
+// groups takes its own pooled scratch and writes only its own slots in
+// lists/overlapCount, making the result bit-identical to the 1-worker
+// build (TestParallelBuildEquivalence holds this invariant).
 func BuildParallel(space *groups.Space, frac float64, workers int) (*Index, error) {
 	if frac <= 0 || frac > 1 {
 		return nil, fmt.Errorf("index: fraction must be in (0,1], got %v", frac)
 	}
 	n := space.Len()
-	ix := &Index{
-		space:        space,
-		frac:         frac,
-		lists:        make([][]Neighbor, n),
-		overlapCount: make([]int, n),
-		sizes:        make([]int, n),
-	}
-	for gid := 0; gid < n; gid++ {
-		ix.sizes[gid] = space.Group(gid).Size()
-	}
-	// One scratch counter array reused per worker keeps Build
-	// allocation-free in the inner loop. Only the kept prefix is ever
-	// sorted: quickselect pushes the top `keep` entries to the front,
-	// then a partial sort orders just those — the full list would cost
-	// ~10× more comparisons at the paper's 10% fraction.
-	resolved := parallel.Workers(workers, n)
-	type scratch struct {
-		cnt     []int32
-		touched []int32
-	}
-	scratches := make([]scratch, resolved)
-	for w := range scratches {
-		scratches[w] = scratch{cnt: make([]int32, n), touched: make([]int32, 0, 1024)}
-	}
-	parallel.Range(n, resolved, func(worker, lo, hi int) {
-		sc := &scratches[worker]
+	ix := New(space)
+	ix.lists = make([][]Neighbor, n)
+	ix.overlapCount = make([]int, n)
+	// Only the kept prefix is ever sorted: quickselect pushes the top
+	// `keep` entries to the front, then a partial sort orders just
+	// those — the full list would cost ~10× more comparisons at the
+	// paper's 10% fraction.
+	parallel.Range(n, workers, func(_, lo, hi int) {
+		sc := ix.scratch.Get().(*scratch)
+		defer ix.scratch.Put(sc)
 		for gid := lo; gid < hi; gid++ {
-			full := ix.accumulate(gid, sc.cnt, &sc.touched)
+			full := ix.accumulate(gid, sc)
 			ix.overlapCount[gid] = len(full)
 			keep := prefixLen(frac, n-1)
 			if keep > len(full) {
@@ -106,36 +118,6 @@ func BuildParallel(space *groups.Space, frac float64, workers int) (*Index, erro
 			ix.lists[gid] = append([]Neighbor(nil), prefix...)
 		}
 	})
-	return ix, nil
-}
-
-// Restore reassembles an Index from its serialized parts — the
-// materialized lists and overlap counts a snapshot carried — without
-// recomputing any similarity. The sizes cache is re-derived from the
-// space; lists are adopted as-is (the caller must not modify them
-// afterwards), so a restored index is bit-identical to the one that
-// was saved.
-func Restore(space *groups.Space, frac float64, lists [][]Neighbor, overlapCount []int) (*Index, error) {
-	if frac <= 0 || frac > 1 {
-		return nil, fmt.Errorf("index: fraction must be in (0,1], got %v", frac)
-	}
-	n := space.Len()
-	if len(lists) != n || len(overlapCount) != n {
-		return nil, fmt.Errorf("index: restoring %d lists / %d counts over %d groups", len(lists), len(overlapCount), n)
-	}
-	ix := &Index{
-		space:        space,
-		frac:         frac,
-		lists:        lists,
-		overlapCount: overlapCount,
-		sizes:        make([]int, n),
-	}
-	for gid := 0; gid < n; gid++ {
-		if len(lists[gid]) > overlapCount[gid] {
-			return nil, fmt.Errorf("index: group %d materializes %d entries but overlaps only %d groups", gid, len(lists[gid]), overlapCount[gid])
-		}
-		ix.sizes[gid] = space.Group(gid).Size()
-	}
 	return ix, nil
 }
 
@@ -213,23 +195,14 @@ func prefixLen(frac float64, total int) int {
 	return k
 }
 
-// computeList returns the full non-zero inverted list of gid, sorted.
-func (ix *Index) computeList(gid int) []Neighbor {
-	cnt := make([]int32, ix.space.Len())
-	touched := make([]int32, 0, 1024)
-	out := ix.accumulate(gid, cnt, &touched)
-	sortNeighbors(out)
-	return out
-}
-
 // accumulate computes the unsorted non-zero inverted list of gid by
 // walking the user→groups lists once: after the scan, cnt[h] = |g ∩ h|
 // for every overlapping group h, so each similarity is a division
-// rather than a bitset pass. cnt must be all-zero on entry and is
+// rather than a bitset pass. sc.cnt must be all-zero on entry and is
 // re-zeroed before returning (only touched entries are reset).
-func (ix *Index) accumulate(gid int, cnt []int32, touched *[]int32) []Neighbor {
+func (ix *Index) accumulate(gid int, sc *scratch) []Neighbor {
 	g := ix.space.Group(gid)
-	tt := (*touched)[:0]
+	cnt, tt := sc.cnt, sc.touched[:0]
 	g.Members.Range(func(u int) bool {
 		for _, hid := range ix.space.GroupsOfUser(u) {
 			if cnt[hid] == 0 {
@@ -252,74 +225,64 @@ func (ix *Index) accumulate(gid int, cnt []int32, touched *[]int32) []Neighbor {
 			out = append(out, Neighbor{ID: int(hid), Sim: float64(inter) / float64(union)})
 		}
 	}
-	*touched = tt
+	sc.touched = tt
 	return out
 }
 
 func sortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Sim != ns[j].Sim {
-			return ns[i].Sim > ns[j].Sim
+	slices.SortFunc(ns, func(a, b Neighbor) int {
+		switch {
+		case better(a, b):
+			return -1
+		case better(b, a):
+			return 1
 		}
-		return ns[i].ID < ns[j].ID
+		return 0
 	})
 }
-
-// Fraction returns the materialization fraction the index was built
-// with.
-func (ix *Index) Fraction() float64 { return ix.frac }
-
-// Space returns the group space the index is built over.
-func (ix *Index) Space() *groups.Space { return ix.space }
 
 // MaterializedLen returns the materialized prefix length for gid.
 func (ix *Index) MaterializedLen(gid int) int { return len(ix.lists[gid]) }
 
-// MaterializedList returns exactly the materialized prefix of gid's
-// inverted list, never falling back to recomputation — the
-// serialization view of the index. The returned slice must not be
-// modified.
-func (ix *Index) MaterializedList(gid int) []Neighbor { return ix.lists[gid] }
-
-// OverlapCount returns the number of groups with non-zero similarity
-// to gid.
-func (ix *Index) OverlapCount(gid int) int { return ix.overlapCount[gid] }
-
-// Neighbors returns the top-k most similar groups to gid. When k
-// exceeds the materialized prefix, the exact list is recomputed on the
-// fly (the fallback that keeps partial materialization safe), unless
-// DisableFallback is set, in which case the prefix is all there is.
+// Neighbors returns the top-k most similar groups to gid, by
+// descending similarity with ties by ascending id. On a New index, and
+// on a built one when k exceeds the materialized prefix, the exact
+// list is computed on the fly (the fallback that keeps partial
+// materialization safe) into a fresh slice; DisableFallback turns the
+// fallback off, so the prefix is all there is. A lookup served from
+// the prefix shares its memory and must not be modified.
 func (ix *Index) Neighbors(gid, k int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	list := ix.lists[gid]
-	if k <= len(list) {
-		return list[:k:k]
+	if ix.lists != nil {
+		list := ix.lists[gid]
+		if k <= len(list) {
+			return list[:k:k]
+		}
+		if ix.DisableFallback || len(list) >= ix.overlapCount[gid] {
+			// Prefix-only mode, or the prefix already holds every
+			// non-zero entry.
+			return list
+		}
 	}
-	if ix.DisableFallback || len(list) >= ix.overlapCount[gid] {
-		// Prefix-only mode, or the prefix already holds every
-		// non-zero entry.
-		return list
-	}
-	full := ix.computeList(gid)
-	if k > len(full) {
-		k = len(full)
-	}
-	return full[:k]
+	return ix.ExactNeighbors(gid, k)
 }
 
-// ExactNeighbors always recomputes the full list and returns its top-k,
-// the ground truth for recall measurements (E2).
+// ExactNeighbors always computes the exact top-k of gid's non-zero
+// inverted list, into a fresh slice the caller may keep — the New
+// index's lookup and the ground truth for recall measurements (E2).
+// Only the top k are sorted; better is a total order (ids are unique),
+// so the result equals a full sort truncated to k.
 func (ix *Index) ExactNeighbors(gid, k int) []Neighbor {
-	full := ix.computeList(gid)
-	if k > len(full) {
-		k = len(full)
-	}
-	if k < 0 {
-		k = 0
-	}
-	return full[:k]
+	sc := ix.scratch.Get().(*scratch)
+	out := ix.accumulate(gid, sc)
+	ix.scratch.Put(sc)
+	k = max(0, min(k, len(out)))
+	selectTopK(out, k)
+	out = out[:k]
+	sortNeighbors(out)
+	return out
 }
 
 // RecallAtK returns the fraction of the exact top-k of gid that the

@@ -34,17 +34,17 @@ func buildSpace(t testing.TB, seed uint64, u, n int) *groups.Space {
 
 func TestBuildValidation(t *testing.T) {
 	s := buildSpace(t, 1, 20, 5)
-	if _, err := Build(s, 0); err == nil {
+	if _, err := BuildParallel(s, 0, 0); err == nil {
 		t.Fatal("frac=0 accepted")
 	}
-	if _, err := Build(s, 1.5); err == nil {
+	if _, err := BuildParallel(s, 1.5, 0); err == nil {
 		t.Fatal("frac>1 accepted")
 	}
 }
 
 func TestFullMaterializationIsExact(t *testing.T) {
 	s := buildSpace(t, 2, 40, 12)
-	ix, err := Build(s, 1.0)
+	ix, err := BuildParallel(s, 1.0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestFullMaterializationIsExact(t *testing.T) {
 
 func TestListsSortedDescending(t *testing.T) {
 	s := buildSpace(t, 3, 30, 10)
-	ix, err := Build(s, 1.0)
+	ix, err := BuildParallel(s, 1.0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,17 +95,17 @@ func TestListsSortedDescending(t *testing.T) {
 
 func TestPartialMaterializationFallback(t *testing.T) {
 	s := buildSpace(t, 4, 50, 20)
-	ix, err := Build(s, 0.1)
+	ix, err := BuildParallel(s, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Build(s, 1.0)
+	full, err := BuildParallel(s, 1.0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for gid := 0; gid < s.Len(); gid++ {
 		// Ask beyond the prefix: fallback must return the exact answer.
-		k := ix.OverlapCount(gid)
+		k := ix.overlapCount[gid]
 		if k == 0 {
 			continue
 		}
@@ -144,7 +144,7 @@ func TestPrefixLen(t *testing.T) {
 
 func TestNeighborsKZero(t *testing.T) {
 	s := buildSpace(t, 5, 20, 6)
-	ix, err := Build(s, 0.5)
+	ix, err := BuildParallel(s, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func TestNeighborsKZero(t *testing.T) {
 
 func TestMemoryScalesWithFraction(t *testing.T) {
 	s := buildSpace(t, 6, 80, 40)
-	small, err := Build(s, 0.1)
+	small, err := BuildParallel(s, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Build(s, 1.0)
+	big, err := BuildParallel(s, 1.0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestPropRecallMonotoneInFraction(t *testing.T) {
 		fracs := []float64{0.05, 0.25, 1.0}
 		prev := -1.0
 		for _, frac := range fracs {
-			ix, err := Build(s, frac)
+			ix, err := BuildParallel(s, frac, 0)
 			if err != nil {
 				return false
 			}
@@ -208,7 +208,7 @@ func TestRecallOnEmptyOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(s, 0.1)
+	ix, err := BuildParallel(s, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,23 +234,23 @@ func TestRng(t *testing.T) {
 
 func TestDisableFallback(t *testing.T) {
 	s := buildSpace(t, 7, 50, 20)
-	ix, err := Build(s, 0.05)
+	ix, err := BuildParallel(s, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gid := 0
 	prefix := ix.MaterializedLen(gid)
-	if prefix >= ix.OverlapCount(gid) {
+	if prefix >= ix.overlapCount[gid] {
 		t.Skip("prefix covers the full list on this seed")
 	}
 	// With fallback: more than the prefix.
-	withFB := ix.Neighbors(gid, ix.OverlapCount(gid))
+	withFB := ix.Neighbors(gid, ix.overlapCount[gid])
 	if len(withFB) <= prefix {
 		t.Fatalf("fallback returned %d ≤ prefix %d", len(withFB), prefix)
 	}
 	// Without: exactly the prefix.
 	ix.DisableFallback = true
-	without := ix.Neighbors(gid, ix.OverlapCount(gid))
+	without := ix.Neighbors(gid, ix.overlapCount[gid])
 	if len(without) != prefix {
 		t.Fatalf("prefix-only returned %d, want %d", len(without), prefix)
 	}

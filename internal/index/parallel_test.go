@@ -55,11 +55,11 @@ func TestParallelBuildEquivalence(t *testing.T) {
 	}
 }
 
-// TestBuildDefaultsToParallel: the plain Build entry point (auto
-// workers) matches the explicit 1-worker build too.
+// TestBuildDefaultsToParallel: the default worker count (0 = one per
+// CPU) matches the explicit 1-worker build too.
 func TestBuildDefaultsToParallel(t *testing.T) {
 	s := buildSpace(t, 21, 120, 80)
-	auto, err := Build(s, 0.1)
+	auto, err := BuildParallel(s, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

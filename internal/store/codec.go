@@ -172,7 +172,6 @@ const (
 	tagVocab  sectionTag = 0x42434f56 // "VOCB"
 	tagTxns   sectionTag = 0x534e5854 // "TXNS"
 	tagGroups sectionTag = 0x53505247 // "GRPS"
-	tagIndex  sectionTag = 0x58444e49 // "INDX"
 	tagMeta   sectionTag = 0x4154454d // "META"
 	tagDlog   sectionTag = 0x474f4c44 // "DLOG"
 	tagDelta  sectionTag = 0x41544c44 // "DLTA"

@@ -21,7 +21,9 @@ import (
 // PipelineConfig.Workers is deliberately excluded: any worker count
 // yields a bit-identical engine (the internal/parallel slot-write
 // contract), so a snapshot built with 8 workers warm-starts a 1-worker
-// deployment. The configuration is hashed through
+// deployment. PipelineConfig.IndexFraction is excluded for the same
+// reason: the engine's index stores no prefix, so no engine depends on
+// it. The configuration is hashed through
 // core.PipelineConfig.Normalized — the same defaulting core.Build
 // applies — so {MaxLen: 0} and {MaxLen: 4} hash alike, and the
 // default-miner support threshold is hashed as the *effective*
@@ -111,7 +113,6 @@ func ComputeFingerprint(d *dataset.Dataset, cfg core.PipelineConfig) Fingerprint
 		h.num(cfg.MaxGroups)
 	}
 	h.str(minerName)
-	h.f64(cfg.IndexFraction)
 
 	var fp Fingerprint
 	h.h.Sum(fp[:0])

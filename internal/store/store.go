@@ -1,16 +1,16 @@
 // Package store is the warm-start layer between the offline pipeline
 // and online serving: it serializes a fully built core.Engine —
-// dataset tables, mined group space, inverted-index lists, and the
-// transaction encoding — into a versioned binary snapshot and loads it
-// back bit-identical to a fresh core.Build, so restarts and
-// multi-dataset deployments skip the expensive mining stage entirely.
+// dataset tables, mined group space, and the transaction encoding —
+// into a versioned binary snapshot and loads it back bit-identical to
+// a fresh core.Build, so restarts and multi-dataset deployments skip
+// the expensive mining stage entirely.
 //
 // # Format
 //
 // A snapshot is a 44-byte header followed by framed sections:
 //
 //	magic "VXSNAP\x00\n" | version u32 | fingerprint [32]byte
-//	then, in fixed order: SCHM USER ITEM ACTS VOCB TXNS GRPS INDX META DLOG
+//	then, in fixed order: SCHM USER ITEM ACTS VOCB TXNS GRPS META DLOG
 //	then zero or more DLTA sections, then END
 //	each section: tag u32 | payload length u64 | payload | CRC-32 (IEEE)
 //
@@ -20,21 +20,23 @@
 // reflection-driven encoding. Every section is CRC-checked on load —
 // a flipped bit fails loudly instead of serving corrupt groups.
 //
-// The GRPS and INDX sections carry per-record byte-offset tables, so
-// loading decodes group member sets and inverted lists in parallel via
-// internal/parallel (each record writes only its own slot — the repo's
-// slot-write determinism contract). Derived structures that are cheap
-// and deterministic to rebuild (user→group inversion, tid-lists, the
-// size order) are reconstructed rather than stored: they cannot
-// disagree with the snapshot, and the snapshot stays ~40% smaller.
+// The GRPS section carries a per-record byte-offset table, so loading
+// decodes group member sets in parallel via internal/parallel (each
+// record writes only its own slot — the repo's slot-write determinism
+// contract). Derived structures that are cheap and deterministic to
+// rebuild (user→group inversion, tid-lists, the size order) are
+// reconstructed rather than stored: they cannot disagree with the
+// snapshot, and the snapshot stays ~40% smaller. The engine's
+// similarity index stores nothing (index.New), so no section carries
+// it.
 //
 // # Content addressing
 //
 // The header fingerprint is a SHA-256 over the dataset content and the
 // result-affecting pipeline configuration (see ComputeFingerprint).
 // BuildOrLoad compares it before trusting a snapshot: a stale file —
-// new data, changed mining bounds, different index fraction — is
-// rebuilt and overwritten, never silently served.
+// new data, changed mining bounds — is rebuilt and overwritten, never
+// silently served.
 //
 // # Live datasets: deltas and compaction
 //
@@ -76,8 +78,10 @@ import (
 // Version is the snapshot format version; Load rejects files written
 // by a different one (snapshots are cache, not archive — rebuild).
 // Version 2 added the ingestion-log sections (DLOG, DLTA), the chained
-// fingerprint, and the pipeline configuration in META.
-const Version = 2
+// fingerprint, and the pipeline configuration in META. Version 3
+// dropped the INDX section and the index fraction and build time from
+// META.
+const Version = 3
 
 // CompactThreshold is the number of pending DLTA sections at which
 // BuildOrLoad folds the deltas into a fresh base: below it a warm
@@ -132,7 +136,6 @@ func Save(w io.Writer, eng *core.Engine, fp Fingerprint) error {
 		{tagVocab, encodeVocab(eng.Space.Vocab)},
 		{tagTxns, encodeTransactions(eng.Tx)},
 		{tagGroups, encodeGroups(eng.Space)},
-		{tagIndex, encodeIndex(eng.Index)},
 		{tagMeta, encodeMeta(eng)},
 		{tagDlog, encodeDlog(lineage)},
 		{tagEnd, nil},
@@ -145,9 +148,9 @@ func Save(w io.Writer, eng *core.Engine, fp Fingerprint) error {
 	return nil
 }
 
-// Load reads a snapshot and reassembles the engine, decoding the
-// group and index sections across `workers` goroutines (<= 0 means
-// runtime.NumCPU()); any worker count yields a bit-identical engine.
+// Load reads a snapshot and reassembles the engine, decoding the group
+// section across `workers` goroutines (<= 0 means runtime.NumCPU());
+// any worker count yields a bit-identical engine.
 func Load(r io.Reader, workers int) (*core.Engine, Header, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -172,7 +175,7 @@ func loadBytes(data []byte, workers int) (*core.Engine, Header, error) {
 	payload := map[sectionTag][]byte{}
 	for _, tag := range []sectionTag{
 		tagSchema, tagUsers, tagItems, tagAction, tagVocab,
-		tagTxns, tagGroups, tagIndex, tagMeta, tagDlog,
+		tagTxns, tagGroups, tagMeta, tagDlog,
 	} {
 		p, err := sr.next(tag)
 		if err != nil {
@@ -198,6 +201,11 @@ func loadBytes(data []byte, workers int) (*core.Engine, Header, error) {
 	if _, err := sr.next(tagEnd); err != nil {
 		return nil, hdr, err
 	}
+	if n := len(data) - sr.off; n != 0 {
+		// No writer leaves bytes past END (AppendDeltaFile refuses such
+		// a file), so they mean a foreign or damaged file.
+		return nil, hdr, fmt.Errorf("store: %d trailing bytes after the END section", n)
+	}
 
 	dlog, err := decodeDlog(payload[tagDlog])
 	if err != nil {
@@ -214,23 +222,19 @@ func loadBytes(data []byte, workers int) (*core.Engine, Header, error) {
 	}
 
 	// Independent sections decode concurrently (fork-join); within the
-	// groups and index sections each record decodes into its own slot.
+	// groups section each record decodes into its own slot.
 	var (
 		d      *dataset.Dataset
 		vocab  *groups.Vocab
 		tx     *mining.Transactions
 		gs     []*groups.Group
 		spaceN int
-		lists  [][]index.Neighbor
-		counts []int
-		frac   float64
-		errs   [4]error
+		errs   [3]error
 	)
 	parallel.Do(workers,
 		func() { d, errs[0] = decodeDataset(payload) },
 		func() { vocab, tx, errs[1] = decodeVocabTransactions(payload) },
 		func() { gs, spaceN, errs[2] = decodeGroups(payload[tagGroups], workers) },
-		func() { lists, counts, frac, errs[3] = decodeIndex(payload[tagIndex], workers) },
 	)
 	for _, err := range errs {
 		if err != nil {
@@ -252,16 +256,12 @@ func loadBytes(data []byte, workers int) (*core.Engine, Header, error) {
 	if err != nil {
 		return nil, hdr, fmt.Errorf("store: rebuilding group space: %w", err)
 	}
-	ix, err := index.Restore(space, frac, lists, counts)
-	if err != nil {
-		return nil, hdr, err
-	}
-	return core.RestoreEngine(d, tx, space, ix, info), hdr, nil
+	return core.RestoreEngine(d, tx, space, index.New(space), info), hdr, nil
 }
 
 // loadWithDeltas is the replay path: decode the base dataset and
 // config, fold every pending batch in, build once. The heavy mined
-// sections (VOCB, TXNS, GRPS, INDX) are CRC-checked but never decoded
+// sections (VOCB, TXNS, GRPS) are CRC-checked but never decoded
 // — the replay build supersedes them.
 func loadWithDeltas(hdr Header, payload map[sectionTag][]byte, deltas [][]byte, info core.RestoreInfo, workers int) (*core.Engine, Header, error) {
 	if !info.DefaultMiner {
@@ -392,6 +392,11 @@ func loadFresh(path string, fp Fingerprint, workers int) (*core.Engine, int, err
 	if err != nil {
 		return nil, 0, err
 	}
+	return loadFreshBytes(data, fp, workers)
+}
+
+// loadFreshBytes is loadFresh over a snapshot already in memory.
+func loadFreshBytes(data []byte, fp Fingerprint, workers int) (*core.Engine, int, error) {
 	hdr, err := parseHeader(data)
 	if err != nil {
 		return nil, 0, err
@@ -681,42 +686,17 @@ func encodeGroups(space *groups.Space) []byte {
 	return e.b
 }
 
-func encodeIndex(ix *index.Index) []byte {
-	n := ix.Space().Len()
-	var records enc
-	offsets := make([]uint64, n)
-	for gid := 0; gid < n; gid++ {
-		offsets[gid] = uint64(len(records.b))
-		records.uvarint(uint64(ix.OverlapCount(gid)))
-		list := ix.MaterializedList(gid)
-		records.uvarint(uint64(len(list)))
-		for _, nb := range list {
-			records.uvarint(uint64(nb.ID))
-			records.f64(nb.Sim)
-		}
-	}
-	var e enc
-	e.f64(ix.Fraction())
-	e.uvarint(uint64(n))
-	for _, off := range offsets {
-		e.u64(off)
-	}
-	e.b = append(e.b, records.b...)
-	return e.b
-}
-
 // encodeMeta writes the engine's metadata: miner name, build timings,
-// and — new in format version 2 — whether the default (replayable)
-// miner built the space plus the normalized result-affecting pipeline
-// scalars, which is what lets a loader re-run the pipeline over
-// replayed deltas. Workers is a runtime choice, not state, and is not
-// stored.
+// whether the default (replayable) miner built the space, and the
+// normalized result-affecting pipeline scalars, which is what lets a
+// loader re-run the pipeline over replayed deltas. Workers is a
+// runtime choice, not state, and is not stored; neither is the index
+// fraction, which no engine reads.
 func encodeMeta(eng *core.Engine) []byte {
 	var e enc
 	e.str(eng.Miner)
 	e.svarint(int64(eng.Timings.Encode))
 	e.svarint(int64(eng.Timings.Mine))
-	e.svarint(int64(eng.Timings.Index))
 	if eng.Ingestable() {
 		e.u8(1)
 	} else {
@@ -734,7 +714,6 @@ func encodeMeta(eng *core.Engine) []byte {
 	e.f64(cfg.MinSupportFrac)
 	e.uvarint(uint64(cfg.MaxLen))
 	e.uvarint(uint64(cfg.MaxGroups))
-	e.f64(cfg.IndexFraction)
 	return e.b
 }
 
@@ -926,51 +905,6 @@ func decodeGroups(b []byte, workers int) ([]*groups.Group, int, error) {
 	return gs, numUsers, nil
 }
 
-// decodeIndex rebuilds the materialized inverted lists, one record per
-// group, sharded across workers slot-wise like decodeGroups.
-func decodeIndex(b []byte, workers int) ([][]index.Neighbor, []int, float64, error) {
-	d := dec{b: b}
-	frac := d.f64()
-	n := d.count(8)
-	offsets := make([]uint64, n)
-	for i := range offsets {
-		offsets[i] = d.u64()
-	}
-	if d.err != nil {
-		return nil, nil, 0, d.err
-	}
-	records := b[d.off:]
-	lists := make([][]index.Neighbor, n)
-	counts := make([]int, n)
-	errs := make([]error, n)
-	parallel.Range(n, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if offsets[i] > uint64(len(records)) {
-				errs[i] = fmt.Errorf("store: index record %d offset %d overruns section", i, offsets[i])
-				continue
-			}
-			rd := dec{b: records, off: int(offsets[i])}
-			counts[i] = int(rd.uvarint())
-			list := make([]index.Neighbor, rd.count(2))
-			for j := range list {
-				list[j].ID = int(rd.uvarint())
-				list[j].Sim = rd.f64()
-			}
-			if rd.err != nil {
-				errs[i] = rd.err
-				continue
-			}
-			lists[i] = list
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	return lists, counts, frac, nil
-}
-
 func decodeMeta(b []byte) (core.RestoreInfo, error) {
 	d := dec{b: b}
 	var info core.RestoreInfo
@@ -978,7 +912,6 @@ func decodeMeta(b []byte) (core.RestoreInfo, error) {
 	info.Timings = core.Timings{
 		Encode: time.Duration(d.svarint()),
 		Mine:   time.Duration(d.svarint()),
-		Index:  time.Duration(d.svarint()),
 	}
 	info.DefaultMiner = d.u8() == 1
 	info.Config.Encode.Demographics = d.u8() == 1
@@ -988,7 +921,6 @@ func decodeMeta(b []byte) (core.RestoreInfo, error) {
 	info.Config.MinSupportFrac = d.f64()
 	info.Config.MaxLen = int(d.uvarint())
 	info.Config.MaxGroups = int(d.uvarint())
-	info.Config.IndexFraction = d.f64()
 	return info, d.err
 }
 

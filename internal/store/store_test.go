@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,6 +17,7 @@ import (
 	"vexus/internal/groups"
 	"vexus/internal/mining"
 	"vexus/internal/mining/lcm"
+	"vexus/internal/parallel"
 )
 
 // workerCounts pins the slot-write determinism contract: every load
@@ -139,22 +143,29 @@ func requireEnginesIdentical(t *testing.T, want, got *core.Engine) {
 			}
 		}
 	}
-	// Inverted index: exact float bits, ids, counts, fraction.
-	if got.Index.Fraction() != want.Index.Fraction() {
-		t.Fatalf("index fraction %v vs %v", got.Index.Fraction(), want.Index.Fraction())
-	}
-	for gid := 0; gid < want.Space.Len(); gid++ {
-		if got.Index.OverlapCount(gid) != want.Index.OverlapCount(gid) {
-			t.Fatalf("group %d overlap count %d vs %d", gid, got.Index.OverlapCount(gid), want.Index.OverlapCount(gid))
-		}
-		w, g := want.Index.MaterializedList(gid), got.Index.MaterializedList(gid)
-		if len(w) != len(g) {
-			t.Fatalf("group %d materialized %d entries vs %d", gid, len(g), len(w))
-		}
-		for j := range w {
-			if w[j] != g[j] {
-				t.Fatalf("group %d neighbor %d: %+v vs %+v", gid, j, g[j], w[j])
+	// Inverted index: the optimizer's candidate pool for every group,
+	// exact float bits and ids. Each group's lookups write only its own
+	// slot, so the groups spread over the CPUs.
+	pool := greedy.DefaultConfig().CandidatePool
+	diffs := make([]string, want.Space.Len())
+	parallel.Range(want.Space.Len(), 0, func(_, lo, hi int) {
+		for gid := lo; gid < hi; gid++ {
+			w, g := want.Index.Neighbors(gid, pool), got.Index.Neighbors(gid, pool)
+			if len(w) != len(g) {
+				diffs[gid] = fmt.Sprintf("group %d has %d neighbors vs %d", gid, len(g), len(w))
+				continue
 			}
+			for j := range w {
+				if w[j] != g[j] {
+					diffs[gid] = fmt.Sprintf("group %d neighbor %d: %+v vs %+v", gid, j, g[j], w[j])
+					break
+				}
+			}
+		}
+	})
+	for _, d := range diffs {
+		if d != "" {
+			t.Fatal(d)
 		}
 	}
 	// Miner label and greedy precomputation (initial display order).
@@ -325,6 +336,64 @@ func TestStaleSnapshotRebuilds(t *testing.T) {
 	}
 }
 
+// TestVersion2SnapshotRebuilds: a snapshot in the previous format —
+// version 2, with its INDX section of materialized prefixes — is
+// refused, even under a matching fingerprint, and BuildOrLoad replaces
+// it with a fresh build in the current format.
+func TestVersion2SnapshotRebuilds(t *testing.T) {
+	eng, cfg := builtEngine(t)
+	d := eng.Data
+	fp := ComputeFingerprint(d, cfg)
+	var cur bytes.Buffer
+	if err := Save(&cur, eng, fp); err != nil {
+		t.Fatal(err)
+	}
+	raw := cur.Bytes()
+
+	// Re-frame the sections as version 2 wrote them: INDX between GRPS
+	// and META.
+	const tagIndexV2 sectionTag = 0x58444e49 // "INDX"
+	var v2 bytes.Buffer
+	v2.Write(raw[:headerLen])
+	binary.LittleEndian.PutUint32(v2.Bytes()[len(magic):], 2)
+	for off := headerLen; off < len(raw); {
+		tag := sectionTag(binary.LittleEndian.Uint32(raw[off:]))
+		n := int(binary.LittleEndian.Uint64(raw[off+4:]))
+		if tag == tagMeta {
+			if err := writeSection(&v2, tagIndexV2, make([]byte, 16)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v2.Write(raw[off : off+12+n+4])
+		off += 12 + n + 4
+	}
+	path := filepath.Join(t.TempDir(), "authors.snap")
+	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := LoadFileFresh(path, fp, 1); err == nil {
+		t.Fatal("version-2 snapshot loaded")
+	}
+	got, warm, err := BuildOrLoad(path, d, cfg)
+	if got == nil {
+		t.Fatalf("rebuild of a version-2 snapshot failed: %v", err)
+	}
+	if warm {
+		t.Fatal("version-2 snapshot served as a warm start")
+	}
+	if err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("version skew not reported: %v", err)
+	}
+	requireEnginesIdentical(t, eng, got)
+	if hdr, err := ReadHeaderFile(path); err != nil || hdr.Version != Version {
+		t.Fatalf("snapshot not rewritten in the current format: %+v, %v", hdr, err)
+	}
+	if _, warm, err := BuildOrLoad(path, d, cfg); err != nil || !warm {
+		t.Fatalf("rewritten snapshot not warm on next start: warm=%v err=%v", warm, err)
+	}
+}
+
 // TestCorruptSnapshotRejectedAndRebuilt: a flipped payload byte must
 // fail the section CRC on load, and BuildOrLoad must fall back to a
 // rebuild rather than serve the corrupt file.
@@ -381,16 +450,25 @@ func TestTruncatedSnapshotRejected(t *testing.T) {
 	}
 }
 
+// TestTrailingBytesRejected: bytes after the END section, which no
+// writer produces, fail the load instead of being ignored.
+func TestTrailingBytesRejected(t *testing.T) {
+	eng, cfg := builtEngine(t)
+	var buf bytes.Buffer
+	if err := Save(&buf, eng, ComputeFingerprint(eng.Data, cfg)); err != nil {
+		t.Fatal(err)
+	}
+	raw := append(buf.Bytes(), 0)
+	if _, _, err := Load(bytes.NewReader(raw), 1); err == nil {
+		t.Fatal("snapshot with a trailing byte loaded without error")
+	}
+}
+
 func TestFingerprintSensitivity(t *testing.T) {
 	eng, cfg := builtEngine(t)
 	base := ComputeFingerprint(eng.Data, cfg)
 
 	modified := cfg
-	modified.IndexFraction = 0.2
-	if ComputeFingerprint(eng.Data, modified) == base {
-		t.Fatal("index fraction change not reflected in fingerprint")
-	}
-	modified = cfg
 	modified.MinSupportFrac = 0.01
 	if ComputeFingerprint(eng.Data, modified) == base {
 		t.Fatal("support change not reflected in fingerprint")
@@ -400,6 +478,12 @@ func TestFingerprintSensitivity(t *testing.T) {
 	modified.Workers = 8
 	if ComputeFingerprint(eng.Data, modified) != base {
 		t.Fatal("worker count changed the fingerprint")
+	}
+	// Nor the index fraction: the engine's index stores no prefix.
+	modified = cfg
+	modified.IndexFraction = 0.2
+	if ComputeFingerprint(eng.Data, modified) != base {
+		t.Fatal("index fraction changed the fingerprint")
 	}
 	// Normalized defaults hash like their explicit values.
 	modified = cfg
