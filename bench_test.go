@@ -13,6 +13,7 @@ import (
 
 	"vexus/internal/core"
 	"vexus/internal/datagen"
+	"vexus/internal/feedback"
 	"vexus/internal/greedy"
 	"vexus/internal/groups"
 	"vexus/internal/index"
@@ -97,6 +98,50 @@ func BenchmarkNeighbors(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkNeighbors = eng.Index.Neighbors(i%eng.Space.Len(), pool)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// One optimizer step of an explore: four fixed 10-click trails are
+// replayed through sessions first (TimeLimit 0, 1 worker), recording
+// each click's focal group and the feedback profile the session had
+// accumulated by then; the timed loop runs SelectNext on those steps.
+
+var sinkSelection greedy.Selection
+
+func BenchmarkSelectNext(b *testing.B) {
+	eng := fixtures(b)
+	cfg := greedy.DefaultConfig()
+	cfg.TimeLimit = 0
+	cfg.Workers = 1
+	type step struct {
+		focal *groups.Group
+		fb    *feedback.Vector
+	}
+	var steps []step
+	for trail := 0; trail < 4; trail++ {
+		sess := eng.NewSession(cfg)
+		shown := sess.Start()
+		for click := 0; click < 10; click++ {
+			gid := shown[(trail+click)%len(shown)]
+			sel, err := sess.Explore(gid)
+			if err != nil {
+				b.Fatal(err)
+			}
+			steps = append(steps, step{eng.Space.Group(gid), sess.Feedback().Snapshot()})
+			shown = sel.IDs
+		}
+	}
+	opt := greedy.New(eng.Space, eng.Index)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := steps[i%len(steps)]
+		sel, err := opt.SelectNext(st.focal, st.fb, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkSelection = sel
 	}
 }
 

@@ -109,8 +109,9 @@ func (s *Set) SubsetOf(other *Set) bool {
 }
 
 // IntersectDifferenceCount returns |s ∩ a \ b| without allocating —
-// the greedy optimizer's coverage-gain kernel (new focal members a
-// candidate s would cover beyond the already-covered set b).
+// the coverage-gain kernel of the greedy optimizer's local search (new
+// focal members a candidate s would cover beyond the already-covered
+// set b).
 func (s *Set) IntersectDifferenceCount(a, b *Set) int {
 	s.sameUniverse(a)
 	s.sameUniverse(b)

@@ -14,15 +14,20 @@
 // the set.
 //
 // All evaluation is against the ≤ k chosen groups (never the whole
-// candidate pool), so one gain evaluation costs O(k) Jaccards and one
-// full local-search sweep costs O(k · |pool|) of them — that is what
-// lets the candidate pool be "every overlapping group" at interactive
-// latencies.
+// candidate pool). Construction is incremental: each candidate keeps
+// its Jaccards to the groups chosen so far and the count of focal
+// members it would newly cover, so one round costs one popcount per
+// live candidate against the newest pick plus a pass over the sparse
+// coverage delta that pick made. One full local-search sweep costs
+// O(k · |pool|) Jaccards. That is what lets the candidate pool be
+// "every overlapping group" at interactive latencies.
 package greedy
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"vexus/internal/bitset"
@@ -120,6 +125,7 @@ type candidate struct {
 	weighted  float64 // sim · (1 + alignment) — the §II-B weighted similarity
 	alignment float64 // feedback alignment
 	members   *bitset.Set
+	size      int // |members|
 }
 
 // SelectNext returns up to cfg.K groups to display after the explorer
@@ -146,72 +152,17 @@ func (o *Optimizer) SelectNext(focal *groups.Group, fb *feedback.Vector, cfg Con
 
 	st := newSelState(o.space, focal, cands, cfg)
 
-	// Phase 1: greedy construction with marginal-gain picks. If the
-	// deadline lands mid-construction, the remaining slots fill with
-	// the best remaining candidates by weighted similarity (the pool
-	// is already in that order) so the explorer always receives k
-	// groups — "best effort" in the paper's words.
+	// Phase 1: greedy construction.
 	k := cfg.K
 	if k > len(cands) {
 		k = len(cands)
 	}
-	deadlineHit := false
-construct:
-	for len(st.chosen) < k {
-		if !unbounded && len(st.chosen) > 0 && o.now().After(deadline) {
-			deadlineHit = true
-			for ci := range cands {
-				if len(st.chosen) >= k {
-					break
-				}
-				if !st.inChosen[ci] {
-					st.add(ci)
-					sel.FilledBySimilarity++
-				}
-			}
-			break construct
-		}
-		best, bestGain := -1, math.Inf(-1)
-		for ci := range cands {
-			if st.inChosen[ci] {
-				continue
-			}
-			if gain := st.gain(ci); gain > bestGain {
-				best, bestGain = ci, gain
-			}
-		}
-		if best < 0 {
-			break
-		}
-		st.add(best)
-	}
+	var deadlineHit bool
+	sel.FilledBySimilarity, deadlineHit = o.construct(st, k, deadline, unbounded)
 
-	// Phase 2: anytime local search — swap a chosen candidate for an
-	// unchosen one whenever that raises the objective; stop at a local
-	// optimum or at the deadline.
+	// Phase 2: anytime local search.
 	if !unbounded && !deadlineHit {
-	rounds:
-		for {
-			improved := false
-			for si := 0; si < len(st.chosen); si++ {
-				for ci := range cands {
-					if st.inChosen[ci] {
-						continue
-					}
-					if o.now().After(deadline) {
-						deadlineHit = true
-						break rounds
-					}
-					if st.trySwap(si, ci) {
-						improved = true
-					}
-				}
-			}
-			if !improved {
-				break
-			}
-			sel.SwapRounds++
-		}
+		sel.SwapRounds, deadlineHit = o.localSearch(st, deadline)
 	}
 
 	sel.IDs = make([]int, len(st.chosen))
@@ -223,6 +174,161 @@ construct:
 	sel.Elapsed = o.now().Sub(start)
 	sel.DeadlineHit = deadlineHit
 	return sel, nil
+}
+
+// construct is phase 1: it adds k candidates to st one at a time,
+// each the one of largest marginal gain (ties to the earlier pool
+// entry), scored through a gainCache. If the deadline lands
+// mid-construction, the remaining slots fill with the best remaining
+// candidates by weighted similarity (the pool is already in that
+// order) so the explorer always receives k groups — "best effort" in
+// the paper's words. It returns how many slots that fallback filled
+// and whether the deadline hit.
+func (o *Optimizer) construct(st *selState, k int, deadline time.Time, unbounded bool) (filled int, deadlineHit bool) {
+	gc := newGainCache(st, k)
+	for len(st.chosen) < k {
+		if !unbounded && len(st.chosen) > 0 && o.now().After(deadline) {
+			for ci := range st.cands {
+				if len(st.chosen) >= k {
+					break
+				}
+				if !st.inChosen[ci] {
+					st.add(ci)
+					filled++
+				}
+			}
+			return filled, true
+		}
+		before, covered := st.score(), st.covered.Count()
+		best, bestGain := -1, math.Inf(-1)
+		for ci := range st.cands {
+			if st.inChosen[ci] {
+				continue
+			}
+			if gain := gc.gain(ci, before, covered); gain > bestGain {
+				best, bestGain = ci, gain
+			}
+		}
+		if best < 0 {
+			break
+		}
+		gc.add(best)
+	}
+	return filled, false
+}
+
+// gainCache holds construction's per-candidate state, from which a
+// gain equals selState.gain's bit for bit; each pick extends it by
+// that pick only. Row ci of jac holds candidate ci's Jaccards to the
+// chosen groups in pick order, summed onto sumPair in that order as
+// gain sums them. newCov[ci] = |c ∩ focal \ covered|; a pick lowers
+// it by c's overlap with the focal members the pick newly covers, read
+// from that delta's non-zero words only.
+type gainCache struct {
+	st      *selState
+	cols    int // k − 1: the k-th pick's column would never be read
+	jac     []float64
+	newCov  []int
+	deltaAt []int    // indices of the newest pick's non-zero delta words
+	delta   []uint64 // those words
+}
+
+func newGainCache(st *selState, k int) *gainCache {
+	words := len(st.focal.Members.Words())
+	gc := &gainCache{
+		st:      st,
+		cols:    k - 1,
+		jac:     make([]float64, len(st.cands)*(k-1)),
+		newCov:  make([]int, len(st.cands)),
+		deltaAt: make([]int, 0, words),
+		delta:   make([]uint64, 0, words),
+	}
+	for ci := range st.cands {
+		gc.newCov[ci] = st.cands[ci].members.IntersectCount(st.focal.Members)
+	}
+	return gc
+}
+
+// gain returns the objective delta of adding candidate ci, given the
+// round's before = st.score() and covered = st.covered.Count().
+func (gc *gainCache) gain(ci int, before float64, covered int) float64 {
+	st := gc.st
+	row := gc.jac[ci*gc.cols:]
+	sum := st.sumPair
+	for _, s := range row[:len(st.chosen)] {
+		sum += s
+	}
+	return st.gainFrom(before, covered+gc.newCov[ci], sum, st.cands[ci].alignment)
+}
+
+// add commits candidate ci to the chosen set and, unless that was the
+// k-th pick, extends every live candidate's cache by it.
+func (gc *gainCache) add(ci int) {
+	st := gc.st
+	p := &st.cands[ci]
+	focal, covered := st.focal.Members.Words(), st.covered.Words()
+	gc.deltaAt, gc.delta = gc.deltaAt[:0], gc.delta[:0]
+	for i, w := range p.members.Words() {
+		if d := w & focal[i] &^ covered[i]; d != 0 {
+			gc.deltaAt = append(gc.deltaAt, i)
+			gc.delta = append(gc.delta, d)
+		}
+	}
+	col := len(st.chosen)
+	st.add(ci)
+	if col == gc.cols {
+		return
+	}
+	for cj := range st.cands {
+		if st.inChosen[cj] {
+			continue
+		}
+		c := &st.cands[cj]
+		gc.jac[cj*gc.cols+col] = jaccard(c.members.IntersectCount(p.members), c.size, p.size)
+		if gc.newCov[cj] > 0 {
+			words := c.members.Words()
+			for j, i := range gc.deltaAt {
+				gc.newCov[cj] -= bits.OnesCount64(words[i] & gc.delta[j])
+			}
+		}
+	}
+}
+
+// jaccard is bitset.Jaccard's division for two sets of sizes a and b
+// that share inter members: the same integers, so the same float64.
+func jaccard(inter, a, b int) float64 {
+	union := a + b - inter
+	if union == 0 {
+		return 1
+	}
+	return float64(inter) / float64(union)
+}
+
+// localSearch is phase 2, anytime local search: it swaps a chosen
+// candidate for an unchosen one whenever that raises the objective,
+// stopping at a local optimum or at the deadline. It returns the
+// completed improvement rounds and whether the deadline hit.
+func (o *Optimizer) localSearch(st *selState, deadline time.Time) (rounds int, deadlineHit bool) {
+	for {
+		improved := false
+		for si := 0; si < len(st.chosen); si++ {
+			for ci := range st.cands {
+				if st.inChosen[ci] {
+					continue
+				}
+				if o.now().After(deadline) {
+					return rounds, true
+				}
+				if st.trySwap(si, ci) {
+					improved = true
+				}
+			}
+		}
+		if !improved {
+			return rounds, false
+		}
+		rounds++
+	}
 }
 
 // parallelPoolMin is the pool size below which candidate scoring runs
@@ -248,13 +354,8 @@ func (o *Optimizer) pool(focal *groups.Group, fb *feedback.Vector, cfg Config) [
 		}
 	}
 	nbs = nbs[:keep]
-	// Truncate the profile's user side once per step: per-candidate
-	// alignment is then O(topUsers) bit probes instead of a full
-	// profile scan for every pool entry.
-	var topUsers []feedback.UserMass
-	if fb != nil {
-		topUsers = fb.TopUsers(128)
-	}
+	// The term part of each candidate's alignment reads only the
+	// immutable space and profile, so large pools score in parallel.
 	score := func(nb index.Neighbor) candidate {
 		g := o.space.Group(nb.ID)
 		align := 0.0
@@ -262,18 +363,13 @@ func (o *Optimizer) pool(focal *groups.Group, fb *feedback.Vector, cfg Config) [
 			for _, id := range g.Desc {
 				align += fb.TermScore(id)
 			}
-			for _, um := range topUsers {
-				if g.Members.Contains(um.User) {
-					align += um.Mass
-				}
-			}
 		}
 		return candidate{
 			id:        nb.ID,
 			sim:       nb.Sim,
-			weighted:  nb.Sim * (1 + align),
 			alignment: align,
 			members:   g.Members,
+			size:      g.Size(),
 		}
 	}
 	cands := make([]candidate, len(nbs))
@@ -288,22 +384,51 @@ func (o *Optimizer) pool(focal *groups.Group, fb *feedback.Vector, cfg Config) [
 			cands[i] = score(nb)
 		}
 	}
-	// Stable re-rank by weighted similarity so the deadline fallback
-	// fills with the *personalized* best, not just the raw-similar.
+	// The user part adds the mass of the profile's top users: one walk
+	// of each top user's group list, through a group id → pool slot
+	// map, instead of a membership probe per candidate and user. Users
+	// go in TopUsers order, after the terms, so every candidate's sum
+	// adds the same terms in the same order as a per-candidate loop.
+	if fb != nil {
+		if topUsers := fb.TopUsers(128); len(topUsers) > 0 {
+			slot := make([]int32, o.space.Len()) // 1 + pool index; 0 = not in the pool
+			for i := range cands {
+				slot[cands[i].id] = int32(i + 1)
+			}
+			for _, um := range topUsers {
+				for _, gid := range o.space.GroupsOfUser(um.User) {
+					if i := slot[gid]; i > 0 {
+						cands[i-1].alignment += um.Mass
+					}
+				}
+			}
+		}
+	}
+	for i := range cands {
+		cands[i].weighted = cands[i].sim * (1 + cands[i].alignment)
+	}
+	// Re-rank by weighted similarity so the deadline fallback fills
+	// with the *personalized* best, not just the raw-similar.
 	if fb != nil && !fb.IsEmpty() {
 		sortCandidatesByWeighted(cands)
 	}
 	return cands
 }
 
+// sortCandidatesByWeighted orders the pool by candLess. Alignment
+// moves candidates far from raw-similarity order, so this is a full
+// sort; ids are unique, which makes candLess a strict total order and
+// the unstable sort's output the only sorted one.
 func sortCandidatesByWeighted(cands []candidate) {
-	// Insertion sort: pools arrive nearly sorted (alignment perturbs
-	// raw-similarity order only locally).
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && candLess(cands[j], cands[j-1]); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
+	slices.SortFunc(cands, func(a, b candidate) int {
+		switch {
+		case candLess(a, b):
+			return -1
+		case candLess(b, a):
+			return 1
 		}
-	}
+		return 0
+	})
 }
 
 func candLess(a, b candidate) bool {
@@ -371,25 +496,34 @@ func (st *selState) score() float64 {
 }
 
 // gain returns the objective delta of adding candidate ci: one 3-way
-// popcount for coverage plus ≤ k Jaccards for diversity.
+// popcount for coverage plus ≤ k Jaccards for diversity. Local search
+// evaluates swaps with it, and the tests keep it as the per-candidate
+// reference that construction's cached gains must equal.
 func (st *selState) gain(ci int) float64 {
-	before := st.score()
 	c := &st.cands[ci]
 	newCovered := st.covered.Count() + c.members.IntersectDifferenceCount(st.focal.Members, st.covered)
+	sum := st.sumPair
+	for _, cj := range st.chosen {
+		sum += c.members.Jaccard(st.cands[cj].members)
+	}
+	return st.gainFrom(st.score(), newCovered, sum, c.alignment)
+}
+
+// gainFrom returns score(chosen ∪ c) − before for a candidate c that
+// would leave newCovered focal members covered, whose Jaccards to the
+// chosen groups added onto sumPair give sum, and whose alignment is
+// align.
+func (st *selState) gainFrom(before float64, newCovered int, sum, align float64) float64 {
 	cov := 1.0
 	if st.focalN > 0 {
 		cov = float64(newCovered) / float64(st.focalN)
 	}
 	k := len(st.chosen) + 1
-	sum := st.sumPair
-	for _, cj := range st.chosen {
-		sum += c.members.Jaccard(st.cands[cj].members)
-	}
 	div := 1.0
 	if k >= 2 {
 		div = 1 - sum/float64(k*(k-1)/2)
 	}
-	fbk := (st.sumAlign + c.alignment) / float64(k)
+	fbk := (st.sumAlign + align) / float64(k)
 	after := st.cfg.CoverageWeight*cov + st.cfg.DiversityWeight*div + st.cfg.FeedbackWeight*fbk
 	return after - before
 }

@@ -1,0 +1,304 @@
+package greedy
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+	"time"
+
+	"vexus/internal/datagen"
+	"vexus/internal/feedback"
+	"vexus/internal/groups"
+	"vexus/internal/index"
+	"vexus/internal/mining"
+	"vexus/internal/mining/lcm"
+)
+
+// referenceSelectNext is SelectNext with per-candidate construction:
+// every round scores every live candidate with st.gain. It takes its
+// pool from referencePool. Phase
+// 2 is the production localSearch, and the clock is read at the same
+// points as in SelectNext, so on a ticking test clock both reach phase
+// 2 at the same tick.
+func referenceSelectNext(o *Optimizer, focal *groups.Group, cands []candidate, cfg Config) Selection {
+	start := o.now()
+	deadline := start.Add(cfg.TimeLimit)
+	unbounded := cfg.TimeLimit <= 0
+	sel := Selection{Candidates: len(cands)}
+	if len(cands) == 0 {
+		sel.Diversity = 1
+		return sel
+	}
+	st := newSelState(o.space, focal, cands, cfg)
+	k := min(cfg.K, len(cands))
+	deadlineHit := false
+construct:
+	for len(st.chosen) < k {
+		if !unbounded && len(st.chosen) > 0 && o.now().After(deadline) {
+			deadlineHit = true
+			for ci := range cands {
+				if len(st.chosen) >= k {
+					break
+				}
+				if !st.inChosen[ci] {
+					st.add(ci)
+					sel.FilledBySimilarity++
+				}
+			}
+			break construct
+		}
+		best, bestGain := -1, math.Inf(-1)
+		for ci := range cands {
+			if st.inChosen[ci] {
+				continue
+			}
+			if gain := st.gain(ci); gain > bestGain {
+				best, bestGain = ci, gain
+			}
+		}
+		if best < 0 {
+			break
+		}
+		st.add(best)
+	}
+	if !unbounded && !deadlineHit {
+		sel.SwapRounds, deadlineHit = o.localSearch(st, deadline)
+	}
+	sel.IDs = make([]int, len(st.chosen))
+	for i, ci := range st.chosen {
+		sel.IDs[i] = cands[ci].id
+	}
+	sel.Coverage, sel.Diversity, sel.Feedback = st.objectives()
+	sel.Objective = st.score()
+	sel.Elapsed = o.now().Sub(start)
+	sel.DeadlineHit = deadlineHit
+	return sel
+}
+
+// referencePool builds the pool candidate by candidate: it probes each
+// top feedback user's membership in every candidate, then
+// insertion-sorts.
+func referencePool(o *Optimizer, focal *groups.Group, fb *feedback.Vector, cfg Config) []candidate {
+	var cands []candidate
+	var topUsers []feedback.UserMass
+	if fb != nil {
+		topUsers = fb.TopUsers(128)
+	}
+	for _, nb := range o.ix.Neighbors(focal.ID, DefaultConfig().CandidatePool) {
+		if nb.Sim < cfg.MinSimilarity {
+			break
+		}
+		g := o.space.Group(nb.ID)
+		align := 0.0
+		if fb != nil {
+			for _, id := range g.Desc {
+				align += fb.TermScore(id)
+			}
+			for _, um := range topUsers {
+				if g.Members.Contains(um.User) {
+					align += um.Mass
+				}
+			}
+		}
+		cands = append(cands, candidate{
+			id: nb.ID, sim: nb.Sim, weighted: nb.Sim * (1 + align), alignment: align,
+			members: g.Members, size: g.Size(),
+		})
+	}
+	if fb != nil && !fb.IsEmpty() {
+		for i := 1; i < len(cands); i++ {
+			for j := i; j > 0 && candLess(cands[j], cands[j-1]); j-- {
+				cands[j], cands[j-1] = cands[j-1], cands[j]
+			}
+		}
+	}
+	return cands
+}
+
+// tickClock advances one microsecond per reading, so a budget is a
+// fixed number of deadline checks whatever the machine's load.
+func tickClock() func() time.Time {
+	var ticks time.Duration
+	return func() time.Time {
+		ticks += time.Microsecond
+		return time.Unix(0, 0).Add(ticks)
+	}
+}
+
+// sameSelection fails the test unless got and want agree on the pick
+// order, the pool size, the fallback fill, the local-search record and
+// the bits of every objective term.
+func sameSelection(t *testing.T, name string, got, want Selection) {
+	t.Helper()
+	if !reflect.DeepEqual(got.IDs, want.IDs) || got.Candidates != want.Candidates ||
+		got.FilledBySimilarity != want.FilledBySimilarity ||
+		got.SwapRounds != want.SwapRounds || got.DeadlineHit != want.DeadlineHit {
+		t.Fatalf("%s: got ids %v candidates %d filled %d rounds %d hit %v; want %v %d %d %d %v", name,
+			got.IDs, got.Candidates, got.FilledBySimilarity, got.SwapRounds, got.DeadlineHit,
+			want.IDs, want.Candidates, want.FilledBySimilarity, want.SwapRounds, want.DeadlineHit)
+	}
+	for _, term := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"objective", got.Objective, want.Objective},
+		{"coverage", got.Coverage, want.Coverage},
+		{"diversity", got.Diversity, want.Diversity},
+		{"feedback", got.Feedback, want.Feedback},
+	} {
+		if math.Float64bits(term.got) != math.Float64bits(term.want) {
+			t.Fatalf("%s: %s %v (%#x) != reference %v (%#x)", name, term.name,
+				term.got, math.Float64bits(term.got), term.want, math.Float64bits(term.want))
+		}
+	}
+}
+
+// dbAuthorsSpace mines a 400-author DB-AUTHORS space: its universe
+// spans seven words, where the random fixture's spans two.
+func dbAuthorsSpace(t *testing.T) (*groups.Space, *index.Index) {
+	t.Helper()
+	d, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: 400, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := mining.Encode(d, datagen.DBAuthorsEncodeOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := lcm.New(mining.Options{MinSupport: 60, MaxLen: 3}).Mine(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := groups.NewSpace(d.NumUsers(), tx.Vocab, gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, index.New(s)
+}
+
+type oracleSpace struct {
+	name string
+	s    *groups.Space
+	ix   *index.Index
+}
+
+// oracleSpaces returns the random fixture (600 groups over a 2-word
+// universe) and the DB-AUTHORS space.
+func oracleSpaces(t *testing.T) []oracleSpace {
+	t.Helper()
+	random, randomIx := fixture(t, 31, 120, 600)
+	authors, authorsIx := dbAuthorsSpace(t)
+	return []oracleSpace{{"random", random, randomIx}, {"dbauthors", authors, authorsIx}}
+}
+
+// TestConstructionMatchesReference: the cached construction and the
+// pool's user-list walk pick exactly what the per-candidate reference
+// picks, with bit-identical objective terms, for every focal group,
+// with and without a feedback profile, across K, the similarity bound
+// and the worker count. Pools of the random fixture's larger groups
+// cross parallelPoolMin, so workers 2 and 8 do shard their scoring.
+func TestConstructionMatchesReference(t *testing.T) {
+	for _, c := range oracleSpaces(t) {
+		t.Run(c.name, func(t *testing.T) {
+			fb := feedback.New()
+			for _, gid := range []int{3, 11, 42} {
+				fb.Reinforce(c.s.Group(gid%c.s.Len()), 1)
+			}
+			o := New(c.s, c.ix)
+			for focal := 0; focal < c.s.Len(); focal++ {
+				for _, profile := range []*feedback.Vector{nil, fb} {
+					for _, minSim := range []float64{0, 0.01} {
+						cfg := DefaultConfig()
+						cfg.TimeLimit = 0
+						cfg.MinSimilarity = minSim
+						cands := referencePool(o, c.s.Group(focal), profile, cfg)
+						for ki, k := range []int{1, 2, 7} {
+							// The worker count rotates with the focal
+							// group, so every (K, workers) pair runs on
+							// a third of the focal groups.
+							cfg.K = k
+							cfg.Workers = []int{1, 2, 8}[(ki+focal)%3]
+							want := referenceSelectNext(o, c.s.Group(focal), cands, cfg)
+							got, err := o.SelectNext(c.s.Group(focal), profile, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							sameSelection(t, fmt.Sprintf("focal=%d profile=%v minSim=%v k=%d workers=%d",
+								focal, profile != nil, minSim, k, cfg.Workers), got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestConstructionMatchesReferenceUnderBudget: on the ticking clock a
+// budget that ends inside construction fills by similarity at the same
+// round, and a budget that reaches local search starts it from the
+// same set and so swaps the same way.
+func TestConstructionMatchesReferenceUnderBudget(t *testing.T) {
+	s, ix := dbAuthorsSpace(t)
+	fb := feedback.New()
+	fb.Reinforce(s.Group(5), 1)
+	for _, budget := range []time.Duration{4 * time.Microsecond, 20 * time.Millisecond} {
+		for _, focal := range []int{0, 7, 30} {
+			cfg := DefaultConfig()
+			cfg.TimeLimit = budget
+			o := New(s, ix)
+			o.now = tickClock()
+			want := referenceSelectNext(o, s.Group(focal), referencePool(o, s.Group(focal), fb, cfg), cfg)
+			o.now = tickClock()
+			got, err := o.SelectNext(s.Group(focal), fb, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("budget=%v focal=%d", budget, focal)
+			sameSelection(t, name, got, want)
+			if budget < time.Millisecond && got.FilledBySimilarity == 0 {
+				t.Fatalf("%s: construction was not cut short", name)
+			}
+			if budget >= time.Millisecond && (got.FilledBySimilarity != 0 || got.SwapRounds == 0) {
+				t.Fatalf("%s: no local search after full construction (%+v)", name, got)
+			}
+		}
+	}
+}
+
+// TestGainCacheMatchesGain: every gain construction compares, not only
+// the winning one, has the bits of the per-candidate st.gain, so ties
+// and near-ties break as the reference breaks them.
+func TestGainCacheMatchesGain(t *testing.T) {
+	for _, c := range oracleSpaces(t) {
+		fb := feedback.New()
+		fb.Reinforce(c.s.Group(3), 1)
+		fb.Reinforce(c.s.Group(11), 1)
+		o := New(c.s, c.ix)
+		cfg := DefaultConfig()
+		for _, focal := range []int{0, 1, 17, 99} {
+			cands := o.pool(c.s.Group(focal), fb, cfg)
+			st := newSelState(c.s, c.s.Group(focal), cands, cfg)
+			k := min(cfg.K, len(cands))
+			gc := newGainCache(st, k)
+			for len(st.chosen) < k {
+				before, covered := st.score(), st.covered.Count()
+				best, bestGain := -1, math.Inf(-1)
+				for ci := range cands {
+					if st.inChosen[ci] {
+						continue
+					}
+					want := st.gain(ci)
+					if got := gc.gain(ci, before, covered); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s focal=%d round=%d candidate %d: cached gain %v != gain %v",
+							c.name, focal, len(st.chosen), cands[ci].id, got, want)
+					}
+					if want > bestGain {
+						best, bestGain = ci, want
+					}
+				}
+				gc.add(best)
+			}
+		}
+	}
+}
