@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"vexus/internal/core"
@@ -14,19 +11,13 @@ import (
 	"vexus/internal/index"
 	"vexus/internal/mining"
 	"vexus/internal/mining/lcm"
-	"vexus/internal/parallel"
 	"vexus/internal/rng"
 	"vexus/internal/simulate"
-	"vexus/internal/store"
 )
 
 // workersFlag is the -workers count used by every parallel mining or
-// simulation path below; benchNote is the -bench-note JSON target of
-// the p1 experiment.
-var (
-	workersFlag int
-	benchNote   string
-)
+// simulation path below.
+var workersFlag int
 
 // buildAuthors builds the standard DB-AUTHORS evaluation engine.
 func buildAuthors(seed uint64, numAuthors int, minSupportFrac float64) (*core.Engine, error) {
@@ -626,257 +617,6 @@ func runE9(seed uint64, scale string) error {
 	}
 	fmt.Printf("one Explore step: %v (coverage %.2f, diversity %.2f)\n",
 		sel.Elapsed.Round(time.Millisecond), sel.Coverage, sel.Diversity)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// P1 — sequential vs parallel wall time for the offline discovery and
-// simulation stages (the PR-2 parallelization): lcm.MineParallel and
-// simulate.RunMTBatchParallel against their 1-worker runs, which are
-// bit-identical by contract. Speedup tops out at the physical core
-// count — on a 1-core runner all worker counts time alike.
-
-// benchNoteRow is one seq-vs-parallel measurement in the JSON note.
-type benchNoteRow struct {
-	Stage      string  `json:"stage"`
-	Workers    int     `json:"workers"`
-	SeqMS      float64 `json:"seq_ms"`
-	ParallelMS float64 `json:"parallel_ms"`
-	Speedup    float64 `json:"speedup"`
-}
-
-func runP1(seed uint64, _ string) error {
-	header("P1: parallel discovery + simulation",
-		"MineParallel and Run*BatchParallel are bit-identical to 1-worker runs; only wall clock changes")
-
-	eng, err := buildAuthors(seed, 2000, 0.02)
-	if err != nil {
-		return err
-	}
-	workers := parallel.Workers(workersFlag, 1<<30)
-	note := struct {
-		Experiment string         `json:"experiment"`
-		NumCPU     int            `json:"num_cpu"`
-		Seed       uint64         `json:"seed"`
-		Rows       []benchNoteRow `json:"rows"`
-	}{Experiment: "parallel_mining", NumCPU: runtime.NumCPU(), Seed: seed}
-
-	// Discovery: the full closed-group enumeration on the evaluation
-	// transactions.
-	opts := mining.Options{MinSupport: 30, MaxLen: 4}
-	t0 := time.Now()
-	seqGroups, err := lcm.New(opts).Mine(eng.Tx)
-	if err != nil {
-		return err
-	}
-	seqMine := time.Since(t0)
-	t0 = time.Now()
-	parGroups, err := lcm.New(opts).MineParallel(eng.Tx, workers)
-	if err != nil {
-		return err
-	}
-	parMine := time.Since(t0)
-	if len(parGroups) != len(seqGroups) {
-		return fmt.Errorf("p1: parallel mined %d groups, sequential %d", len(parGroups), len(seqGroups))
-	}
-	note.Rows = append(note.Rows, benchNoteRow{
-		Stage: "lcm-mine", Workers: workers,
-		SeqMS:      float64(seqMine.Microseconds()) / 1000,
-		ParallelMS: float64(parMine.Microseconds()) / 1000,
-		Speedup:    float64(seqMine) / float64(parMine),
-	})
-
-	// Simulation: an E4-style committee campaign.
-	target := simulate.CommitteeTarget(eng, "SIGMOD", 2, 60)
-	quota := 30
-	if target.Count() < quota {
-		quota = target.Count()
-	}
-	task := simulate.MTTask{Target: target, Quota: quota, MaxIterations: 20, MaxInspectPerStep: 8}
-	cfg := greedy.DefaultConfig()
-	cfg.TimeLimit = 0 // deterministic: parallel equals sequential exactly
-	runs := 24
-	t0 = time.Now()
-	seqRes := simulate.RunMTBatch(eng, cfg, task, simulate.NoisyPolicy(0.1), runs, seed)
-	seqSim := time.Since(t0)
-	t0 = time.Now()
-	parRes := simulate.RunMTBatchParallel(eng, cfg, task, simulate.NoisyPolicy(0.1), runs, seed, workers)
-	parSim := time.Since(t0)
-	if seqRes != parRes {
-		return fmt.Errorf("p1: parallel MT aggregate %+v != sequential %+v", parRes, seqRes)
-	}
-	note.Rows = append(note.Rows, benchNoteRow{
-		Stage: "mt-batch", Workers: workers,
-		SeqMS:      float64(seqSim.Microseconds()) / 1000,
-		ParallelMS: float64(parSim.Microseconds()) / 1000,
-		Speedup:    float64(seqSim) / float64(parSim),
-	})
-
-	fmt.Printf("%-10s %8s %10s %12s %9s\n", "stage", "workers", "seq ms", "parallel ms", "speedup")
-	for _, row := range note.Rows {
-		fmt.Printf("%-10s %8d %10.1f %12.1f %8.2fx\n",
-			row.Stage, row.Workers, row.SeqMS, row.ParallelMS, row.Speedup)
-	}
-	fmt.Printf("\n%d groups mined; MT aggregate identical across paths (%d runs)\n",
-		len(seqGroups), runs)
-
-	enc, err := json.MarshalIndent(note, "", "  ")
-	if err != nil {
-		return err
-	}
-	if benchNote != "" {
-		if err := os.WriteFile(benchNote, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("bench note written to %s\n", benchNote)
-	} else {
-		fmt.Printf("%s\n", enc)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// P2 — cold start vs snapshot warm start (the internal/store
-// subsystem): a full core.Build against store.LoadFile of the same
-// engine's snapshot, which is bit-identical by contract. The snapshot
-// skips encoding and mining, nearly all of a cold build, so the gap
-// tracks the cost of discovery.
-
-func runP2(seed uint64, _ string) error {
-	header("P2: engine snapshot warm start",
-		"store.Load returns a bit-identical engine faster than a full core.Build")
-
-	d, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: 2000, Seed: seed})
-	if err != nil {
-		return err
-	}
-	cfg := core.DefaultPipelineConfig()
-	cfg.Encode = datagen.DBAuthorsEncodeOptions()
-	cfg.MinSupportFrac = 0.02
-	cfg.Workers = workersFlag
-
-	t0 := time.Now()
-	cold, err := core.Build(d, cfg)
-	if err != nil {
-		return err
-	}
-	coldTime := time.Since(t0)
-
-	dir, err := os.MkdirTemp("", "vexus-bench-store")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path := dir + "/authors.snap"
-	fp := store.ComputeFingerprint(d, cfg)
-	t0 = time.Now()
-	if err := store.SaveFile(path, cold, fp); err != nil {
-		return err
-	}
-	saveTime := time.Since(t0)
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-
-	workers := parallel.Workers(workersFlag, 1<<30)
-	t0 = time.Now()
-	warm, hdr, err := store.LoadFile(path, workersFlag)
-	if err != nil {
-		return err
-	}
-	warmTime := time.Since(t0)
-	if hdr.Fingerprint != fp {
-		return fmt.Errorf("p2: snapshot fingerprint drifted")
-	}
-
-	// Bit-identical spot checks: space shape, the optimizer's
-	// candidate pool on a sample of groups, and one deterministic
-	// greedy step.
-	if warm.Space.Len() != cold.Space.Len() {
-		return fmt.Errorf("p2: warm space has %d groups, cold %d", warm.Space.Len(), cold.Space.Len())
-	}
-	gcfg := greedy.DefaultConfig()
-	gcfg.TimeLimit = 0
-	for gid := 0; gid < cold.Space.Len(); gid++ {
-		if !cold.Space.Group(gid).Members.Equal(warm.Space.Group(gid).Members) {
-			return fmt.Errorf("p2: group %d members differ after reload", gid)
-		}
-		if gid%16 != 0 {
-			continue
-		}
-		cl, wl := cold.Index.Neighbors(gid, gcfg.CandidatePool), warm.Index.Neighbors(gid, gcfg.CandidatePool)
-		if len(cl) != len(wl) {
-			return fmt.Errorf("p2: group %d inverted list %d vs %d entries", gid, len(wl), len(cl))
-		}
-		for j := range cl {
-			if cl[j] != wl[j] {
-				return fmt.Errorf("p2: group %d neighbor %d differs after reload", gid, j)
-			}
-		}
-	}
-	cs, ws := cold.NewSession(gcfg), warm.NewSession(gcfg)
-	cShown, wShown := cs.Start(), ws.Start()
-	for i := range cShown {
-		if cShown[i] != wShown[i] {
-			return fmt.Errorf("p2: initial display slot %d differs after reload", i)
-		}
-	}
-	cSel, err := cs.Explore(cShown[0])
-	if err != nil {
-		return err
-	}
-	wSel, err := ws.Explore(wShown[0])
-	if err != nil {
-		return err
-	}
-	if cSel.Objective != wSel.Objective || len(cSel.IDs) != len(wSel.IDs) {
-		return fmt.Errorf("p2: greedy selection differs after reload")
-	}
-
-	speedup := float64(coldTime) / float64(warmTime)
-	fmt.Printf("%-14s %12s\n", "stage", "wall ms")
-	fmt.Printf("%-14s %12.1f\n", "cold build", float64(coldTime.Microseconds())/1000)
-	fmt.Printf("%-14s %12.1f\n", "snapshot save", float64(saveTime.Microseconds())/1000)
-	fmt.Printf("%-14s %12.1f\n", "warm load", float64(warmTime.Microseconds())/1000)
-	fmt.Printf("\nwarm start %.1fx faster than cold build; snapshot %d KiB; %d groups bit-identical (workers=%d)\n",
-		speedup, info.Size()/1024, cold.Space.Len(), workers)
-
-	note := struct {
-		Experiment    string  `json:"experiment"`
-		NumCPU        int     `json:"num_cpu"`
-		Workers       int     `json:"workers"`
-		Seed          uint64  `json:"seed"`
-		Groups        int     `json:"groups"`
-		SnapshotBytes int64   `json:"snapshot_bytes"`
-		ColdMS        float64 `json:"cold_ms"`
-		SaveMS        float64 `json:"save_ms"`
-		WarmMS        float64 `json:"warm_ms"`
-		Speedup       float64 `json:"speedup"`
-	}{
-		Experiment:    "store_warmstart",
-		NumCPU:        runtime.NumCPU(),
-		Workers:       workers,
-		Seed:          seed,
-		Groups:        cold.Space.Len(),
-		SnapshotBytes: info.Size(),
-		ColdMS:        float64(coldTime.Microseconds()) / 1000,
-		SaveMS:        float64(saveTime.Microseconds()) / 1000,
-		WarmMS:        float64(warmTime.Microseconds()) / 1000,
-		Speedup:       speedup,
-	}
-	enc, err := json.MarshalIndent(note, "", "  ")
-	if err != nil {
-		return err
-	}
-	if benchNote != "" {
-		if err := os.WriteFile(benchNote, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("bench note written to %s\n", benchNote)
-	} else {
-		fmt.Printf("%s\n", enc)
-	}
 	return nil
 }
 

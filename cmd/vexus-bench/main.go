@@ -1,7 +1,10 @@
-// vexus-bench regenerates every quantitative claim of the paper: run
-// `vexus-bench -e all` for the full suite or `-e e1,e4` for a subset.
-// Each experiment prints a table whose shape should match the paper's
-// claim.
+// vexus-bench regenerates every quantitative claim of the paper and
+// gates the cluster's fail-closed invariants: run `vexus-bench -e all`
+// for the full suite or `-e e1,e4` for a subset. e1–e9 each print a
+// table whose shape should match the paper's claim; p7 drives the
+// load/chaos harness (internal/loadsim) and f1 lists the modules of
+// Fig. 1. Wall-clock serving speed is measured by wallbench
+// (`bash wallbench/run.sh`), not here.
 package main
 
 import (
@@ -13,14 +16,14 @@ import (
 
 func main() {
 	var (
-		exps  = flag.String("e", "all", "comma-separated experiments (e1..e9,p1..p7,f1) or 'all'")
+		exps  = flag.String("e", "all", "comma-separated experiments (e1..e9,p7,f1) or 'all'")
 		seed  = flag.Uint64("seed", 42, "master seed for synthetic data and simulations")
 		scale = flag.String("scale", "small", "e9/p7 scale: small | paper")
 	)
 	flag.IntVar(&workersFlag, "workers", 0,
 		"worker count for the parallel mining/simulation paths (0 = NumCPU, 1 = sequential)")
 	flag.StringVar(&benchNote, "bench-note", "",
-		"write the p1..p7 wall-time note to this JSON file (e.g. BENCH_parallel_mining.json, BENCH_store_warmstart.json, BENCH_cluster_routing.json, BENCH_sse_fanout.json, BENCH_ingest.json, BENCH_obs_overhead.json, BENCH_cluster_scale.json); run one experiment per invocation when using it")
+		"write the p7 note to this JSON file (e.g. BENCH_cluster_scale.json)")
 	flag.IntVar(&p7Users, "users", 0, "p7: population size (0 = scale preset)")
 	flag.IntVar(&p7Live, "live", 0, "p7: live analysts driving real sessions (0 = scale preset)")
 	flag.IntVar(&p7Shards, "lshards", 0, "p7: cluster size (0 = scale preset)")
@@ -34,11 +37,10 @@ func main() {
 
 	runners := map[string]func(uint64, string) error{
 		"e1": runE1, "e2": runE2, "e3": runE3, "e4": runE4, "e5": runE5,
-		"e6": runE6, "e7": runE7, "e8": runE8, "e9": runE9, "p1": runP1,
-		"p2": runP2, "p3": runP3, "p4": runP4, "p5": runP5, "p6": runP6,
+		"e6": runE6, "e7": runE7, "e8": runE8, "e9": runE9,
 		"p7": runP7, "f1": runF1,
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "f1"}
+	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "p7", "f1"}
 
 	var selected []string
 	if *exps == "all" {

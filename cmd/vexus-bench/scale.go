@@ -11,8 +11,11 @@ import (
 )
 
 // p7 knobs (registered in main). Zero values defer to the -scale
-// presets; -chaos "" keeps the preset's default schedule.
+// presets; -chaos "" keeps the preset's default schedule. benchNote is
+// the -bench-note JSON target of the p7 note.
 var (
+	benchNote string
+
 	p7Users  int
 	p7Live   int
 	p7Shards int

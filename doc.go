@@ -91,8 +91,9 @@
 // section embeds a per-record offset table and decodes in parallel
 // (slot-writes again); derived state (user→group inversion, tid-lists,
 // size order) is reconstructed deterministically rather than stored.
-// The cmd/vexus and cmd/vexus-server -snapshot flags wire this in, and
-// the vexus-bench p2 experiment records the cold-vs-warm speedup.
+// The cmd/vexus and cmd/vexus-server -snapshot flags wire this in.
+// wallbench times the warm start end to end (restart_s) and per layer
+// (store.load_ms); BenchmarkSnapshotLoad times the decoder alone.
 //
 // On top of it, cmd/vexus-server -datasets serves a whole catalog: a
 // directory of <name>.json dataset specs with <name>.snap snapshots
@@ -145,8 +146,9 @@
 // which enables the /internal/cluster migration surface; gateways
 // start with -cluster gateway -shards host:port,.... In-process
 // shards (cluster.LocalShard) stand up a whole cluster in one test or
-// benchmark binary; vexus-bench -e p3 measures the gateway hop and
-// the per-session migration latency.
+// benchmark binary. wallbench measures the gateway hop
+// (cluster.hop_ms); internal/cluster's BenchmarkDrain measures the
+// per-session migration latency.
 //
 // # Cluster membership
 //
@@ -244,8 +246,9 @@
 // eviction). The gateway proxies the stream flush-per-write and
 // releases its routing latch once attached, so an open stream never
 // stalls a drain. Comment heartbeats (`:hb`) keep idle connections
-// alive through proxies. vexus-bench -e p4 measures push latency and
-// fan-out cost.
+// alive through proxies. wallbench measures push latency
+// (push_p50_ms, stream.lag_ms); internal/serve's BenchmarkStreamFanout
+// measures the cost of fanning a diff out to 0–64 subscribers.
 //
 // # Live datasets
 //
@@ -291,8 +294,9 @@
 // shard in sorted order, pins the seq the first shard assigns, and
 // verifies all shards report the same resulting version — same batch,
 // same seq, deterministic pipeline ⇒ bit-identical engines on every
-// shard. vexus-bench -e p5 measures ingest throughput, version-swap
-// latency, and base+delta vs compacted warm loads.
+// shard. wallbench measures one ingest batch through the gateway
+// (ingest_p50_ms), its layers (core.ingest_ms, store.delta_append_ms)
+// and the warm load of a base+delta chain (restart_s).
 //
 // # Observability
 //
@@ -304,10 +308,10 @@
 // family and label order. Every server and gateway owns a private
 // registry (serve.Config.Telemetry / cluster.GatewayConfig.Telemetry;
 // nil means a fresh one), exposed on GET /metrics uninstrumented so
-// scrapes never inflate request counts. telemetry.Disabled turns every
-// instrument into a nil no-op and unwraps the HTTP middleware
-// entirely; vexus-bench -e p6 pins the instrumented-vs-disabled
-// overhead under 2% on the hot serving path.
+// scrapes never inflate request counts. Instruments are nil-receiver
+// safe, so call sites never check whether telemetry is on; the
+// serving paths always run instrumented, and wallbench's timings
+// include the instruments' cost.
 //
 // The serve layer exports request counts and latency histograms per
 // route and status (vexus_http_requests_total,

@@ -93,8 +93,7 @@ type Gateway struct {
 	// serve.NewSessionID by default).
 	mintSID func() string
 
-	// met is the gateway's telemetry bundle (never nil; all instruments
-	// are no-ops under telemetry.Disabled).
+	// met is the gateway's telemetry bundle (never nil).
 	met *gatewayMetrics
 }
 
@@ -103,8 +102,7 @@ type Gateway struct {
 type GatewayConfig struct {
 	// Telemetry receives the gateway's metric families. nil means a
 	// fresh private registry (metrics still collected, exposed on the
-	// gateway's /metrics); telemetry.Disabled turns every instrument
-	// into a no-op and leaves Routes() unwrapped.
+	// gateway's /metrics).
 	Telemetry *telemetry.Registry
 	// Logger receives request/migration span records (Debug level).
 	// nil means slog.Default().
@@ -445,15 +443,10 @@ func (g *Gateway) acquire(sid string) (*Shard, func()) {
 	}
 
 	// The latch-wait histogram measures exactly the stall a migration
-	// of this session imposes on its own requests; the nil check keeps
-	// the disabled path free of clock reads.
-	if h := g.met.latchWait; h != nil {
-		waitStart := time.Now()
-		rt.mu.RLock()
-		h.Observe(time.Since(waitStart).Seconds())
-	} else {
-		rt.mu.RLock()
-	}
+	// of this session imposes on its own requests.
+	waitStart := time.Now()
+	rt.mu.RLock()
+	g.met.latchWait.Observe(time.Since(waitStart).Seconds())
 	g.mu.RLock()
 	sh := g.shards[rt.shard]
 	g.mu.RUnlock()

@@ -13,9 +13,7 @@ import (
 // gatewayMetrics bundles the gateway's instruments — one per Gateway,
 // mirroring serve's per-Catalog serverMetrics, so an in-process
 // cluster (gateway + LocalShards in one binary) keeps every layer's
-// metrics separate. All instrument fields are nil no-ops under
-// telemetry.Disabled, which keeps instrumented call sites
-// unconditional.
+// metrics separate.
 type gatewayMetrics struct {
 	reg *telemetry.Registry
 	log *slog.Logger
@@ -38,7 +36,7 @@ type gatewayMetrics struct {
 }
 
 // newGatewayMetrics registers the gateway families on reg (nil = a
-// fresh private registry; telemetry.Disabled = all no-ops).
+// fresh private registry), so every gateway route is instrumented.
 func newGatewayMetrics(reg *telemetry.Registry, logger *slog.Logger) *gatewayMetrics {
 	if reg == nil {
 		reg = telemetry.NewRegistry()

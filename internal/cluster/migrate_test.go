@@ -222,6 +222,42 @@ func TestShardImportRejectsDivergence(t *testing.T) {
 	}
 }
 
+// BenchmarkDrain times replay-based migration: a drain of one shard of
+// a 2-shard cluster holding 40 sessions with 5-explore trails (the
+// deterministic optimizer, detGreedy, on both shards). Only
+// gw.Drain is timed; the cluster and its sessions are rebuilt with
+// the timer stopped each iteration. Reports ms/session moved.
+func BenchmarkDrain(b *testing.B) {
+	const population, trailLen = 40, 5
+	eng := testEngine(b)
+	moved := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		gw, ts := testCluster(b, eng, 2)
+		for j := 0; j < population; j++ {
+			st, _ := createV1(b, ts.URL)
+			for k := 0; k < trailLen; k++ {
+				st, _, _ = applyOne(b, ts.URL, st.Session, action.Action{Op: action.Explore, Group: st.Shown[0].ID})
+			}
+		}
+		victim := gw.Shards()[0]
+		want := sessionsOn(b, gw, victim)
+		b.StartTimer()
+		n, err := gw.Drain(victim)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n != want {
+			b.Fatalf("drain moved %d sessions, %s held %d", n, victim, want)
+		}
+		moved += n
+	}
+	if moved > 0 {
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(moved), "ms/session")
+	}
+}
+
 // differentEngine builds an engine whose group space differs from the
 // fixture's (higher support threshold ⇒ fewer groups).
 func differentEngine(t testing.TB) *core.Engine {

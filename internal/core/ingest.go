@@ -67,7 +67,9 @@ func (b IngestBatch) Digest() BatchDigest {
 
 // DecodeIngestBatch parses a canonical binary encoding produced by
 // AppendBinary. The round trip is exact: re-encoding the result yields
-// the input bytes, so digests survive storage.
+// the input bytes, so digests survive storage. Input AppendBinary did
+// not produce (unsorted or repeated map keys, padded varints) may
+// still be accepted; re-encoding it yields the canonical form.
 func DecodeIngestBatch(data []byte) (IngestBatch, error) {
 	d := &batchDecoder{data: data}
 	var b IngestBatch

@@ -230,6 +230,36 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeIngestBatch: the binary batch decoder (the snapshot DLTA
+// section payload) never panics, and whatever it accepts re-encodes to
+// a canonical form that decodes back to the same bytes and digest.
+func FuzzDecodeIngestBatch(f *testing.F) {
+	b := ingestTestBatch()
+	b.Seq = 7
+	raw := b.AppendBinary(nil)
+	f.Add(raw)
+	f.Add(core.IngestBatch{}.AppendBinary(nil))
+	f.Add(raw[:len(raw)-3])
+	f.Add(append(append([]byte(nil), raw...), 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := core.DecodeIngestBatch(data)
+		if err != nil {
+			return
+		}
+		enc := got.AppendBinary(nil)
+		again, err := core.DecodeIngestBatch(enc)
+		if err != nil {
+			t.Fatalf("re-encoding of an accepted batch rejected: %v", err)
+		}
+		if !bytes.Equal(again.AppendBinary(nil), enc) {
+			t.Fatal("canonical encoding does not round-trip")
+		}
+		if again.Digest() != got.Digest() {
+			t.Fatal("digest changed across the round trip")
+		}
+	})
+}
+
 // TestGroupTouchedAndDiff: after an ingest, groups the new users join
 // read as touched, groups they cannot affect read as untouched, and
 // DiffSpaces is consistent with per-group checks.

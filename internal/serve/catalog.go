@@ -89,8 +89,7 @@ type Catalog struct {
 	maxResident int // resident-engine cap (0 = unlimited)
 	defaultName string
 	// met is the telemetry bundle shared with the Server and every
-	// registry this catalog creates; always non-nil (instruments are
-	// no-ops under telemetry.Disabled).
+	// registry this catalog creates; always non-nil.
 	met *serverMetrics
 
 	mu      sync.Mutex

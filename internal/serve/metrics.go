@@ -10,10 +10,7 @@ import (
 
 // serverMetrics bundles every instrument the serving layers share —
 // one per Catalog, so in-process clusters (tests, LocalShard) keep
-// per-shard metrics separate instead of bleeding into a global. All
-// instrument fields are nil-safe no-ops when Config.Telemetry is
-// telemetry.Disabled, which is what makes instrumented call sites
-// unconditional.
+// per-shard metrics separate instead of bleeding into a global.
 type serverMetrics struct {
 	reg *telemetry.Registry
 	log *slog.Logger

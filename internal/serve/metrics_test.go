@@ -10,8 +10,8 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Observability surface: liveness/readiness, the Prometheus
-// exposition, and the disabled-registry escape hatch.
+// Observability surface: liveness/readiness and the Prometheus
+// exposition.
 
 func TestHealthzReadyz(t *testing.T) {
 	_, ts := testServer(t, DefaultConfig())
@@ -93,35 +93,6 @@ func TestMetricsExposition(t *testing.T) {
 	// the same request totals.
 	if strings.Contains(text, `route="GET /metrics"`) {
 		t.Error("/metrics instrumented itself")
-	}
-}
-
-// TestMetricsDisabled pins the zero-overhead contract surface: under
-// telemetry.Disabled the scrape is empty and the trace header is not
-// minted (Routes() registered the raw handlers).
-func TestMetricsDisabled(t *testing.T) {
-	scfg := DefaultConfig()
-	scfg.Telemetry = telemetry.Disabled
-	_, ts := testServer(t, scfg)
-
-	st, _ := createV1Session(t, ts)
-	res, err := http.Get(ts.URL + "/api/v1/sessions/" + st.Session + "/state")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if got := res.Header.Get(telemetry.TraceHeader); got != "" {
-		t.Fatalf("disabled server minted trace %q", got)
-	}
-
-	res, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(res.Body)
-	res.Body.Close()
-	if len(raw) != 0 {
-		t.Fatalf("disabled registry exposed %q", raw)
 	}
 }
 

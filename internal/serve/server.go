@@ -34,8 +34,7 @@ import (
 // migration in internal/cluster exact).
 type Server struct {
 	cat *Catalog
-	// met is the catalog's telemetry bundle (never nil; instruments are
-	// no-ops under telemetry.Disabled).
+	// met is the catalog's telemetry bundle (never nil).
 	met *serverMetrics
 	// shardAPI enables the /internal/cluster/* routes a gateway drives
 	// (Config.ShardAPI): id-assigned session creation, residency
@@ -77,10 +76,8 @@ type Config struct {
 	// StreamHeartbeat is the SSE comment-keepalive interval (0 = 15s).
 	StreamHeartbeat time.Duration
 	// Telemetry receives every metric this server records. nil means a
-	// fresh private registry (GET /metrics works out of the box);
-	// telemetry.Disabled turns instrumentation off entirely — Routes()
-	// then registers handlers unwrapped, the zero-overhead baseline the
-	// p6 benchmark measures against.
+	// fresh private registry (GET /metrics works out of the box), so
+	// every route is always instrumented.
 	Telemetry *telemetry.Registry
 	// Logger is the structured logger for span records and catalog
 	// events (nil = slog.Default()). Request/migration span logs are
@@ -145,8 +142,6 @@ func (s *Server) Routes() http.Handler {
 	// handle registers pattern with the telemetry middleware: the route
 	// label is the pattern string itself (bounded cardinality), and the
 	// wrapper propagates X-Vexus-Trace and records count + latency.
-	// Under telemetry.Disabled with no Debug logger, Wrap returns the
-	// handler unchanged — zero per-request overhead.
 	handle := func(pattern string, h http.HandlerFunc) {
 		mux.Handle(pattern, s.met.http.Wrap(pattern, h))
 	}

@@ -93,8 +93,8 @@ func (sub *subscriber) markLost(drops *telemetry.Counter) {
 type streamHub struct {
 	// subsGauge / drops are the hub's telemetry instruments, handed
 	// over by the registry at session creation. Both are nil-safe
-	// no-ops when unset (direct hub construction in tests, or
-	// telemetry.Disabled), so hub code calls them unconditionally.
+	// no-ops when unset (direct hub construction in tests), so hub
+	// code calls them unconditionally.
 	subsGauge *telemetry.Gauge
 	drops     *telemetry.Counter
 

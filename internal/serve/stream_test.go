@@ -6,13 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"vexus/internal/action"
+	"vexus/internal/greedy"
 )
 
 // ---------------------------------------------------------------------------
@@ -585,4 +589,79 @@ func TestCatalogEngineEvictionClosesStreams(t *testing.T) {
 		t.Fatalf("closed reason %q (err %v), want 'dataset evicted'", body.Reason, err)
 	}
 	stream.ended(t)
+}
+
+// BenchmarkStreamFanout times one explore batch with 0, 1, 16 and 64
+// SSE subscribers attached to the session. With subscribers, an op
+// ends when subscriber 0 receives that batch's diff, so the figure is
+// write plus fan-out plus delivery. Every subscriber is drained by its
+// own reader, so the run measures fan-out, not the overflow path; a
+// resync after the attach fails the benchmark.
+func BenchmarkStreamFanout(b *testing.B) {
+	for _, subs := range []int{0, 1, 16, 64} {
+		b.Run(fmt.Sprintf("subscribers=%d", subs), func(b *testing.B) {
+			gcfg := greedy.DefaultConfig()
+			gcfg.TimeLimit = 0 // the same optimizer work every op
+			s := New(testEngine(b), gcfg, DefaultConfig())
+			ts := httptest.NewServer(s.Routes())
+			b.Cleanup(func() { ts.Close(); s.Close() })
+			st := createSession(b, ts)
+
+			var attached, done sync.WaitGroup
+			var resyncs atomic.Int64
+			diffIDs := make(chan string, 1) // one batch, one diff in flight
+			streams := make([]*sseStream, subs)
+			for i := range streams {
+				streams[i] = openStream(b, ts.URL+"/api/v1/sessions/"+st.Session+"/events", "")
+				attached.Add(1)
+				done.Add(1)
+				go func(i int, events <-chan sseEvent) {
+					defer done.Done()
+					first := true
+					for ev := range events {
+						switch {
+						case first:
+							// A fresh attach opens with one resync.
+							first = false
+							attached.Done()
+						case ev.name == "resync":
+							resyncs.Add(1)
+						case i == 0 && ev.name == "diff":
+							diffIDs <- ev.id
+						}
+					}
+					if first {
+						attached.Done()
+					}
+				}(i, streams[i].events)
+			}
+			attached.Wait()
+
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, _ = act(b, ts, st.Session, action.Action{Op: action.Explore, Group: st.Shown[0].ID})
+				if subs == 0 {
+					continue
+				}
+				// Create is mutation 1, so batch i is diff id i+2.
+				want := strconv.Itoa(i + 2)
+				for got := ""; got != want; {
+					select {
+					case got = <-diffIDs:
+					case <-time.After(10 * time.Second):
+						b.Fatalf("subscriber 0 never received diff %s", want)
+					}
+				}
+			}
+			b.StopTimer()
+
+			for _, stream := range streams {
+				stream.close()
+			}
+			done.Wait()
+			if n := resyncs.Load(); n != 0 {
+				b.Fatalf("%d resyncs after attach: subscribers overflowed", n)
+			}
+		})
+	}
 }

@@ -20,7 +20,7 @@ import (
 
 // WritePrometheus encodes every registered family to w.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r.off() {
+	if r == nil {
 		return nil
 	}
 	r.mu.RLock()
@@ -226,7 +226,7 @@ func (r *Registry) Handler() http.Handler {
 // rollup, where shard values are summed by identical series name.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
-	if r.off() {
+	if r == nil {
 		return out
 	}
 	r.mu.RLock()

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -19,21 +18,17 @@ type HTTPMetrics struct {
 	requests *CounterVec
 	seconds  *HistogramVec
 	log      *slog.Logger
-	off      bool
 }
 
 // NewHTTPMetrics registers vexus_<ns>_requests_total{route,status} and
-// vexus_<ns>_request_seconds{route} on reg. A disabled reg with a nil
-// logger yields a pass-through whose Wrap returns handlers unchanged —
-// the true zero-overhead baseline the p6 benchmark compares against.
+// vexus_<ns>_request_seconds{route} on reg (serve and cluster always
+// pass a live one).
 func NewHTTPMetrics(reg *Registry, ns string, logger *slog.Logger) *HTTPMetrics {
-	m := &HTTPMetrics{
+	return &HTTPMetrics{
 		requests: reg.CounterVec("vexus_"+ns+"_requests_total", "HTTP requests by route and status.", "route", "status"),
 		seconds:  reg.HistogramVec("vexus_"+ns+"_request_seconds", "HTTP request latency in seconds by route.", DefBuckets, "route"),
 		log:      logger,
 	}
-	m.off = reg.off() && (logger == nil || !logger.Enabled(context.Background(), slog.LevelDebug))
-	return m
 }
 
 // Wrap instruments h under the given route label. The returned handler
@@ -42,9 +37,6 @@ func NewHTTPMetrics(reg *Registry, ns string, logger *slog.Logger) *HTTPMetrics 
 // handler forwards it for free) and in the context (so in-process
 // spans can key on it), then records count + latency and a span log.
 func (m *HTTPMetrics) Wrap(route string, h http.Handler) http.Handler {
-	if m == nil || m.off {
-		return h
-	}
 	requests, seconds := m.requests, m.seconds
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		trace := r.Header.Get(TraceHeader)

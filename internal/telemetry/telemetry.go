@@ -6,14 +6,12 @@
 // per-route/status request metrics and propagates trace ids (http.go),
 // and the X-Vexus-Trace request-tracing helpers (trace.go).
 //
-// Instruments are nil-receiver safe by design: a disabled registry
-// (Disabled, or a nil *Registry) yields nil instruments whose methods
-// are no-ops, so instrumented code never branches on an "is telemetry
-// on" flag — it just calls Inc/Observe and the nil receiver makes the
-// call free. That is what keeps the measured overhead of full
-// instrumentation on the action hot path under the 2% budget
-// (BENCH_obs_overhead.json) while letting cmd/vexus-bench compare
-// against telemetry.Disabled exactly.
+// Instruments are nil-receiver safe by design: a nil *Registry yields
+// nil instruments whose methods are no-ops, so instrumented code never
+// branches on an "is telemetry on" flag — it just calls Inc/Observe.
+// Every serving surface runs with a live registry, so the end-to-end
+// latencies wallbench measures include the instruments' cost; nothing
+// measures that cost on its own.
 //
 // The hot-path contract: Counter.Inc / Gauge.Add / Histogram.Observe
 // are single atomic operations (Observe is three: bucket, count, sum);
@@ -30,7 +28,7 @@ import (
 )
 
 // Counter is a monotonically increasing count. The nil Counter (from a
-// disabled registry) is a valid no-op.
+// nil registry) is a valid no-op.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -249,27 +247,17 @@ func (f *family) child(values []string, make func() any) any {
 	return c
 }
 
-// Registry owns a set of metric families. The zero/nil Registry and
-// Disabled are valid no-op sinks: every instrument they yield is nil.
+// Registry owns a set of metric families. The nil Registry is a valid
+// no-op sink: every instrument it yields is nil.
 type Registry struct {
-	disabled bool
-
 	mu       sync.RWMutex
 	families map[string]*family
 }
-
-// Disabled is the no-op registry: every instrument it yields is nil
-// (whose methods do nothing), and its exposition is empty. It is how
-// deployments — and the p6 overhead benchmark — turn instrumentation
-// off without touching call sites.
-var Disabled = &Registry{disabled: true}
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
-
-func (r *Registry) off() bool { return r == nil || r.disabled }
 
 // family registers (or returns the already registered) family under
 // name. Registration is idempotent so layers sharing a registry can
@@ -297,7 +285,7 @@ func (r *Registry) family(name, help string, kind metricKind, labels []string, b
 
 // Counter registers (idempotently) and returns an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	if r.off() {
+	if r == nil {
 		return nil
 	}
 	f := r.family(name, help, kindCounter, nil, nil)
@@ -306,7 +294,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 
 // Gauge registers and returns an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	if r.off() {
+	if r == nil {
 		return nil
 	}
 	f := r.family(name, help, kindGauge, nil, nil)
@@ -318,7 +306,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // sessions) and would be a liability to mirror on every change. The
 // first registration of a name wins.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	if r.off() {
+	if r == nil {
 		return
 	}
 	f := r.family(name, help, kindGaugeFunc, nil, nil)
@@ -336,7 +324,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // membership directory's members-by-state counts are the motivating
 // case. The first registration of a name wins.
 func (r *Registry) GaugeVecFunc(name, help, label string, fn func() map[string]float64) {
-	if r.off() {
+	if r == nil {
 		return
 	}
 	f := r.family(name, help, kindGaugeVecFunc, []string{label}, nil)
@@ -350,7 +338,7 @@ func (r *Registry) GaugeVecFunc(name, help, label string, fn func() map[string]f
 // Histogram registers and returns an unlabeled histogram over bounds
 // (nil = DefBuckets).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r.off() {
+	if r == nil {
 		return nil
 	}
 	f := r.family(name, help, kindHistogram, nil, bounds)
@@ -362,7 +350,7 @@ type CounterVec struct{ f *family }
 
 // CounterVec registers a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	if r.off() {
+	if r == nil {
 		return nil
 	}
 	return &CounterVec{f: r.family(name, help, kindCounter, labels, nil)}
@@ -382,7 +370,7 @@ type GaugeVec struct{ f *family }
 
 // GaugeVec registers a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r.off() {
+	if r == nil {
 		return nil
 	}
 	return &GaugeVec{f: r.family(name, help, kindGauge, labels, nil)}
@@ -402,7 +390,7 @@ type HistogramVec struct{ f *family }
 // HistogramVec registers a labeled histogram family over bounds (nil =
 // DefBuckets).
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	if r.off() {
+	if r == nil {
 		return nil
 	}
 	return &HistogramVec{f: r.family(name, help, kindHistogram, labels, bounds)}

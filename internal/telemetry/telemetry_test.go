@@ -272,44 +272,43 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-// Disabled and nil registries hand out nil instruments whose methods
-// are no-ops — instrumented code must never need a nil check.
+// A nil registry hands out nil instruments whose methods are no-ops —
+// instrumented code must never need a nil check.
 func TestDisabledRegistry(t *testing.T) {
-	for _, r := range []*Registry{Disabled, nil} {
-		c := r.Counter("x_total", "")
-		if c != nil {
-			t.Fatal("disabled registry returned a live counter")
-		}
-		c.Inc()
-		c.Add(5)
-		if c.Value() != 0 {
-			t.Fatal("nil counter accumulated")
-		}
-		g := r.Gauge("g", "")
-		g.Set(3)
-		g.Inc()
-		if g.Value() != 0 {
-			t.Fatal("nil gauge accumulated")
-		}
-		h := r.Histogram("h_seconds", "", nil)
-		h.Observe(1)
-		if h.Count() != 0 || h.Quantile(0.5) != 0 {
-			t.Fatal("nil histogram accumulated")
-		}
-		vec := r.CounterVec("v_total", "", "l")
-		vec.With("a").Inc()
-		hv := r.HistogramVec("hv_seconds", "", nil, "l")
-		hv.With("a").Observe(1)
-		gv := r.GaugeVec("gv", "", "l")
-		gv.With("a").Set(2)
-		r.GaugeFunc("fn", "", func() float64 { return 1 })
-		var b strings.Builder
-		if err := r.WritePrometheus(&b); err != nil || b.Len() != 0 {
-			t.Fatalf("disabled exposition: err=%v len=%d", err, b.Len())
-		}
-		if len(r.Snapshot()) != 0 {
-			t.Fatal("disabled snapshot not empty")
-		}
+	var r *Registry
+	c := r.Counter("x_total", "")
+	if c != nil {
+		t.Fatal("nil registry returned a live counter")
+	}
+	c.Inc()
+	c.Add(5)
+	if c.Value() != 0 {
+		t.Fatal("nil counter accumulated")
+	}
+	g := r.Gauge("g", "")
+	g.Set(3)
+	g.Inc()
+	if g.Value() != 0 {
+		t.Fatal("nil gauge accumulated")
+	}
+	h := r.Histogram("h_seconds", "", nil)
+	h.Observe(1)
+	if h.Count() != 0 || h.Quantile(0.5) != 0 {
+		t.Fatal("nil histogram accumulated")
+	}
+	vec := r.CounterVec("v_total", "", "l")
+	vec.With("a").Inc()
+	hv := r.HistogramVec("hv_seconds", "", nil, "l")
+	hv.With("a").Observe(1)
+	gv := r.GaugeVec("gv", "", "l")
+	gv.With("a").Set(2)
+	r.GaugeFunc("fn", "", func() float64 { return 1 })
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil || b.Len() != 0 {
+		t.Fatalf("nil exposition: err=%v len=%d", err, b.Len())
+	}
+	if len(r.Snapshot()) != 0 {
+		t.Fatal("nil snapshot not empty")
 	}
 }
 
