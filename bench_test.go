@@ -13,6 +13,7 @@ import (
 
 	"vexus/internal/core"
 	"vexus/internal/datagen"
+	"vexus/internal/dataset"
 	"vexus/internal/feedback"
 	"vexus/internal/greedy"
 	"vexus/internal/groups"
@@ -38,15 +39,8 @@ var (
 func fixtures(b *testing.B) *core.Engine {
 	b.Helper()
 	fixOnce.Do(func() {
-		var d, err = datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: 1500, Seed: 42})
-		if err != nil {
-			fixErr = err
-			return
-		}
-		cfg := core.DefaultPipelineConfig()
-		cfg.Encode = datagen.DBAuthorsEncodeOptions()
-		cfg.MinSupportFrac = 0.02
-		fixEng, fixErr = core.Build(d, cfg)
+		var d *dataset.Dataset
+		d, fixEng, fixErr = buildDBAuthors(1500)
 		if fixErr != nil {
 			return
 		}
@@ -56,6 +50,37 @@ func fixtures(b *testing.B) *core.Engine {
 		b.Fatal(fixErr)
 	}
 	return fixEng
+}
+
+// buildDBAuthors builds the engine of an n-author DB-AUTHORS corpus at
+// minsup 0.02, seed 42.
+func buildDBAuthors(n int) (*dataset.Dataset, *core.Engine, error) {
+	d, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: n, Seed: 42})
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := core.DefaultPipelineConfig()
+	cfg.Encode = datagen.DBAuthorsEncodeOptions()
+	cfg.MinSupportFrac = 0.02
+	eng, err := core.Build(d, cfg)
+	return d, eng, err
+}
+
+var (
+	browseOnce sync.Once
+	browseEng  *core.Engine
+	browseErr  error
+)
+
+// browseFixture is the corpus of the wall-clock benchmark's browse
+// workload: DB-AUTHORS, 3,000 authors, minsup 0.02.
+func browseFixture(b *testing.B) *core.Engine {
+	b.Helper()
+	browseOnce.Do(func() { _, browseEng, browseErr = buildDBAuthors(3000) })
+	if browseErr != nil {
+		b.Fatal(browseErr)
+	}
+	return browseEng
 }
 
 // ---------------------------------------------------------------------------
@@ -106,11 +131,24 @@ func BenchmarkNeighbors(b *testing.B) {
 // replayed through sessions first (TimeLimit 0, 1 worker), recording
 // each click's focal group and the feedback profile the session had
 // accumulated by then; the timed loop runs SelectNext on those steps.
+// authors=3000 is the browse workload's corpus, where the step is most
+// of an explore's wall clock.
 
 var sinkSelection greedy.Selection
 
 func BenchmarkSelectNext(b *testing.B) {
-	eng := fixtures(b)
+	for _, c := range []struct {
+		name   string
+		engine func(*testing.B) *core.Engine
+	}{
+		{"authors=1500", fixtures},
+		{"authors=3000", browseFixture},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchSelectNext(b, c.engine(b)) })
+	}
+}
+
+func benchSelectNext(b *testing.B, eng *core.Engine) {
 	cfg := greedy.DefaultConfig()
 	cfg.TimeLimit = 0
 	cfg.Workers = 1

@@ -17,7 +17,12 @@
 // a materialized prefix would be built and stored but almost never
 // read. The engine's index (index.New) therefore stores no lists and
 // computes each exact list when an explore asks for it; no build,
-// snapshot or ingest pays for prefixes. The paper's partial
+// snapshot or ingest pays for prefixes. The optimizer asks through
+// index.Similar, which returns the list's entries above the similarity
+// bound, unsorted and cut to the pool size, each with the overlap
+// count its similarity came from: the optimizer sorts its pool once,
+// by the personalized similarity, and seeds its coverage counts from
+// those overlaps instead of recounting them. The paper's partial
 // materialization stays as a study: vexus-bench E2 builds it with
 // index.BuildParallel and measures memory, lookup cost and the
 // optimizer objective against the fraction.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -66,10 +67,10 @@ func (b IngestBatch) Digest() BatchDigest {
 }
 
 // DecodeIngestBatch parses a canonical binary encoding produced by
-// AppendBinary. The round trip is exact: re-encoding the result yields
-// the input bytes, so digests survive storage. Input AppendBinary did
-// not produce (unsorted or repeated map keys, padded varints) may
-// still be accepted; re-encoding it yields the canonical form.
+// AppendBinary. It fails closed: input AppendBinary would not write
+// (unsorted or repeated map keys, padded varints) is rejected, so an
+// accepted batch re-encodes to exactly the input bytes and its Digest
+// is the hash of what was stored.
 func DecodeIngestBatch(data []byte) (IngestBatch, error) {
 	d := &batchDecoder{data: data}
 	var b IngestBatch
@@ -114,6 +115,9 @@ func DecodeIngestBatch(data []byte) (IngestBatch, error) {
 	}
 	if d.pos != len(data) {
 		return IngestBatch{}, fmt.Errorf("core: ingest batch: %d trailing bytes", len(data)-d.pos)
+	}
+	if !bytes.Equal(b.AppendBinary(make([]byte, 0, len(data))), data) {
+		return IngestBatch{}, fmt.Errorf("core: ingest batch: not in canonical form")
 	}
 	return b, nil
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
 	"vexus/internal/core"
@@ -230,9 +231,44 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// nonCanonicalBatches returns encodings of a one-user batch that
+// AppendBinary never writes, keyed by what is wrong with them.
+func nonCanonicalBatches() map[string][]byte {
+	b := core.IngestBatch{Users: []dataset.NewUser{
+		{ID: "u", Demo: map[string]string{"country": "fr", "gender": "female"}},
+	}}
+	raw := b.AppendBinary(nil)
+	country, gender := []byte("\x07country\x02fr"), []byte("\x06gender\x06female")
+	pairs := append(append([]byte(nil), country...), gender...)
+	at := bytes.Index(raw, pairs)
+	splice := func(with []byte) []byte {
+		out := append([]byte(nil), raw[:at]...)
+		out = append(out, with...)
+		return append(out, raw[at+len(pairs):]...)
+	}
+	magic := len("vexus-ingest-v1")
+	padded := append(append(append([]byte(nil), raw[:magic]...), 0x80, 0x00), raw[magic+1:]...)
+	return map[string][]byte{
+		"swapped demographic pairs": splice(append(append([]byte(nil), gender...), country...)),
+		"repeated demographic key":  splice(append(append([]byte(nil), country...), country...)),
+		"padded seq varint":         padded,
+	}
+}
+
+// TestDecodeIngestBatchRejectsNonCanonical: the decoder fails closed on
+// encodings AppendBinary never writes, which would otherwise decode to
+// a batch whose Digest is not the hash of the stored bytes.
+func TestDecodeIngestBatchRejectsNonCanonical(t *testing.T) {
+	for name, data := range nonCanonicalBatches() {
+		if _, err := core.DecodeIngestBatch(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // FuzzDecodeIngestBatch: the binary batch decoder (the snapshot DLTA
-// section payload) never panics, and whatever it accepts re-encodes to
-// a canonical form that decodes back to the same bytes and digest.
+// section payload) never panics, and whatever it accepts is canonical:
+// it re-encodes to the input bytes, so its digest hashes them.
 func FuzzDecodeIngestBatch(f *testing.F) {
 	b := ingestTestBatch()
 	b.Seq = 7
@@ -241,21 +277,19 @@ func FuzzDecodeIngestBatch(f *testing.F) {
 	f.Add(core.IngestBatch{}.AppendBinary(nil))
 	f.Add(raw[:len(raw)-3])
 	f.Add(append(append([]byte(nil), raw...), 0))
+	for _, data := range nonCanonicalBatches() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := core.DecodeIngestBatch(data)
 		if err != nil {
 			return
 		}
-		enc := got.AppendBinary(nil)
-		again, err := core.DecodeIngestBatch(enc)
-		if err != nil {
-			t.Fatalf("re-encoding of an accepted batch rejected: %v", err)
+		if !bytes.Equal(got.AppendBinary(nil), data) {
+			t.Fatal("accepted input differs from its re-encoding")
 		}
-		if !bytes.Equal(again.AppendBinary(nil), enc) {
-			t.Fatal("canonical encoding does not round-trip")
-		}
-		if again.Digest() != got.Digest() {
-			t.Fatal("digest changed across the round trip")
+		if got.Digest() != sha256.Sum256(data) {
+			t.Fatal("digest of an accepted batch is not the hash of its bytes")
 		}
 	})
 }

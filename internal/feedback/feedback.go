@@ -15,7 +15,9 @@
 package feedback
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vexus/internal/groups"
@@ -184,10 +186,12 @@ type UserMass struct {
 }
 
 // TopUsers returns the m highest-mass users, descending (ties by
-// ascending user id). The greedy optimizer scores candidate alignment
-// against this truncated view: the vector is heavy-tailed, so the top
-// slice carries almost all the user mass while keeping per-candidate
-// scoring O(m) instead of O(|profile|).
+// ascending user id); m ≤ 0 returns them all. The greedy optimizer
+// scores candidate alignment against this truncated view: the vector
+// is heavy-tailed, so the top slice carries almost all the user mass
+// while keeping per-candidate scoring O(m) instead of O(|profile|).
+// Only the m returned users are sorted: a quickselect first moves them
+// to the front of the profile's users.
 func (v *Vector) TopUsers(m int) []UserMass {
 	if v.total == 0 || len(v.users) == 0 {
 		return nil
@@ -196,16 +200,53 @@ func (v *Vector) TopUsers(m int) []UserMass {
 	for u, raw := range v.users {
 		out = append(out, UserMass{User: u, Mass: raw / v.total})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Mass != out[j].Mass {
-			return out[i].Mass > out[j].Mass
-		}
-		return out[i].User < out[j].User
-	})
 	if m > 0 && m < len(out) {
+		selectTopUsers(out, m)
 		out = out[:m]
 	}
+	slices.SortFunc(out, compareUserMass)
 	return out
+}
+
+// compareUserMass orders users by descending mass, ties by ascending
+// id: a strict total order, since ids are unique.
+func compareUserMass(a, b UserMass) int {
+	switch {
+	case a.Mass > b.Mass:
+		return -1
+	case a.Mass < b.Mass:
+		return 1
+	}
+	return cmp.Compare(a.User, b.User)
+}
+
+// selectTopUsers moves the m first users of us by compareUserMass to
+// us[:m], in arbitrary order (iterative quickselect with the middle
+// entry as pivot), for 0 < m < len(us).
+func selectTopUsers(us []UserMass, m int) {
+	lo, hi := 0, len(us)
+	for hi-lo > 1 {
+		// Lomuto partition of us[lo:hi] around the middle entry,
+		// parked at hi-1 while the rest is scanned.
+		mid := lo + (hi-lo)/2
+		us[mid], us[hi-1] = us[hi-1], us[mid]
+		pivot, p := us[hi-1], lo
+		for i := lo; i < hi-1; i++ {
+			if compareUserMass(us[i], pivot) < 0 {
+				us[i], us[p] = us[p], us[i]
+				p++
+			}
+		}
+		us[p], us[hi-1] = us[hi-1], us[p]
+		switch {
+		case p == m:
+			return
+		case p < m:
+			lo = p + 1
+		default:
+			hi = p
+		}
+	}
 }
 
 // Entry is one displayed row of the CONTEXT module.

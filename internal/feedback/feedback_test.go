@@ -2,6 +2,8 @@ package feedback
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +204,41 @@ func TestTopOrderingAndTies(t *testing.T) {
 	}
 	if got := v.Top(1); len(got) != 1 {
 		t.Fatalf("Top(1) = %d entries", len(got))
+	}
+}
+
+// TestTopUsersMatchesFullSort: selecting the top m users before
+// sorting returns exactly the first m of a full sort, on random
+// profiles whose reinforced groups overlap, so many users tie in mass.
+func TestTopUsersMatchesFullSort(t *testing.T) {
+	r := rng.New(19)
+	for trial := 0; trial < 40; trial++ {
+		n := 20 + r.Intn(400)
+		v := New()
+		for g, groupsN := 0, 1+r.Intn(8); g < groupsN; g++ {
+			v.Reinforce(grp(n, groups.NewDescription(groups.TermID(g)),
+				r.SampleWithoutReplacement(n, 1+r.Intn(n))...), float64(1+r.Intn(2)))
+		}
+		all := v.TopUsers(0)
+		want := append([]UserMass(nil), all...)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Mass != want[j].Mass {
+				return want[i].Mass > want[j].Mass
+			}
+			return want[i].User < want[j].User
+		})
+		if !slices.Equal(all, want) {
+			t.Fatalf("trial %d: TopUsers(0) is not the full sort", trial)
+		}
+		for _, m := range []int{1, 2, 7, 128, len(want) - 1, len(want), len(want) + 3} {
+			k := len(want) // m ≤ 0 asks for every user
+			if m > 0 && m < k {
+				k = m
+			}
+			if got := v.TopUsers(m); !slices.Equal(got, want[:k]) {
+				t.Fatalf("trial %d: TopUsers(%d) of %d users differs from the full sort's prefix", trial, m, len(want))
+			}
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ func (o *Optimizer) ExhaustiveSelect(focalID int, cfg Config, maxEvals int) (Sel
 			cov, div, fbk := st.objectives()
 			ids := make([]int, k)
 			for i, ci := range idx {
-				ids[i] = cands[ci].id
+				ids[i] = int(cands[ci].id)
 			}
 			best = Selection{
 				IDs: ids, Coverage: cov, Diversity: div, Feedback: fbk,

@@ -20,10 +20,13 @@
 // live candidate against the newest pick plus a pass over the sparse
 // coverage delta that pick made. One full local-search sweep costs
 // O(k · |pool|) Jaccards. That is what lets the candidate pool be
-// "every overlapping group" at interactive latencies.
+// "every overlapping group" at interactive latencies. The pool itself
+// is one index lookup (index.Similar), which hands over each
+// candidate's overlap with the focal group, and one sort.
 package greedy
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -120,12 +123,11 @@ func New(space *groups.Space, ix *index.Index) *Optimizer {
 
 // candidate is one pool entry.
 type candidate struct {
-	id        int
-	sim       float64 // Jaccard to focal
-	weighted  float64 // sim · (1 + alignment) — the §II-B weighted similarity
-	alignment float64 // feedback alignment
 	members   *bitset.Set
-	size      int // |members|
+	alignment float64 // feedback alignment
+	id        int32
+	size      int32 // |members|
+	inter     int32 // |members ∩ focal|
 }
 
 // SelectNext returns up to cfg.K groups to display after the explorer
@@ -167,7 +169,7 @@ func (o *Optimizer) SelectNext(focal *groups.Group, fb *feedback.Vector, cfg Con
 
 	sel.IDs = make([]int, len(st.chosen))
 	for i, ci := range st.chosen {
-		sel.IDs[i] = cands[ci].id
+		sel.IDs[i] = int(cands[ci].id)
 	}
 	sel.Coverage, sel.Diversity, sel.Feedback = st.objectives()
 	sel.Objective = st.score()
@@ -180,10 +182,10 @@ func (o *Optimizer) SelectNext(focal *groups.Group, fb *feedback.Vector, cfg Con
 // each the one of largest marginal gain (ties to the earlier pool
 // entry), scored through a gainCache. If the deadline lands
 // mid-construction, the remaining slots fill with the best remaining
-// candidates by weighted similarity (the pool is already in that
-// order) so the explorer always receives k groups — "best effort" in
-// the paper's words. It returns how many slots that fallback filled
-// and whether the deadline hit.
+// candidates by weighted similarity (the pool's order) so the explorer
+// always receives k groups — "best effort" in the paper's words. It
+// returns how many slots that fallback filled and whether the deadline
+// hit.
 func (o *Optimizer) construct(st *selState, k int, deadline time.Time, unbounded bool) (filled int, deadlineHit bool) {
 	gc := newGainCache(st, k)
 	for len(st.chosen) < k {
@@ -228,7 +230,7 @@ type gainCache struct {
 	st      *selState
 	cols    int // k − 1: the k-th pick's column would never be read
 	jac     []float64
-	newCov  []int
+	newCov  []int32
 	deltaAt []int    // indices of the newest pick's non-zero delta words
 	delta   []uint64 // those words
 }
@@ -239,12 +241,12 @@ func newGainCache(st *selState, k int) *gainCache {
 		st:      st,
 		cols:    k - 1,
 		jac:     make([]float64, len(st.cands)*(k-1)),
-		newCov:  make([]int, len(st.cands)),
+		newCov:  make([]int32, len(st.cands)),
 		deltaAt: make([]int, 0, words),
 		delta:   make([]uint64, 0, words),
 	}
 	for ci := range st.cands {
-		gc.newCov[ci] = st.cands[ci].members.IntersectCount(st.focal.Members)
+		gc.newCov[ci] = st.cands[ci].inter
 	}
 	return gc
 }
@@ -258,7 +260,7 @@ func (gc *gainCache) gain(ci int, before float64, covered int) float64 {
 	for _, s := range row[:len(st.chosen)] {
 		sum += s
 	}
-	return st.gainFrom(before, covered+gc.newCov[ci], sum, st.cands[ci].alignment)
+	return st.gainFrom(before, covered+int(gc.newCov[ci]), sum, st.cands[ci].alignment)
 }
 
 // add commits candidate ci to the chosen set and, unless that was the
@@ -284,11 +286,11 @@ func (gc *gainCache) add(ci int) {
 			continue
 		}
 		c := &st.cands[cj]
-		gc.jac[cj*gc.cols+col] = jaccard(c.members.IntersectCount(p.members), c.size, p.size)
+		gc.jac[cj*gc.cols+col] = jaccard(c.members.IntersectCount(p.members), int(c.size), int(p.size))
 		if gc.newCov[cj] > 0 {
 			words := c.members.Words()
 			for j, i := range gc.deltaAt {
-				gc.newCov[cj] -= bits.OnesCount64(words[i] & gc.delta[j])
+				gc.newCov[cj] -= int32(bits.OnesCount64(words[i] & gc.delta[j]))
 			}
 		}
 	}
@@ -336,52 +338,47 @@ func (o *Optimizer) localSearch(st *selState, deadline time.Time) (rounds int, d
 // neighbours finishes faster than the fan-out would even start.
 const parallelPoolMin = 512
 
-// pool gathers and filters candidates from the index in descending
-// raw-similarity order (the index order); weighted similarity breaks
-// into the objective through the feedback term. Scoring each candidate
-// reads only the immutable space and profile snapshot and writes only
-// its own slot, so large pools shard across cfg.Workers goroutines
-// with sequential-identical results.
+// pool returns the candidates of one step: the groups the index finds
+// at similarity ≥ cfg.MinSimilarity to focal, at most cfg.CandidatePool
+// of them, sorted once by descending weighted similarity
+// sim · (1 + alignment) (§II-B), ties by ascending id. That order is
+// the deadline fallback's, so it fills with the *personalized* best;
+// with no profile every alignment is 0, weighted equals sim, and the
+// order is Neighbors'. Each candidate's size comes from the index, and
+// its overlap with focal from the lookup's count.
 func (o *Optimizer) pool(focal *groups.Group, fb *feedback.Vector, cfg Config) []candidate {
-	nbs := o.ix.Neighbors(focal.ID, cfg.CandidatePool)
-	// The index list is sorted by descending similarity: the kept
-	// prefix ends at the first entry below the similarity bound.
-	keep := len(nbs)
-	for i, nb := range nbs {
-		if nb.Sim < cfg.MinSimilarity {
-			keep = i
-			break
-		}
-	}
-	nbs = nbs[:keep]
+	nbs := o.ix.Similar(focal.ID, cfg.MinSimilarity, cfg.CandidatePool)
 	// The term part of each candidate's alignment reads only the
-	// immutable space and profile, so large pools score in parallel.
-	score := func(nb index.Neighbor) candidate {
-		g := o.space.Group(nb.ID)
+	// immutable space and profile and writes only its own slot, so
+	// large pools score across cfg.Workers goroutines with
+	// sequential-identical results.
+	cands := make([]candidate, len(nbs))
+	score := func(i int) {
+		nb := nbs[i]
+		g := o.space.Group(int(nb.ID))
 		align := 0.0
 		if fb != nil {
 			for _, id := range g.Desc {
 				align += fb.TermScore(id)
 			}
 		}
-		return candidate{
-			id:        nb.ID,
-			sim:       nb.Sim,
-			alignment: align,
+		cands[i] = candidate{
 			members:   g.Members,
-			size:      g.Size(),
+			alignment: align,
+			id:        nb.ID,
+			size:      int32(o.ix.Size(int(nb.ID))),
+			inter:     nb.Inter,
 		}
 	}
-	cands := make([]candidate, len(nbs))
 	if workers := parallel.Workers(cfg.Workers, len(nbs)); workers > 1 && len(nbs) >= parallelPoolMin {
 		parallel.Range(len(nbs), workers, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				cands[i] = score(nbs[i])
+				score(i)
 			}
 		})
 	} else {
-		for i, nb := range nbs {
-			cands[i] = score(nb)
+		for i := range nbs {
+			score(i)
 		}
 	}
 	// The user part adds the mass of the profile's top users: one walk
@@ -404,38 +401,56 @@ func (o *Optimizer) pool(focal *groups.Group, fb *feedback.Vector, cfg Config) [
 			}
 		}
 	}
-	for i := range cands {
-		cands[i].weighted = cands[i].sim * (1 + cands[i].alignment)
+	keys := make([]rankKey, len(cands))
+	for i, nb := range nbs {
+		keys[i] = rankKey{weighted: nb.Sim * (1 + cands[i].alignment), id: nb.ID, at: int32(i)}
 	}
-	// Re-rank by weighted similarity so the deadline fallback fills
-	// with the *personalized* best, not just the raw-similar.
-	if fb != nil && !fb.IsEmpty() {
-		sortCandidatesByWeighted(cands)
-	}
+	slices.SortFunc(keys, compareRank)
+	permute(cands, keys)
 	return cands
 }
 
-// sortCandidatesByWeighted orders the pool by candLess. Alignment
-// moves candidates far from raw-similarity order, so this is a full
-// sort; ids are unique, which makes candLess a strict total order and
-// the unstable sort's output the only sorted one.
-func sortCandidatesByWeighted(cands []candidate) {
-	slices.SortFunc(cands, func(a, b candidate) int {
-		switch {
-		case candLess(a, b):
-			return -1
-		case candLess(b, a):
-			return 1
-		}
-		return 0
-	})
+// rankKey is a candidate's sort key and its slot before the sort. The
+// pool sorts these 16-byte keys, then moves each candidate once.
+type rankKey struct {
+	weighted float64
+	id       int32
+	at       int32
 }
 
-func candLess(a, b candidate) bool {
-	if a.weighted != b.weighted {
-		return a.weighted > b.weighted
+// compareRank orders keys by descending weighted similarity, ties by
+// ascending id. Ids are unique, so this is a strict total order and
+// the unstable sort's output is the only sorted one.
+func compareRank(a, b rankKey) int {
+	switch {
+	case a.weighted > b.weighted:
+		return -1
+	case a.weighted < b.weighted:
+		return 1
 	}
-	return a.id < b.id
+	return cmp.Compare(a.id, b.id)
+}
+
+// permute reorders cands in place so slot j holds the candidate that
+// sat at keys[j].at. It follows each cycle of the permutation once,
+// marking every slot it fills by pointing that slot's key at itself.
+func permute(cands []candidate, keys []rankKey) {
+	for s := range keys {
+		if int(keys[s].at) == s {
+			continue
+		}
+		first := cands[s]
+		for j := s; ; {
+			from := int(keys[j].at)
+			keys[j].at = int32(j)
+			if from == s {
+				cands[j] = first
+				break
+			}
+			cands[j] = cands[from]
+			j = from
+		}
+	}
 }
 
 // selState tracks the chosen set. All incremental state is O(k):

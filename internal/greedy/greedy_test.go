@@ -229,8 +229,8 @@ func TestFeedbackBiasesSelection(t *testing.T) {
 		chosen[id] = true
 	}
 	for _, nb := range nbs {
-		if !chosen[nb.ID] {
-			target = nb.ID
+		if !chosen[int(nb.ID)] {
+			target = int(nb.ID)
 			break
 		}
 	}

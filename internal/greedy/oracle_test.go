@@ -67,7 +67,7 @@ construct:
 	}
 	sel.IDs = make([]int, len(st.chosen))
 	for i, ci := range st.chosen {
-		sel.IDs[i] = cands[ci].id
+		sel.IDs[i] = int(cands[ci].id)
 	}
 	sel.Coverage, sel.Diversity, sel.Feedback = st.objectives()
 	sel.Objective = st.score()
@@ -76,20 +76,28 @@ construct:
 	return sel
 }
 
-// referencePool builds the pool candidate by candidate: it probes each
-// top feedback user's membership in every candidate, then
-// insertion-sorts.
+// referencePool builds the pool candidate by candidate from the
+// sorted Neighbors list: it keeps the top cfg.CandidatePool entries,
+// drops those below the similarity bound, probes each top feedback
+// user's membership in every candidate and counts each candidate's
+// overlap with focal on the bitsets, then insertion-sorts by weighted
+// similarity when there is a profile.
 func referencePool(o *Optimizer, focal *groups.Group, fb *feedback.Vector, cfg Config) []candidate {
+	poolSize := cfg.CandidatePool
+	if poolSize <= 0 {
+		poolSize = DefaultConfig().CandidatePool
+	}
 	var cands []candidate
+	var weighted []float64
 	var topUsers []feedback.UserMass
 	if fb != nil {
 		topUsers = fb.TopUsers(128)
 	}
-	for _, nb := range o.ix.Neighbors(focal.ID, DefaultConfig().CandidatePool) {
+	for _, nb := range o.ix.Neighbors(focal.ID, poolSize) {
 		if nb.Sim < cfg.MinSimilarity {
 			break
 		}
-		g := o.space.Group(nb.ID)
+		g := o.space.Group(int(nb.ID))
 		align := 0.0
 		if fb != nil {
 			for _, id := range g.Desc {
@@ -102,14 +110,22 @@ func referencePool(o *Optimizer, focal *groups.Group, fb *feedback.Vector, cfg C
 			}
 		}
 		cands = append(cands, candidate{
-			id: nb.ID, sim: nb.Sim, weighted: nb.Sim * (1 + align), alignment: align,
-			members: g.Members, size: g.Size(),
+			members: g.Members, alignment: align, id: nb.ID,
+			size: int32(g.Size()), inter: int32(g.Members.IntersectCount(focal.Members)),
 		})
+		weighted = append(weighted, nb.Sim*(1+align))
 	}
 	if fb != nil && !fb.IsEmpty() {
+		less := func(i, j int) bool {
+			if weighted[i] != weighted[j] {
+				return weighted[i] > weighted[j]
+			}
+			return cands[i].id < cands[j].id
+		}
 		for i := 1; i < len(cands); i++ {
-			for j := i; j > 0 && candLess(cands[j], cands[j-1]); j-- {
+			for j := i; j > 0 && less(j, j-1); j-- {
 				cands[j], cands[j-1] = cands[j-1], cands[j]
+				weighted[j], weighted[j-1] = weighted[j-1], weighted[j]
 			}
 		}
 	}
@@ -195,9 +211,11 @@ func oracleSpaces(t *testing.T) []oracleSpace {
 // TestConstructionMatchesReference: the cached construction and the
 // pool's user-list walk pick exactly what the per-candidate reference
 // picks, with bit-identical objective terms, for every focal group,
-// with and without a feedback profile, across K, the similarity bound
-// and the worker count. Pools of the random fixture's larger groups
-// cross parallelPoolMin, so workers 2 and 8 do shard their scoring.
+// with and without a feedback profile, across K, the similarity bound,
+// the pool cap and the worker count. Pools of the random fixture's
+// larger groups cross parallelPoolMin, so workers 2 and 8 do shard
+// their scoring; caps 8 and 64 sit below most groups' overlap counts,
+// so the index cuts the pool before the pool sorts it.
 func TestConstructionMatchesReference(t *testing.T) {
 	for _, c := range oracleSpaces(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -205,31 +223,59 @@ func TestConstructionMatchesReference(t *testing.T) {
 			for _, gid := range []int{3, 11, 42} {
 				fb.Reinforce(c.s.Group(gid%c.s.Len()), 1)
 			}
-			o := New(c.s, c.ix)
-			for focal := 0; focal < c.s.Len(); focal++ {
-				for _, profile := range []*feedback.Vector{nil, fb} {
-					for _, minSim := range []float64{0, 0.01} {
-						cfg := DefaultConfig()
-						cfg.TimeLimit = 0
-						cfg.MinSimilarity = minSim
-						cands := referencePool(o, c.s.Group(focal), profile, cfg)
-						for ki, k := range []int{1, 2, 7} {
-							// The worker count rotates with the focal
-							// group, so every (K, workers) pair runs on
-							// a third of the focal groups.
-							cfg.K = k
-							cfg.Workers = []int{1, 2, 8}[(ki+focal)%3]
-							want := referenceSelectNext(o, c.s.Group(focal), cands, cfg)
-							got, err := o.SelectNext(c.s.Group(focal), profile, cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							sameSelection(t, fmt.Sprintf("focal=%d profile=%v minSim=%v k=%d workers=%d",
-								focal, profile != nil, minSim, k, cfg.Workers), got, want)
-						}
+			matchReference(t, New(c.s, c.ix), fb, []int{0, 8, 64})
+		})
+	}
+}
+
+// matchReference runs SelectNext against the reference for every focal
+// group of o's space, with and without fb, across the similarity bound,
+// K, the worker count and the pool caps (0 is the default cap).
+func matchReference(t *testing.T, o *Optimizer, fb *feedback.Vector, caps []int) {
+	t.Helper()
+	for focal := 0; focal < o.space.Len(); focal++ {
+		for _, profile := range []*feedback.Vector{nil, fb} {
+			for _, minSim := range []float64{0, 0.01} {
+				// The cap rotates with focal/3 and the worker count
+				// with focal and K, so every (cap, K, workers) triple
+				// runs on some focal groups.
+				cfg := DefaultConfig()
+				cfg.TimeLimit = 0
+				cfg.CandidatePool = caps[focal/3%len(caps)]
+				cfg.MinSimilarity = minSim
+				cands := referencePool(o, o.space.Group(focal), profile, cfg)
+				for ki, k := range []int{1, 2, 7} {
+					cfg.K = k
+					cfg.Workers = []int{1, 2, 8}[(ki+focal)%3]
+					want := referenceSelectNext(o, o.space.Group(focal), cands, cfg)
+					got, err := o.SelectNext(o.space.Group(focal), profile, cfg)
+					if err != nil {
+						t.Fatal(err)
 					}
+					sameSelection(t, fmt.Sprintf("focal=%d profile=%v pool=%d minSim=%v k=%d workers=%d",
+						focal, profile != nil, cfg.CandidatePool, minSim, k, cfg.Workers), got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestPrefixIndexMatchesReference: over a built 10% prefix, the pool
+// serves from Neighbors, so with the fallback off SelectNext picks
+// what the reference picks from the prefix alone, and with it on what
+// the reference picks from the exact lists.
+func TestPrefixIndexMatchesReference(t *testing.T) {
+	s, _ := dbAuthorsSpace(t)
+	fb := feedback.New()
+	fb.Reinforce(s.Group(5), 1)
+	for _, disable := range []bool{true, false} {
+		t.Run(fmt.Sprintf("disableFallback=%v", disable), func(t *testing.T) {
+			ix, err := index.BuildParallel(s, 0.1, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.DisableFallback = disable
+			matchReference(t, New(s, ix), fb, []int{0, 8})
 		})
 	}
 }

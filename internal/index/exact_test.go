@@ -98,3 +98,45 @@ func TestNewConcurrentLookups(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSimilarMatchesNeighbors: Similar returns, as a set, Neighbors'
+// top k without the entries below the bound — on the stateless index
+// and on built ones with and without the fallback, for caps below, at
+// and past the prefix — and every entry's Inter is the bitset overlap
+// count its similarity came from.
+func TestSimilarMatchesNeighbors(t *testing.T) {
+	s := buildSpace(t, 34, 150, 200)
+	indexes := map[string]*Index{"new": New(s)}
+	for _, frac := range []float64{0.05, 1.0} {
+		for _, disable := range []bool{false, true} {
+			ix, err := BuildParallel(s, frac, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.DisableFallback = disable
+			indexes[fmt.Sprintf("frac=%.2f/disableFallback=%v", frac, disable)] = ix
+		}
+	}
+	for name, ix := range indexes {
+		for gid := 0; gid < s.Len(); gid++ {
+			for _, k := range []int{1, 5, 40, 4096} {
+				for _, minSim := range []float64{0, 0.2, 0.35} {
+					var want []Neighbor
+					for _, nb := range ix.Neighbors(gid, k) {
+						if nb.Sim >= minSim {
+							want = append(want, nb)
+						}
+					}
+					got := append([]Neighbor(nil), ix.Similar(gid, minSim, k)...)
+					sortNeighbors(got)
+					requireSameList(t, fmt.Sprintf("%s gid %d k=%d minSim=%v", name, gid, k, minSim), got, want)
+					for _, nb := range got {
+						if w := s.Group(gid).Members.IntersectCount(s.Group(int(nb.ID)).Members); int(nb.Inter) != w {
+							t.Fatalf("%s gid %d: Inter to %d = %d, want %d", name, gid, nb.ID, nb.Inter, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}

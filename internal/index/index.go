@@ -12,6 +12,13 @@
 // stored, and lookups beyond it fall back to the exact computation, so
 // correctness never depends on the fraction — only latency does.
 //
+// There are two lookups. Neighbors returns the sorted top of a list.
+// Similar, the optimizer's lookup, returns the same entries above a
+// similarity bound, cut to a cap but unsorted: the optimizer re-ranks
+// its pool by a personalized similarity anyway, so sorting here would
+// be wasted. Every entry carries the overlap count |g ∩ h| its
+// similarity was computed from.
+//
 // Every list exploits the group overlap graph: Jaccard(g, h) > 0
 // requires a shared member, so candidates for g's list are exactly the
 // groups reachable through g's members (space.Neighbors), not all
@@ -28,10 +35,13 @@ import (
 	"vexus/internal/parallel"
 )
 
-// Neighbor is one entry of a group's inverted list.
+// Neighbor is one entry of a group g's inverted list: group ID, the
+// number Inter of members it shares with g, and its Jaccard similarity
+// Sim to g.
 type Neighbor struct {
-	ID  int
-	Sim float64
+	ID    int32
+	Inter int32
+	Sim   float64
 }
 
 // Index answers inverted-list lookups over one group space.
@@ -80,6 +90,9 @@ func New(space *groups.Space) *Index {
 	return ix
 }
 
+// Size returns the member count of group gid.
+func (ix *Index) Size(gid int) int { return ix.sizes[gid] }
+
 // BuildParallel materializes the top frac ∈ (0,1] of each group's
 // inverted list, the §II-A operating point E2 studies, over `workers`
 // goroutines (<= 0 means runtime.NumCPU()). frac is measured against
@@ -106,7 +119,7 @@ func BuildParallel(space *groups.Space, frac float64, workers int) (*Index, erro
 		sc := ix.scratch.Get().(*scratch)
 		defer ix.scratch.Put(sc)
 		for gid := lo; gid < hi; gid++ {
-			full := ix.accumulate(gid, sc)
+			full := ix.accumulate(gid, 0, sc)
 			ix.overlapCount[gid] = len(full)
 			keep := prefixLen(frac, n-1)
 			if keep > len(full) {
@@ -195,12 +208,13 @@ func prefixLen(frac float64, total int) int {
 	return k
 }
 
-// accumulate computes the unsorted non-zero inverted list of gid by
-// walking the user→groups lists once: after the scan, cnt[h] = |g ∩ h|
-// for every overlapping group h, so each similarity is a division
-// rather than a bitset pass. sc.cnt must be all-zero on entry and is
-// re-zeroed before returning (only touched entries are reset).
-func (ix *Index) accumulate(gid int, sc *scratch) []Neighbor {
+// accumulate computes the unsorted entries of gid's inverted list with
+// similarity ≥ minSim (every non-zero entry at minSim 0) by walking the
+// user→groups lists once: after the scan, cnt[h] = |g ∩ h| for every
+// overlapping group h, so each similarity is a division rather than a
+// bitset pass. sc.cnt must be all-zero on entry and is re-zeroed before
+// returning (only touched entries are reset).
+func (ix *Index) accumulate(gid int, minSim float64, sc *scratch) []Neighbor {
 	g := ix.space.Group(gid)
 	cnt, tt := sc.cnt, sc.touched[:0]
 	g.Members.Range(func(u int) bool {
@@ -215,14 +229,16 @@ func (ix *Index) accumulate(gid int, sc *scratch) []Neighbor {
 	out := make([]Neighbor, 0, len(tt))
 	sizeG := ix.sizes[gid]
 	for _, hid := range tt {
-		inter := int(cnt[hid])
+		inter := cnt[hid]
 		cnt[hid] = 0
 		if int(hid) == gid {
 			continue
 		}
-		union := sizeG + ix.sizes[hid] - inter
+		union := sizeG + ix.sizes[hid] - int(inter)
 		if union > 0 && inter > 0 {
-			out = append(out, Neighbor{ID: int(hid), Sim: float64(inter) / float64(union)})
+			if sim := float64(inter) / float64(union); sim >= minSim {
+				out = append(out, Neighbor{ID: hid, Inter: inter, Sim: sim})
+			}
 		}
 	}
 	sc.touched = tt
@@ -255,18 +271,60 @@ func (ix *Index) Neighbors(gid, k int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	if ix.lists != nil {
-		list := ix.lists[gid]
-		if k <= len(list) {
-			return list[:k:k]
-		}
-		if ix.DisableFallback || len(list) >= ix.overlapCount[gid] {
-			// Prefix-only mode, or the prefix already holds every
-			// non-zero entry.
-			return list
-		}
+	if list, ok := ix.prefix(gid, k); ok {
+		return list
 	}
 	return ix.ExactNeighbors(gid, k)
+}
+
+// prefix returns the materialized answer to Neighbors(gid, k), or
+// false when the lookup needs the exact fallback (always on a New
+// index).
+func (ix *Index) prefix(gid, k int) ([]Neighbor, bool) {
+	if ix.lists == nil {
+		return nil, false
+	}
+	list := ix.lists[gid]
+	if k <= len(list) {
+		return list[:k:k], true
+	}
+	// Prefix-only mode, or the prefix already holds every non-zero
+	// entry.
+	return list, ix.DisableFallback || len(list) >= ix.overlapCount[gid]
+}
+
+// Similar returns, in no particular order, the entries of gid's
+// inverted list with similarity ≥ minSim, cut to the k that Neighbors
+// ranks first when more than k pass. This is Neighbors(gid, k) without
+// the entries below minSim, as a set: the bound is a threshold on the
+// first sort key, so filtering commutes with taking the top k. On a New
+// index the result is a fresh slice and only a cut costs a quickselect.
+// On a built one a lookup the prefix answers is served from it, the
+// prefix and DisableFallback applying as they do to Neighbors; such a
+// result is sorted, shares the prefix's memory and must not be
+// modified.
+func (ix *Index) Similar(gid int, minSim float64, k int) []Neighbor {
+	if k <= 0 {
+		return nil
+	}
+	if list, ok := ix.prefix(gid, k); ok {
+		keep := len(list)
+		for i, nb := range list {
+			if nb.Sim < minSim {
+				keep = i
+				break
+			}
+		}
+		return list[:keep]
+	}
+	sc := ix.scratch.Get().(*scratch)
+	out := ix.accumulate(gid, minSim, sc)
+	ix.scratch.Put(sc)
+	if len(out) > k {
+		selectTopK(out, k)
+		out = out[:k]
+	}
+	return out
 }
 
 // ExactNeighbors always computes the exact top-k of gid's non-zero
@@ -276,7 +334,7 @@ func (ix *Index) Neighbors(gid, k int) []Neighbor {
 // so the result equals a full sort truncated to k.
 func (ix *Index) ExactNeighbors(gid, k int) []Neighbor {
 	sc := ix.scratch.Get().(*scratch)
-	out := ix.accumulate(gid, sc)
+	out := ix.accumulate(gid, 0, sc)
 	ix.scratch.Put(sc)
 	k = max(0, min(k, len(out)))
 	selectTopK(out, k)
@@ -294,7 +352,7 @@ func (ix *Index) RecallAtK(gid, k int) float64 {
 		return 1
 	}
 	mat := ix.lists[gid]
-	inMat := make(map[int]bool, len(mat))
+	inMat := make(map[int32]bool, len(mat))
 	for _, nb := range mat {
 		inMat[nb.ID] = true
 	}
@@ -319,10 +377,10 @@ func (ix *Index) MeanRecallAtK(k int) float64 {
 	return sum / float64(ix.space.Len())
 }
 
-// MemoryBytes estimates the materialized footprint: one (int, float64)
-// pair per stored neighbor plus slice headers.
+// MemoryBytes estimates the materialized footprint: one Neighbor per
+// stored entry plus slice headers.
 func (ix *Index) MemoryBytes() int {
-	const entryBytes = 16 // int64 id + float64 sim
+	const entryBytes = 16 // int32 id + int32 overlap + float64 sim
 	const headerBytes = 24
 	total := 0
 	for _, l := range ix.lists {

@@ -79,13 +79,13 @@ func TestListsSortedDescending(t *testing.T) {
 			}
 		}
 		for _, nb := range list {
-			if nb.ID == gid {
+			if int(nb.ID) == gid {
 				t.Fatalf("gid %d lists itself", gid)
 			}
 			if nb.Sim <= 0 || nb.Sim > 1 {
 				t.Fatalf("gid %d similarity %v out of range", gid, nb.Sim)
 			}
-			want := s.Group(gid).Jaccard(s.Group(nb.ID))
+			want := s.Group(gid).Jaccard(s.Group(int(nb.ID)))
 			if math.Abs(nb.Sim-want) > 1e-12 {
 				t.Fatalf("gid %d sim to %d = %v, want %v", gid, nb.ID, nb.Sim, want)
 			}
@@ -262,7 +262,7 @@ func TestSelectTopKMatchesSort(t *testing.T) {
 		n := 1 + r.Intn(200)
 		ns := make([]Neighbor, n)
 		for i := range ns {
-			ns[i] = Neighbor{ID: i, Sim: float64(r.Intn(20)) / 20}
+			ns[i] = Neighbor{ID: int32(i), Sim: float64(r.Intn(20)) / 20}
 		}
 		k := r.Intn(n + 1)
 		want := append([]Neighbor(nil), ns...)
