@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"vexus/internal/groups"
+	"vexus/internal/topk"
 )
 
 // Vector is the explorer's feedback profile. The zero value is not
@@ -201,7 +202,7 @@ func (v *Vector) TopUsers(m int) []UserMass {
 		out = append(out, UserMass{User: u, Mass: raw / v.total})
 	}
 	if m > 0 && m < len(out) {
-		selectTopUsers(out, m)
+		topk.Select(out, m, compareUserMass)
 		out = out[:m]
 	}
 	slices.SortFunc(out, compareUserMass)
@@ -218,35 +219,6 @@ func compareUserMass(a, b UserMass) int {
 		return 1
 	}
 	return cmp.Compare(a.User, b.User)
-}
-
-// selectTopUsers moves the m first users of us by compareUserMass to
-// us[:m], in arbitrary order (iterative quickselect with the middle
-// entry as pivot), for 0 < m < len(us).
-func selectTopUsers(us []UserMass, m int) {
-	lo, hi := 0, len(us)
-	for hi-lo > 1 {
-		// Lomuto partition of us[lo:hi] around the middle entry,
-		// parked at hi-1 while the rest is scanned.
-		mid := lo + (hi-lo)/2
-		us[mid], us[hi-1] = us[hi-1], us[mid]
-		pivot, p := us[hi-1], lo
-		for i := lo; i < hi-1; i++ {
-			if compareUserMass(us[i], pivot) < 0 {
-				us[i], us[p] = us[p], us[i]
-				p++
-			}
-		}
-		us[p], us[hi-1] = us[hi-1], us[p]
-		switch {
-		case p == m:
-			return
-		case p < m:
-			lo = p + 1
-		default:
-			hi = p
-		}
-	}
 }
 
 // Entry is one displayed row of the CONTEXT module.

@@ -223,37 +223,40 @@ func TestConstructionMatchesReference(t *testing.T) {
 			for _, gid := range []int{3, 11, 42} {
 				fb.Reinforce(c.s.Group(gid%c.s.Len()), 1)
 			}
-			matchReference(t, New(c.s, c.ix), fb, []int{0, 8, 64})
+			matchReference(t, New(c.s, c.ix), fb, []int{8, 64})
 		})
 	}
 }
 
 // matchReference runs SelectNext against the reference for every focal
 // group of o's space, with and without fb, across the similarity bound,
-// K, the worker count and the pool caps (0 is the default cap).
-func matchReference(t *testing.T, o *Optimizer, fb *feedback.Vector, caps []int) {
+// K and the worker count, at the default pool cap and at one of the
+// small caps.
+func matchReference(t *testing.T, o *Optimizer, fb *feedback.Vector, smallCaps []int) {
 	t.Helper()
 	for focal := 0; focal < o.space.Len(); focal++ {
-		for _, profile := range []*feedback.Vector{nil, fb} {
-			for _, minSim := range []float64{0, 0.01} {
-				// The cap rotates with focal/3 and the worker count
-				// with focal and K, so every (cap, K, workers) triple
-				// runs on some focal groups.
-				cfg := DefaultConfig()
-				cfg.TimeLimit = 0
-				cfg.CandidatePool = caps[focal/3%len(caps)]
-				cfg.MinSimilarity = minSim
-				cands := referencePool(o, o.space.Group(focal), profile, cfg)
-				for ki, k := range []int{1, 2, 7} {
-					cfg.K = k
-					cfg.Workers = []int{1, 2, 8}[(ki+focal)%3]
-					want := referenceSelectNext(o, o.space.Group(focal), cands, cfg)
-					got, err := o.SelectNext(o.space.Group(focal), profile, cfg)
-					if err != nil {
-						t.Fatal(err)
+		// The small cap rotates with the focal group, and the worker
+		// count with the focal group and K, so every (K, workers) pair
+		// runs on a third of the focal groups at every cap.
+		for _, pool := range []int{0, smallCaps[focal%len(smallCaps)]} {
+			for _, profile := range []*feedback.Vector{nil, fb} {
+				for _, minSim := range []float64{0, 0.01} {
+					cfg := DefaultConfig()
+					cfg.TimeLimit = 0
+					cfg.CandidatePool = pool
+					cfg.MinSimilarity = minSim
+					cands := referencePool(o, o.space.Group(focal), profile, cfg)
+					for ki, k := range []int{1, 2, 7} {
+						cfg.K = k
+						cfg.Workers = []int{1, 2, 8}[(ki+focal)%3]
+						want := referenceSelectNext(o, o.space.Group(focal), cands, cfg)
+						got, err := o.SelectNext(o.space.Group(focal), profile, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameSelection(t, fmt.Sprintf("focal=%d profile=%v pool=%d minSim=%v k=%d workers=%d",
+							focal, profile != nil, pool, minSim, k, cfg.Workers), got, want)
 					}
-					sameSelection(t, fmt.Sprintf("focal=%d profile=%v pool=%d minSim=%v k=%d workers=%d",
-						focal, profile != nil, cfg.CandidatePool, minSim, k, cfg.Workers), got, want)
 				}
 			}
 		}
@@ -275,7 +278,7 @@ func TestPrefixIndexMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			ix.DisableFallback = disable
-			matchReference(t, New(s, ix), fb, []int{0, 8})
+			matchReference(t, New(s, ix), fb, []int{8})
 		})
 	}
 }

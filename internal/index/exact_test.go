@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -128,7 +129,7 @@ func TestSimilarMatchesNeighbors(t *testing.T) {
 						}
 					}
 					got := append([]Neighbor(nil), ix.Similar(gid, minSim, k)...)
-					sortNeighbors(got)
+					slices.SortFunc(got, compareNeighbors)
 					requireSameList(t, fmt.Sprintf("%s gid %d k=%d minSim=%v", name, gid, k, minSim), got, want)
 					for _, nb := range got {
 						if w := s.Group(gid).Members.IntersectCount(s.Group(int(nb.ID)).Members); int(nb.Inter) != w {

@@ -27,12 +27,14 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
 
 	"vexus/internal/groups"
 	"vexus/internal/parallel"
+	"vexus/internal/topk"
 )
 
 // Neighbor is one entry of a group g's inverted list: group ID, the
@@ -125,72 +127,25 @@ func BuildParallel(space *groups.Space, frac float64, workers int) (*Index, erro
 			if keep > len(full) {
 				keep = len(full)
 			}
-			selectTopK(full, keep)
+			topk.Select(full, keep, compareNeighbors)
 			prefix := full[:keep]
-			sortNeighbors(prefix)
+			slices.SortFunc(prefix, compareNeighbors)
 			ix.lists[gid] = append([]Neighbor(nil), prefix...)
 		}
 	})
 	return ix, nil
 }
 
-// selectTopK partitions ns so that the k best entries (by descending
-// similarity, ascending id) occupy ns[:k], in arbitrary order
-// (iterative quickselect with median-of-three pivots).
-func selectTopK(ns []Neighbor, k int) {
-	lo, hi := 0, len(ns)
-	if k <= 0 || k >= len(ns) {
-		return
+// compareNeighbors is the list order: higher similarity first, ties
+// by ascending id. Ids are unique, so it is a strict total order.
+func compareNeighbors(a, b Neighbor) int {
+	switch {
+	case a.Sim > b.Sim:
+		return -1
+	case a.Sim < b.Sim:
+		return 1
 	}
-	for hi-lo > 1 {
-		p := partition(ns, lo, hi)
-		switch {
-		case p == k:
-			return
-		case p < k:
-			lo = p + 1
-		default:
-			hi = p
-		}
-		if lo >= k {
-			return
-		}
-	}
-}
-
-// partition orders ns[lo:hi] around a pivot with "better" entries
-// first, returning the pivot's final position.
-func partition(ns []Neighbor, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	if better(ns[mid], ns[lo]) {
-		ns[lo], ns[mid] = ns[mid], ns[lo]
-	}
-	if better(ns[hi-1], ns[lo]) {
-		ns[lo], ns[hi-1] = ns[hi-1], ns[lo]
-	}
-	if better(ns[hi-1], ns[mid]) {
-		ns[mid], ns[hi-1] = ns[hi-1], ns[mid]
-	}
-	pivot := ns[mid]
-	ns[mid], ns[hi-1] = ns[hi-1], ns[mid]
-	store := lo
-	for i := lo; i < hi-1; i++ {
-		if better(ns[i], pivot) {
-			ns[i], ns[store] = ns[store], ns[i]
-			store++
-		}
-	}
-	ns[store], ns[hi-1] = ns[hi-1], ns[store]
-	return store
-}
-
-// better is the materialization order: higher similarity first, ties
-// by ascending id.
-func better(a, b Neighbor) bool {
-	if a.Sim != b.Sim {
-		return a.Sim > b.Sim
-	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // prefixLen returns ceil(frac · total), at least 1 when total > 0.
@@ -243,18 +198,6 @@ func (ix *Index) accumulate(gid int, minSim float64, sc *scratch) []Neighbor {
 	}
 	sc.touched = tt
 	return out
-}
-
-func sortNeighbors(ns []Neighbor) {
-	slices.SortFunc(ns, func(a, b Neighbor) int {
-		switch {
-		case better(a, b):
-			return -1
-		case better(b, a):
-			return 1
-		}
-		return 0
-	})
 }
 
 // MaterializedLen returns the materialized prefix length for gid.
@@ -317,29 +260,32 @@ func (ix *Index) Similar(gid int, minSim float64, k int) []Neighbor {
 		}
 		return list[:keep]
 	}
-	sc := ix.scratch.Get().(*scratch)
-	out := ix.accumulate(gid, minSim, sc)
-	ix.scratch.Put(sc)
-	if len(out) > k {
-		selectTopK(out, k)
-		out = out[:k]
-	}
-	return out
+	return ix.exact(gid, minSim, k)
 }
 
 // ExactNeighbors always computes the exact top-k of gid's non-zero
 // inverted list, into a fresh slice the caller may keep — the New
 // index's lookup and the ground truth for recall measurements (E2).
-// Only the top k are sorted; better is a total order (ids are unique),
-// so the result equals a full sort truncated to k.
+// Only the top k are sorted; compareNeighbors is a total order, so the
+// result equals a full sort truncated to k.
 func (ix *Index) ExactNeighbors(gid, k int) []Neighbor {
+	out := ix.exact(gid, 0, k)
+	slices.SortFunc(out, compareNeighbors)
+	return out
+}
+
+// exact computes the entries of gid's list with similarity ≥ minSim
+// into a fresh slice, unsorted, cut by quickselect to the first k by
+// compareNeighbors only when more than k pass.
+func (ix *Index) exact(gid int, minSim float64, k int) []Neighbor {
 	sc := ix.scratch.Get().(*scratch)
-	out := ix.accumulate(gid, 0, sc)
+	out := ix.accumulate(gid, minSim, sc)
 	ix.scratch.Put(sc)
-	k = max(0, min(k, len(out)))
-	selectTopK(out, k)
-	out = out[:k]
-	sortNeighbors(out)
+	k = max(0, k)
+	if len(out) > k {
+		topk.Select(out, k, compareNeighbors)
+		out = out[:k]
+	}
 	return out
 }
 

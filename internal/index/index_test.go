@@ -2,12 +2,14 @@ package index
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"vexus/internal/bitset"
 	"vexus/internal/groups"
 	"vexus/internal/rng"
+	"vexus/internal/topk"
 )
 
 // buildSpace creates a space of n random groups over u users.
@@ -266,10 +268,10 @@ func TestSelectTopKMatchesSort(t *testing.T) {
 		}
 		k := r.Intn(n + 1)
 		want := append([]Neighbor(nil), ns...)
-		sortNeighbors(want)
-		selectTopK(ns, k)
+		slices.SortFunc(want, compareNeighbors)
+		topk.Select(ns, k, compareNeighbors)
 		top := append([]Neighbor(nil), ns[:k]...)
-		sortNeighbors(top)
+		slices.SortFunc(top, compareNeighbors)
 		for i := 0; i < k; i++ {
 			if top[i] != want[i] {
 				t.Fatalf("trial %d: top-%d mismatch at %d: %+v vs %+v",
