@@ -19,9 +19,7 @@ import (
 	"vexus/internal/groups"
 	"vexus/internal/index"
 	"vexus/internal/mining"
-	"vexus/internal/mining/birch"
 	"vexus/internal/mining/lcm"
-	"vexus/internal/mining/stream"
 	"vexus/internal/rng"
 	"vexus/internal/simulate"
 )
@@ -531,41 +529,5 @@ func BenchmarkOfflinePipeline(b *testing.B) {
 		if _, err := core.Build(d, cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Design ablation: the three miners on identical transactions.
-
-func BenchmarkMiners(b *testing.B) {
-	fixtures(b)
-	tx := fixTx
-	miners := []mining.Miner{
-		lcm.New(mining.Options{MinSupport: 30, MaxLen: 4}),
-		stream.New(stream.Config{Support: 0.02, Epsilon: 0.002, MaxLen: 3}),
-		birch.New(birch.DefaultConfig()),
-	}
-	for _, m := range miners {
-		b.Run(m.Name(), func(b *testing.B) {
-			var n int
-			for i := 0; i < b.N; i++ {
-				// stream miners accumulate state; fresh instance per run.
-				var miner mining.Miner
-				switch m.Name() {
-				case "streammining":
-					miner = stream.New(stream.Config{Support: 0.02, Epsilon: 0.002, MaxLen: 3})
-				case "birch":
-					miner = birch.New(birch.DefaultConfig())
-				default:
-					miner = lcm.New(mining.Options{MinSupport: 30, MaxLen: 4})
-				}
-				gs, err := miner.Mine(tx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n = len(gs)
-			}
-			b.ReportMetric(float64(n), "groups")
-		})
 	}
 }

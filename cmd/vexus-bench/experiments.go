@@ -627,10 +627,9 @@ func runF1(_ uint64, _ string) error {
 	fmt.Print(`offline:
   internal/etl          ETL (CSV import, cleaning, schema inference)
   internal/dataset      user database [user, item, value] + demographics
-  internal/mining       transaction encoding, Miner interface
-  internal/mining/lcm      LCM closed frequent itemsets   (datasets)
-  internal/mining/stream   lossy-counting stream miner     (streams)
-  internal/mining/birch    BIRCH CF-tree clustering        (streams)
+  internal/mining       transaction encoding, mining bounds
+  internal/mining/lcm      LCM closed frequent itemsets   (every engine)
+  internal/mining/stream   lossy-counting stream miner     (ingest preview)
   internal/groups       user-group space + overlap graph G
   internal/index        per-group inverted similarity index (exact, on demand)
 online (internal/core.Session):

@@ -73,11 +73,11 @@ func main() {
 		fmt.Printf("warning: %v\n", err)
 	}
 	if warm {
-		fmt.Printf("%d groups (%s) warm-loaded from %s in %v\n\n",
-			eng.Space.Len(), eng.Miner, *snap, time.Since(start).Round(1e6))
+		fmt.Printf("%d groups warm-loaded from %s in %v\n\n",
+			eng.Space.Len(), *snap, time.Since(start).Round(1e6))
 	} else {
-		fmt.Printf("%d groups mined (%s) in %v\n\n",
-			eng.Space.Len(), eng.Miner, eng.Timings.Mine.Round(1e6))
+		fmt.Printf("%d groups mined in %v\n\n",
+			eng.Space.Len(), eng.Timings.Mine.Round(1e6))
 	}
 
 	gcfg := greedy.DefaultConfig()

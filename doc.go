@@ -27,6 +27,22 @@
 // index.BuildParallel and measures memory, lookup cost and the
 // optimizer objective against the fraction.
 //
+// # Deviation: one group miner
+//
+// §II-A calls VEXUS independent of its discovery algorithm and names
+// LCM for datasets and BIRCH or STREAMMINING for streams. Here the
+// miner is not an option: core.Build always mines with LCM
+// (lcm.MineParallel), so every engine is ingestable, its snapshot
+// always replays deltas, and neither snapshots nor save files record
+// which miner ran. Streamed input is served by Engine.IngestPreview,
+// which runs the STREAMMINING lossy counter (internal/mining/stream)
+// over an arriving batch before Ingest commits it with LCM. BIRCH is
+// not implemented: its CF-tree clustered users into a fixed number K
+// of groups, no deployment configured it, and only an example ran it.
+// Keeping it as an option cost a miner interface, an engine mode that
+// refused ingestion, a miner name in snapshots and save files, and a
+// fingerprint branch, all for output no explorer saw.
+//
 // # Concurrency
 //
 // internal/parallel is the worker-pool primitive behind every
@@ -41,10 +57,9 @@
 //
 // Group discovery and evaluation parallelize the same way:
 // lcm.MineParallel fans the top-level PPC enumeration subtrees over
-// the pool (mining.ParallelOptions / mining.MineParallel is the
-// algorithm-independent entry point) with a shared atomic budget
-// tracker preserving the exact MaxGroups truncation semantics of the
-// sequential run, and simulate.RunMTBatchParallel /
+// the pool with a shared atomic budget tracker preserving the exact
+// MaxGroups truncation semantics of the sequential run, and
+// simulate.RunMTBatchParallel /
 // RunSTBatchParallel / RunBrowseBatchParallel shard simulation
 // campaigns run-per-slot with aggregates reduced in run order — all
 // bit-identical to their sequential counterparts at any worker count.

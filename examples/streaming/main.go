@@ -1,9 +1,10 @@
 // Streaming demonstrates the paper's stream path (§II-A): when user
 // data arrives as a stream rather than a dataset, group discovery runs
-// with STREAMMINING (lossy counting over itemsets) and BIRCH (CF-tree
-// clustering) instead of LCM. The example replays a rating stream in
-// three eras with drifting taste and reports how the frequent groups
-// move, plus the bounded memory the stream miner maintains.
+// with STREAMMINING (lossy counting over itemsets) instead of LCM —
+// the miner behind Engine.IngestPreview. The example replays a rating
+// stream in three eras with drifting taste and reports how the
+// frequent groups move, plus the bounded memory the stream miner
+// maintains.
 package main
 
 import (
@@ -13,7 +14,6 @@ import (
 	"vexus/internal/datagen"
 	"vexus/internal/groups"
 	"vexus/internal/mining"
-	"vexus/internal/mining/birch"
 	"vexus/internal/mining/stream"
 )
 
@@ -46,31 +46,4 @@ func main() {
 			next++
 		}
 	}
-
-	// --- BIRCH: cluster the demographic stream into K groups. -------
-	// Clustering works on the low-dimensional demographic embedding;
-	// the sparse per-book terms would drown centroid distances in
-	// Zipf-tail noise.
-	demoTx, err := mining.Encode(data, mining.EncodeOptions{Demographics: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nBIRCH global clustering over demographics (K=6):")
-	bcfg := birch.DefaultConfig()
-	bcfg.K = 6
-	bcfg.Threshold = 1.0
-	gs, err := birch.New(bcfg).Mine(demoTx)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, g := range gs {
-		fmt.Printf("  [%4d users] %s\n", g.Size(), clip(g.Desc.Label(demoTx.Vocab), 90))
-	}
-}
-
-func clip(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "…"
 }

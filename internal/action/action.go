@@ -293,7 +293,6 @@ func DecodeLog(data []byte) ([]Action, error) {
 	}
 	var wrapped struct {
 		Version   int      `json:"version"`
-		Miner     string   `json:"miner"`
 		NumGroups int      `json:"numGroups"`
 		Actions   []Action `json:"actions"`
 	}

@@ -11,10 +11,10 @@ import (
 // through the same Apply dispatcher live traffic uses.
 type savedLog struct {
 	Version int `json:"version"`
-	// Miner and NumGroups guard against gross engine mismatch:
-	// descriptions are the real identity, so a rebuilt space over
-	// identical data replays identically.
-	Miner     string   `json:"miner"`
+	// NumGroups guards against gross engine mismatch: descriptions are
+	// the real identity, so a rebuilt space over identical data
+	// replays identically. Files from before LCM became the only miner
+	// also carry a "miner" field; decoding ignores it.
 	NumGroups int      `json:"numGroups"`
 	Actions   []Action `json:"actions"`
 }
@@ -24,7 +24,6 @@ func (s *Session) Save(w io.Writer) error {
 	eng := s.Sess.Engine()
 	saved := savedLog{
 		Version:   2,
-		Miner:     eng.Miner,
 		NumGroups: eng.Space.Len(),
 		Actions:   s.Log,
 	}
@@ -63,10 +62,6 @@ func (s *Session) Load(r io.Reader) error {
 	if saved.NumGroups != eng.Space.Len() {
 		return fmt.Errorf("action: saved session has %d groups, engine has %d",
 			saved.NumGroups, eng.Space.Len())
-	}
-	if saved.Miner != "" && saved.Miner != eng.Miner {
-		return fmt.Errorf("action: saved session mined with %q, engine with %q",
-			saved.Miner, eng.Miner)
 	}
 	s.Log = nil
 	s.Mutations = 0

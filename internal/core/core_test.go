@@ -8,8 +8,6 @@ import (
 	"vexus/internal/datagen"
 	"vexus/internal/dataset"
 	"vexus/internal/greedy"
-	"vexus/internal/mining"
-	"vexus/internal/mining/birch"
 )
 
 // buildEngine creates a small DB-AUTHORS engine shared by tests.
@@ -39,9 +37,6 @@ func TestBuildPipeline(t *testing.T) {
 	if eng.Space.Len() == 0 {
 		t.Fatal("no groups discovered")
 	}
-	if eng.Miner != "lcm" {
-		t.Fatalf("miner = %q", eng.Miner)
-	}
 	if f := eng.Config().IndexFraction; f != 0.10 {
 		t.Fatalf("normalized index fraction = %v", f)
 	}
@@ -57,28 +52,6 @@ func TestBuildPipeline(t *testing.T) {
 	label := eng.GroupLabel(0)
 	if label == "" || !strings.Contains(label, "=") {
 		t.Fatalf("label = %q", label)
-	}
-}
-
-func TestBuildWithCustomMiner(t *testing.T) {
-	d, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: 150, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultPipelineConfig()
-	bc := birch.DefaultConfig()
-	bc.K = 6
-	cfg.Miner = birch.New(bc)
-	cfg.Encode = mining.EncodeOptions{Demographics: true}
-	eng, err := Build(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Miner != "birch" {
-		t.Fatalf("miner = %q", eng.Miner)
-	}
-	if eng.Space.Len() == 0 || eng.Space.Len() > 6 {
-		t.Fatalf("birch groups = %d", eng.Space.Len())
 	}
 }
 

@@ -24,16 +24,12 @@ import (
 type PipelineConfig struct {
 	// Encode selects which dataset dimensions become mining terms.
 	Encode mining.EncodeOptions
-	// Miner discovers the groups; nil uses LCM with the bounds below
-	// (the paper's default choice for user datasets).
-	Miner mining.Miner
-	// MinSupportFrac is the minimum group size as a fraction of the
-	// user count when Miner is nil (default 0.01, floor 2 users).
+	// MinSupportFrac is LCM's minimum group size as a fraction of the
+	// user count (default 0.01, floor 2 users).
 	MinSupportFrac float64
-	// MaxLen caps description length for the default miner (default 4).
+	// MaxLen caps LCM's description length (default 4).
 	MaxLen int
-	// MaxGroups aborts pattern explosion for the default miner
-	// (default 100000).
+	// MaxGroups aborts LCM's pattern explosion (default 100000).
 	MaxGroups int
 	// IndexFraction is the paper's materialized share of each inverted
 	// list (default 0.10). The engine ignores it: its index computes
@@ -42,9 +38,8 @@ type PipelineConfig struct {
 	// benchmark's traced run, which build the prefix index themselves.
 	IndexFraction float64
 	// Workers bounds the goroutines used by the parallel stages of the
-	// pipeline — group discovery (for miners implementing
-	// mining.ParallelMiner) and space inversion (0 = runtime.NumCPU(),
-	// 1 = fully sequential).
+	// pipeline — group discovery (lcm.MineParallel) and space inversion
+	// (0 = runtime.NumCPU(), 1 = fully sequential).
 	// Any value produces bit-identical engines; only wall clock
 	// changes.
 	Workers int
@@ -83,9 +78,9 @@ func (cfg PipelineConfig) Normalized() PipelineConfig {
 	return cfg
 }
 
-// EffectiveMinSupport is the absolute minimum group size the default
-// miner uses on a dataset of numUsers users: MinSupportFrac of the
-// user count, floored at 2. This — not the raw fraction — is what
+// EffectiveMinSupport is the absolute minimum group size LCM uses on
+// a dataset of numUsers users: MinSupportFrac of the user count,
+// floored at 2. This — not the raw fraction — is what
 // determines the mined space, so it is what fingerprints hash.
 func (cfg PipelineConfig) EffectiveMinSupport(numUsers int) int {
 	minSup := int(cfg.MinSupportFrac * float64(numUsers))
@@ -114,7 +109,6 @@ type Engine struct {
 	Tx      *mining.Transactions
 	Space   *groups.Space
 	Index   *index.Index
-	Miner   string
 	Timings Timings
 
 	// sizeOrder is all group ids sorted by descending size, computed
@@ -130,11 +124,6 @@ type Engine struct {
 	// lineage is the ordered digests of every ingestion batch applied
 	// since the base build; Version() is 1+len(lineage).
 	lineage []BatchDigest
-
-	// noIngest marks engines restored from a snapshot that was built
-	// with a custom miner: the miner itself is not serializable, so the
-	// pipeline cannot be replayed and Ingest must refuse.
-	noIngest bool
 }
 
 // Version is the engine's monotonically increasing generation: 1 for a
@@ -162,25 +151,21 @@ func Build(d *dataset.Dataset, cfg PipelineConfig) (*Engine, error) {
 	}
 	encodeTime := time.Since(start)
 
-	miner := cfg.Miner
-	if miner == nil {
-		miner = lcm.New(mining.Options{
-			MinSupport: cfg.EffectiveMinSupport(d.NumUsers()),
-			MaxLen:     cfg.MaxLen,
-			MaxGroups:  cfg.MaxGroups,
-		})
-	}
 	start = time.Now()
-	// Miners with a parallel entry point (LCM) shard enumeration over
-	// cfg.Workers; the rest run their sequential Mine. Either way the
-	// result is bit-identical to a 1-worker run.
-	gs, err := mining.MineParallel(miner, tx, mining.ParallelOptions{Workers: cfg.Workers})
+	// LCM is the one group miner (see "Deviation: one group miner" in
+	// the module doc); its enumeration shards over cfg.Workers with a
+	// result bit-identical to a 1-worker run.
+	gs, err := lcm.New(mining.Options{
+		MinSupport: cfg.EffectiveMinSupport(d.NumUsers()),
+		MaxLen:     cfg.MaxLen,
+		MaxGroups:  cfg.MaxGroups,
+	}).MineParallel(tx, cfg.Workers)
 	if err != nil && !errors.Is(err, mining.ErrTooManyGroups) {
-		return nil, fmt.Errorf("core: mining (%s): %w", miner.Name(), err)
+		return nil, fmt.Errorf("core: mining: %w", err)
 	}
 	mineTime := time.Since(start)
 	if len(gs) == 0 {
-		return nil, fmt.Errorf("core: %s discovered no groups; lower the support threshold", miner.Name())
+		return nil, errors.New("core: LCM discovered no groups; lower the support threshold")
 	}
 	space, err := groups.NewSpaceParallel(d.NumUsers(), tx.Vocab, gs, cfg.Workers)
 	if err != nil {
@@ -198,7 +183,6 @@ func Build(d *dataset.Dataset, cfg PipelineConfig) (*Engine, error) {
 		Tx:        tx,
 		Space:     space,
 		Index:     index.New(space),
-		Miner:     miner.Name(),
 		sizeOrder: order,
 		cfg:       cfg,
 		Timings: Timings{
@@ -209,15 +193,17 @@ func Build(d *dataset.Dataset, cfg PipelineConfig) (*Engine, error) {
 }
 
 // RestoreInfo carries the metadata side of a snapshot back into
-// RestoreEngine: the miner name, the original build's wall clock, the
-// normalized pipeline configuration, whether that configuration used
-// the default (replayable) miner, and the ingestion lineage.
+// RestoreEngine: the original build's wall clock, the normalized
+// pipeline configuration, and the ingestion lineage.
 type RestoreInfo struct {
+	Timings Timings
+	Config  PipelineConfig
+	Lineage []BatchDigest
+	// Miner and DefaultMiner are ignored. Only wallbench/layers.go
+	// sets them, and that file changes only with the benchmark;
+	// delete both in its next change.
 	Miner        string
-	Timings      Timings
-	Config       PipelineConfig
 	DefaultMiner bool
-	Lineage      []BatchDigest
 }
 
 // RestoreEngine reassembles an Engine from already-built offline parts
@@ -238,11 +224,9 @@ func RestoreEngine(d *dataset.Dataset, tx *mining.Transactions, space *groups.Sp
 		Tx:        tx,
 		Space:     space,
 		Index:     ix,
-		Miner:     info.Miner,
 		sizeOrder: order,
 		cfg:       info.Config.Normalized(),
 		lineage:   append([]BatchDigest(nil), info.Lineage...),
-		noIngest:  !info.DefaultMiner,
 		Timings:   info.Timings,
 	}
 }

@@ -130,13 +130,8 @@ func DecodeIngestBatch(data []byte) (IngestBatch, error) {
 // support on the user count, so exactness requires re-running the
 // deterministic pipeline, not patching structures in place. (The cheap
 // lossy-counting preview of what a batch will change is IngestPreview;
-// the documented exactness boundary lives there.) Ingest refuses on
-// engines built with a custom miner — only the default LCM pipeline is
-// replayable from configuration.
+// the documented exactness boundary lives there.)
 func (e *Engine) Ingest(b IngestBatch) (*Engine, error) {
-	if !e.Ingestable() {
-		return nil, fmt.Errorf("core: ingest: engine was built with a custom miner; only default-miner pipelines are replayable")
-	}
 	if b.Empty() {
 		return nil, fmt.Errorf("core: ingest: empty batch")
 	}
@@ -153,12 +148,6 @@ func (e *Engine) Ingest(b IngestBatch) (*Engine, error) {
 	ne.lineage[len(e.lineage)] = b.Digest()
 	return ne, nil
 }
-
-// Ingestable reports whether the engine accepts Ingest batches: only
-// pipelines run with the default miner are replayable from
-// configuration. Engines built with a custom mining.Miner — or
-// restored from a snapshot of one — refuse ingestion.
-func (e *Engine) Ingestable() bool { return !e.noIngest && e.cfg.Miner == nil }
 
 // BuildWithLineage runs Build on a dataset that already has an
 // ingestion lineage folded in, stamping the result with that lineage —

@@ -8,8 +8,6 @@ import (
 	"vexus/internal/core"
 	"vexus/internal/datagen"
 	"vexus/internal/dataset"
-	"vexus/internal/mining"
-	"vexus/internal/mining/lcm"
 	"vexus/internal/mining/stream"
 	"vexus/internal/store"
 )
@@ -181,24 +179,6 @@ func TestIngestValidation(t *testing.T) {
 	}
 	if eng.Version() != 1 {
 		t.Fatalf("failed ingests advanced the version to %d", eng.Version())
-	}
-}
-
-// TestIngestRefusesCustomMiner: only the default LCM pipeline is
-// replayable from configuration, so engines built with an explicit
-// miner refuse batches.
-func TestIngestRefusesCustomMiner(t *testing.T) {
-	d, cfg := ingestTestData(t)
-	cfg.Miner = lcm.New(mining.Options{MinSupport: 6, MaxLen: 4})
-	eng, err := core.Build(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Ingestable() {
-		t.Fatal("custom-miner engine reports Ingestable")
-	}
-	if _, err := eng.Ingest(ingestTestBatch()); err == nil {
-		t.Fatal("custom-miner engine accepted a batch")
 	}
 }
 

@@ -7,19 +7,20 @@ import (
 )
 
 // ExhaustiveSelect enumerates every k-subset of the same candidate
-// pool SelectNext would use and returns the true optimum of the
-// blended objective (without feedback personalization). It is the
-// ground truth against which E1 measures the anytime optimizer's
-// quality at each time limit. It errors when C(pool, k) exceeds
-// maxEvals (default 5,000,000 when ≤ 0) to guard against combinatorial
-// blow-up.
+// pool SelectNext would use (both default CandidatePool to
+// defaultCandidatePool) and returns the true optimum of the blended
+// objective (without feedback personalization). It is the greedy
+// tests' oracle on small pools; E1 instead measures quality against a
+// 3-second SelectNext, since real pools are far too large to
+// enumerate. It errors when C(pool, k) exceeds maxEvals (default
+// 5,000,000 when ≤ 0) to guard against combinatorial blow-up.
 func (o *Optimizer) ExhaustiveSelect(focalID int, cfg Config, maxEvals int) (Selection, error) {
 	start := time.Now()
 	if cfg.K <= 0 {
 		return Selection{}, fmt.Errorf("greedy: K must be positive, got %d", cfg.K)
 	}
 	if cfg.CandidatePool <= 0 {
-		cfg.CandidatePool = 512
+		cfg.CandidatePool = defaultCandidatePool
 	}
 	if maxEvals <= 0 {
 		maxEvals = 5_000_000

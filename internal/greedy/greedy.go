@@ -58,7 +58,8 @@ type Config struct {
 	DiversityWeight float64
 	FeedbackWeight  float64
 	// CandidatePool caps how many index neighbours are considered
-	// (0 = 4096). Larger pools raise attainable quality and cost.
+	// (0 = defaultCandidatePool). Larger pools raise attainable quality
+	// and cost.
 	CandidatePool int
 	// Workers bounds the goroutines scoring the candidate pool
 	// (0 = runtime.NumCPU()). Scoring parallelizes only above
@@ -66,6 +67,10 @@ type Config struct {
 	// the work.
 	Workers int
 }
+
+// defaultCandidatePool is the pool cap SelectNext and ExhaustiveSelect
+// apply when Config.CandidatePool is 0, and DefaultConfig's value.
+const defaultCandidatePool = 4096
 
 // DefaultConfig mirrors the paper's operating point: k = 7, 100 ms.
 func DefaultConfig() Config {
@@ -76,7 +81,7 @@ func DefaultConfig() Config {
 		CoverageWeight:  0.5,
 		DiversityWeight: 0.5,
 		FeedbackWeight:  0.25,
-		CandidatePool:   4096,
+		CandidatePool:   defaultCandidatePool,
 	}
 }
 
@@ -139,7 +144,7 @@ func (o *Optimizer) SelectNext(focal *groups.Group, fb *feedback.Vector, cfg Con
 		return Selection{}, fmt.Errorf("greedy: K must be positive, got %d", cfg.K)
 	}
 	if cfg.CandidatePool <= 0 {
-		cfg.CandidatePool = 4096
+		cfg.CandidatePool = defaultCandidatePool
 	}
 	deadline := start.Add(cfg.TimeLimit)
 	unbounded := cfg.TimeLimit <= 0

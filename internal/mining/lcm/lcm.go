@@ -33,14 +33,12 @@ type Miner struct {
 // New returns an LCM miner with the given bounds.
 func New(opts mining.Options) *Miner { return &Miner{Opts: opts} }
 
-// Name implements mining.Miner.
+// Name is kept only for wallbench/layers.go, its one caller, which
+// changes only with the benchmark; delete it in the benchmark's next
+// change.
 func (m *Miner) Name() string { return "lcm" }
 
-// FingerprintKey implements mining.FingerprintedMiner: the bounds are
-// the only parameters that change the mined set.
-func (m *Miner) FingerprintKey() string { return fmt.Sprintf("lcm%+v", m.Opts) }
-
-// Mine implements mining.Miner. Groups are returned in enumeration
+// Mine mines on one goroutine. Groups are returned in enumeration
 // order (deterministic for fixed input). The empty/universe group is
 // only reported when some term covers every user (its closure is then
 // non-empty); the unconstrained universe itself is not a group.

@@ -1,10 +1,12 @@
 // Package mining provides the shared substrate for user-group
 // discovery: the encoding of users into transactions over an interned
 // term vocabulary, vertical tid-lists for fast support counting, and
-// the Miner interface that all discovery algorithms (LCM, stream
-// mining, BIRCH) implement. The paper treats VEXUS as independent of
-// the discovery algorithm (§II-A); this interface is that independence
-// made concrete.
+// the bounds (Options) LCM runs under. The encoding feeds two miners:
+// internal/mining/lcm, which mines every engine's group space, and
+// internal/mining/stream, the lossy-counting preview of an ingest.
+// The paper treats VEXUS as independent of the discovery algorithm
+// (§II-A); this repository fixes LCM instead of making the miner an
+// option (see "Deviation: one group miner" in the module doc).
 package mining
 
 import (
@@ -99,17 +101,7 @@ func (t *Transactions) Closure(members *bitset.Set) groups.Description {
 	return out
 }
 
-// Miner discovers user groups from transactions. Implementations must
-// return groups whose Members bitsets share the transactions' universe.
-type Miner interface {
-	// Mine returns discovered groups. The returned group IDs are
-	// unspecified; callers assign ids via groups.NewSpace.
-	Mine(t *Transactions) ([]*groups.Group, error)
-	// Name identifies the algorithm in reports and benchmarks.
-	Name() string
-}
-
-// Options bounds group discovery across all miners.
+// Options bounds group discovery.
 type Options struct {
 	// MinSupport is the minimum absolute member count of a group.
 	MinSupport int
@@ -118,20 +110,18 @@ type Options struct {
 	// MaxGroups aborts enumeration beyond this many groups
 	// (0 = unlimited); a safety valve against pattern explosion.
 	//
-	// Contract: when the budget trips, a miner returns AT MOST
+	// Contract: when the budget trips, the miner returns AT MOST
 	// MaxGroups groups — the first MaxGroups in its enumeration order —
 	// together with an error wrapping ErrTooManyGroups, so callers may
-	// either fail or proceed with the truncated collection. Miners that
-	// bound their output by construction (birch's K) never trip it;
-	// stream bounds memory via lossy counting instead.
+	// either fail or proceed with the truncated collection.
 	MaxGroups int
 }
 
 // Normalized returns a copy of o with defaults applied (MinSupport
 // floored at 1) after validating against a universe of n users. The
-// receiver is never mutated: miners must call Normalized once at the
-// top of Mine and use only the returned copy, so a value-copied
-// Options can never silently run with MinSupport=0.
+// receiver is never mutated: LCM calls Normalized once at the top of
+// Mine and MineParallel and uses only the returned copy, so a
+// value-copied Options can never silently run with MinSupport=0.
 func (o Options) Normalized(n int) (Options, error) {
 	if o.MinSupport < 1 {
 		o.MinSupport = 1
@@ -155,47 +145,19 @@ func (o Options) Validate(n int) error {
 	return nil
 }
 
-// ParallelOptions configures the parallel discovery entry points. It
-// is shared by every miner that fans enumeration subtrees out over
-// internal/parallel, so callers configure one struct regardless of the
-// algorithm behind it.
+// ParallelOptions and MineParallel are kept only for
+// wallbench/layers.go, their one caller, which changes only with the
+// benchmark; core.Build calls lcm.MineParallel directly. Delete both
+// in the benchmark's next change.
 type ParallelOptions struct {
-	// Workers is the worker count (<= 0 means runtime.NumCPU()). Any
-	// value produces results bit-identical to the sequential Mine;
-	// only wall clock changes.
 	Workers int
 }
 
-// ParallelMiner is implemented by miners with a parallel entry point
-// whose results (group set, order, and truncation behavior) are
-// bit-identical to Mine for every worker count.
-type ParallelMiner interface {
-	Miner
-	// MineParallel is Mine fanned out over `workers` goroutines.
-	MineParallel(t *Transactions, workers int) ([]*groups.Group, error)
-}
-
-// MineParallel mines with m's parallel entry point when it has one
-// (LCM today) and falls back to the sequential Mine otherwise
-// (birch/stream, until they adopt ParallelMiner).
-func MineParallel(m Miner, t *Transactions, opts ParallelOptions) ([]*groups.Group, error) {
-	if pm, ok := m.(ParallelMiner); ok {
-		return pm.MineParallel(t, opts.Workers)
-	}
-	return m.Mine(t)
-}
-
-// FingerprintedMiner lets a miner contribute its result-affecting
-// parameters to a snapshot content address (internal/store): two
-// miners whose FingerprintKey differs must be assumed to mine
-// different group sets. Miners that do not implement it are identified
-// by Name() alone, so snapshots of differently parameterized instances
-// of such a miner would alias — every in-tree miner implements it.
-type FingerprintedMiner interface {
-	Miner
-	// FingerprintKey returns a deterministic string covering every
-	// parameter that changes Mine's output.
-	FingerprintKey() string
+// MineParallel forwards to m.MineParallel (see ParallelOptions).
+func MineParallel(m interface {
+	MineParallel(*Transactions, int) ([]*groups.Group, error)
+}, t *Transactions, opts ParallelOptions) ([]*groups.Group, error) {
+	return m.MineParallel(t, opts.Workers)
 }
 
 // ErrTooManyGroups is returned when enumeration exceeds MaxGroups.

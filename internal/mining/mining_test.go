@@ -107,27 +107,6 @@ func TestOptionsNormalized(t *testing.T) {
 	}
 }
 
-// sequentialOnly implements Miner without the parallel extension — the
-// MineParallel helper must fall back to Mine for it.
-type sequentialOnly struct{ called bool }
-
-func (m *sequentialOnly) Mine(t *Transactions) ([]*groups.Group, error) {
-	m.called = true
-	return nil, nil
-}
-func (m *sequentialOnly) Name() string { return "sequential-only" }
-
-func TestMineParallelFallback(t *testing.T) {
-	tx := buildTx(t)
-	m := &sequentialOnly{}
-	if _, err := MineParallel(m, tx, ParallelOptions{Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if !m.called {
-		t.Fatal("fallback did not call Mine")
-	}
-}
-
 func encodeFixture(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	s := dataset.MustSchema(

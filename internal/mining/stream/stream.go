@@ -16,9 +16,7 @@ import (
 	"sort"
 	"strings"
 
-	"vexus/internal/bitset"
 	"vexus/internal/groups"
-	"vexus/internal/mining"
 )
 
 // Config parameterizes the stream miner.
@@ -47,9 +45,8 @@ type counter struct {
 	delta int
 }
 
-// Miner is the streaming state. It can be driven incrementally with
-// Process + Snapshot, or run in batch over a Transactions via Mine
-// (which replays users in order, as a stream).
+// Miner is the streaming state, driven incrementally with Process and
+// read with Snapshot.
 type Miner struct {
 	cfg     Config
 	n       int // transactions seen
@@ -59,7 +56,8 @@ type Miner struct {
 	err     error
 }
 
-// New returns a stream miner. Configuration errors surface on first use.
+// New returns a stream miner. An invalid configuration leaves it inert:
+// Process ignores its input and Snapshot returns nil.
 func New(cfg Config) *Miner {
 	m := &Miner{cfg: cfg, entries: make(map[string]*counter)}
 	if cfg.Support <= 0 || cfg.Support > 1 {
@@ -80,14 +78,6 @@ func New(cfg Config) *Miner {
 	m.bucket = 1
 	return m
 }
-
-// Name implements mining.Miner.
-func (m *Miner) Name() string { return "streammining" }
-
-// FingerprintKey implements mining.FingerprintedMiner. The lossy
-// bounds parameterize the result; the stream consumed so far does not
-// belong here (it is the dataset's side of the content address).
-func (m *Miner) FingerprintKey() string { return fmt.Sprintf("streammining%+v", m.cfg) }
 
 // N returns the number of transactions processed so far.
 func (m *Miner) N() int { return m.n }
@@ -185,47 +175,6 @@ func (m *Miner) Snapshot() []FrequentItemset {
 	return out
 }
 
-// Mine implements mining.Miner: it replays the transactions in user
-// order as a stream, then converts the surviving frequent itemsets into
-// groups with *exact* membership recomputed from the vertical lists
-// (the stream pass bounds counts; membership for the group space must
-// be exact). Closed duplicates (same member set) keep the shortest
-// description.
-func (m *Miner) Mine(t *mining.Transactions) ([]*groups.Group, error) {
-	if m.err != nil {
-		return nil, m.err
-	}
-	for _, terms := range t.PerUser {
-		m.Process(append([]groups.TermID(nil), terms...))
-	}
-	snap := m.Snapshot()
-	minSup := int(m.cfg.Support * float64(t.N))
-	if minSup < 1 {
-		minSup = 1
-	}
-	byMembers := make(map[string]*groups.Group)
-	var out []*groups.Group
-	for _, fi := range snap {
-		members := t.MembersOf(fi.Terms)
-		if members.Count() < minSup {
-			continue // stream overestimate; drop on exact check
-		}
-		mkey := memberKey(members)
-		if prev, ok := byMembers[mkey]; ok {
-			if len(fi.Terms) > len(prev.Desc) {
-				continue
-			}
-			// Shorter description wins; replace in place.
-			prev.Desc = groups.NewDescription(fi.Terms...)
-			continue
-		}
-		g := &groups.Group{Desc: groups.NewDescription(fi.Terms...), Members: members}
-		byMembers[mkey] = g
-		out = append(out, g)
-	}
-	return out, nil
-}
-
 func keyOf(itemset []groups.TermID) string {
 	var b strings.Builder
 	for i, id := range itemset {
@@ -246,15 +195,6 @@ func parseKey(key string) groups.Description {
 		out = append(out, groups.TermID(v))
 	}
 	return groups.NewDescription(out...)
-}
-
-func memberKey(s *bitset.Set) string {
-	var b strings.Builder
-	s.Range(func(i int) bool {
-		fmt.Fprintf(&b, "%d,", i)
-		return true
-	})
-	return b.String()
 }
 
 func less(a, b groups.Description) bool {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"vexus/internal/groups"
-	"vexus/internal/mining"
 	"vexus/internal/rng"
 )
 
@@ -130,79 +129,11 @@ func TestProcessDedupsAndTruncates(t *testing.T) {
 	}
 }
 
-func TestMineProducesExactGroups(t *testing.T) {
-	v := groups.NewVocab()
-	a := v.Intern("g", "a")
-	b := v.Intern("g", "b")
-	perUser := make([][]groups.TermID, 20)
-	for u := range perUser {
-		if u < 12 {
-			perUser[u] = []groups.TermID{a}
-		} else {
-			perUser[u] = []groups.TermID{a, b}
-		}
-	}
-	tx := mining.NewTransactions(v, perUser)
-	m := New(Config{Support: 0.3, Epsilon: 0.05, MaxLen: 2})
-	gs, err := m.Mine(tx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := map[string]*groups.Group{}
-	for _, g := range gs {
-		byKey[g.Desc.Key()] = g
-	}
-	ga := byKey[groups.NewDescription(a).Key()]
-	if ga == nil || ga.Size() != 20 {
-		t.Fatalf("group {a} = %v", ga)
-	}
-	gab := byKey[groups.NewDescription(a, b).Key()]
-	// {b} and {a,b} have identical members; the dedupe keeps the
-	// shorter description {b}.
-	gb := byKey[groups.NewDescription(b).Key()]
-	if gab != nil && gb != nil {
-		t.Fatal("duplicate member sets not deduplicated")
-	}
-	if gb == nil && gab == nil {
-		t.Fatal("8-member group missing entirely")
-	}
-	if gb != nil && gb.Size() != 8 {
-		t.Fatalf("group {b} size = %d", gb.Size())
-	}
-}
-
-func TestMineEmptyStream(t *testing.T) {
-	v := groups.NewVocab()
-	tx := mining.NewTransactions(v, nil)
-	m := New(DefaultConfig())
-	gs, err := m.Mine(tx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gs) != 0 {
-		t.Fatalf("groups = %d", len(gs))
-	}
-}
-
-func TestMinePropagatesConfigError(t *testing.T) {
-	v := groups.NewVocab()
-	tx := mining.NewTransactions(v, nil)
-	if _, err := New(Config{Support: -1, Epsilon: 0.1}).Mine(tx); err == nil {
-		t.Fatal("config error not propagated")
-	}
-}
-
 func TestKeyRoundTrip(t *testing.T) {
 	d := groups.NewDescription(3, 1, 7)
 	key := keyOf(d)
 	back := parseKey(key)
 	if !back.Equal(d) {
 		t.Fatalf("round trip %v -> %q -> %v", d, key, back)
-	}
-}
-
-func TestName(t *testing.T) {
-	if New(DefaultConfig()).Name() != "streammining" {
-		t.Fatal("name")
 	}
 }

@@ -31,8 +31,8 @@ type ShardSessionInfo struct {
 // SessionExport is the migration document: everything a new owner
 // needs to reconstruct the session byte-identically. Trail is the v2
 // saved-session JSON (action.Session.Save) — the complete applied
-// action log plus the miner/group-count guard against engine
-// mismatch. Mutations is carried redundantly so the importer can
+// action log plus the group-count guard against engine mismatch.
+// Mutations is carried redundantly so the importer can
 // verify the replayed counter landed exactly where the source left it.
 type SessionExport struct {
 	Session   string          `json:"session"`

@@ -8,7 +8,6 @@ import (
 
 	"vexus/internal/core"
 	"vexus/internal/dataset"
-	"vexus/internal/mining"
 )
 
 // Fingerprint is the snapshot content address: a SHA-256 over the full
@@ -26,10 +25,10 @@ import (
 // it. The configuration is hashed through
 // core.PipelineConfig.Normalized — the same defaulting core.Build
 // applies — so {MaxLen: 0} and {MaxLen: 4} hash alike, and the
-// default-miner support threshold is hashed as the *effective*
-// absolute support (EffectiveMinSupport), not the raw fraction: two
-// fractions that floor to the same minimum group size on this dataset
-// build bit-identical engines and must share the address.
+// support threshold is hashed as the *effective* absolute support
+// (EffectiveMinSupport), not the raw fraction: two fractions that
+// floor to the same minimum group size on this dataset build
+// bit-identical engines and must share the address.
 type Fingerprint [sha256.Size]byte
 
 // ComputeFingerprint hashes a dataset + pipeline configuration into
@@ -92,27 +91,15 @@ func ComputeFingerprint(d *dataset.Dataset, cfg core.PipelineConfig) Fingerprint
 	h.num(cfg.Encode.ActivityLevels)
 
 	h.str("pipeline")
-	minerName := ""
-	if cfg.Miner != nil {
-		// A custom miner contributes its parameters through
-		// mining.FingerprintedMiner; one that only has a Name is
-		// identified by that alone, so differently parameterized
-		// instances of it would alias — implement FingerprintKey on any
-		// parameterized miner (every in-tree miner does).
-		if fm, ok := cfg.Miner.(mining.FingerprintedMiner); ok {
-			minerName = fm.FingerprintKey()
-		} else {
-			minerName = cfg.Miner.Name()
-		}
-	} else {
-		// Default-miner bounds only matter when the default miner runs.
-		// The support fraction enters as the absolute threshold it
-		// resolves to on this dataset — the quantity LCM actually sees.
-		h.num(cfg.EffectiveMinSupport(d.NumUsers()))
-		h.num(cfg.MaxLen)
-		h.num(cfg.MaxGroups)
-	}
-	h.str(minerName)
+	// LCM's bounds, with the support fraction entering as the absolute
+	// threshold it resolves to on this dataset — the quantity LCM
+	// actually sees. The trailing empty string is where a custom
+	// miner's key was hashed while the miner was an option; it stays so
+	// every default-config address is unchanged.
+	h.num(cfg.EffectiveMinSupport(d.NumUsers()))
+	h.num(cfg.MaxLen)
+	h.num(cfg.MaxGroups)
+	h.str("")
 
 	var fp Fingerprint
 	h.h.Sum(fp[:0])

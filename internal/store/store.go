@@ -80,8 +80,9 @@ import (
 // Version 2 added the ingestion-log sections (DLOG, DLTA), the chained
 // fingerprint, and the pipeline configuration in META. Version 3
 // dropped the INDX section and the index fraction and build time from
-// META.
-const Version = 3
+// META. Version 4 dropped the miner name and the default-miner flag
+// from META: LCM builds every engine, so every snapshot replays.
+const Version = 4
 
 // CompactThreshold is the number of pending DLTA sections at which
 // BuildOrLoad folds the deltas into a fresh base: below it a warm
@@ -264,9 +265,6 @@ func loadBytes(data []byte, workers int) (*core.Engine, Header, error) {
 // sections (VOCB, TXNS, GRPS) are CRC-checked but never decoded
 // — the replay build supersedes them.
 func loadWithDeltas(hdr Header, payload map[sectionTag][]byte, deltas [][]byte, info core.RestoreInfo, workers int) (*core.Engine, Header, error) {
-	if !info.DefaultMiner {
-		return nil, hdr, fmt.Errorf("store: snapshot has %d pending deltas but was built with a custom miner; deltas cannot replay", len(deltas))
-	}
 	d, err := decodeDataset(payload)
 	if err != nil {
 		return nil, hdr, err
@@ -686,22 +684,15 @@ func encodeGroups(space *groups.Space) []byte {
 	return e.b
 }
 
-// encodeMeta writes the engine's metadata: miner name, build timings,
-// whether the default (replayable) miner built the space, and the
+// encodeMeta writes the engine's metadata: build timings and the
 // normalized result-affecting pipeline scalars, which is what lets a
 // loader re-run the pipeline over replayed deltas. Workers is a
 // runtime choice, not state, and is not stored; neither is the index
 // fraction, which no engine reads.
 func encodeMeta(eng *core.Engine) []byte {
 	var e enc
-	e.str(eng.Miner)
 	e.svarint(int64(eng.Timings.Encode))
 	e.svarint(int64(eng.Timings.Mine))
-	if eng.Ingestable() {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
 	cfg := eng.Config()
 	if cfg.Encode.Demographics {
 		e.u8(1)
@@ -908,12 +899,10 @@ func decodeGroups(b []byte, workers int) ([]*groups.Group, int, error) {
 func decodeMeta(b []byte) (core.RestoreInfo, error) {
 	d := dec{b: b}
 	var info core.RestoreInfo
-	info.Miner = d.str()
 	info.Timings = core.Timings{
 		Encode: time.Duration(d.svarint()),
 		Mine:   time.Duration(d.svarint()),
 	}
-	info.DefaultMiner = d.u8() == 1
 	info.Config.Encode.Demographics = d.u8() == 1
 	info.Config.Encode.TopItems = int(d.uvarint())
 	info.Config.Encode.LikeThreshold = d.f64()

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,8 +16,6 @@ import (
 	"vexus/internal/datagen"
 	"vexus/internal/greedy"
 	"vexus/internal/groups"
-	"vexus/internal/mining"
-	"vexus/internal/mining/lcm"
 	"vexus/internal/parallel"
 )
 
@@ -168,10 +167,7 @@ func requireEnginesIdentical(t *testing.T, want, got *core.Engine) {
 			t.Fatal(d)
 		}
 	}
-	// Miner label and greedy precomputation (initial display order).
-	if got.Miner != want.Miner {
-		t.Fatalf("miner %q vs %q", got.Miner, want.Miner)
-	}
+	// Greedy precomputation (initial display order).
 	requireSameSelections(t, want, got)
 }
 
@@ -336,10 +332,11 @@ func TestStaleSnapshotRebuilds(t *testing.T) {
 	}
 }
 
-// TestVersion2SnapshotRebuilds: a snapshot in the previous format —
-// version 2, with its INDX section of materialized prefixes — is
-// refused, even under a matching fingerprint, and BuildOrLoad replaces
-// it with a fresh build in the current format.
+// TestVersion2SnapshotRebuilds: snapshots in the previous formats —
+// version 2, with its INDX section of materialized prefixes, and
+// version 3, whose META carried the miner name and a default-miner
+// flag — are refused, even under a matching fingerprint, and
+// BuildOrLoad replaces them with a fresh build in the current format.
 func TestVersion2SnapshotRebuilds(t *testing.T) {
 	eng, cfg := builtEngine(t)
 	d := eng.Data
@@ -350,47 +347,77 @@ func TestVersion2SnapshotRebuilds(t *testing.T) {
 	}
 	raw := cur.Bytes()
 
-	// Re-frame the sections as version 2 wrote them: INDX between GRPS
-	// and META.
-	const tagIndexV2 sectionTag = 0x58444e49 // "INDX"
-	var v2 bytes.Buffer
-	v2.Write(raw[:headerLen])
-	binary.LittleEndian.PutUint32(v2.Bytes()[len(magic):], 2)
-	for off := headerLen; off < len(raw); {
-		tag := sectionTag(binary.LittleEndian.Uint32(raw[off:]))
-		n := int(binary.LittleEndian.Uint64(raw[off+4:]))
-		if tag == tagMeta {
-			if err := writeSection(&v2, tagIndexV2, make([]byte, 16)); err != nil {
-				t.Fatal(err)
-			}
+	// reframe rewrites the current file's header version and passes
+	// each section through edit, which writes it as that version did.
+	reframe := func(version uint32, edit func(w *bytes.Buffer, tag sectionTag, payload []byte)) []byte {
+		var old bytes.Buffer
+		old.Write(raw[:headerLen])
+		binary.LittleEndian.PutUint32(old.Bytes()[len(magic):], version)
+		for off := headerLen; off < len(raw); {
+			tag := sectionTag(binary.LittleEndian.Uint32(raw[off:]))
+			n := int(binary.LittleEndian.Uint64(raw[off+4:]))
+			edit(&old, tag, raw[off+12:off+12+n])
+			off += 12 + n + 4
 		}
-		v2.Write(raw[off : off+12+n+4])
-		off += 12 + n + 4
+		return old.Bytes()
 	}
-	path := filepath.Join(t.TempDir(), "authors.snap")
-	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	write := func(w *bytes.Buffer, tag sectionTag, payload []byte) {
+		if err := writeSection(w, tag, payload); err != nil {
+			t.Fatal(err)
+		}
 	}
+	// Version 2: INDX between GRPS and META.
+	const tagIndexV2 sectionTag = 0x58444e49 // "INDX"
+	v2 := reframe(2, func(w *bytes.Buffer, tag sectionTag, payload []byte) {
+		if tag == tagMeta {
+			write(w, tagIndexV2, make([]byte, 16))
+		}
+		write(w, tag, payload)
+	})
+	// Version 3: META opens with the miner name, and the default-miner
+	// flag follows the two build timings.
+	v3 := reframe(3, func(w *bytes.Buffer, tag sectionTag, payload []byte) {
+		if tag == tagMeta {
+			timings := dec{b: payload}
+			timings.svarint()
+			timings.svarint()
+			var meta enc
+			meta.str("lcm")
+			meta.b = append(meta.b, payload[:timings.off]...)
+			meta.u8(1)
+			payload = append(meta.b, payload[timings.off:]...)
+		}
+		write(w, tag, payload)
+	})
 
-	if _, err := LoadFileFresh(path, fp, 1); err == nil {
-		t.Fatal("version-2 snapshot loaded")
-	}
-	got, warm, err := BuildOrLoad(path, d, cfg)
-	if got == nil {
-		t.Fatalf("rebuild of a version-2 snapshot failed: %v", err)
-	}
-	if warm {
-		t.Fatal("version-2 snapshot served as a warm start")
-	}
-	if err == nil || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("version skew not reported: %v", err)
-	}
-	requireEnginesIdentical(t, eng, got)
-	if hdr, err := ReadHeaderFile(path); err != nil || hdr.Version != Version {
-		t.Fatalf("snapshot not rewritten in the current format: %+v, %v", hdr, err)
-	}
-	if _, warm, err := BuildOrLoad(path, d, cfg); err != nil || !warm {
-		t.Fatalf("rewritten snapshot not warm on next start: warm=%v err=%v", warm, err)
+	for _, c := range []struct {
+		version int
+		file    []byte
+	}{{2, v2}, {3, v3}} {
+		path := filepath.Join(t.TempDir(), "authors.snap")
+		if err := os.WriteFile(path, c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFileFresh(path, fp, 1); err == nil {
+			t.Fatalf("version-%d snapshot loaded", c.version)
+		}
+		got, warm, err := BuildOrLoad(path, d, cfg)
+		if got == nil {
+			t.Fatalf("rebuild of a version-%d snapshot failed: %v", c.version, err)
+		}
+		if warm {
+			t.Fatalf("version-%d snapshot served as a warm start", c.version)
+		}
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", c.version)) {
+			t.Fatalf("version skew not reported: %v", err)
+		}
+		requireEnginesIdentical(t, eng, got)
+		if hdr, err := ReadHeaderFile(path); err != nil || hdr.Version != Version {
+			t.Fatalf("snapshot not rewritten in the current format: %+v, %v", hdr, err)
+		}
+		if _, warm, err := BuildOrLoad(path, d, cfg); err != nil || !warm {
+			t.Fatalf("rewritten snapshot not warm on next start: warm=%v err=%v", warm, err)
+		}
 	}
 }
 
@@ -464,6 +491,22 @@ func TestTrailingBytesRejected(t *testing.T) {
 	}
 }
 
+// TestFingerprintGolden pins the content address of one fixed dataset
+// under the default pipeline configuration to the hex recorded before
+// the miner stopped being an option: removing that option left every
+// default-config snapshot address, and so every deployed snapshot,
+// where it was.
+func TestFingerprintGolden(t *testing.T) {
+	d, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: 60, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "fe200aa47135aa964e65cfdd6b3d52f346df8fbecd437e06975a0b5f2996acf5"
+	if fp := ComputeFingerprint(d, core.DefaultPipelineConfig()); hex.EncodeToString(fp[:]) != want {
+		t.Fatalf("default-config fingerprint %x, want %s", fp, want)
+	}
+}
+
 func TestFingerprintSensitivity(t *testing.T) {
 	eng, cfg := builtEngine(t)
 	base := ComputeFingerprint(eng.Data, cfg)
@@ -492,14 +535,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 	explicit.MaxLen, explicit.MaxGroups, explicit.IndexFraction = 4, 100_000, 0.10
 	if ComputeFingerprint(eng.Data, modified) != ComputeFingerprint(eng.Data, explicit) {
 		t.Fatal("default-normalized config hashes differently from explicit defaults")
-	}
-	// A custom miner contributes its parameters (FingerprintKey), so
-	// two differently bounded instances never alias.
-	minerA, minerB := cfg, cfg
-	minerA.Miner = lcm.New(mining.Options{MinSupport: 10, MaxLen: 3})
-	minerB.Miner = lcm.New(mining.Options{MinSupport: 100, MaxLen: 3})
-	if ComputeFingerprint(eng.Data, minerA) == ComputeFingerprint(eng.Data, minerB) {
-		t.Fatal("custom miner options not reflected in fingerprint")
 	}
 	// A different dataset must change the address.
 	other, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: 400, Seed: 8})
