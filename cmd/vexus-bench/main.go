@@ -29,10 +29,6 @@ func main() {
 	flag.IntVar(&p7Shards, "lshards", 0, "p7: cluster size (0 = scale preset)")
 	flag.IntVar(&p7Ticks, "ticks", 0, "p7: virtual run length in ticks (0 = scale preset)")
 	flag.StringVar(&p7Chaos, "chaos", "", `p7: fault schedule "tick:op[:target],..." ("" = default schedule, "none" = fault-free)`)
-	flag.StringVar(&baselineFlag, "baseline", "",
-		"compare this run's regression metrics against a prior bench-note JSON; exit non-zero past -regress-threshold (p7)")
-	flag.Float64Var(&regressPctFlag, "regress-threshold", 10,
-		"percent a regression metric may exceed its -baseline value before the gate fails")
 	flag.Parse()
 
 	runners := map[string]func(uint64, string) error{

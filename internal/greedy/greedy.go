@@ -31,6 +31,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"time"
 
 	"vexus/internal/bitset"
@@ -119,11 +120,21 @@ type Optimizer struct {
 	// now is the clock SelectNext measures its budget against;
 	// time.Now outside tests.
 	now func() time.Time
+	// slots pools the |G|-sized group id → pool slot arrays of the
+	// profile's user part, so explores reuse one instead of allocating
+	// per call. Each array is all-zero between uses.
+	slots sync.Pool
 }
 
 // New returns an optimizer bound to a space and its similarity index.
 func New(space *groups.Space, ix *index.Index) *Optimizer {
-	return &Optimizer{space: space, ix: ix, now: time.Now}
+	o := &Optimizer{space: space, ix: ix, now: time.Now}
+	n := space.Len()
+	o.slots.New = func() any {
+		slot := make([]int32, n)
+		return &slot
+	}
+	return o
 }
 
 // candidate is one pool entry.
@@ -393,7 +404,8 @@ func (o *Optimizer) pool(focal *groups.Group, fb *feedback.Vector, cfg Config) [
 	// adds the same terms in the same order as a per-candidate loop.
 	if fb != nil {
 		if topUsers := fb.TopUsers(128); len(topUsers) > 0 {
-			slot := make([]int32, o.space.Len()) // 1 + pool index; 0 = not in the pool
+			slotp := o.slots.Get().(*[]int32)
+			slot := *slotp // 1 + pool index; 0 = not in the pool
 			for i := range cands {
 				slot[cands[i].id] = int32(i + 1)
 			}
@@ -404,6 +416,10 @@ func (o *Optimizer) pool(focal *groups.Group, fb *feedback.Vector, cfg Config) [
 					}
 				}
 			}
+			for i := range cands {
+				slot[cands[i].id] = 0
+			}
+			o.slots.Put(slotp)
 		}
 	}
 	keys := make([]rankKey, len(cands))

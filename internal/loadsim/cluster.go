@@ -19,9 +19,10 @@ import (
 	"vexus/internal/telemetry"
 )
 
-// shardNode is one shard worker plus its harness-side model state: the
-// chaos switch in front of its handler, the modeled arrival queue, and
-// the latency histogram its virtual actions observe into.
+// shardNode is one shard worker as the harness drives it: the server,
+// the chaos switch in front of its handler, its private telemetry
+// registry (scraped for the Summary's server-side counters), and the
+// fault state the chaos schedule has put it in.
 type shardNode struct {
 	name  string
 	srv   *serve.Server
@@ -31,13 +32,6 @@ type shardNode struct {
 	killed      bool
 	partitioned bool
 	drained     bool
-
-	lat          telemetry.HistogramSnapshot
-	queue        float64
-	arrivals     int
-	depthSum     float64
-	depthSamples int
-	maxDepth     float64
 }
 
 // chaosHandler is the fault switch in front of a shard handler.
@@ -381,7 +375,7 @@ func (h *harness) restartGateway() error {
 			}
 			continue
 		}
-		if owner := ownerOf(h.ringLst, u.sid); owner != u.owner {
+		if owner := cluster.Owner(h.ringLst, u.sid); owner != u.owner {
 			// The rebuilt gateway would re-home this sid by hash; the
 			// session lives elsewhere, so its next request reads 404.
 			h.restartLost++
@@ -389,10 +383,6 @@ func (h *harness) restartGateway() error {
 		}
 	}
 	return nil
-}
-
-func ownerOf(ring []string, sid string) string {
-	return cluster.Owner(ring, sid)
 }
 
 // drainBody discards and closes a buffered response body.

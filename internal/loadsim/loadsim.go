@@ -1,15 +1,17 @@
 // Package loadsim is the cluster-scale workload and fault-injection
 // harness: a deterministic synthetic population of analysts driving a
 // multi-shard in-process cluster (gateway + cluster.LocalShard
-// workers) through the v1 action API and the SSE diff stream, under a
-// tick-based latency/queue model and a scripted chaos schedule.
+// workers) through the v1 action API and the SSE diff stream under a
+// scripted chaos schedule, counting every fail-closed violation. It
+// measures no latency: serving speed is wallbench's job.
 //
 // The population is two-layered. Every simulated analyst lives in the
 // virtual layer: a per-user rng.Derive stream decides, tick by tick,
 // whether the analyst acts and which operation they pick
-// (explore/backtrack/focus+brush), and each act becomes an arrival in
-// the owning shard's queue model, which prices it with a latency the
-// per-shard histograms record. The first Config.Live analysts are
+// (explore/backtrack/focus+brush), and each act lands on the owning
+// shard when it is routable and alive, is counted unavailable when it
+// is routable but unreachable, and loses the session when routing has
+// moved on. The first Config.Live analysts are
 // additionally *live*: they create real sessions through the gateway,
 // POST real action batches (?full=1), and a deterministic subset holds
 // real SSE subscriptions — so routing, migration, ETag continuity and
@@ -34,6 +36,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -48,6 +51,20 @@ import (
 // loadsimUserStream is the rng.Derive stream family base for per-user
 // streams — disjoint from the internal/simulate families (1..3 << 40).
 const loadsimUserStream uint64 = 9 << 40
+
+// Fixed population and detector shape. Arrival rates follow a Zipf
+// rank-frequency curve (exponent zipfS) clamped to [minRate, peakRate]
+// act probability per tick; failure detection marks a silent shard
+// suspect after suspectTicks and down after downTicks virtual seconds;
+// every sseEvery-th live analyst holds a diff-stream subscription.
+const (
+	zipfS        = 1.1
+	peakRate     = 0.9
+	minRate      = 0.01
+	suspectTicks = 3
+	downTicks    = 6
+	sseEvery     = 4
+)
 
 // Config parameterizes one load/chaos run. The zero value is not
 // runnable; Run applies the documented defaults to zero fields.
@@ -69,22 +86,6 @@ type Config struct {
 	Workers int
 	// Seed is the master seed; per-user streams derive from it.
 	Seed uint64
-	// ZipfS is the rank-frequency exponent of arrival rates (default
-	// 1.1); PeakRate/MinRate clamp the per-tick act probability
-	// (defaults 0.9 / 0.01).
-	ZipfS    float64
-	PeakRate float64
-	MinRate  float64
-	// BaseLatencyMS is the queue model's zero-load latency (default 2).
-	BaseLatencyMS float64
-	// ServiceRate is each shard's modeled service capacity in
-	// actions/tick (0 = auto: 1.4x the expected per-shard arrival
-	// rate, i.e. ~70% utilization before chaos shrinks the cluster).
-	ServiceRate float64
-	// SuspectTicks / DownTicks tune failure detection in virtual
-	// seconds (defaults 3 / 6).
-	SuspectTicks int
-	DownTicks    int
 	// Chaos is the fault schedule: "tick:op[:target]" comma-separated
 	// (see ParseSchedule), "default" for DefaultSchedule(Shards,
 	// Ticks), "" for a fault-free run.
@@ -95,9 +96,6 @@ type Config struct {
 	// under live sessions.
 	DatasetN int
 	SpareN   int
-	// SSEEvery subscribes every k-th live user to the diff stream
-	// (default 4; 0 disables subscriptions).
-	SSEEvery int
 	// Logger receives cluster/serve logs (nil = discard).
 	Logger *slog.Logger
 }
@@ -118,34 +116,11 @@ func (c Config) withDefaults() Config {
 	if c.Ticks <= 0 {
 		c.Ticks = 120
 	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.1
-	}
-	if c.PeakRate == 0 {
-		c.PeakRate = 0.9
-	}
-	if c.MinRate == 0 {
-		c.MinRate = 0.01
-	}
-	if c.BaseLatencyMS == 0 {
-		c.BaseLatencyMS = 2
-	}
-	if c.SuspectTicks <= 0 {
-		c.SuspectTicks = 3
-	}
-	if c.DownTicks <= 0 {
-		c.DownTicks = 6
-	}
 	if c.DatasetN <= 0 {
 		c.DatasetN = 240
 	}
 	if c.SpareN <= 0 {
 		c.SpareN = 96
-	}
-	if c.SSEEvery < 0 {
-		c.SSEEvery = 0
-	} else if c.SSEEvery == 0 {
-		c.SSEEvery = 4
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 4}))
@@ -168,10 +143,6 @@ func newVclock() *vclock {
 func (c *vclock) now() time.Time {
 	return c.base.Add(time.Duration(c.tick.Load()) * time.Second)
 }
-
-// latencyBoundsMS is the modeled-latency histogram layout (ms). Shared
-// by every shard so telemetry.Merge can fold them.
-var latencyBoundsMS = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10_000}
 
 // Run executes one load/chaos simulation and returns its Summary.
 func Run(cfg Config) (*Summary, error) {
@@ -238,8 +209,6 @@ type harness struct {
 	slots    []turn
 	streams  []*sseStream
 	deadSids []string
-
-	svcRate float64 // modeled per-shard service rate, actions/tick
 
 	// Accumulators (phase B + chaos + audit; sequential order only).
 	virtualActions  uint64
@@ -326,32 +295,22 @@ func newHarness(cfg Config, schedule []ChaosOp) (*harness, error) {
 	return h, nil
 }
 
-// initPopulation derives every analyst's rng stream and arrival rate,
-// and sizes the queue model off the expected aggregate load.
+// initPopulation derives every analyst's rng stream and arrival rate.
 func (h *harness) initPopulation() {
 	cfg := h.cfg
 	h.users = make([]user, cfg.Users)
 	h.slots = make([]turn, cfg.Users)
-	total := 0.0
 	for i := range h.users {
 		u := &h.users[i]
 		u.idx = i
 		u.r = rng.Derive(cfg.Seed, loadsimUserStream|uint64(i))
-		rate := cfg.PeakRate / powf(float64(i+1), cfg.ZipfS)
-		if rate < cfg.MinRate {
-			rate = cfg.MinRate
+		rate := peakRate / powf(float64(i+1), zipfS)
+		if rate < minRate {
+			rate = minRate
 		}
 		u.rate = rate
 		u.live = i < cfg.Live
 		u.pendingCreate = true
-		total += rate
-	}
-	h.svcRate = cfg.ServiceRate
-	if h.svcRate <= 0 {
-		h.svcRate = 1.4 * total / float64(cfg.Shards)
-		if h.svcRate < 1 {
-			h.svcRate = 1
-		}
 	}
 }
 
@@ -397,7 +356,6 @@ func (h *harness) newShard(name string) (*shardNode, error) {
 		srv:   srv,
 		chaos: newChaosHandler(srv.Routes()),
 		telem: reg,
-		lat:   telemetry.NewHistogramSnapshot(latencyBoundsMS),
 	}, nil
 }
 
@@ -416,8 +374,8 @@ func (h *harness) newGateway() (*cluster.Gateway, error) {
 	return cluster.NewGatewayConfig(cluster.GatewayConfig{
 		Logger:       h.cfg.Logger,
 		RoutesPath:   filepath.Join(h.tmpDir, "routes.json"),
-		SuspectAfter: time.Duration(h.cfg.SuspectTicks) * time.Second,
-		DownAfter:    time.Duration(h.cfg.DownTicks) * time.Second,
+		SuspectAfter: suspectTicks * time.Second,
+		DownAfter:    downTicks * time.Second,
 		Clock:        h.clock.now,
 		MintSID:      func() string { return h.mintNext },
 		ManualSweep:  true,
@@ -466,8 +424,8 @@ func (h *harness) topologySnapshot() (uint64, []string, []string) {
 // either direction are counted; a correct cluster reports zero.
 func (h *harness) checkEpoch() {
 	epoch, roster, routable := h.topologySnapshot()
-	rosterSame := equalStrings(roster, h.prevRoster)
-	routableSame := equalStrings(routable, h.prevRoutable)
+	rosterSame := slices.Equal(roster, h.prevRoster)
+	routableSame := slices.Equal(routable, h.prevRoutable)
 	if epoch != h.prevEpoch && rosterSame && routableSame {
 		h.epochViolations++ // bump without any topology change
 	}
@@ -475,18 +433,6 @@ func (h *harness) checkEpoch() {
 		h.epochViolations++ // topology change without a bump
 	}
 	h.prevEpoch, h.prevRoster, h.prevRoutable = epoch, roster, routable
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // teardown releases the cluster (idempotent; safe on a half-built
@@ -531,9 +477,9 @@ func (h *harness) phaseA() {
 }
 
 // phaseB folds the tick's slots into harness state sequentially in
-// user-index order: queue-model arrivals and latencies, live-result
+// user-index order: virtual action and availability counts, live-result
 // bookkeeping (ETag continuity, misroute and loss detection), then
-// session (re)creation. Queue depths drain per shard afterwards.
+// session (re)creation.
 func (h *harness) phaseB() {
 	for i := range h.users {
 		u := &h.users[i]
@@ -542,10 +488,6 @@ func (h *harness) phaseB() {
 			owner := u.owner
 			switch {
 			case h.ring[owner] && h.shardAlive(owner):
-				n := h.nodes[owner]
-				pos := n.queue + float64(n.arrivals)
-				n.lat.Observe(h.cfg.BaseLatencyMS + (pos+1)*1000.0/h.svcRate)
-				n.arrivals++
 				h.virtualActions++
 				h.actionsByOp[opNames[tn.op]]++
 				if !u.live {
@@ -564,24 +506,6 @@ func (h *harness) phaseB() {
 		}
 		if u.pendingCreate && !u.paused && len(h.ringLst) > 0 {
 			h.createUser(u)
-		}
-	}
-	for _, name := range h.names {
-		n := h.nodes[name]
-		if !h.ring[name] || !h.shardAlive(name) {
-			n.queue = 0
-			n.arrivals = 0
-			continue
-		}
-		n.queue += float64(n.arrivals) - h.svcRate
-		if n.queue < 0 {
-			n.queue = 0
-		}
-		n.arrivals = 0
-		n.depthSum += n.queue
-		n.depthSamples++
-		if n.queue > n.maxDepth {
-			n.maxDepth = n.queue
 		}
 	}
 }

@@ -224,7 +224,7 @@ func (h *harness) createUser(u *user) {
 	u.shown = shownIDs(st)
 	u.histLen = len(st.History)
 	h.liveCreates++
-	if h.cfg.SSEEvery > 0 && u.idx%h.cfg.SSEEvery == 0 {
+	if u.idx%sseEvery == 0 {
 		h.subscribe(u)
 	}
 }

@@ -1,7 +1,8 @@
 package loadsim
 
 import (
-	"vexus/internal/telemetry"
+	"fmt"
+	"strings"
 )
 
 // Summary is the deterministic result of one Run: identical Configs
@@ -23,13 +24,6 @@ type Summary struct {
 	VirtualCreates int               `json:"virtual_creates"`
 	LiveCreates    int               `json:"live_creates"`
 	CreateRetries  int               `json:"create_retries"`
-
-	// Modeled latency (merged across shards) and queue behavior.
-	LatencyP50Ms   float64 `json:"latency_p50_ms"`
-	LatencyP99Ms   float64 `json:"latency_p99_ms"`
-	LatencyP999Ms  float64 `json:"latency_p999_ms"`
-	QueueMeanDepth float64 `json:"queue_mean_depth"`
-	QueueMaxDepth  float64 `json:"queue_max_depth"`
 
 	// Availability and loss under chaos.
 	Unavailable     int            `json:"unavailable"`
@@ -120,27 +114,10 @@ func (h *harness) summary() *Summary {
 		EpochFinal: h.gw.Epoch(),
 	}
 
-	merged := telemetry.NewHistogramSnapshot(latencyBoundsMS)
-	var depthSum float64
-	var depthSamples int
 	for _, name := range h.names {
 		n := h.nodes[name]
-		if m, err := telemetry.Merge(merged, n.lat); err == nil {
-			merged = m
-		}
-		depthSum += n.depthSum
-		depthSamples += n.depthSamples
-		if n.maxDepth > s.QueueMaxDepth {
-			s.QueueMaxDepth = n.maxDepth
-		}
 		s.EngineEvictions += h.shardCounter(n, "vexus_engine_evictions_total")
 		s.SessionsEvicted += h.shardCounter(n, "vexus_sessions_evicted_total")
-	}
-	s.LatencyP50Ms = merged.Quantile(0.5)
-	s.LatencyP99Ms = merged.Quantile(0.99)
-	s.LatencyP999Ms = merged.Quantile(0.999)
-	if depthSamples > 0 {
-		s.QueueMeanDepth = depthSum / float64(depthSamples)
 	}
 
 	for _, st := range h.streams {
@@ -155,4 +132,39 @@ func (h *harness) summary() *Summary {
 		s.SSECloseCount[reason]++
 	}
 	return s
+}
+
+// FailClosed returns nil when s records no fail-closed violation, and
+// otherwise an error naming every violated condition by its JSON key.
+// A correct cluster never misroutes a session, breaks ETag continuity,
+// moves the epoch out of step with the topology, fails a chaos op or
+// the final audit, answers for a lost session, loses the epoch across
+// a gateway restart, rejects a well-formed action batch, or answers
+// with a status the harness does not expect.
+func (s *Summary) FailClosed() error {
+	var bad []string
+	for _, c := range []struct {
+		key string
+		n   int
+	}{
+		{"misrouted_sessions", s.MisroutedSessions},
+		{"etag_breaks", s.EtagBreaks},
+		{"epoch_violations", s.EpochViolations},
+		{"chaos_errors", s.ChaosErrors},
+		{"audit_failures", s.AuditFailures},
+		{"fail_open_sessions", s.FailOpenSessions},
+		{"bad_batches", s.BadBatches},
+		{"other_errors", s.OtherErrors},
+	} {
+		if c.n != 0 {
+			bad = append(bad, fmt.Sprintf("%s=%d", c.key, c.n))
+		}
+	}
+	if !s.RestartPreserved {
+		bad = append(bad, "restart_epoch_preserved=false")
+	}
+	if len(bad) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%d fail-closed violation(s): %s", len(bad), strings.Join(bad, ", "))
 }

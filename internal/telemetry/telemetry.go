@@ -146,39 +146,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.load()
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) by linear
-// interpolation inside the bucket holding the target rank — the same
-// estimate a Prometheus histogram_quantile over these buckets yields.
-// The error is bounded by the width of that bucket; observations in
-// the +Inf bucket clamp to the last finite bound. Returns 0 with no
-// observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := q * float64(total)
-	cum := 0.0
-	for i := range h.buckets {
-		n := float64(h.buckets[i].Load())
-		if cum+n >= target && n > 0 {
-			if i == len(h.bounds) {
-				return h.bounds[len(h.bounds)-1] // +Inf bucket clamps
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			return lo + (target-cum)/n*(h.bounds[i]-lo)
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // atomicFloat is an atomically updated float64 (CAS on the bit
 // pattern) — the histogram sum accumulator.
 type atomicFloat struct {
