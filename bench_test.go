@@ -130,7 +130,10 @@ func BenchmarkNeighbors(b *testing.B) {
 // each click's focal group and the feedback profile the session had
 // accumulated by then; the timed loop runs SelectNext on those steps.
 // authors=3000 is the browse workload's corpus, where the step is most
-// of an explore's wall clock.
+// of an explore's wall clock. The authors=… cases time construction
+// only, as every explore does at TimeLimit 0; unbounded runs the
+// authors=3000 steps with a 10 s budget, which local search never
+// reaches, so it times search to convergence.
 
 var sinkSelection greedy.Selection
 
@@ -138,15 +141,17 @@ func BenchmarkSelectNext(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		engine func(*testing.B) *core.Engine
+		limit  time.Duration
 	}{
-		{"authors=1500", fixtures},
-		{"authors=3000", browseFixture},
+		{"authors=1500", fixtures, 0},
+		{"authors=3000", browseFixture, 0},
+		{"unbounded", browseFixture, 10 * time.Second},
 	} {
-		b.Run(c.name, func(b *testing.B) { benchSelectNext(b, c.engine(b)) })
+		b.Run(c.name, func(b *testing.B) { benchSelectNext(b, c.engine(b), c.limit) })
 	}
 }
 
-func benchSelectNext(b *testing.B, eng *core.Engine) {
+func benchSelectNext(b *testing.B, eng *core.Engine, limit time.Duration) {
 	cfg := greedy.DefaultConfig()
 	cfg.TimeLimit = 0
 	cfg.Workers = 1
@@ -169,6 +174,7 @@ func benchSelectNext(b *testing.B, eng *core.Engine) {
 		}
 	}
 	opt := greedy.New(eng.Space, eng.Index)
+	cfg.TimeLimit = limit
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

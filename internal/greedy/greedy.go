@@ -14,15 +14,20 @@
 // the set.
 //
 // All evaluation is against the ≤ k chosen groups (never the whole
-// candidate pool). Construction is incremental: each candidate keeps
-// its Jaccards to the groups chosen so far and the count of focal
-// members it would newly cover, so one round costs one popcount per
-// live candidate against the newest pick plus a pass over the sparse
-// coverage delta that pick made. One full local-search sweep costs
-// O(k · |pool|) Jaccards. That is what lets the candidate pool be
-// "every overlapping group" at interactive latencies. The pool itself
-// is one index lookup (index.Similar), which hands over each
-// candidate's overlap with the focal group, and one sort.
+// candidate pool). Construction is lazy (Minoux's lazy greedy): each
+// candidate keeps its Jaccards to the picks it has caught up with and
+// the count of focal members it would newly cover as those picks left
+// coverage. From them its gain is exact once it has caught up with
+// every pick and an upper bound before, so a round catches a candidate
+// up only when its bound beats the round's best so far: one popcount
+// against each missing pick plus a pass over the sparse coverage delta
+// that pick made. That is what lets the candidate pool be "every
+// overlapping group" at interactive latencies. The pool itself is one
+// index lookup (index.Similar), which hands over each candidate's
+// overlap with the focal group, and one sort. Local search is not
+// incremental: each of a sweep's k · |pool| swap trials costs O(k)
+// Jaccards plus k − 1 bitset copy, intersect and union passes to
+// rebuild coverage, so one sweep is O(k² · |pool|).
 package greedy
 
 import (
@@ -154,6 +159,12 @@ func (o *Optimizer) SelectNext(focal *groups.Group, fb *feedback.Vector, cfg Con
 	if cfg.K <= 0 {
 		return Selection{}, fmt.Errorf("greedy: K must be positive, got %d", cfg.K)
 	}
+	// Lazy construction's gain bound holds only while neither weight
+	// is negative (or NaN).
+	if !(cfg.CoverageWeight >= 0 && cfg.DiversityWeight >= 0) {
+		return Selection{}, fmt.Errorf("greedy: CoverageWeight and DiversityWeight must be non-negative, got %v and %v",
+			cfg.CoverageWeight, cfg.DiversityWeight)
+	}
 	if cfg.CandidatePool <= 0 {
 		cfg.CandidatePool = defaultCandidatePool
 	}
@@ -176,7 +187,7 @@ func (o *Optimizer) SelectNext(focal *groups.Group, fb *feedback.Vector, cfg Con
 		k = len(cands)
 	}
 	var deadlineHit bool
-	sel.FilledBySimilarity, deadlineHit = o.construct(st, k, deadline, unbounded)
+	sel.FilledBySimilarity, deadlineHit = o.construct(newGainCache(st, k), deadline, unbounded)
 
 	// Phase 2: anytime local search.
 	if !unbounded && !deadlineHit {
@@ -194,16 +205,16 @@ func (o *Optimizer) SelectNext(focal *groups.Group, fb *feedback.Vector, cfg Con
 	return sel, nil
 }
 
-// construct is phase 1: it adds k candidates to st one at a time,
-// each the one of largest marginal gain (ties to the earlier pool
-// entry), scored through a gainCache. If the deadline lands
+// construct is phase 1: it adds k = gc.cols + 1 candidates to gc.st
+// one at a time, each the one of largest marginal gain (ties to the
+// earlier pool entry), scored lazily through gc. If the deadline lands
 // mid-construction, the remaining slots fill with the best remaining
 // candidates by weighted similarity (the pool's order) so the explorer
 // always receives k groups — "best effort" in the paper's words. It
 // returns how many slots that fallback filled and whether the deadline
 // hit.
-func (o *Optimizer) construct(st *selState, k int, deadline time.Time, unbounded bool) (filled int, deadlineHit bool) {
-	gc := newGainCache(st, k)
+func (o *Optimizer) construct(gc *gainCache, deadline time.Time, unbounded bool) (filled int, deadlineHit bool) {
+	st, k := gc.st, gc.cols+1
 	for len(st.chosen) < k {
 		if !unbounded && len(st.chosen) > 0 && o.now().After(deadline) {
 			for ci := range st.cands {
@@ -223,7 +234,16 @@ func (o *Optimizer) construct(st *selState, k int, deadline time.Time, unbounded
 			if st.inChosen[ci] {
 				continue
 			}
-			if gain := gc.gain(ci, before, covered); gain > bestGain {
+			// A lagging candidate's gain is an upper bound on its
+			// exact gain. A bound that does not beat the best so far
+			// cannot win the round (ties go to the earlier entry), so
+			// only a bound that does is caught up and scored exactly.
+			gain := gc.gain(ci, before, covered)
+			if gain > bestGain && int(gc.filled[ci]) < len(st.chosen) {
+				gc.catchUp(ci)
+				gain = gc.gain(ci, before, covered)
+			}
+			if gain > bestGain {
 				best, bestGain = ci, gain
 			}
 		}
@@ -235,31 +255,40 @@ func (o *Optimizer) construct(st *selState, k int, deadline time.Time, unbounded
 	return filled, false
 }
 
-// gainCache holds construction's per-candidate state, from which a
-// gain equals selState.gain's bit for bit; each pick extends it by
-// that pick only. Row ci of jac holds candidate ci's Jaccards to the
-// chosen groups in pick order, summed onto sumPair in that order as
-// gain sums them. newCov[ci] = |c ∩ focal \ covered|; a pick lowers
-// it by c's overlap with the focal members the pick newly covers, read
-// from that delta's non-zero words only.
+// gainCache holds construction's per-candidate state, filled lazily
+// (Minoux's lazy greedy). Candidate ci has caught up with the first
+// filled[ci] picks: row ci of jac holds its Jaccards to them, and
+// newCov[ci] = |c ∩ focal \ covered| as those picks left covered. Once
+// ci has caught up with every pick, gain equals selState.gain's bit for
+// bit, since the row sums onto sumPair in pick order as gain sums it.
+// Before that, the missing Jaccards are ≥ 0 and the stale newCov is ≥
+// the current one, so gain is an upper bound on the exact gain: float
+// rounding is monotone, and so is gainFrom while CoverageWeight and
+// DiversityWeight are ≥ 0. Catching up one pick costs one popcount
+// against that pick plus a pass over the focal members it newly
+// covered, kept as its non-zero delta words.
 type gainCache struct {
-	st      *selState
-	cols    int // k − 1: the k-th pick's column would never be read
-	jac     []float64
-	newCov  []int32
-	deltaAt []int    // indices of the newest pick's non-zero delta words
-	delta   []uint64 // those words
+	st       *selState
+	cols     int // k − 1: the k-th pick's column would never be read
+	jac      []float64
+	newCov   []int32
+	filled   []int32
+	deltaOff []int    // pick p's delta words are delta[deltaOff[p]:deltaOff[p+1]]
+	deltaAt  []int32  // the index of each delta word
+	delta    []uint64 // the words: the focal members a pick newly covered
 }
 
 func newGainCache(st *selState, k int) *gainCache {
 	words := len(st.focal.Members.Words())
 	gc := &gainCache{
-		st:      st,
-		cols:    k - 1,
-		jac:     make([]float64, len(st.cands)*(k-1)),
-		newCov:  make([]int32, len(st.cands)),
-		deltaAt: make([]int, 0, words),
-		delta:   make([]uint64, 0, words),
+		st:       st,
+		cols:     k - 1,
+		jac:      make([]float64, len(st.cands)*(k-1)),
+		newCov:   make([]int32, len(st.cands)),
+		filled:   make([]int32, len(st.cands)),
+		deltaOff: make([]int, 1, k),
+		deltaAt:  make([]int32, 0, words),
+		delta:    make([]uint64, 0, words),
 	}
 	for ci := range st.cands {
 		gc.newCov[ci] = st.cands[ci].inter
@@ -268,48 +297,51 @@ func newGainCache(st *selState, k int) *gainCache {
 }
 
 // gain returns the objective delta of adding candidate ci, given the
-// round's before = st.score() and covered = st.covered.Count().
+// round's before = st.score() and covered = st.covered.Count(): exact
+// once ci has caught up with every pick, an upper bound before.
 func (gc *gainCache) gain(ci int, before float64, covered int) float64 {
 	st := gc.st
-	row := gc.jac[ci*gc.cols:]
 	sum := st.sumPair
-	for _, s := range row[:len(st.chosen)] {
+	for _, s := range gc.jac[ci*gc.cols : ci*gc.cols+int(gc.filled[ci])] {
 		sum += s
 	}
 	return st.gainFrom(before, covered+int(gc.newCov[ci]), sum, st.cands[ci].alignment)
 }
 
-// add commits candidate ci to the chosen set and, unless that was the
-// k-th pick, extends every live candidate's cache by it.
-func (gc *gainCache) add(ci int) {
+// catchUp extends candidate ci's cache by every pick it has not seen.
+func (gc *gainCache) catchUp(ci int) {
 	st := gc.st
-	p := &st.cands[ci]
-	focal, covered := st.focal.Members.Words(), st.covered.Words()
-	gc.deltaAt, gc.delta = gc.deltaAt[:0], gc.delta[:0]
-	for i, w := range p.members.Words() {
-		if d := w & focal[i] &^ covered[i]; d != 0 {
-			gc.deltaAt = append(gc.deltaAt, i)
-			gc.delta = append(gc.delta, d)
-		}
-	}
-	col := len(st.chosen)
-	st.add(ci)
-	if col == gc.cols {
-		return
-	}
-	for cj := range st.cands {
-		if st.inChosen[cj] {
-			continue
-		}
-		c := &st.cands[cj]
-		gc.jac[cj*gc.cols+col] = jaccard(c.members.IntersectCount(p.members), int(c.size), int(p.size))
-		if gc.newCov[cj] > 0 {
-			words := c.members.Words()
-			for j, i := range gc.deltaAt {
-				gc.newCov[cj] -= int32(bits.OnesCount64(words[i] & gc.delta[j]))
+	c := &st.cands[ci]
+	row, words, newCov := gc.jac[ci*gc.cols:], c.members.Words(), gc.newCov[ci]
+	for col := int(gc.filled[ci]); col < len(st.chosen); col++ {
+		p := &st.cands[st.chosen[col]]
+		row[col] = jaccard(c.members.IntersectCount(p.members), int(c.size), int(p.size))
+		if newCov > 0 {
+			at := gc.deltaAt[gc.deltaOff[col]:gc.deltaOff[col+1]]
+			delta := gc.delta[gc.deltaOff[col]:][:len(at)]
+			for j, i := range at {
+				newCov -= int32(bits.OnesCount64(words[i] & delta[j]))
 			}
 		}
 	}
+	gc.newCov[ci], gc.filled[ci] = newCov, int32(len(st.chosen))
+}
+
+// add commits candidate ci to the chosen set and, unless that was the
+// k-th pick, records the focal members it newly covers for catchUp.
+func (gc *gainCache) add(ci int) {
+	st := gc.st
+	if len(st.chosen) < gc.cols {
+		focal, covered := st.focal.Members.Words(), st.covered.Words()
+		for i, w := range st.cands[ci].members.Words() {
+			if d := w & focal[i] &^ covered[i]; d != 0 {
+				gc.deltaAt = append(gc.deltaAt, int32(i))
+				gc.delta = append(gc.delta, d)
+			}
+		}
+		gc.deltaOff = append(gc.deltaOff, len(gc.delta))
+	}
+	st.add(ci)
 }
 
 // jaccard is bitset.Jaccard's division for two sets of sizes a and b

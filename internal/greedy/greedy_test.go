@@ -1,6 +1,7 @@
 package greedy
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -68,6 +69,14 @@ func TestSelectNextValidation(t *testing.T) {
 	o := New(s, ix)
 	if _, err := o.SelectNext(s.Group(0), nil, Config{K: 0}); err == nil {
 		t.Fatal("K=0 accepted")
+	}
+	for _, w := range []weights{{-0.5, 0.5, 0}, {0.5, -0.5, 0}, {math.NaN(), 0.5, 0}} {
+		if _, err := o.SelectNext(s.Group(0), nil, w.apply(DefaultConfig())); err == nil {
+			t.Fatalf("weights %v accepted", w)
+		}
+	}
+	if _, err := o.SelectNext(s.Group(0), nil, weights{0, 0, -1}.apply(DefaultConfig())); err != nil {
+		t.Fatalf("negative FeedbackWeight refused: %v", err)
 	}
 }
 

@@ -231,7 +231,9 @@ func TestConstructionMatchesReference(t *testing.T) {
 // matchReference runs SelectNext against the reference for every focal
 // group of o's space, with and without fb, across the similarity bound,
 // K and the worker count, at the default pool cap and at one of the
-// small caps.
+// small caps. Every other focal group also runs one case of
+// weightSweep on the full pool with fb, and every bigKEvery-th one a K
+// above 255.
 func matchReference(t *testing.T, o *Optimizer, fb *feedback.Vector, smallCaps []int) {
 	t.Helper()
 	for focal := 0; focal < o.space.Len(); focal++ {
@@ -249,18 +251,64 @@ func matchReference(t *testing.T, o *Optimizer, fb *feedback.Vector, smallCaps [
 					for ki, k := range []int{1, 2, 7} {
 						cfg.K = k
 						cfg.Workers = []int{1, 2, 8}[(ki+focal)%3]
-						want := referenceSelectNext(o, o.space.Group(focal), cands, cfg)
-						got, err := o.SelectNext(o.space.Group(focal), profile, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameSelection(t, fmt.Sprintf("focal=%d profile=%v pool=%d minSim=%v k=%d workers=%d",
-							focal, profile != nil, pool, minSim, k, cfg.Workers), got, want)
+						matchOne(t, o, focal, profile, cands, cfg)
 					}
 				}
 			}
 		}
+		if focal%2 == 0 {
+			cfg := weightSweep[focal/2%len(weightSweep)].apply(DefaultConfig())
+			cfg.TimeLimit = 0
+			cfg.Workers = []int{1, 2, 8}[focal/2%3]
+			matchOne(t, o, focal, fb, referencePool(o, o.space.Group(focal), fb, cfg), cfg)
+		}
+		if focal%bigKEvery == bigKEvery/2 {
+			cfg := DefaultConfig()
+			cfg.TimeLimit = 0
+			cfg.MinSimilarity = 0
+			cfg.K, cfg.CandidatePool = bigK, bigKPool
+			if cands := referencePool(o, o.space.Group(focal), fb, cfg); len(cands) > bigK {
+				matchOne(t, o, focal, fb, cands, cfg)
+			}
+		}
 	}
+}
+
+// weightSweep is the blend weights matchReference rotates through
+// besides the default: coverage only, diversity only, the feedback
+// term at full weight, and all zero, where every gain ties at 0.
+var weightSweep = []weights{{1, 0, 0}, {0, 1, 0}, {0.5, 0.5, 1}, {0, 0, 0}}
+
+type weights struct{ coverage, diversity, feedback float64 }
+
+// apply returns cfg with w's blend weights.
+func (w weights) apply(cfg Config) Config {
+	cfg.CoverageWeight, cfg.DiversityWeight, cfg.FeedbackWeight = w.coverage, w.diversity, w.feedback
+	return cfg
+}
+
+// bigK runs construction for more than 255 rounds, so a count of
+// caught-up picks narrower than 16 bits wraps. It runs on every
+// bigKEvery-th focal group whose pool, capped at bigKPool, holds more
+// than bigK candidates; the reference's cost grows with K² · |pool|.
+const (
+	bigK      = 260
+	bigKPool  = 270
+	bigKEvery = 200
+)
+
+// matchOne runs SelectNext and the reference on one focal group and
+// fails the test unless their selections agree.
+func matchOne(t *testing.T, o *Optimizer, focal int, profile *feedback.Vector, cands []candidate, cfg Config) {
+	t.Helper()
+	want := referenceSelectNext(o, o.space.Group(focal), cands, cfg)
+	got, err := o.SelectNext(o.space.Group(focal), profile, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSelection(t, fmt.Sprintf("focal=%d profile=%v pool=%d minSim=%v k=%d workers=%d weights=%v/%v/%v",
+		focal, profile != nil, cfg.CandidatePool, cfg.MinSimilarity, cfg.K, cfg.Workers,
+		cfg.CoverageWeight, cfg.DiversityWeight, cfg.FeedbackWeight), got, want)
 }
 
 // TestPrefixIndexMatchesReference: over a built 10% prefix, the pool
@@ -315,38 +363,51 @@ func TestConstructionMatchesReferenceUnderBudget(t *testing.T) {
 	}
 }
 
-// TestGainCacheMatchesGain: every gain construction compares, not only
-// the winning one, has the bits of the per-candidate st.gain, so ties
-// and near-ties break as the reference breaks them.
+// TestGainCacheMatchesGain: in every round, every live candidate's
+// cached gain is an upper bound on the per-candidate st.gain, and once
+// the candidate catches up it has st.gain's bits, so ties and near-ties
+// break as the reference breaks them. A rotating third of the live
+// candidates catch up each round, so rows lag by one pick or by
+// several.
 func TestGainCacheMatchesGain(t *testing.T) {
 	for _, c := range oracleSpaces(t) {
 		fb := feedback.New()
 		fb.Reinforce(c.s.Group(3), 1)
 		fb.Reinforce(c.s.Group(11), 1)
 		o := New(c.s, c.ix)
-		cfg := DefaultConfig()
-		for _, focal := range []int{0, 1, 17, 99} {
-			cands := o.pool(c.s.Group(focal), fb, cfg)
-			st := newSelState(c.s, c.s.Group(focal), cands, cfg)
-			k := min(cfg.K, len(cands))
-			gc := newGainCache(st, k)
-			for len(st.chosen) < k {
-				before, covered := st.score(), st.covered.Count()
-				best, bestGain := -1, math.Inf(-1)
-				for ci := range cands {
-					if st.inChosen[ci] {
-						continue
+		d := DefaultConfig()
+		for _, w := range append([]weights{{d.CoverageWeight, d.DiversityWeight, d.FeedbackWeight}}, weightSweep...) {
+			cfg := w.apply(d)
+			for _, focal := range []int{0, 1, 17, 99} {
+				cands := o.pool(c.s.Group(focal), fb, cfg)
+				st := newSelState(c.s, c.s.Group(focal), cands, cfg)
+				k := min(cfg.K, len(cands))
+				gc := newGainCache(st, k)
+				for len(st.chosen) < k {
+					round := len(st.chosen)
+					name := fmt.Sprintf("%s weights=%v focal=%d round=%d", c.name, w, focal, round)
+					before, covered := st.score(), st.covered.Count()
+					best, bestGain := -1, math.Inf(-1)
+					for ci := range cands {
+						if st.inChosen[ci] {
+							continue
+						}
+						want := st.gain(ci)
+						if bound := gc.gain(ci, before, covered); !(bound >= want) {
+							t.Fatalf("%s candidate %d: bound %v < gain %v", name, cands[ci].id, bound, want)
+						}
+						if (ci+round)%3 == 0 {
+							gc.catchUp(ci)
+							if got := gc.gain(ci, before, covered); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%s candidate %d: caught-up gain %v != gain %v", name, cands[ci].id, got, want)
+							}
+						}
+						if want > bestGain {
+							best, bestGain = ci, want
+						}
 					}
-					want := st.gain(ci)
-					if got := gc.gain(ci, before, covered); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s focal=%d round=%d candidate %d: cached gain %v != gain %v",
-							c.name, focal, len(st.chosen), cands[ci].id, got, want)
-					}
-					if want > bestGain {
-						best, bestGain = ci, want
-					}
+					gc.add(best)
 				}
-				gc.add(best)
 			}
 		}
 	}
