@@ -172,22 +172,32 @@
 //
 // # Cluster membership
 //
-// internal/membership makes the cluster self-managing: the shard set
-// is a live roster, not a static flag. Each shard runs a
-// membership.Announcer that heartbeats POST /internal/cluster/heartbeat
-// to the gateway (default every 2s, -announce / -heartbeat), carrying
-// its address, live session count and per-dataset engine versions; the
-// ack piggybacks the topology epoch and the full roster back, so one
-// round trip refreshes liveness in both directions. The gateway's
-// membership.Directory tracks each member through alive → suspect →
-// down: suspicion (silence past -suspect-after) is a warning — the
-// member stays routable — while down (past -down-after) fails its
-// routes closed: the member leaves the routing set, its sessions read
-// as expired rather than ever being misrouted, and a later heartbeat
+// The cluster is self-managing: the shard set is a live roster, not a
+// static flag. Each shard runs a membership.Announcer that heartbeats
+// POST /internal/cluster/heartbeat to the gateway (default every 2s,
+// -announce / -heartbeat), carrying its address, live session count
+// and per-dataset engine versions; the ack piggybacks the topology
+// epoch and the full roster back, so one round trip refreshes liveness
+// in both directions. internal/membership holds only what both sides
+// share (those wire types, the Announcer, the secret check); the
+// gateway keeps one roster in internal/cluster. Each roster entry holds
+// the member's record, its liveness state, the gateway's client for it
+// and its draining mark, so routing, failure detection, the epoch and
+// the persisted table never disagree about who is in the cluster. A
+// member reloaded with an address the gateway cannot dial gets a client
+// from its first heartbeat that carries a good one.
+//
+// The roster tracks each member through alive → suspect → down:
+// suspicion (silence past -suspect-after) is a warning — the member
+// stays routable — while down (past -down-after) fails its routes
+// closed: the member leaves the routing set, its sessions read as
+// expired rather than ever being misrouted, and a later heartbeat
 // re-admits it. A member that was never announced (static -shards
 // entries before their first heartbeat) is exempt from detection.
+// Drain and remove find every rostered member, client or not, and
+// refuse to take out the last member that accepts new sessions.
 //
-// Routing state is durable and versioned. The directory maintains a
+// Routing state is durable and versioned. The roster maintains a
 // monotonic topology epoch that advances only when the routing set
 // changes — seeding the static members counts once, then each join,
 // down, recovery and removal — never on metadata heartbeats or suspect

@@ -246,8 +246,8 @@ func TestGatewayPlacementAndStickyRouting(t *testing.T) {
 		if rt == nil {
 			t.Fatalf("create %d: no route recorded", i)
 		}
-		if want := Owner(gw.Shards(), st.Session); rt.shard != want {
-			t.Fatalf("session %s placed on %s, hash owner %s", st.Session, rt.shard, want)
+		if want := Owner(gw.Shards(), st.Session); rt.shard.name != want {
+			t.Fatalf("session %s placed on %s, hash owner %s", st.Session, rt.shard.name, want)
 		}
 	}
 
@@ -428,7 +428,7 @@ func TestGatewayDrainMigratesSessions(t *testing.T) {
 
 	// Drain whichever shard carries the first session.
 	gw.mu.RLock()
-	victim := gw.routes[sessions[0].sid].shard
+	victim := gw.routes[sessions[0].sid].shard.name
 	gw.mu.RUnlock()
 	var before int
 	for _, row := range gw.Status().Shards {
@@ -653,7 +653,7 @@ func TestGatewaySweepReclaimsDeadRoutes(t *testing.T) {
 	// Kill the first session behind the gateway's back, as a TTL
 	// sweep on the shard would.
 	gw.mu.RLock()
-	sh := gw.shards[gw.routes[dead.Session].shard]
+	sh := gw.routes[dead.Session].shard
 	gw.mu.RUnlock()
 	res, err := sh.do(http.MethodDelete, "/api/v1/sessions/"+dead.Session, nil, nil)
 	if err != nil {
@@ -690,7 +690,7 @@ func TestGatewayDrainUnderTraffic(t *testing.T) {
 	st, _ := createV1(t, ts.URL)
 	sid := st.Session
 	gw.mu.RLock()
-	victim := gw.routes[sid].shard
+	victim := gw.routes[sid].shard.name
 	gw.mu.RUnlock()
 
 	const hammers = 4

@@ -34,7 +34,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync"
 	"time"
 
@@ -61,12 +60,10 @@ type Gateway struct {
 	// migration sweep listed it.
 	place sync.RWMutex
 
-	// mu guards the maps below; it is never held across a proxied
-	// request or a migration step.
-	mu       sync.RWMutex
-	shards   map[string]*Shard
-	draining map[string]bool
-	routes   map[string]*route // sid → residency (gateway-observed)
+	// mu guards routes; it is never held across a proxied request, a
+	// migration step or a roster call.
+	mu     sync.RWMutex
+	routes map[string]*route // sid → residency (gateway-observed)
 
 	// ingestMu serializes dataset ingests through this gateway: one
 	// batch fans out to every shard (in sorted order, under one seq)
@@ -77,18 +74,15 @@ type Gateway struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 
-	// dir is the membership directory: the durable, epoch-versioned
-	// member roster failure detection and routing eligibility read from.
-	// g.shards holds the *clients*; dir holds the *truth* about who is
-	// in the cluster and routable. Lock order is g.mu → dir's internal
-	// mutex (the Directory never calls back into the gateway).
-	dir *membership.Directory
+	// roster is the one member table: each member's membership record
+	// (state, last heartbeat), its client and its draining mark. The
+	// epoch, routing eligibility, failure detection and the persisted
+	// route table all read it. A request whose session already has a
+	// route never touches it: the route holds the client.
+	roster *roster
 	// secret is the cluster shared secret; stamped onto secretless
 	// shards at admission and required on /internal/cluster/* inbound.
 	secret string
-	// dial materializes a client for a member known only by roster
-	// entry (persisted table reload, recovery heartbeat).
-	dial func(name, addr string) *Shard
 	// mintSID draws session ids for handleCreate (GatewayConfig.MintSID;
 	// serve.NewSessionID by default).
 	mintSID func() string
@@ -122,11 +116,11 @@ type GatewayConfig struct {
 	SuspectAfter time.Duration
 	DownAfter    time.Duration
 	// Dial materializes a Shard client for a member the gateway knows
-	// only from the persisted roster (or a recovery heartbeat). nil
-	// means RemoteShard(name, addr).WithSecret(Secret); returning nil
-	// skips the member (it stays on the roster but cannot be routed to
-	// until it is dialable). Tests use this to hand back in-process
-	// shards.
+	// only from the persisted roster, or that heartbeats while it has
+	// none. nil means RemoteShard(name, addr), stamped with Secret;
+	// returning nil leaves the member client-less (it stays on the
+	// roster but cannot be routed to until a heartbeat brings a
+	// dialable address). Tests use this to hand back in-process shards.
 	Dial func(name, addr string) *Shard
 	// Clock overrides the time source failure detection reads (nil =
 	// time.Now). Deterministic harnesses (internal/loadsim) drive it
@@ -152,7 +146,7 @@ type GatewayConfig struct {
 // that lands on the new owner.
 type route struct {
 	mu    sync.RWMutex
-	shard string
+	shard *Shard
 }
 
 // NewGateway assembles a gateway over the given shards (at least
@@ -162,52 +156,32 @@ func NewGateway(shards ...*Shard) (*Gateway, error) {
 }
 
 // NewGatewayConfig is NewGateway with explicit telemetry, logging,
-// membership and auth wiring. The shard set is the union of the static
-// arguments and the persisted roster at cfg.RoutesPath: reloaded
+// membership and auth wiring. The roster is the union of the static
+// arguments and the persisted table at cfg.RoutesPath: reloaded
 // members are re-dialed from their saved addresses (constructing a
 // client only — no request leaves the gateway), so a restarted gateway
 // routes at the saved epoch immediately.
 func NewGatewayConfig(cfg GatewayConfig, shards ...*Shard) (*Gateway, error) {
-	dir, err := membership.Open(membership.Config{
-		Path:         cfg.RoutesPath,
-		SuspectAfter: cfg.SuspectAfter,
-		DownAfter:    cfg.DownAfter,
-		Logger:       cfg.Logger,
-		Clock:        cfg.Clock,
-	})
+	roster, err := openRoster(cfg)
 	if err != nil {
 		return nil, err
 	}
 	g := &Gateway{
-		shards:   make(map[string]*Shard, len(shards)),
-		draining: make(map[string]bool),
-		routes:   make(map[string]*route),
-		stop:     make(chan struct{}),
-		dir:      dir,
-		secret:   cfg.Secret,
-		met:      newGatewayMetrics(cfg.Telemetry, cfg.Logger),
+		routes:  make(map[string]*route),
+		stop:    make(chan struct{}),
+		roster:  roster,
+		secret:  cfg.Secret,
+		mintSID: cfg.MintSID,
+		met:     newGatewayMetrics(cfg.Telemetry, cfg.Logger),
 	}
-	g.mintSID = cfg.MintSID
 	if g.mintSID == nil {
 		g.mintSID = serve.NewSessionID
 	}
-	g.dial = cfg.Dial
-	if g.dial == nil {
-		g.dial = func(name, addr string) *Shard {
-			if addr == "" {
-				return nil
-			}
-			return RemoteShard(name, addr).WithSecret(cfg.Secret)
-		}
-	}
 	// Topology and routing-table occupancy are read at scrape time —
-	// both already live under g.mu (or the directory), so mirroring
-	// them into gauges on every change would be a second source of
-	// truth.
+	// both already live in the roster or under g.mu, so mirroring them
+	// into gauges on every change would be a second source of truth.
 	g.met.reg.GaugeFunc("vexus_gateway_shards", "Shards in the routing set.", func() float64 {
-		g.mu.RLock()
-		defer g.mu.RUnlock()
-		return float64(len(g.shards))
+		return float64(len(g.Shards()))
 	})
 	g.met.reg.GaugeFunc("vexus_gateway_routes", "Sessions with a pinned route entry.", func() float64 {
 		g.mu.RLock()
@@ -215,41 +189,20 @@ func NewGatewayConfig(cfg GatewayConfig, shards ...*Shard) (*Gateway, error) {
 		return float64(len(g.routes))
 	})
 	g.met.reg.GaugeFunc("vexus_cluster_epoch", "Topology epoch: advances on every routing-set change.", func() float64 {
-		return float64(g.dir.Epoch())
+		return float64(g.roster.Epoch())
 	})
-	g.met.reg.GaugeVecFunc("vexus_cluster_members", "Cluster members by liveness state.", "state", g.dir.StateCounts)
+	g.met.reg.GaugeVecFunc("vexus_cluster_members", "Cluster members by liveness state.", "state", g.roster.StateCounts)
 
-	static := make([]membership.Member, 0, len(shards))
+	seen := make(map[string]bool, len(shards))
 	for _, s := range shards {
-		if _, dup := g.shards[s.name]; dup {
+		if seen[s.name] {
 			return nil, fmt.Errorf("cluster: duplicate shard name %q", s.name)
 		}
-		if s.secret == "" {
-			s.secret = cfg.Secret
-		}
-		g.shards[s.name] = s
-		static = append(static, membership.Member{Name: s.name, Addr: s.addr})
+		seen[s.name] = true
+		s.orSecret(cfg.Secret)
 	}
-	// Members known only from the persisted table are re-dialed from
-	// their saved address; a member the dialer declines stays on the
-	// roster (and in the epoch) but cannot be proxied to until it
-	// heartbeats with a dialable address.
-	for _, mi := range dir.Members() {
-		if _, ok := g.shards[mi.Name]; ok {
-			continue
-		}
-		sh := g.dial(mi.Name, mi.Addr)
-		if sh == nil {
-			g.met.log.Warn("cluster: persisted member has no dialable address", "member", mi.Name)
-			continue
-		}
-		if sh.secret == "" {
-			sh.secret = cfg.Secret
-		}
-		g.shards[sh.name] = sh
-	}
-	dir.SeedStatic(static)
-	if len(g.shards) == 0 {
+	roster.SeedStatic(shards)
+	if len(g.shardList()) == 0 {
 		return nil, errors.New("cluster: a gateway needs at least one shard (static, or reloaded from -routes)")
 	}
 	// Routes for sessions that expire shard-side (TTL, LRU) and are
@@ -261,11 +214,7 @@ func NewGatewayConfig(cfg GatewayConfig, shards ...*Shard) (*Gateway, error) {
 	if cfg.ManualSweep {
 		return g, nil
 	}
-	memberSweep := cfg.SuspectAfter
-	if memberSweep <= 0 {
-		memberSweep = 6 * time.Second
-	}
-	memberSweep /= 3
+	memberSweep := roster.suspectAfter / 3
 	if memberSweep < 200*time.Millisecond {
 		memberSweep = 200 * time.Millisecond
 	}
@@ -431,15 +380,13 @@ func (g *Gateway) bySID(sid func(*http.Request) string) http.HandlerFunc {
 func (g *Gateway) acquire(sid string) (*Shard, func()) {
 	g.mu.RLock()
 	rt := g.routes[sid]
+	g.mu.RUnlock()
 	if rt == nil {
-		owner := Owner(g.namesLocked(true), sid)
-		g.mu.RUnlock()
-		if owner == "" {
+		owner := g.roster.owner(sid, false)
+		if owner == nil {
 			return nil, func() {}
 		}
 		rt = g.routeFor(sid, owner)
-	} else {
-		g.mu.RUnlock()
 	}
 
 	// The latch-wait histogram measures exactly the stall a migration
@@ -447,10 +394,7 @@ func (g *Gateway) acquire(sid string) (*Shard, func()) {
 	waitStart := time.Now()
 	rt.mu.RLock()
 	g.met.latchWait.Observe(time.Since(waitStart).Seconds())
-	g.mu.RLock()
-	sh := g.shards[rt.shard]
-	g.mu.RUnlock()
-	return sh, rt.mu.RUnlock
+	return rt.shard, rt.mu.RUnlock
 }
 
 // traceHeader folds the request's trace id into header (which may be
@@ -468,27 +412,6 @@ func traceHeader(ctx context.Context, header http.Header) http.Header {
 	}
 	header.Set(telemetry.TraceHeader, id)
 	return header
-}
-
-// namesLocked lists the routable shard names — dialable members the
-// directory has not marked down — all of them, or only those eligible
-// for new placements (non-draining). This is the single point where
-// membership state gates routing: a down member keeps its client in
-// g.shards (so a recovery heartbeat re-enters it without re-dialing)
-// but wins no rendezvous placement. Caller holds g.mu; the directory
-// lock nests inside it.
-func (g *Gateway) namesLocked(includeDraining bool) []string {
-	routable := g.dir.RoutableSet()
-	names := make([]string, 0, len(g.shards))
-	for n := range g.shards {
-		if !routable[n] {
-			continue
-		}
-		if includeDraining || !g.draining[n] {
-			names = append(names, n)
-		}
-	}
-	return names
 }
 
 // proxy forwards the request to the shard under the given path+query
@@ -590,10 +513,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	g.place.RLock()
 	defer g.place.RUnlock()
 	sid := g.mintSID()
-	g.mu.RLock()
-	eligible := g.namesLocked(false)
-	sh := g.shards[Owner(eligible, sid)]
-	g.mu.RUnlock()
+	sh := g.roster.owner(sid, true)
 	if sh == nil {
 		http.Error(w, "no shard accepting sessions", http.StatusServiceUnavailable)
 		return
@@ -610,7 +530,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	defer res.Body.Close()
 	if res.StatusCode == http.StatusCreated {
 		g.mu.Lock()
-		g.routes[sid] = &route{shard: sh.name}
+		g.routes[sid] = &route{shard: sh}
 		g.mu.Unlock()
 	}
 	copyResponse(w, res)
@@ -625,7 +545,7 @@ func (g *Gateway) dropRoute(sid string) {
 
 // routeFor returns the session's route, creating it pinned to the
 // given shard when absent. Caller must not hold g.mu.
-func (g *Gateway) routeFor(sid, shard string) *route {
+func (g *Gateway) routeFor(sid string, shard *Shard) *route {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	rt := g.routes[sid]
@@ -645,10 +565,10 @@ func (g *Gateway) routeFor(sid, shard string) *route {
 // source still serves the session, and a half-imported copy deletes
 // itself (shard-side) on replay divergence.
 func (g *Gateway) migrate(sid string, from, to *Shard) error {
-	rt := g.routeFor(sid, from.name)
+	rt := g.routeFor(sid, from)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.shard != from.name {
+	if rt.shard.name != from.name {
 		return nil // somebody already moved it (stale listing)
 	}
 
@@ -679,7 +599,7 @@ func (g *Gateway) migrate(sid string, from, to *Shard) error {
 		return fmt.Errorf("import %s on %s: status %d: %s", sid, to.name, res.StatusCode, msg)
 	}
 
-	rt.shard = to.name
+	rt.shard = to
 	g.met.migrations.Inc()
 	g.met.migrationSeconds.Observe(time.Since(started).Seconds())
 	g.met.log.Debug("migration",
@@ -708,29 +628,16 @@ func (g *Gateway) migrate(sid string, from, to *Shard) error {
 // stops receiving new sessions immediately; existing ones move one at
 // a time, each under its own route lock. On a migration error the
 // shard stays in the cluster (drain is resumable — call it again).
+// Drain refuses up front when no other member would accept new
+// sessions, and for a member without a client (Remove it instead).
 func (g *Gateway) Drain(name string) (int, error) {
 	g.topo.Lock()
 	defer g.topo.Unlock()
 
-	g.mu.Lock()
-	sh := g.shards[name]
-	if sh == nil {
-		g.mu.Unlock()
-		return 0, fmt.Errorf("cluster: unknown shard %q", name)
+	sh, err := g.roster.markDraining(name)
+	if err != nil {
+		return 0, err
 	}
-	survivors := 0
-	for n := range g.shards {
-		if n != name && !g.draining[n] {
-			survivors++
-		}
-	}
-	if survivors == 0 {
-		g.mu.Unlock()
-		return 0, fmt.Errorf("cluster: cannot drain %q: no shard would remain", name)
-	}
-	g.draining[name] = true
-	targets := g.namesLocked(false)
-	g.mu.Unlock()
 
 	// Placement barrier: creates hold g.place shared from eligibility
 	// check to completion, so cycling the write lock here guarantees
@@ -740,40 +647,35 @@ func (g *Gateway) Drain(name string) (int, error) {
 	g.place.Lock()
 	g.place.Unlock() //nolint:staticcheck // empty critical section is the barrier
 
+	moved, err := g.migrateAll(sh)
+	if err == nil {
+		err = g.roster.Remove(name)
+	}
+	if err != nil {
+		g.roster.undrain(name)
+	}
+	return moved, err
+}
+
+// migrateAll moves every session off sh onto its rendezvous owner
+// among the members accepting new sessions, returning how many moved.
+func (g *Gateway) migrateAll(sh *Shard) (int, error) {
 	list, err := sh.sessions()
 	if err != nil {
-		g.unmarkDraining(name)
 		return 0, err
 	}
 	moved := 0
 	for _, info := range list {
-		to := Owner(targets, info.Session)
-		g.mu.RLock()
-		toShard := g.shards[to]
-		g.mu.RUnlock()
-		if toShard == nil {
-			g.unmarkDraining(name)
+		to := g.roster.owner(info.Session, true)
+		if to == nil {
 			return moved, fmt.Errorf("cluster: no target shard for %s", info.Session)
 		}
-		if err := g.migrate(info.Session, sh, toShard); err != nil {
-			g.unmarkDraining(name)
+		if err := g.migrate(info.Session, sh, to); err != nil {
 			return moved, err
 		}
 		moved++
 	}
-
-	g.mu.Lock()
-	delete(g.shards, name)
-	delete(g.draining, name)
-	g.mu.Unlock()
-	g.dir.Remove(name)
 	return moved, nil
-}
-
-func (g *Gateway) unmarkDraining(name string) {
-	g.mu.Lock()
-	delete(g.draining, name)
-	g.mu.Unlock()
 }
 
 // Remove force-removes a shard from routing WITHOUT migrating its
@@ -781,36 +683,38 @@ func (g *Gateway) unmarkDraining(name string) {
 // export the shard's sessions, so it can never succeed against an
 // unreachable process; without Remove, a shard joined with a bad
 // address (or one that died) would keep winning ~1/N of rendezvous
-// placements forever, failing every one with 502. Sessions resident
-// on the removed shard are abandoned (their routes are dropped, so
-// later requests re-home by hash and see 404 — exactly a TTL expiry
-// from the client's perspective); a reachable shard should be
-// Drained, not Removed. Returns how many routes were dropped.
+// placements forever, failing every one with 502. Any rostered member
+// can be removed, client or not, as long as another member still
+// accepts new sessions. Sessions resident on the removed shard are
+// abandoned (their routes are dropped, so later requests re-home by
+// hash and see 404 — exactly a TTL expiry from the client's
+// perspective); a reachable shard should be Drained, not Removed.
+// Returns how many routes were dropped.
 func (g *Gateway) Remove(name string) (int, error) {
 	g.topo.Lock()
 	defer g.topo.Unlock()
+	if err := g.roster.Remove(name); err != nil {
+		return 0, err
+	}
+	return g.dropRoutes(name), nil
+}
+
+// dropRoutes drops every route pinned to the named shard, returning how
+// many: the fail-closed step of both Remove and failure detection.
+func (g *Gateway) dropRoutes(name string) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.shards[name]; !ok {
-		return 0, fmt.Errorf("cluster: unknown shard %q", name)
-	}
-	if len(g.shards) == 1 {
-		return 0, fmt.Errorf("cluster: cannot remove %q: no shard would remain", name)
-	}
-	delete(g.shards, name)
-	delete(g.draining, name)
 	dropped := 0
 	for sid, rt := range g.routes {
 		rt.mu.RLock()
-		onRemoved := rt.shard == name
+		pinned := rt.shard.name == name
 		rt.mu.RUnlock()
-		if onRemoved {
+		if pinned {
 			delete(g.routes, sid)
 			dropped++
 		}
 	}
-	g.dir.Remove(name)
-	return dropped, nil
+	return dropped
 }
 
 // Join warm-joins a shard and rebalances. Before the newcomer can win
@@ -834,31 +738,23 @@ func (g *Gateway) Join(sh *Shard) (int, error) {
 	g.ingestMu.Lock()
 	defer g.ingestMu.Unlock()
 
-	g.mu.RLock()
-	_, dup := g.shards[sh.name]
-	g.mu.RUnlock()
-	if dup {
-		return 0, fmt.Errorf("cluster: shard %q already present", sh.name)
+	var others []*Shard
+	for _, m := range g.roster.snapshot() {
+		if m.Name == sh.name {
+			return 0, fmt.Errorf("cluster: shard %q already present", sh.name)
+		}
+		if m.shard != nil {
+			others = append(others, m.shard)
+		}
 	}
-	if sh.secret == "" {
-		sh.secret = g.secret
-	}
+	sh.orSecret(g.secret)
 	if err := g.warmShard(sh); err != nil {
 		return 0, fmt.Errorf("cluster: warm join %q: %w", sh.name, err)
 	}
-	if err := g.dir.Join(membership.Member{Name: sh.name, Addr: sh.addr}); err != nil {
+	if err := g.roster.Join(sh); err != nil {
 		return 0, err
 	}
-
-	g.mu.Lock()
-	others := make([]*Shard, 0, len(g.shards))
-	for _, s := range g.shards {
-		others = append(others, s)
-	}
-	g.shards[sh.name] = sh
-	names := g.namesLocked(true)
-	g.mu.Unlock()
-	sort.Slice(others, func(i, j int) bool { return others[i].name < others[j].name })
+	names := g.Shards()
 
 	moved := 0
 	for _, from := range others {
@@ -879,11 +775,14 @@ func (g *Gateway) Join(sh *Shard) (int, error) {
 	return moved, nil
 }
 
-// Shards lists the current shard names, sorted.
+// Shards lists the routing set — members with a client that are not
+// marked down, draining ones included — by name, sorted.
 func (g *Gateway) Shards() []string {
-	g.mu.RLock()
-	names := g.namesLocked(true)
-	g.mu.RUnlock()
-	sort.Strings(names)
+	var names []string
+	for _, m := range g.roster.snapshot() {
+		if m.routable(false) {
+			names = append(names, m.Name)
+		}
+	}
 	return names
 }

@@ -30,10 +30,14 @@ func Owner(names []string, sid string) string {
 	best := ""
 	var bestScore uint64
 	for _, n := range names {
-		s := score(n, sid)
-		if best == "" || s > bestScore || (s == bestScore && n < best) {
+		if s := score(n, sid); best == "" || outranks(n, s, best, bestScore) {
 			best, bestScore = n, s
 		}
 	}
 	return best
+}
+
+// outranks reports whether shard n, scoring s, beats the current best.
+func outranks(n string, s uint64, best string, bestScore uint64) bool {
+	return s > bestScore || (s == bestScore && n < best)
 }

@@ -14,23 +14,24 @@ import (
 )
 
 // The gateway half of cluster self-management: heartbeat intake,
-// failure detection, and the warm-join snapshot pump. The membership
-// Directory owns the durable roster and epoch; this file is where its
-// verdicts turn into routing actions — a down member's routes fail
-// closed, a recovered member re-enters without re-dialing, a joiner is
-// warmed before it can win a placement.
+// failure detection, and the warm-join snapshot pump. The roster
+// (roster.go) owns the durable member table and epoch; this file is
+// where its verdicts turn into routing actions — a down member's routes
+// fail closed, a recovered member re-enters with the client it kept, a
+// joiner is warmed before it can win a placement.
 
 // Epoch reports the topology epoch: the version of the routing set.
 // Two gateways at the same epoch place every session id identically.
-func (g *Gateway) Epoch() uint64 { return g.dir.Epoch() }
+func (g *Gateway) Epoch() uint64 { return g.roster.Epoch() }
 
 // Members snapshots the membership roster, sorted by name.
-func (g *Gateway) Members() []membership.MemberInfo { return g.dir.Members() }
+func (g *Gateway) Members() []membership.MemberInfo { return g.roster.Members() }
 
 // handleHeartbeat is POST /internal/cluster/heartbeat: a shard
 // announcing itself. The ack carries the epoch and full roster — the
 // gossip piggyback that lets every member learn the topology in the
-// same round trip that refreshed its liveness. Unknown members are
+// same round trip that refreshed its liveness. A member without a
+// client gets one from the heartbeat's address. Unknown members are
 // rejected (404): admission is the warm-join path's job, never a side
 // effect of gossip.
 func (g *Gateway) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -43,8 +44,8 @@ func (g *Gateway) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "heartbeat without a member name", http.StatusBadRequest)
 		return
 	}
-	ack, recovered, err := g.dir.Heartbeat(m)
-	if errors.Is(err, membership.ErrUnknownMember) {
+	ack, recovered, err := g.roster.Heartbeat(m)
+	if errors.Is(err, errUnknownShard) {
 		http.Error(w, err.Error()+"; join with POST /api/v1/cluster/join", http.StatusNotFound)
 		return
 	}
@@ -53,32 +54,12 @@ func (g *Gateway) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if recovered {
-		// Re-entry into the routing set. The client usually survived the
-		// outage in g.shards; dial only if it never existed (member known
-		// purely from a persisted table whose address was undialable).
-		g.mu.Lock()
-		if _, ok := g.shards[m.Name]; !ok {
-			if sh := g.dial(m.Name, m.Addr); sh != nil {
-				if sh.secret == "" {
-					sh.secret = g.secret
-				}
-				g.shards[m.Name] = sh
-			}
-		}
-		g.mu.Unlock()
 		g.met.log.Info("cluster: shard recovered (heartbeat after down)", "shard", m.Name, "epoch", ack.Epoch)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(ack)
 }
 
-// sweepMembership runs failure detection and fails routes closed for
-// every member the sweep marks down: its route entries are dropped, so
-// later requests for those sessions re-home by hash and read as
-// expired (404) instead of timing out against a dead address. The
-// shard client stays in g.shards — a recovery heartbeat re-enters the
-// member without re-dialing — but namesLocked stops routing to it the
-// moment the directory marks it down.
 // SweepMembership runs one failure-detection pass explicitly — the
 // manual counterpart of the background sweeper, for gateways built
 // with GatewayConfig.ManualSweep (deterministic harnesses tick it).
@@ -88,36 +69,24 @@ func (g *Gateway) SweepMembership() { g.sweepMembership() }
 // SweepMembership), returning how many stale routes it dropped.
 func (g *Gateway) SweepRoutes() int { return g.sweepRoutes() }
 
+// sweepMembership runs failure detection and fails routes closed for
+// every member the sweep marks down: its route entries are dropped, so
+// later requests for those sessions re-home by hash and read as
+// expired (404) instead of timing out against a dead address. The
+// member keeps its roster entry and client — down is a verdict it can
+// appeal by heartbeating — but leaves the routing set the moment the
+// roster marks it down.
 func (g *Gateway) sweepMembership() {
-	for _, ev := range g.dir.Sweep() {
+	for _, ev := range g.roster.Sweep() {
 		if ev.To != membership.StateDown {
 			continue
 		}
 		g.topo.Lock()
-		dropped := g.failShard(ev.Name)
+		dropped := g.dropRoutes(ev.Name)
 		g.topo.Unlock()
 		g.met.log.Warn("cluster: shard down, routes failed closed",
 			"shard", ev.Name, "routesDropped", dropped, "epoch", ev.Epoch)
 	}
-}
-
-// failShard drops every route pinned to the named shard, returning how
-// many. Same traversal as Remove, minus the roster delete: down is a
-// verdict the member can appeal by heartbeating.
-func (g *Gateway) failShard(name string) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	dropped := 0
-	for sid, rt := range g.routes {
-		rt.mu.RLock()
-		onDown := rt.shard == name
-		rt.mu.RUnlock()
-		if onDown {
-			delete(g.routes, sid)
-			dropped++
-		}
-	}
-	return dropped
 }
 
 // warmShard streams every donor-resident engine into a joining shard.
@@ -148,22 +117,12 @@ func (g *Gateway) warmShard(sh *Shard) error {
 // choice deterministic, which keeps warm-join behavior reproducible in
 // tests and across gateways.
 func (g *Gateway) pickDonor(exclude string) *Shard {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	routable := g.dir.RoutableSet()
-	best := ""
-	for name := range g.shards {
-		if name == exclude || !routable[name] || g.draining[name] {
-			continue
-		}
-		if best == "" || name < best {
-			best = name
+	for _, m := range g.roster.snapshot() {
+		if m.Name != exclude && m.routable(true) {
+			return m.shard
 		}
 	}
-	if best == "" {
-		return nil
-	}
-	return g.shards[best]
+	return nil
 }
 
 // pumpSnapshot relays one engine snapshot donor → joiner without

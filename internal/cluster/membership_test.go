@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -476,5 +478,241 @@ func TestGatewayClusterAuth(t *testing.T) {
 		if _, _, status := getStateRaw(t, ts.URL, sid); status != http.StatusOK {
 			t.Fatalf("session %s lost across authenticated drain: status %d", sid, status)
 		}
+	}
+}
+
+// reloadedGateway starts a gateway from a route table alone, holding
+// the given members at epoch 3. Its dial hook hands back handlers[name]
+// in-process and declines any member whose address is "bad" — a member
+// the gateway cannot dial until a heartbeat brings a good address.
+func reloadedGateway(t *testing.T, handlers map[string]http.Handler, members ...membership.MemberInfo) (*Gateway, *httptest.Server) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "routes.json")
+	raw, err := json.Marshal(tableDoc{Version: tableVersion, Epoch: 3, Members: members})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gw, err := NewGatewayConfig(GatewayConfig{
+		RoutesPath:  path,
+		ManualSweep: true,
+		Dial: func(name, addr string) *Shard {
+			if addr == "bad" {
+				return nil
+			}
+			return LocalShard(name, handlers[name])
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	ts := httptest.NewServer(gw.Routes())
+	t.Cleanup(ts.Close)
+	return gw, ts
+}
+
+func memberInfo(name, addr string, state membership.State) membership.MemberInfo {
+	return membership.MemberInfo{Member: membership.Member{Name: name, Addr: addr}, State: state}
+}
+
+// post issues a bodyless or JSON POST and returns status and body.
+func post(t *testing.T, url string, body any) (int, string) {
+	t.Helper()
+	var rd io.Reader
+	if body != nil {
+		raw, _ := json.Marshal(body)
+		rd = bytes.NewReader(raw)
+	}
+	res, err := http.Post(url, "application/json", rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	out, _ := io.ReadAll(res.Body)
+	return res.StatusCode, string(out)
+}
+
+// TestHeartbeatDialsClientlessMember: a member reloaded with an address
+// the gateway cannot dial gets a client from its first heartbeat that
+// carries a good one — not only on a down→alive transition.
+func TestHeartbeatDialsClientlessMember(t *testing.T) {
+	eng := testEngine(t)
+	gw, ts := reloadedGateway(t, map[string]http.Handler{
+		"s0": shardServer(t, eng).Routes(),
+		"s1": shardServer(t, eng).Routes(),
+	}, memberInfo("s0", "s0:1", membership.StateAlive), memberInfo("s1", "bad", membership.StateAlive))
+
+	if got := fmt.Sprint(gw.Shards()); got != "[s0]" {
+		t.Fatalf("shards before heartbeat = %s, want [s0]", got)
+	}
+	if status, body := post(t, ts.URL+"/internal/cluster/heartbeat", membership.Member{Name: "s1", Addr: "s1:1"}); status != http.StatusOK {
+		t.Fatalf("heartbeat: status %d: %s", status, body)
+	}
+	if got := fmt.Sprint(gw.Shards()); got != "[s0 s1]" {
+		t.Fatalf("shards after heartbeat = %s, want [s0 s1]", got)
+	}
+	if gw.Epoch() != 3 {
+		t.Fatalf("dialing a member moved the epoch to %d", gw.Epoch())
+	}
+}
+
+// TestRemoveClientlessDownMember: a reloaded member that is down and
+// has no client holds readyz at 503 until the operator removes it —
+// which the 503 says to do, so remove must find it.
+func TestRemoveClientlessDownMember(t *testing.T) {
+	eng := testEngine(t)
+	_, ts := reloadedGateway(t, map[string]http.Handler{"s0": shardServer(t, eng).Routes()},
+		memberInfo("s0", "s0:1", membership.StateAlive), memberInfo("s1", "bad", membership.StateDown))
+
+	res, err := http.Get(ts.URL + "/api/v1/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "s1") {
+		t.Fatalf("readyz with down member: status %d body %q", res.StatusCode, body)
+	}
+	if status, body := post(t, ts.URL+"/api/v1/cluster/remove?shard=s1", nil); status != http.StatusOK {
+		t.Fatalf("remove of a down, client-less member: status %d: %s", status, body)
+	}
+	res, err = http.Get(ts.URL + "/api/v1/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK || string(body) != "ready\n" {
+		t.Fatalf("readyz after remove: status %d body %q", res.StatusCode, body)
+	}
+}
+
+// TestDrainAndRemoveKeepARoutableShard: with s1 down, s0 is the only
+// shard that can take sessions, so neither drain nor remove may take it
+// out, and creates keep landing.
+func TestDrainAndRemoveKeepARoutableShard(t *testing.T) {
+	eng := testEngine(t)
+	_, ts := reloadedGateway(t, map[string]http.Handler{
+		"s0": shardServer(t, eng).Routes(),
+		"s1": shardServer(t, eng).Routes(),
+	}, memberInfo("s0", "s0:1", membership.StateAlive), memberInfo("s1", "s1:1", membership.StateDown))
+
+	if status, body := post(t, ts.URL+"/api/v1/cluster/drain?shard=s0", nil); status == http.StatusOK {
+		t.Fatalf("drain of the last routable shard succeeded: %s", body)
+	}
+	if status, body := post(t, ts.URL+"/api/v1/cluster/remove?shard=s0", nil); status == http.StatusOK {
+		t.Fatalf("remove of the last routable shard succeeded: %s", body)
+	}
+	if status, body := post(t, ts.URL+"/api/v1/sessions", nil); status != http.StatusCreated {
+		t.Fatalf("create after refused drain and remove: status %d: %s", status, body)
+	}
+}
+
+// FuzzHeartbeat: the heartbeat handler never panics, answers 4xx to a
+// body it cannot use (bad JSON, no name, unknown member), and never
+// admits a member or moves the epoch, whatever it is sent.
+func FuzzHeartbeat(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"s0"}`,
+		`{"name":"s1","addr":"s1:1","sessions":3,"engines":{"default":2}}`,
+		`{"name":"s1","static":true,"sessions":-1}`,
+		`{"name":"ghost","addr":"ghost:1"}`,
+		`{"name":""}`,
+		`{}`,
+		`{"name":"s0"}{"name":"ghost"}`,
+		`{"name":"s0","engines":{"default":-1}}`,
+		`not json`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	idle := http.NotFoundHandler()
+	path := filepath.Join(f.TempDir(), "routes.json")
+	raw, _ := json.Marshal(tableDoc{Version: tableVersion, Epoch: 3, Members: []membership.MemberInfo{
+		memberInfo("s0", "s0:1", membership.StateAlive), memberInfo("s1", "", membership.StateAlive),
+	}})
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		f.Fatal(err)
+	}
+	gw, err := NewGatewayConfig(GatewayConfig{
+		RoutesPath:  path,
+		ManualSweep: true,
+		Logger:      slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Dial: func(name, addr string) *Shard {
+			if addr == "" {
+				return nil
+			}
+			return LocalShard(name, idle)
+		},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(gw.Close)
+	h := gw.Routes()
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/internal/cluster/heartbeat", bytes.NewReader(body)))
+
+		var m membership.Member
+		want := http.StatusNotFound
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&m) != nil || m.Name == "" {
+			want = http.StatusBadRequest
+		} else if m.Name == "s0" || m.Name == "s1" {
+			want = http.StatusOK
+		}
+		if rec.Code != want {
+			t.Fatalf("heartbeat %q: status %d, want %d: %s", body, rec.Code, want, rec.Body)
+		}
+		if want == http.StatusOK {
+			var ack membership.Ack
+			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || ack.Epoch != 3 || len(ack.Members) != 2 {
+				t.Fatalf("heartbeat %q: ack %s (%v)", body, rec.Body, err)
+			}
+		}
+		names := []string{}
+		for _, mi := range gw.Members() {
+			names = append(names, mi.Name)
+		}
+		if fmt.Sprint(names) != "[s0 s1]" || gw.Epoch() != 3 {
+			t.Fatalf("heartbeat %q changed the roster: %v at epoch %d", body, names, gw.Epoch())
+		}
+	})
+}
+
+// TestRoutedRequestSkipsRosterLock: a request whose session already has
+// a route reads only the route, so it is served while the roster lock —
+// which persistence holds across the route table's file write — is taken.
+func TestRoutedRequestSkipsRosterLock(t *testing.T) {
+	eng := testEngine(t)
+	gw, ts := testCluster(t, eng, 2)
+	st, _ := createV1(t, ts.URL)
+
+	gw.roster.mu.Lock()
+	done := make(chan int, 1)
+	go func() {
+		res, err := http.Get(ts.URL + "/api/v1/sessions/" + st.Session + "/state")
+		if err != nil {
+			done <- 0
+			return
+		}
+		io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		done <- res.StatusCode
+	}()
+	select {
+	case status := <-done:
+		gw.roster.mu.Unlock()
+		if status != http.StatusOK {
+			t.Fatalf("routed request with the roster locked: status %d", status)
+		}
+	case <-time.After(5 * time.Second):
+		gw.roster.mu.Unlock()
+		<-done
+		t.Fatal("routed request waited on the roster lock")
 	}
 }

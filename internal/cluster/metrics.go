@@ -82,7 +82,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // gateway); the failure report stays deterministic by picking the
 // first failing shard in sorted order.
 func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if down := g.dir.Down(); len(down) > 0 {
+	if down := g.roster.Down(); len(down) > 0 {
 		http.Error(w, "shard "+strings.Join(down, ", ")+" down (heartbeats stopped; drain or POST /api/v1/cluster/remove?shard=<name> to acknowledge)",
 			http.StatusServiceUnavailable)
 		return

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"vexus/internal/membership"
 	"vexus/internal/serve"
 )
 
@@ -206,5 +207,26 @@ func TestReadyzNamesDeadShard(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "dead") {
 		t.Fatalf("503 body %q does not name the dead shard", body)
+	}
+}
+
+// TestShardsGaugeCountsRoutingSet: vexus_gateway_shards counts the
+// routing set, so a down member is left out even though the gateway
+// keeps its client for the recovery heartbeat.
+func TestShardsGaugeCountsRoutingSet(t *testing.T) {
+	eng := testEngine(t)
+	_, ts := reloadedGateway(t, map[string]http.Handler{
+		"s0": shardServer(t, eng).Routes(),
+		"s1": shardServer(t, eng).Routes(),
+	}, memberInfo("s0", "s0:1", membership.StateAlive), memberInfo("s1", "s1:1", membership.StateDown))
+
+	res, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if !strings.Contains(string(raw), "\nvexus_gateway_shards 1\n") {
+		t.Fatalf("gateway scrape with one member down:\n%s", raw)
 	}
 }

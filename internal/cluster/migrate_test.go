@@ -85,13 +85,13 @@ func TestMigrationEquivalenceAcrossWorkers(t *testing.T) {
 			for i, mk := range steps {
 				if i == drainAfter {
 					gw.mu.RLock()
-					owner := gw.routes[clSt.Session].shard
+					owner := gw.routes[clSt.Session].shard.name
 					gw.mu.RUnlock()
 					if _, err := gw.Drain(owner); err != nil {
 						t.Fatalf("drain before step %d: %v", i, err)
 					}
 					gw.mu.RLock()
-					after := gw.routes[clSt.Session].shard
+					after := gw.routes[clSt.Session].shard.name
 					gw.mu.RUnlock()
 					if after == owner {
 						t.Fatalf("session still routed to drained shard %s", owner)
@@ -156,13 +156,13 @@ func TestMigrationAfterIngest(t *testing.T) {
 	// Drain the owner: the session must land on the surviving shard
 	// and keep serving its version-1 state byte-identically.
 	gw.mu.RLock()
-	owner := gw.routes[st.Session].shard
+	owner := gw.routes[st.Session].shard.name
 	gw.mu.RUnlock()
 	if _, err := gw.Drain(owner); err != nil {
 		t.Fatalf("drain after ingest: %v", err)
 	}
 	gw.mu.RLock()
-	after := gw.routes[st.Session].shard
+	after := gw.routes[st.Session].shard.name
 	gw.mu.RUnlock()
 	if after == owner {
 		t.Fatalf("session still routed to drained shard %s", owner)

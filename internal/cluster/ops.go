@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"sort"
 
@@ -154,20 +155,14 @@ type Status struct {
 // cluster health view.
 func (g *Gateway) Status() Status {
 	var st Status
-	st.Epoch = g.dir.Epoch()
-	st.Members = g.dir.Members()
-	states := make(map[string]membership.State, len(st.Members))
-	for _, mi := range st.Members {
-		states[mi.Name] = mi.State
-	}
-	g.mu.RLock()
-	draining := make(map[string]bool, len(g.draining))
-	for n := range g.draining {
-		draining[n] = true
-	}
-	g.mu.RUnlock()
-	for _, sh := range g.shardList() {
-		row := ShardStatus{Name: sh.name, Addr: sh.addr, Draining: draining[sh.name], State: string(states[sh.name])}
+	st.Epoch = g.roster.Epoch()
+	for _, m := range g.roster.snapshot() {
+		st.Members = append(st.Members, m.MemberInfo)
+		sh := m.shard
+		if sh == nil {
+			continue
+		}
+		row := ShardStatus{Name: sh.name, Addr: sh.addr, Draining: m.draining, State: string(m.State)}
 		list, err := sh.sessions()
 		if err != nil {
 			row.Error = err.Error()
@@ -211,10 +206,7 @@ func (g *Gateway) handleDrain(w http.ResponseWriter, r *http.Request) {
 	moved, err := g.Drain(name)
 	if err != nil {
 		status := http.StatusBadGateway
-		g.mu.RLock()
-		_, known := g.shards[name]
-		g.mu.RUnlock()
-		if !known && moved == 0 {
+		if errors.Is(err, errUnknownShard) {
 			status = http.StatusNotFound
 		}
 		http.Error(w, err.Error(), status)
@@ -253,10 +245,7 @@ func (g *Gateway) handleRemove(w http.ResponseWriter, r *http.Request) {
 	dropped, err := g.Remove(name)
 	if err != nil {
 		status := http.StatusConflict
-		g.mu.RLock()
-		_, known := g.shards[name]
-		g.mu.RUnlock()
-		if !known {
+		if errors.Is(err, errUnknownShard) {
 			status = http.StatusNotFound
 		}
 		http.Error(w, err.Error(), status)
@@ -266,15 +255,14 @@ func (g *Gateway) handleRemove(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(drainDTO{Shard: name, Moved: dropped, Shards: g.Shards()})
 }
 
-// shardList snapshots the current shards, sorted by name for
-// deterministic aggregation order.
+// shardList snapshots every member's client (down members' included),
+// sorted by name for deterministic aggregation order.
 func (g *Gateway) shardList() []*Shard {
-	g.mu.RLock()
-	out := make([]*Shard, 0, len(g.shards))
-	for _, sh := range g.shards {
-		out = append(out, sh)
+	var out []*Shard
+	for _, m := range g.roster.snapshot() {
+		if m.shard != nil {
+			out = append(out, m.shard)
+		}
 	}
-	g.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }

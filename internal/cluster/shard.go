@@ -76,12 +76,15 @@ func LocalShard(name string, h http.Handler) *Shard {
 	}
 }
 
-// WithSecret sets the cluster shared secret attached (as
-// membership.SecretHeader) to every request this client issues, and
-// returns the shard for chaining. The gateway stamps its own secret
-// onto secretless shards at admission, so constructors don't need it.
-func (s *Shard) WithSecret(secret string) *Shard {
-	s.secret = secret
+// orSecret sets the cluster shared secret attached (as
+// membership.SecretHeader) to every request this client issues, unless
+// the shard already carries one, and returns s (which may be nil). The
+// gateway stamps its own secret onto every shard it admits, so
+// constructors don't need it.
+func (s *Shard) orSecret(secret string) *Shard {
+	if s != nil && s.secret == "" {
+		s.secret = secret
+	}
 	return s
 }
 

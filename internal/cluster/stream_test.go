@@ -174,7 +174,7 @@ func TestStreamResumeAcrossMigration(t *testing.T) {
 			// and crucially the drain must not block on the open stream
 			// (the gateway releases the route latch after attach).
 			gw.mu.RLock()
-			owner := gw.routes[sid].shard
+			owner := gw.routes[sid].shard.name
 			gw.mu.RUnlock()
 			if _, err := gw.Drain(owner); err != nil {
 				t.Fatalf("drain with an attached stream: %v", err)
