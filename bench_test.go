@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"vexus/internal/action"
 	"vexus/internal/core"
 	"vexus/internal/datagen"
 	"vexus/internal/dataset"
@@ -151,29 +152,50 @@ func BenchmarkSelectNext(b *testing.B) {
 	}
 }
 
-func benchSelectNext(b *testing.B, eng *core.Engine, limit time.Duration) {
+// browseStep is one recorded explore: its focal group and the profile
+// the session had accumulated by then.
+type browseStep struct {
+	focal *groups.Group
+	fb    *feedback.Vector
+}
+
+// stepConfig is the optimizer configuration the trails are replayed
+// with: construction only, one worker.
+func stepConfig() greedy.Config {
 	cfg := greedy.DefaultConfig()
 	cfg.TimeLimit = 0
 	cfg.Workers = 1
-	type step struct {
-		focal *groups.Group
-		fb    *feedback.Vector
-	}
-	var steps []step
+	return cfg
+}
+
+// trailClick is the group a trail clicks at the given step, picked
+// from the display.
+func trailClick(shown []int, trail, click int) int { return shown[(trail+click)%len(shown)] }
+
+// recordSteps replays the four fixed 10-click trails and records each
+// click's step.
+func recordSteps(b *testing.B, eng *core.Engine) []browseStep {
+	var steps []browseStep
 	for trail := 0; trail < 4; trail++ {
-		sess := eng.NewSession(cfg)
+		sess := eng.NewSession(stepConfig())
 		shown := sess.Start()
 		for click := 0; click < 10; click++ {
-			gid := shown[(trail+click)%len(shown)]
+			gid := trailClick(shown, trail, click)
 			sel, err := sess.Explore(gid)
 			if err != nil {
 				b.Fatal(err)
 			}
-			steps = append(steps, step{eng.Space.Group(gid), sess.Feedback().Snapshot()})
+			steps = append(steps, browseStep{eng.Space.Group(gid), sess.Feedback().Snapshot()})
 			shown = sel.IDs
 		}
 	}
+	return steps
+}
+
+func benchSelectNext(b *testing.B, eng *core.Engine, limit time.Duration) {
+	steps := recordSteps(b, eng)
 	opt := greedy.New(eng.Space, eng.Index)
+	cfg := stepConfig()
 	cfg.TimeLimit = limit
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -185,6 +207,89 @@ func benchSelectNext(b *testing.B, eng *core.Engine, limit time.Duration) {
 		}
 		sinkSelection = sel
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Profile reads: what each action reads of the feedback profile, on the
+// 40 browse steps BenchmarkSelectNext records (profiles of 1,478 to
+// 2,874 users). top=8 is one CONTEXT render, which every diff makes
+// twice; snapshot is an explore's history copy; topusers=128 is the
+// optimizer pool's read. brush applies one brush through action.Apply,
+// its diff included, with the profile of a 10-click trail.
+
+var (
+	sinkEntries []feedback.Entry
+	sinkProfile *feedback.Vector
+	sinkUsers   []feedback.UserMass
+	sinkResult  action.Result
+)
+
+func BenchmarkProfile(b *testing.B) {
+	eng := browseFixture(b)
+	steps := recordSteps(b, eng)
+	b.Run("top=8", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkEntries = steps[i%len(steps)].fb.Top(action.ContextTop)
+		}
+	})
+	b.Run("snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkProfile = steps[i%len(steps)].fb.Snapshot()
+		}
+	})
+	b.Run("topusers=128", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkUsers = steps[i%len(steps)].fb.TopUsers(128)
+		}
+	})
+	b.Run("brush", func(b *testing.B) {
+		s := action.New(eng, stepConfig())
+		_, err := action.Apply(s, action.Action{Op: action.Start})
+		if err != nil {
+			b.Fatal(err)
+		}
+		shown := s.Sess.Shown()
+		for click := 0; click < 10; click++ {
+			if _, err = action.Apply(s, action.Action{Op: action.Explore, Group: trailClick(shown, 0, click)}); err != nil {
+				b.Fatal(err)
+			}
+			shown = s.Sess.Shown()
+		}
+		if _, err := action.Apply(s, action.Action{Op: action.Focus, Group: shown[0]}); err != nil {
+			b.Fatal(err)
+		}
+		brush := action.Action{Op: action.Brush}
+	pick:
+		for _, attr := range s.Focus.Attributes() {
+			labels, counts, err := s.Focus.Histogram(attr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i, c := range counts {
+				if c > 0 {
+					brush.Attr, brush.Values = attr, []string{labels[i]}
+					break pick
+				}
+			}
+		}
+		if brush.Attr == "" {
+			b.Fatal("focused group has no value to brush")
+		}
+		logged := len(s.Log)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Brushing is idempotent; trimming the log keeps it from
+			// growing with b.N.
+			if sinkResult, err = action.Apply(s, brush); err != nil {
+				b.Fatal(err)
+			}
+			s.Log = s.Log[:logged]
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -246,9 +246,10 @@ func Apply(s *Session, a Action) (Result, error) {
 
 // ApplyQuiet applies one action without computing its Diff — the
 // same dispatch, log append and mutation count as Apply, minus the
-// before/after state snapshots (each of which sorts the full feedback
-// profile). Replay and simulation paths that discard Results use it;
-// anything serving diffs to a client uses Apply.
+// before/after state snapshots (each of which resolves the CONTEXT
+// top entries, one pass over the feedback profile, and copies the
+// display and MEMO). Replay and simulation paths that discard Results
+// use it; anything serving diffs to a client uses Apply.
 func ApplyQuiet(s *Session, a Action) error {
 	_, err := apply(s, a, false)
 	return err

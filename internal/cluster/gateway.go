@@ -738,12 +738,15 @@ func (g *Gateway) Join(sh *Shard) (int, error) {
 	g.ingestMu.Lock()
 	defer g.ingestMu.Unlock()
 
+	// Only routable members hold sessions to rebalance: a down
+	// member's routes are already dropped, and listing its sessions
+	// would fail the join for every member sorted after it.
 	var others []*Shard
 	for _, m := range g.roster.snapshot() {
 		if m.Name == sh.name {
 			return 0, fmt.Errorf("cluster: shard %q already present", sh.name)
 		}
-		if m.shard != nil {
+		if m.routable(false) {
 			others = append(others, m.shard)
 		}
 	}

@@ -611,6 +611,49 @@ func TestDrainAndRemoveKeepARoutableShard(t *testing.T) {
 	}
 }
 
+// TestJoinSkipsDownMember: a join rebalances from the routable members
+// only. A down member that answers 503 to its session listing is
+// skipped, and the joiner still takes every session it hash-owns on
+// the live one.
+func TestJoinSkipsDownMember(t *testing.T) {
+	eng := testEngine(t)
+	unavailable := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	})
+	gw, ts := reloadedGateway(t, map[string]http.Handler{
+		"s0": shardServer(t, eng).Routes(),
+		"s1": unavailable,
+	}, memberInfo("s0", "s0:1", membership.StateAlive), memberInfo("s1", "s1:1", membership.StateDown))
+
+	var sids []string
+	for i := 0; i < 8; i++ {
+		st, _ := createV1(t, ts.URL)
+		sids = append(sids, st.Session)
+	}
+	moved, err := gw.Join(LocalShard("s2", shardServer(t, eng).Routes()))
+	if err != nil {
+		t.Fatalf("join with a down member: %v", err)
+	}
+	wantMoved := 0
+	names := gw.Shards()
+	for _, sid := range sids {
+		if Owner(names, sid) == "s2" {
+			wantMoved++
+		}
+	}
+	if wantMoved == 0 {
+		t.Fatal("fixture too small: no session reassigned to the joining shard")
+	}
+	if moved != wantMoved {
+		t.Fatalf("join moved %d sessions, hash reassigns %d", moved, wantMoved)
+	}
+	for _, sid := range sids {
+		if _, _, status := getStateRaw(t, ts.URL, sid); status != http.StatusOK {
+			t.Fatalf("state %s after join: status %d", sid, status)
+		}
+	}
+}
+
 // FuzzHeartbeat: the heartbeat handler never panics, answers 4xx to a
 // body it cannot use (bad JSON, no name, unknown member), and never
 // admits a member or moves the epoch, whatever it is sent.

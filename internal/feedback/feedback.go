@@ -12,41 +12,60 @@
 // the normalized view: this keeps repeated reinforcement additive (two
 // clicks on a group weigh twice one click) while preserving the
 // paper's sum-to-one invariant at every read.
+//
+// # Storage
+//
+// The user part is two parallel slices, the scored user ids in
+// ascending order and their raw masses; the term part is a dense slice
+// of raw masses indexed by TermID, grown on demand (vocabularies hold
+// tens to hundreds of terms). Every read is then one linear pass:
+// Top keeps a bounded buffer of its n best entries instead of sorting
+// the whole profile, TopUsers quickselects over one pass, Snapshot
+// copies the slices, TermScore is an index and UserScore a binary
+// search. Reinforce merges the group's ascending members into the
+// user slices.
+//
+// The layout changes no number. Each entry's mass receives the same
+// additions as a map entry would (one += weight per reinforcement),
+// total receives the same sequence of += weight and -= mass, and every
+// score is the same raw / total division, so masses, total and scores
+// keep their exact bits. Top and TopUsers order by a strict total
+// order (score descending, terms before users, then ascending id), so
+// any selection algorithm returns the same entries in the same order.
+// Alignment and Mass sum users in ascending id order, so their bits no
+// longer depend on map iteration order.
 package feedback
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"vexus/internal/groups"
 	"vexus/internal/topk"
 )
 
-// Vector is the explorer's feedback profile. The zero value is not
-// usable; construct with New. Not safe for concurrent mutation.
+// Vector is the explorer's feedback profile; the zero value is an
+// empty one. Not safe for concurrent mutation.
 type Vector struct {
-	users map[int]float64
-	terms map[groups.TermID]float64
+	// users holds the scored users in ascending order; mass[i] is the
+	// raw mass of users[i], always > 0.
+	users []int
+	mass  []float64
+	// terms is the raw mass by TermID. 0 marks an unscored term: every
+	// reinforcement adds a positive weight, so a scored term is never 0.
+	terms []float64
 	total float64
-	// unlearnedTerms / unlearnedUsers pin deleted entries to zero so
-	// that later reinforcements of overlapping groups do not silently
-	// re-learn what the explorer explicitly removed; lift the pin with
-	// ClearUnlearned.
-	unlearnedTerms map[groups.TermID]bool
-	unlearnedUsers map[int]bool
+	// pinnedUsers (ascending) and pinnedTerms (by TermID) pin unlearned
+	// entries to zero so that later reinforcements of overlapping
+	// groups do not silently re-learn what the explorer explicitly
+	// removed.
+	pinnedUsers []int
+	pinnedTerms []bool
 }
 
 // New returns an empty (uniform-prior) feedback vector.
-func New() *Vector {
-	return &Vector{
-		users:          make(map[int]float64),
-		terms:          make(map[groups.TermID]float64),
-		unlearnedTerms: make(map[groups.TermID]bool),
-		unlearnedUsers: make(map[int]bool),
-	}
-}
+func New() *Vector { return &Vector{} }
 
 // IsEmpty reports whether no feedback has been accumulated.
 func (v *Vector) IsEmpty() bool { return v.total == 0 }
@@ -58,7 +77,7 @@ func (v *Vector) Mass() float64 {
 		return 0
 	}
 	sum := 0.0
-	for _, x := range v.users {
+	for _, x := range v.mass {
 		sum += x
 	}
 	for _, x := range v.terms {
@@ -74,69 +93,101 @@ func (v *Vector) Reinforce(g *groups.Group, weight float64) {
 	if weight <= 0 {
 		return
 	}
+	// One merge walk over the ascending members adds the weight to the
+	// users already scored and collects the new ones.
+	var fresh []int
+	i, p := 0, 0
 	g.Members.Range(func(u int) bool {
-		if !v.unlearnedUsers[u] {
-			v.users[u] += weight
-			v.total += weight
+		for p < len(v.pinnedUsers) && v.pinnedUsers[p] < u {
+			p++
 		}
+		if p < len(v.pinnedUsers) && v.pinnedUsers[p] == u {
+			return true
+		}
+		for i < len(v.users) && v.users[i] < u {
+			i++
+		}
+		if i < len(v.users) && v.users[i] == u {
+			v.mass[i] += weight
+		} else {
+			fresh = append(fresh, u)
+		}
+		v.total += weight
 		return true
 	})
+	v.insertUsers(fresh, weight)
 	for _, id := range g.Desc {
-		if !v.unlearnedTerms[id] {
-			v.terms[id] += weight
-			v.total += weight
+		if int(id) < len(v.pinnedTerms) && v.pinnedTerms[id] {
+			continue
+		}
+		v.terms = grown(v.terms, int(id))
+		v.terms[id] += weight
+		v.total += weight
+	}
+}
+
+// grown returns s, extended with zero values when it is too short to
+// hold index i.
+func grown[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
+}
+
+// insertUsers merges fresh (ascending, none scored yet) into the user
+// slices at the given mass, from the back so nothing moves twice.
+func (v *Vector) insertUsers(fresh []int, mass float64) {
+	n, f := len(v.users), len(fresh)
+	if f == 0 {
+		return
+	}
+	v.users = slices.Grow(v.users, f)[:n+f]
+	v.mass = slices.Grow(v.mass, f)[:n+f]
+	for i, j, k := n-1, f-1, n+f-1; j >= 0; k-- {
+		if i >= 0 && v.users[i] > fresh[j] {
+			v.users[k], v.mass[k] = v.users[i], v.mass[i]
+			i--
+		} else {
+			v.users[k], v.mass[k] = fresh[j], mass
+			j--
 		}
 	}
 }
 
-// ReinforceTerm adds mass to a single term (e.g. a brushed histogram
-// bar).
-func (v *Vector) ReinforceTerm(id groups.TermID, weight float64) {
-	if weight <= 0 || v.unlearnedTerms[id] {
-		return
+// termMass is the raw mass of term id, 0 when unscored.
+func (v *Vector) termMass(id groups.TermID) float64 {
+	if id < 0 || int(id) >= len(v.terms) {
+		return 0
 	}
-	v.terms[id] += weight
-	v.total += weight
+	return v.terms[id]
 }
 
 // Unlearn deletes a term from the profile (the CONTEXT "delete"
 // interaction: e.g. removing "male" to de-bias the exploration). The
 // remaining entries implicitly renormalize.
 func (v *Vector) Unlearn(id groups.TermID) {
-	v.total -= v.terms[id]
-	delete(v.terms, id)
-	v.unlearnedTerms[id] = true
+	if id < 0 {
+		return
+	}
+	if int(id) < len(v.terms) {
+		v.total -= v.terms[id]
+		v.terms[id] = 0
+	}
+	v.pinnedTerms = grown(v.pinnedTerms, int(id))
+	v.pinnedTerms[id] = true
 }
 
 // UnlearnUser deletes a user from the profile.
 func (v *Vector) UnlearnUser(u int) {
-	v.total -= v.users[u]
-	delete(v.users, u)
-	v.unlearnedUsers[u] = true
-}
-
-// ClearUnlearned lifts the unlearn pin from a term so it may be
-// learned again.
-func (v *Vector) ClearUnlearned(id groups.TermID) { delete(v.unlearnedTerms, id) }
-
-// IsUnlearned reports whether the term is pinned to zero by Unlearn.
-func (v *Vector) IsUnlearned(id groups.TermID) bool { return v.unlearnedTerms[id] }
-
-// Decay multiplies the accumulated mass by factor ∈ (0,1). The
-// normalized view is unchanged until the next reinforcement, which
-// then weighs more against the shrunken past — recency bias for
-// session policies that want it.
-func (v *Vector) Decay(factor float64) {
-	if factor <= 0 || factor >= 1 {
-		return
+	if i, ok := slices.BinarySearch(v.users, u); ok {
+		v.total -= v.mass[i]
+		v.users = slices.Delete(v.users, i, i+1)
+		v.mass = slices.Delete(v.mass, i, i+1)
 	}
-	for k := range v.users {
-		v.users[k] *= factor
+	if j, ok := slices.BinarySearch(v.pinnedUsers, u); !ok {
+		v.pinnedUsers = slices.Insert(v.pinnedUsers, j, u)
 	}
-	for k := range v.terms {
-		v.terms[k] *= factor
-	}
-	v.total *= factor
 }
 
 // UserScore returns the normalized probability mass on user u.
@@ -144,7 +195,11 @@ func (v *Vector) UserScore(u int) float64 {
 	if v.total == 0 {
 		return 0
 	}
-	return v.users[u] / v.total
+	raw := 0.0
+	if i, ok := slices.BinarySearch(v.users, u); ok {
+		raw = v.mass[i]
+	}
+	return raw / v.total
 }
 
 // TermScore returns the normalized probability mass on term id.
@@ -152,7 +207,7 @@ func (v *Vector) TermScore(id groups.TermID) float64 {
 	if v.total == 0 {
 		return 0
 	}
-	return v.terms[id] / v.total
+	return v.termMass(id) / v.total
 }
 
 // Alignment scores how strongly a candidate group agrees with the
@@ -168,13 +223,11 @@ func (v *Vector) Alignment(g *groups.Group) float64 {
 	}
 	score := 0.0
 	for _, id := range g.Desc {
-		score += v.terms[id]
+		score += v.termMass(id)
 	}
-	// Iterate the sparse side: scored users are typically far fewer
-	// than group members.
-	for u, mass := range v.users {
+	for i, u := range v.users {
 		if g.Members.Contains(u) {
-			score += mass
+			score += v.mass[i]
 		}
 	}
 	return score / v.total
@@ -197,9 +250,9 @@ func (v *Vector) TopUsers(m int) []UserMass {
 	if v.total == 0 || len(v.users) == 0 {
 		return nil
 	}
-	out := make([]UserMass, 0, len(v.users))
-	for u, raw := range v.users {
-		out = append(out, UserMass{User: u, Mass: raw / v.total})
+	out := make([]UserMass, len(v.users))
+	for i, u := range v.users {
+		out[i] = UserMass{User: u, Mass: v.mass[i] / v.total}
 	}
 	if m > 0 && m < len(out) {
 		topk.Select(out, m, compareUserMass)
@@ -231,33 +284,77 @@ type Entry struct {
 	Score  float64
 }
 
+// compareEntry orders entries by descending score, then terms before
+// users, then ascending id: a strict total order.
+func compareEntry(a, b Entry) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	case a.IsUser != b.IsUser:
+		if a.IsUser {
+			return 1
+		}
+		return -1
+	case a.IsUser:
+		return cmp.Compare(a.User, b.User)
+	}
+	return cmp.Compare(a.Term, b.Term)
+}
+
 // Top returns the n highest-mass entries (terms and users mixed),
 // descending; ties break deterministically (terms before users, then
-// ascending id). This is what CONTEXT renders (Fig. 2 (b)).
+// ascending id). n ≤ 0 returns every entry. This is what CONTEXT
+// renders (Fig. 2 (b)). A bounded n costs one pass over the profile
+// with an n-entry insertion buffer, not a sort of the whole profile.
 func (v *Vector) Top(n int) []Entry {
-	out := make([]Entry, 0, len(v.users)+len(v.terms))
-	for id, s := range v.terms {
-		out = append(out, Entry{Term: id, Score: s / v.total})
+	size := len(v.users)
+	for _, raw := range v.terms {
+		if raw != 0 {
+			size++
+		}
 	}
-	for u, s := range v.users {
-		out = append(out, Entry{User: u, IsUser: true, Score: s / v.total})
+	limit := n // 0: keep every entry and sort them at the end
+	if n <= 0 || n >= size {
+		limit, n = 0, size
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	out := make([]Entry, 0, n)
+	for id, raw := range v.terms {
+		if raw != 0 {
+			out = keepTop(out, limit, Entry{Term: groups.TermID(id), Score: raw / v.total})
 		}
-		if out[i].IsUser != out[j].IsUser {
-			return !out[i].IsUser
-		}
-		if out[i].IsUser {
-			return out[i].User < out[j].User
-		}
-		return out[i].Term < out[j].Term
-	})
-	if n < len(out) {
-		out = out[:n]
+	}
+	for i, u := range v.users {
+		out = keepTop(out, limit, Entry{User: u, IsUser: true, Score: v.mass[i] / v.total})
+	}
+	if limit == 0 {
+		slices.SortFunc(out, compareEntry)
 	}
 	return out
+}
+
+// keepTop adds e to top. With limit > 0, top holds the limit best
+// entries seen so far in compareEntry order: e is inserted in place,
+// pushing the last one out when full, or dropped if it ranks after
+// them all. With limit 0, e is appended for the caller to sort.
+func keepTop(top []Entry, limit int, e Entry) []Entry {
+	if limit == 0 {
+		return append(top, e)
+	}
+	if len(top) == limit {
+		if compareEntry(e, top[limit-1]) >= 0 {
+			return top
+		}
+		top = top[:limit-1]
+	}
+	i := len(top)
+	top = append(top, e)
+	for ; i > 0 && compareEntry(e, top[i-1]) < 0; i-- {
+		top[i] = top[i-1]
+	}
+	top[i] = e
+	return top
 }
 
 // String renders the top entries compactly for logs.
@@ -280,19 +377,12 @@ func (v *Vector) String() string {
 // Snapshot returns a deep copy, used by HISTORY to restore the profile
 // on backtrack.
 func (v *Vector) Snapshot() *Vector {
-	c := New()
-	c.total = v.total
-	for k, x := range v.users {
-		c.users[k] = x
+	return &Vector{
+		users:       slices.Clone(v.users),
+		mass:        slices.Clone(v.mass),
+		terms:       slices.Clone(v.terms),
+		total:       v.total,
+		pinnedUsers: slices.Clone(v.pinnedUsers),
+		pinnedTerms: slices.Clone(v.pinnedTerms),
 	}
-	for k, x := range v.terms {
-		c.terms[k] = x
-	}
-	for k := range v.unlearnedTerms {
-		c.unlearnedTerms[k] = true
-	}
-	for k := range v.unlearnedUsers {
-		c.unlearnedUsers[k] = true
-	}
-	return c
 }

@@ -99,12 +99,6 @@ func TestUnlearn(t *testing.T) {
 	if v.TermScore(1) != 0 {
 		t.Fatal("unlearned term re-learned by Reinforce")
 	}
-	// Until explicitly cleared.
-	v.ClearUnlearned(1)
-	v.Reinforce(g, 1)
-	if v.TermScore(1) == 0 {
-		t.Fatal("cleared term not learnable")
-	}
 }
 
 func TestUnlearnUser(t *testing.T) {
@@ -138,35 +132,6 @@ func TestUnlearnEverythingThenReinforce(t *testing.T) {
 	v.Reinforce(h, 1)
 	if math.Abs(v.Mass()-1) > 1e-12 {
 		t.Fatalf("Mass = %v", v.Mass())
-	}
-}
-
-func TestReinforceTerm(t *testing.T) {
-	v := New()
-	v.ReinforceTerm(7, 1)
-	if math.Abs(v.TermScore(7)-1) > 1e-12 {
-		t.Fatalf("TermScore = %v", v.TermScore(7))
-	}
-	v.Unlearn(7)
-	v.ReinforceTerm(7, 1)
-	if v.TermScore(7) != 0 {
-		t.Fatal("unlearn pin ignored")
-	}
-}
-
-func TestDecayKeepsNormalization(t *testing.T) {
-	v := New()
-	v.Reinforce(grp(10, groups.NewDescription(1), 0, 1), 1)
-	v.Decay(0.5)
-	if math.Abs(v.Mass()-1) > 1e-12 {
-		t.Fatalf("Mass after decay = %v", v.Mass())
-	}
-	// Invalid factors are no-ops.
-	before := v.TermScore(1)
-	v.Decay(0)
-	v.Decay(1.5)
-	if v.TermScore(1) != before {
-		t.Fatal("invalid decay changed scores")
 	}
 }
 
@@ -204,6 +169,12 @@ func TestTopOrderingAndTies(t *testing.T) {
 	}
 	if got := v.Top(1); len(got) != 1 {
 		t.Fatalf("Top(1) = %d entries", len(got))
+	}
+	// n ≤ 0 asks for every entry, as TopUsers(m ≤ 0) does.
+	for _, n := range []int{0, -1, -100} {
+		if got := v.Top(n); !slices.Equal(got, top) {
+			t.Fatalf("Top(%d) = %+v, want every entry %+v", n, got, top)
+		}
 	}
 }
 
@@ -248,8 +219,8 @@ func TestSnapshotIndependence(t *testing.T) {
 	v.Reinforce(g, 1)
 	v.Unlearn(1)
 	snap := v.Snapshot()
-	v.ReinforceTerm(2, 1)
-	if snap.TermScore(2) != 0 {
+	v.Reinforce(grp(10, groups.NewDescription(2), 5), 1)
+	if snap.TermScore(2) != 0 || snap.UserScore(5) != 0 {
 		t.Fatal("snapshot mutated")
 	}
 	// Unlearn pins survive the snapshot.
@@ -261,7 +232,7 @@ func TestSnapshotIndependence(t *testing.T) {
 
 func TestString(t *testing.T) {
 	v := New()
-	v.ReinforceTerm(1, 1)
+	v.Reinforce(grp(4, groups.NewDescription(1), 2), 1)
 	if s := v.String(); s == "" || s[0] != 'f' {
 		t.Fatalf("String = %q", s)
 	}
@@ -275,7 +246,7 @@ func TestPropNormalizationInvariant(t *testing.T) {
 		r := rng.New(uint64(seed) + 1)
 		v := New()
 		for step := 0; step < 30; step++ {
-			switch r.Intn(5) {
+			switch r.Intn(4) {
 			case 0, 1:
 				members := r.SampleWithoutReplacement(16, 1+r.Intn(5))
 				g := grp(16, groups.NewDescription(groups.TermID(r.Intn(8))), members...)
@@ -284,8 +255,6 @@ func TestPropNormalizationInvariant(t *testing.T) {
 				v.Unlearn(groups.TermID(r.Intn(8)))
 			case 3:
 				v.UnlearnUser(r.Intn(16))
-			case 4:
-				v.Decay(0.5 + r.Float64()/2.01)
 			}
 			m := v.Mass()
 			if !(m == 0 || math.Abs(m-1) < 1e-9) {

@@ -60,8 +60,7 @@ func NewSpace(numUsers int, vocab *Vocab, gs []*Group) (*Space, error) {
 // inverting every group's member set into the user→groups lists — is
 // sharded: each worker inverts one contiguous gid range into a private
 // partial table, and partials concatenate per user in shard order, so
-// every userGroups list comes out ascending exactly as the sequential
-// append produced it.
+// every userGroups list comes out ascending at any worker count.
 func NewSpaceParallel(numUsers int, vocab *Vocab, gs []*Group, workers int) (*Space, error) {
 	s := &Space{
 		NumUsers:   numUsers,
@@ -85,22 +84,16 @@ func NewSpaceParallel(numUsers int, vocab *Vocab, gs []*Group, workers int) (*Sp
 	return s, nil
 }
 
-// invert fills userGroups from the groups' member sets. The parallel
-// path is count-then-fill: transient memory is workers×numUsers int32
-// counters (4 bytes per cell, no slice headers, no append growth) and
-// every per-user list is allocated exactly once at its final size.
-// Small spaces take the sequential appends directly.
+// invert fills userGroups from the groups' member sets, count then
+// fill: transient memory is workers×numUsers int32 counters (4 bytes
+// per cell, no slice headers, no append growth) and every per-user
+// list is allocated exactly once at its final size, at any worker
+// count. Small spaces run on one worker, on the calling goroutine.
 func (s *Space) invert(workers int) {
 	n := len(s.groups)
 	w := parallel.Workers(workers, n)
-	if w <= 1 || n < 256 {
-		for i, g := range s.groups {
-			g.Members.Range(func(u int) bool {
-				s.userGroups[u] = append(s.userGroups[u], int32(i))
-				return true
-			})
-		}
-		return
+	if n < 256 {
+		w = 1
 	}
 	// Static contiguous shards: shard k owns gids [bounds[k], bounds[k+1]).
 	bounds := make([]int, w+1)

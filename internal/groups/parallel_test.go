@@ -2,7 +2,7 @@ package groups
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
 	"testing"
 
 	"vexus/internal/bitset"
@@ -27,29 +27,34 @@ func randomGroups(seed uint64, u, n int) (*Vocab, []*Group) {
 	return v, gs
 }
 
-// TestNewSpaceParallelEquivalence: the sharded inversion must produce
-// the exact user→groups lists of the sequential appends, for spaces
-// above and below the parallel threshold.
+// TestNewSpaceParallelEquivalence: at every worker count the inversion
+// produces the user→groups lists of a plain sequential append over the
+// groups, each allocated at its exact length, for spaces above and
+// below the one-worker threshold.
 func TestNewSpaceParallelEquivalence(t *testing.T) {
 	for _, shape := range []struct{ u, n int }{{50, 40}, {120, 300}, {30, 700}} {
 		vocab, gs := randomGroups(uint64(shape.n), shape.u, shape.n)
-		seq, err := NewSpaceParallel(shape.u, vocab, cloneGroups(gs, shape.u), 1)
-		if err != nil {
-			t.Fatal(err)
+		want := make([][]int32, shape.u)
+		for i, g := range gs {
+			g.Members.Range(func(u int) bool {
+				want[u] = append(want[u], int32(i))
+				return true
+			})
 		}
-		for _, workers := range []int{2, 5, 16} {
-			par, err := NewSpaceParallel(shape.u, vocab, cloneGroups(gs, shape.u), workers)
+		for _, workers := range []int{1, 2, 5, 16} {
+			s, err := NewSpaceParallel(shape.u, vocab, cloneGroups(gs, shape.u), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for u := 0; u < shape.u; u++ {
-				a, b := seq.GroupsOfUser(u), par.GroupsOfUser(u)
-				if len(a) == 0 && len(b) == 0 {
-					continue
+				got := s.GroupsOfUser(u)
+				if !slices.Equal(got, want[u]) {
+					t.Fatalf("u=%d n=%d workers=%d: user %d list %v, want %v",
+						shape.u, shape.n, workers, u, got, want[u])
 				}
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("u=%d n=%d workers=%d: user %d lists differ: %v vs %v",
-						shape.u, shape.n, workers, u, b, a)
+				if cap(got) != len(got) {
+					t.Fatalf("u=%d n=%d workers=%d: user %d list holds %d ids in %d slots",
+						shape.u, shape.n, workers, u, len(got), cap(got))
 				}
 			}
 		}
