@@ -64,7 +64,7 @@
 //     /api/v1/cluster/drain?shard= (POST /api/v1/cluster/join?shard=
 //     &addr= adds one and rebalances). Every shard must serve a
 //     bit-identical engine (same dataset flags/specs — the
-//     core.Build/store.Load determinism contract); shard mode
+//     core.Build/store.LoadFile determinism contract); shard mode
 //     therefore forces the deterministic optimizer configuration
 //     (no wall-clock cutoff), so a replayed trail reproduces the
 //     exported session byte for byte.

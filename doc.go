@@ -62,7 +62,8 @@
 // simulate.RunMTBatchParallel /
 // RunSTBatchParallel / RunBrowseBatchParallel shard simulation
 // campaigns run-per-slot with aggregates reduced in run order — all
-// bit-identical to their sequential counterparts at any worker count.
+// bit-identical, at any worker count, to the sequential references
+// their tests keep.
 //
 // Engines are immutable values and safe to share: core.Build returns
 // a finished engine, and live ingestion (see Live datasets) never
@@ -150,7 +151,7 @@
 //	             unbroken across a move; clients cannot tell their
 //	             session migrated. Byte-identical states require
 //	             bit-identical engines on every shard (same dataset
-//	             spec; core.Build/store.Load guarantee the rest at
+//	             spec; core.Build/store.LoadFile guarantee the rest at
 //	             any worker count) and the deterministic optimizer
 //	             config (TimeLimit = 0, which -shard mode forces),
 //	             pinned by equivalence tests at workers 1, 2 and 8.
@@ -217,7 +218,7 @@
 // member's engine snapshot (GET /internal/cluster/snapshot, the
 // internal/store section codec) straight into the joiner (POST
 // /internal/cluster/warm) without buffering; the joiner installs only
-// after store.LoadFresh verifies the stream's fingerprint chain
+// after store.LoadFreshBytes verifies the stream's fingerprint chain
 // against its own locally computed base — a truncated transfer, torn
 // section or wrong dataset can never install, and a failed warm leaves
 // the joiner out of the ring with the epoch unmoved. Only after the
@@ -248,9 +249,10 @@
 // exactly where it stands. Multiple clients on one session converge:
 // every subscriber sees every diff in mutation order (the publish
 // hook fires inside the apply critical section), which is what makes
-// collaborative exploration work (internal/simulate.RunCollaborative
-// pins N diff-tracking views byte-identical to the authoritative
-// session).
+// collaborative exploration work (internal/simulate's
+// TestRunCollaborative pins N diff-tracking views byte-identical to
+// the authoritative session, and internal/serve's
+// TestStreamMultiClientConvergence does the same over HTTP).
 //
 // Reconnection is resumable: send the last seen id via the standard
 // Last-Event-ID header (or ?lastEventID= for plain curl) and the

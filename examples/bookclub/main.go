@@ -49,8 +49,8 @@ func main() {
 
 	task := simulate.STTask{TargetGroup: targetID, MinSimilarity: 0.6, MaxIterations: 15}
 
-	groupBased := simulate.RunSTBatch(eng, greedy.DefaultConfig(), task,
-		simulate.NoisyPolicy(0.1), 25, 500)
+	groupBased := simulate.RunSTBatchParallel(eng, greedy.DefaultConfig(), task,
+		simulate.NoisyPolicy(0.1), 25, 500, 0)
 	fmt.Printf("group-based exploration:  %3.0f%% satisfied, %.1f iterations when satisfied\n",
 		groupBased.SuccessRate*100, groupBased.MeanIterations)
 
@@ -62,8 +62,8 @@ func main() {
 	if quota < 15 {
 		quota = 15
 	}
-	browse := simulate.RunBrowseBatch(data.NumUsers(), target,
-		quota, 7, 15, 25, 500)
+	browse := simulate.RunBrowseBatchParallel(data.NumUsers(), target,
+		quota, 7, 15, 25, 500, 0)
 	fmt.Printf("individual browsing:      %3.0f%% satisfied (baseline, quota %d)\n\n",
 		browse.SuccessRate*100, quota)
 

@@ -304,9 +304,3 @@ func DecodeLog(data []byte) ([]Action, error) {
 	}
 	return wrapped.Actions, nil
 }
-
-// EncodeLog renders a bare action array, indented — the -script input
-// format of the vexus CLI.
-func EncodeLog(acts []Action) ([]byte, error) {
-	return json.MarshalIndent(acts, "", "  ")
-}

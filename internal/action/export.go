@@ -16,18 +16,6 @@ import (
 // bounded (greedy.Config.TimeLimit = 0), exactly the precondition the
 // repo's save/load replay and worker-equivalence tests already state.
 
-// ExportActions returns a copy of the session's applied-action log,
-// oldest first. The copy is safe to serialize or replay after the
-// caller releases whatever lock guards the session.
-func (s *Session) ExportActions() []Action {
-	if len(s.Log) == 0 {
-		return nil
-	}
-	out := make([]Action, len(s.Log))
-	copy(out, s.Log)
-	return out
-}
-
 // Replay builds a fresh session over eng and re-applies the trail.
 // After a successful replay the session's log equals the trail and its
 // mutation counter equals the trail length — byte-identical state and

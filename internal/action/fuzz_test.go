@@ -1,6 +1,7 @@
 package action
 
 import (
+	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
@@ -40,4 +41,10 @@ func FuzzDecodeLog(f *testing.F) {
 			t.Fatalf("round trip changed the log:\n got %#v\nwant %#v\ninput %q", again, acts, data)
 		}
 	})
+}
+
+// EncodeLog renders a bare action array, indented — the -script input
+// format of the vexus CLI.
+func EncodeLog(acts []Action) ([]byte, error) {
+	return json.MarshalIndent(acts, "", "  ")
 }

@@ -77,12 +77,6 @@ func (s *Set) Add(i int) {
 	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Remove deletes i from the set.
-func (s *Set) Remove(i int) {
-	s.check(i)
-	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
 // Contains reports whether i is a member.
 func (s *Set) Contains(i int) bool {
 	if i < 0 || i >= s.n {
@@ -173,28 +167,6 @@ func (s *Set) Range(fn func(i int) bool) {
 			}
 			w &= w - 1
 		}
-	}
-}
-
-// Next returns the smallest member >= i, or -1 if none exists.
-func (s *Set) Next(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := s.words[wi] >> (uint(i) % wordBits) << (uint(i) % wordBits)
-	for {
-		if w != 0 {
-			return wi*wordBits + bits.TrailingZeros64(w)
-		}
-		wi++
-		if wi >= len(s.words) {
-			return -1
-		}
-		w = s.words[wi]
 	}
 }
 

@@ -78,7 +78,7 @@ func testCluster(t testing.TB, eng *core.Engine, n int) (*Gateway, *httptest.Ser
 	for i := range shards {
 		shards[i] = LocalShard(fmt.Sprintf("s%d", i), shardServer(t, eng).Routes())
 	}
-	gw, err := NewGateway(shards...)
+	gw, err := NewGatewayConfig(GatewayConfig{}, shards...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func TestGatewayRemoveDeadShard(t *testing.T) {
 	// statically (static members are trusted without a warm stream).
 	s0 := LocalShard("s0", shardServer(t, eng).Routes())
 	dead := RemoteShard("dead", "127.0.0.1:1")
-	gw, err := NewGateway(s0, dead)
+	gw, err := NewGatewayConfig(GatewayConfig{}, s0, dead)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@
 //
 // Determinism contract: a migrated session is byte-identical to one
 // that never moved provided every shard serves a bit-identical engine
-// (the core.Build / store.Load contract — same dataset spec, any
+// (the core.Build / store.LoadFile contract — same dataset spec, any
 // worker count) and the optimizer config is deterministic
 // (greedy.Config.TimeLimit = 0, as for save/load replay). The
 // equivalence tests pin this at workers 1, 2 and 8.
@@ -134,8 +134,9 @@ type GatewayConfig struct {
 	MintSID func() string
 	// ManualSweep disables the background route/membership sweeper
 	// goroutine; the owner drives detection explicitly through
-	// SweepMembership/SweepRoutes. Combined with Clock this makes
-	// failure detection a deterministic function of the call schedule.
+	// SweepMembership, and stale routes are not reconciled. Combined
+	// with Clock this makes failure detection a deterministic function
+	// of the call schedule.
 	ManualSweep bool
 }
 
@@ -149,14 +150,9 @@ type route struct {
 	shard *Shard
 }
 
-// NewGateway assembles a gateway over the given shards (at least
-// one; names must be unique) with default observability wiring.
-func NewGateway(shards ...*Shard) (*Gateway, error) {
-	return NewGatewayConfig(GatewayConfig{}, shards...)
-}
-
-// NewGatewayConfig is NewGateway with explicit telemetry, logging,
-// membership and auth wiring. The roster is the union of the static
+// NewGatewayConfig assembles a gateway over the given shards (names
+// must be unique) with the given telemetry, logging, membership and
+// auth wiring; the zero GatewayConfig is the default wiring. The roster is the union of the static
 // arguments and the persisted table at cfg.RoutesPath: reloaded
 // members are re-dialed from their saved addresses (constructing a
 // client only — no request leaves the gateway), so a restarted gateway

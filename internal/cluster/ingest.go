@@ -20,7 +20,7 @@ import (
 // (when the client did not), pins that seq on every other shard, and
 // verifies all shards report the same resulting engine version. Batch
 // digests are content addresses, so same batch + same seq ⇒ the same
-// lineage entry ⇒ bit-identical engines everywhere (the store.Load /
+// lineage entry ⇒ bit-identical engines everywhere (the store.LoadFile /
 // core.Build contract the equivalence tests pin).
 //
 // One gateway-wide mutex serializes ingests across datasets. Ingests

@@ -65,10 +65,6 @@ func (g *Gateway) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // with GatewayConfig.ManualSweep (deterministic harnesses tick it).
 func (g *Gateway) SweepMembership() { g.sweepMembership() }
 
-// SweepRoutes runs one route-reconciliation pass explicitly (see
-// SweepMembership), returning how many stale routes it dropped.
-func (g *Gateway) SweepRoutes() int { return g.sweepRoutes() }
-
 // sweepMembership runs failure detection and fails routes closed for
 // every member the sweep marks down: its route entries are dropped, so
 // later requests for those sessions re-home by hash and read as

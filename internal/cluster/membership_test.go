@@ -142,13 +142,13 @@ func TestTwoGatewaysSamePlacement(t *testing.T) {
 	h1 := shardServer(t, eng).Routes()
 	h2 := shardServer(t, eng).Routes()
 
-	gw1, err := NewGateway(LocalShard("s0", h0), LocalShard("s1", h1), LocalShard("s2", h2))
+	gw1, err := NewGatewayConfig(GatewayConfig{}, LocalShard("s0", h0), LocalShard("s1", h1), LocalShard("s2", h2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(gw1.Close)
 	// Different construction order: placement must not depend on it.
-	gw2, err := NewGateway(LocalShard("s2", h2), LocalShard("s0", h0), LocalShard("s1", h1))
+	gw2, err := NewGatewayConfig(GatewayConfig{}, LocalShard("s2", h2), LocalShard("s0", h0), LocalShard("s1", h1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestWarmJoinAbortMidStream(t *testing.T) {
 		donorInner.ServeHTTP(w, r)
 	})
 
-	gw, err := NewGateway(LocalShard("s0", donorH))
+	gw, err := NewGatewayConfig(GatewayConfig{}, LocalShard("s0", donorH))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestWarmJoinAbortMidStream(t *testing.T) {
 
 	// An intact donor warms the same joiner successfully — proving the
 	// abort above was the stream's fault, not the harness's.
-	gw2, err := NewGateway(LocalShard("s0", shardServer(t, eng).Routes()))
+	gw2, err := NewGatewayConfig(GatewayConfig{}, LocalShard("s0", shardServer(t, eng).Routes()))
 	if err != nil {
 		t.Fatal(err)
 	}

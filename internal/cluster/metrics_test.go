@@ -188,7 +188,7 @@ func sessionsOn(t testing.TB, gw *Gateway, name string) int {
 func TestReadyzNamesDeadShard(t *testing.T) {
 	eng := testEngine(t)
 	dead := RemoteShard("dead", "127.0.0.1:1")
-	gw, err := NewGateway(LocalShard("s0", shardServer(t, eng).Routes()), dead)
+	gw, err := NewGatewayConfig(GatewayConfig{}, LocalShard("s0", shardServer(t, eng).Routes()), dead)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func TestShardImportRejectsDivergence(t *testing.T) {
 	src := LocalShard("src", shardServer(t, testEngine(t)).Routes())
 	dst := LocalShard("dst", shardServer(t, differentEngine(t)).Routes())
 
-	gw, err2 := NewGateway(src)
+	gw, err2 := NewGatewayConfig(GatewayConfig{}, src)
 	if err2 != nil {
 		t.Fatal(err2)
 	}

@@ -39,12 +39,6 @@ type Shard struct {
 	streamer *http.Client
 }
 
-// Name returns the shard's rendezvous-hash identity.
-func (s *Shard) Name() string { return s.name }
-
-// Addr returns the shard's dial address ("" for in-process shards).
-func (s *Shard) Addr() string { return s.addr }
-
 // RemoteShard points at a shard worker listening on addr
 // ("host:port"). The name doubles as the hash identity, so use the
 // same name for the same logical shard across gateway restarts —
@@ -88,36 +82,33 @@ func (s *Shard) orSecret(secret string) *Shard {
 	return s
 }
 
-// handlerTransport serves round trips by invoking the handler
-// directly, recording the response. httptest's recorder is the
+// ServeInProcess answers req by calling h on the caller's goroutine
+// and returns the recorded response. httptest's recorder is the
 // stdlib's canonical ResponseWriter-to-Response bridge; using it
 // outside a _test file is deliberate — the in-process cluster is
 // production code for benchmarks and embedded deployments.
-type handlerTransport struct{ h http.Handler }
-
-func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func ServeInProcess(h http.Handler, req *http.Request) *http.Response {
 	rec := httptest.NewRecorder()
-	t.h.ServeHTTP(rec, req)
+	h.ServeHTTP(rec, req)
 	res := rec.Result()
 	res.Request = req
-	return res, nil
+	return res
 }
 
-// streamTransport serves round trips whose response is open-ended by
-// running the handler on its own goroutine against a pipe: RoundTrip
-// returns as soon as the handler commits response headers, and every
-// byte the handler writes after that is readable from the response
-// body immediately. This is the in-process equivalent of what a real
-// TCP transport does for a streaming response — exactly what the
-// recorder-based handlerTransport cannot do, since it only produces a
-// response once the handler has returned.
-type streamTransport struct{ h http.Handler }
-
-func (t streamTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+// StreamInProcess answers a request whose response is open-ended by
+// running h on its own goroutine against a pipe: it returns as soon as
+// the handler commits response headers, and every byte the handler
+// writes after that is readable from the response body immediately.
+// This is the in-process equivalent of what a real TCP transport does
+// for a streaming response — exactly what ServeInProcess cannot do,
+// since it only produces a response once the handler has returned.
+// The goroutine keeps h until the handler returns, so a caller that
+// swaps handlers leaves open streams on the old one.
+func StreamInProcess(h http.Handler, req *http.Request) *http.Response {
 	pr, pw := io.Pipe()
 	sw := &streamRecorder{header: make(http.Header), pw: pw, ready: make(chan struct{})}
 	go func() {
-		t.h.ServeHTTP(sw, req)
+		h.ServeHTTP(sw, req)
 		sw.commit(http.StatusOK) // no-op unless the handler never wrote
 		pw.Close()
 	}()
@@ -132,10 +123,24 @@ func (t streamTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		Body:          pr,
 		ContentLength: -1,
 		Request:       req,
-	}, nil
+	}
 }
 
-// streamRecorder is the ResponseWriter behind streamTransport. The
+// handlerTransport and streamTransport are LocalShard's two clients'
+// transports over ServeInProcess and StreamInProcess.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return ServeInProcess(t.h, req), nil
+}
+
+type streamTransport struct{ h http.Handler }
+
+func (t streamTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return StreamInProcess(t.h, req), nil
+}
+
+// streamRecorder is the ResponseWriter behind StreamInProcess. The
 // header snapshot is cloned inside the commit Once, so RoundTrip's
 // reader and the handler goroutine never share a mutable map. The
 // handler sees an http.Flusher (the serve-side SSE handler refuses

@@ -286,11 +286,6 @@ func TestMemo(t *testing.T) {
 	if !m.HasGroup(1) || !m.HasUser(3) || m.HasUser(4) {
 		t.Fatal("memo membership wrong")
 	}
-	m.RemoveUser(3)
-	if m.HasUser(3) || len(m.Users()) != 0 {
-		t.Fatal("remove failed")
-	}
-	m.RemoveUser(3) // no-op
 	if err := s.BookmarkGroup(-1); err == nil {
 		t.Fatal("invalid group bookmarked")
 	}

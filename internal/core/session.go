@@ -288,17 +288,3 @@ func (m *Memo) HasUser(u int) bool { return m.hasUser[u] }
 
 // HasGroup reports whether group gid is bookmarked.
 func (m *Memo) HasGroup(gid int) bool { return m.hasGroup[gid] }
-
-// RemoveUser drops a bookmarked user.
-func (m *Memo) RemoveUser(u int) {
-	if !m.hasUser[u] {
-		return
-	}
-	delete(m.hasUser, u)
-	for j, x := range m.userIDs {
-		if x == u {
-			m.userIDs = append(m.userIDs[:j], m.userIDs[j+1:]...)
-			break
-		}
-	}
-}

@@ -39,9 +39,6 @@ func New(n int) *Engine {
 	return &Engine{n: n, mask: make([]uint64, n), visible: n}
 }
 
-// NumRecords returns the record count.
-func (e *Engine) NumRecords() int { return e.n }
-
 // VisibleCount returns the number of records passing every filter.
 func (e *Engine) VisibleCount() int { return e.visible }
 
@@ -56,22 +53,14 @@ func (e *Engine) Visible() []int {
 	return out
 }
 
-// IsVisible reports whether record r passes every filter.
-func (e *Engine) IsVisible(r int) bool {
-	return r >= 0 && r < e.n && e.mask[r] == 0
-}
-
-// Dimension is one filterable axis with an ordinal domain [0, Card).
+// Dimension is one filterable axis with an ordinal domain [0, card).
 type Dimension struct {
 	eng    *Engine
 	bit    uint64
-	idx    int
-	name   string
 	labels []string
 	values []int     // record -> bin
 	byBin  [][]int32 // bin -> records
 	kept   []bool    // bin -> passes this dimension's filter
-	active bool      // any filter applied?
 	hist   []int     // bin -> count of records with mask ∈ {0, own bit}
 }
 
@@ -94,8 +83,6 @@ func (e *Engine) AddDimension(name string, values []int, card int, labels []stri
 	d := &Dimension{
 		eng:    e,
 		bit:    1 << uint(len(e.dims)),
-		idx:    len(e.dims),
-		name:   name,
 		labels: labels,
 		values: append([]int(nil), values...),
 		byBin:  make([][]int32, card),
@@ -123,17 +110,8 @@ func (e *Engine) AddDimension(name string, values []int, card int, labels []stri
 	return d, nil
 }
 
-// Name returns the dimension name.
-func (d *Dimension) Name() string { return d.name }
-
-// Card returns the number of bins.
-func (d *Dimension) Card() int { return len(d.byBin) }
-
 // Labels returns the bin labels (may be nil).
 func (d *Dimension) Labels() []string { return d.labels }
-
-// Value returns record r's bin on this dimension.
-func (d *Dimension) Value(r int) int { return d.values[r] }
 
 // Histogram returns this dimension's bin counts under every *other*
 // dimension's filter (crossfilter semantics). The returned slice is a
@@ -151,19 +129,7 @@ func (d *Dimension) FilterBins(bins ...int) {
 			keep[b] = true
 		}
 	}
-	d.apply(keep, true)
-}
-
-// FilterRange keeps bins in [lo, hi] inclusive — the brush gesture on
-// an ordinal histogram.
-func (d *Dimension) FilterRange(lo, hi int) {
-	keep := make([]bool, len(d.byBin))
-	for b := lo; b <= hi && b < len(keep); b++ {
-		if b >= 0 {
-			keep[b] = true
-		}
-	}
-	d.apply(keep, true)
+	d.apply(keep)
 }
 
 // ClearFilter removes this dimension's filter.
@@ -172,15 +138,12 @@ func (d *Dimension) ClearFilter() {
 	for b := range keep {
 		keep[b] = true
 	}
-	d.apply(keep, false)
+	d.apply(keep)
 }
-
-// HasFilter reports whether a filter is active on this dimension.
-func (d *Dimension) HasFilter() bool { return d.active }
 
 // apply diffs the new keep set against the old and toggles exactly the
 // records in changed bins — the O(affected records) incremental update.
-func (d *Dimension) apply(keep []bool, active bool) {
+func (d *Dimension) apply(keep []bool) {
 	for b := range keep {
 		switch {
 		case d.kept[b] && !keep[b]:
@@ -190,7 +153,6 @@ func (d *Dimension) apply(keep []bool, active bool) {
 		}
 		d.kept[b] = keep[b]
 	}
-	d.active = active
 }
 
 // excludeBin marks every record of bin b as excluded by d.
@@ -262,6 +224,3 @@ func (e *Engine) dimByBit(bit uint64) *Dimension {
 	}
 	panic("crossfilter: unknown dimension bit")
 }
-
-// Dimensions returns the registered dimensions in creation order.
-func (e *Engine) Dimensions() []*Dimension { return e.dims }

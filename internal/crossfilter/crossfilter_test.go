@@ -59,7 +59,7 @@ func TestBrushUpdatesOtherDimensions(t *testing.T) {
 func TestTwoFilters(t *testing.T) {
 	e, g, a := fixture(t)
 	g.FilterBins(0)            // records 0..3
-	a.FilterRange(0, 0)        // ages == 0: records 0,3,6
+	a.FilterBins(0)            // ages == 0: records 0,3,6
 	if e.VisibleCount() != 2 { // 0 and 3
 		t.Fatalf("visible = %d: %v", e.VisibleCount(), e.Visible())
 	}
@@ -90,9 +90,6 @@ func TestClearFilterRestores(t *testing.T) {
 	if h := a.Histogram(); h[0] != 3 || h[1] != 3 || h[2] != 2 {
 		t.Fatalf("age hist after clear = %v", h)
 	}
-	if g.HasFilter() || a.HasFilter() {
-		t.Fatal("HasFilter after clear")
-	}
 }
 
 func TestEmptyFilterExcludesAll(t *testing.T) {
@@ -121,20 +118,14 @@ func TestRefineFilterIncrementally(t *testing.T) {
 	if e.VisibleCount() != 8 {
 		t.Fatalf("visible = %d", e.VisibleCount())
 	}
-	if !a.HasFilter() {
-		t.Fatal("widened filter should still be active")
-	}
 	_ = g
 }
 
 func TestIsVisible(t *testing.T) {
 	e, g, _ := fixture(t)
 	g.FilterBins(0)
-	if !e.IsVisible(0) || e.IsVisible(4) {
-		t.Fatal("IsVisible wrong")
-	}
-	if e.IsVisible(-1) || e.IsVisible(99) {
-		t.Fatal("out of range should be invisible")
+	if vis := e.Visible(); len(vis) != 4 || vis[0] != 0 || vis[3] != 3 {
+		t.Fatalf("visible = %v, want records 0..3", vis)
 	}
 }
 
@@ -234,10 +225,14 @@ func TestPropMatchesNaiveRecomputation(t *testing.T) {
 			case 1:
 				lo := r.Intn(cards[d])
 				hi := lo + r.Intn(cards[d]-lo)
+				var bins []int
 				for b := 0; b < cards[d]; b++ {
 					keeps[d][b] = b >= lo && b <= hi
+					if keeps[d][b] {
+						bins = append(bins, b)
+					}
 				}
-				dims[d].FilterRange(lo, hi)
+				dims[d].FilterBins(bins...)
 			case 2:
 				for b := range keeps[d] {
 					keeps[d][b] = true
@@ -256,11 +251,11 @@ func TestPropMatchesNaiveRecomputation(t *testing.T) {
 }
 
 func checkAgainstNaive(e *Engine, dims []*Dimension, values [][]int, keeps [][]bool) bool {
-	n := e.NumRecords()
+	n := len(values[0])
 	visible := 0
 	hists := make([][]int, len(dims))
 	for d := range hists {
-		hists[d] = make([]int, dims[d].Card())
+		hists[d] = make([]int, len(keeps[d]))
 	}
 	for r := 0; r < n; r++ {
 		failAll := 0

@@ -80,23 +80,6 @@ func TestBinIndexNonNumericPanics(t *testing.T) {
 	s.Attrs[0].BinIndex(1)
 }
 
-func TestPossibleGroups(t *testing.T) {
-	// Paper §I: 4 attributes × 5 values ⇒ on the order of 10^6 once you
-	// count all conjunctive descriptions; over demographics alone the
-	// wildcard-counting formula gives 6^4 - 1.
-	attrs := make([]Attribute, 4)
-	for i := range attrs {
-		attrs[i] = Attribute{
-			Name:   string(rune('a' + i)),
-			Values: []string{"1", "2", "3", "4", "5"},
-		}
-	}
-	s := MustSchema(attrs...)
-	if got := s.PossibleGroups(); got != 6*6*6*6-1 {
-		t.Fatalf("PossibleGroups = %d, want %d", got, 6*6*6*6-1)
-	}
-}
-
 func buildSmall(t *testing.T) *Dataset {
 	t.Helper()
 	b := NewBuilder(testSchema(t))
@@ -207,41 +190,10 @@ func TestDistribution(t *testing.T) {
 	if got := dist.Fraction(0); math.Abs(got-2.0/3) > 1e-12 {
 		t.Fatalf("Fraction(female) = %v", got)
 	}
-	if got := dist.Mode(); got != 0 {
-		t.Fatalf("Mode = %d, want 0 (female)", got)
-	}
 
 	sub := d.Distribution(1, []int{0, 2}) // seniority over alice+carol
 	if sub.Missing != 1 {
 		t.Fatalf("missing = %d, want 1 (carol)", sub.Missing)
-	}
-}
-
-func TestDistributionEntropy(t *testing.T) {
-	d := buildSmall(t)
-	dist := d.Distribution(0, nil)
-	h := dist.Entropy()
-	want := -(2.0/3)*math.Log2(2.0/3) - (1.0/3)*math.Log2(1.0/3)
-	if math.Abs(h-want) > 1e-12 {
-		t.Fatalf("Entropy = %v, want %v", h, want)
-	}
-	empty := AttrDistribution{Counts: []int{0, 0}}
-	if empty.Entropy() != 0 {
-		t.Fatal("entropy of empty distribution should be 0")
-	}
-	if empty.Mode() != -1 {
-		t.Fatal("mode of empty distribution should be -1")
-	}
-}
-
-func TestAllDistributions(t *testing.T) {
-	d := buildSmall(t)
-	all := d.AllDistributions(nil)
-	if len(all) != 3 {
-		t.Fatalf("len = %d, want 3", len(all))
-	}
-	if all[1].Attr != "seniority" {
-		t.Fatalf("attr order wrong: %v", all[1].Attr)
 	}
 }
 
@@ -276,13 +228,6 @@ func TestActivityAndMeans(t *testing.T) {
 	act := d.ActivityCount()
 	if act[0] != 2 || act[1] != 1 || act[2] != 0 {
 		t.Fatalf("activity = %v", act)
-	}
-	means := d.MeanActionValue()
-	if means[0] != 4.5 || means[1] != 2 {
-		t.Fatalf("means = %v", means)
-	}
-	if !math.IsNaN(means[2]) {
-		t.Fatalf("carol mean = %v, want NaN", means[2])
 	}
 }
 

@@ -141,17 +141,3 @@ func (s *Schema) AttrIndex(name string) int {
 
 // NumAttrs returns the number of attributes.
 func (s *Schema) NumAttrs() int { return len(s.Attrs) }
-
-// PossibleGroups returns the number of conjunctive group descriptions
-// expressible over the schema, counting the "any" wildcard per
-// attribute: Π(|domain_i| + 1) - 1. This is the exponential group-space
-// size the paper's introduction warns about (E3): four attributes with
-// five values each already yield 6^4 - 1 = 1295 descriptions over
-// demographics alone, and ~10^6 once action-derived attributes join.
-func (s *Schema) PossibleGroups() int {
-	total := 1
-	for _, a := range s.Attrs {
-		total *= len(a.Values) + 1
-	}
-	return total - 1
-}

@@ -24,38 +24,6 @@ func (d *AttrDistribution) Fraction(v int) float64 {
 	return float64(d.Counts[v]) / float64(known)
 }
 
-// Mode returns the most frequent value id, or -1 when no value is known.
-// Ties break toward the lower id for determinism.
-func (d *AttrDistribution) Mode() int {
-	best, bestCount := -1, 0
-	for v, c := range d.Counts {
-		if c > bestCount {
-			best, bestCount = v, c
-		}
-	}
-	return best
-}
-
-// Entropy returns the Shannon entropy (bits) of the value distribution,
-// ignoring missing values. Uniform distributions score highest; it is
-// the "informativeness" signal used when ranking which histograms to
-// surface first in STATS.
-func (d *AttrDistribution) Entropy() float64 {
-	known := d.Total - d.Missing
-	if known == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range d.Counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / float64(known)
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
 // Distribution computes the histogram of attribute attr over the given
 // user indices. A nil users slice means all users.
 func (d *Dataset) Distribution(attr int, users []int) AttrDistribution {
@@ -84,16 +52,6 @@ func (d *Dataset) Distribution(attr int, users []int) AttrDistribution {
 		}
 	}
 	return dist
-}
-
-// AllDistributions computes every attribute's histogram over the given
-// users (nil = all), in schema order.
-func (d *Dataset) AllDistributions(users []int) []AttrDistribution {
-	out := make([]AttrDistribution, d.Schema.NumAttrs())
-	for i := range out {
-		out[i] = d.Distribution(i, users)
-	}
-	return out
 }
 
 // ValueHistogram buckets action values into integer bins between lo and
@@ -138,24 +96,4 @@ func (d *Dataset) ActivityCount() []int {
 		counts[a.User]++
 	}
 	return counts
-}
-
-// MeanActionValue returns the mean action value per user; users with no
-// actions get NaN.
-func (d *Dataset) MeanActionValue() []float64 {
-	sums := make([]float64, len(d.Users))
-	counts := make([]int, len(d.Users))
-	for _, a := range d.Actions {
-		sums[a.User] += a.Value
-		counts[a.User]++
-	}
-	out := make([]float64, len(d.Users))
-	for u := range out {
-		if counts[u] == 0 {
-			out[u] = math.NaN()
-			continue
-		}
-		out[u] = sums[u] / float64(counts[u])
-	}
-	return out
 }

@@ -105,20 +105,3 @@ type Report struct {
 	DistinctUsers int
 	DistinctItems int
 }
-
-// Add merges other into r.
-func (r *Report) Add(other Report) {
-	r.RowsRead += other.RowsRead
-	r.RowsKept += other.RowsKept
-	r.RowsDropped += other.RowsDropped
-	r.BadValue += other.BadValue
-	r.DuplicateRows += other.DuplicateRows
-	r.MissingFields += other.MissingFields
-	r.ShortRows += other.ShortRows
-	r.UnknownUsers += other.UnknownUsers
-	r.OutOfDomain += other.OutOfDomain
-	r.ValuesClamped += other.ValuesClamped
-	r.InferredAttrs += other.InferredAttrs
-	r.DistinctUsers += other.DistinctUsers
-	r.DistinctItems += other.DistinctItems
-}

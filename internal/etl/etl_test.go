@@ -287,34 +287,3 @@ func TestInferEmptyColumn(t *testing.T) {
 		t.Fatalf("ghost domain = %v", g.Values)
 	}
 }
-
-func TestNormalizeToDomain(t *testing.T) {
-	num := dataset.Attribute{Name: "age", Kind: dataset.Numeric,
-		Values: []string{"young", "old"}, Bins: []float64{40}}
-	if v, ok := NormalizeToDomain(&num, "23"); !ok || v != "young" {
-		t.Fatalf("numeric normalize = %q,%v", v, ok)
-	}
-	if _, ok := NormalizeToDomain(&num, "xyz"); ok {
-		t.Fatal("garbage normalized")
-	}
-	topk := dataset.Attribute{Name: "city", Kind: dataset.Categorical,
-		Values: []string{"paris", "other"}}
-	if v, ok := NormalizeToDomain(&topk, "tokyo"); !ok || v != "other" {
-		t.Fatalf("topk normalize = %q,%v", v, ok)
-	}
-	if v, ok := NormalizeToDomain(&topk, "paris"); !ok || v != "paris" {
-		t.Fatalf("in-domain normalize = %q,%v", v, ok)
-	}
-	strict := dataset.Attribute{Name: "g", Kind: dataset.Categorical, Values: []string{"a"}}
-	if _, ok := NormalizeToDomain(&strict, "b"); ok {
-		t.Fatal("strict domain accepted unknown")
-	}
-}
-
-func TestReportAdd(t *testing.T) {
-	a := Report{RowsRead: 1, RowsKept: 1}
-	a.Add(Report{RowsRead: 2, BadValue: 3})
-	if a.RowsRead != 3 || a.BadValue != 3 || a.RowsKept != 1 {
-		t.Fatalf("merged = %+v", a)
-	}
-}

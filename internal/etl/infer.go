@@ -177,23 +177,3 @@ func topKAttribute(name string, counts map[string]int, k int) dataset.Attribute 
 	values = append(values, "other")
 	return dataset.Attribute{Name: name, Kind: dataset.Categorical, Values: values}
 }
-
-// NormalizeToDomain maps a raw cleaned value into the attribute's
-// domain for loading against an inferred schema: out-of-domain values
-// of a topK attribute become "other"; numeric attributes are binned.
-// Returns "", false when the value cannot be mapped.
-func NormalizeToDomain(a *dataset.Attribute, raw string) (string, bool) {
-	if a.ValueIndex(raw) >= 0 {
-		return raw, true
-	}
-	if a.Kind == dataset.Numeric {
-		if x, err := strconv.ParseFloat(raw, 64); err == nil {
-			return a.Values[a.BinIndex(x)], true
-		}
-		return "", false
-	}
-	if a.ValueIndex("other") >= 0 {
-		return "other", true
-	}
-	return "", false
-}

@@ -70,22 +70,6 @@ func New() *Vector { return &Vector{} }
 // IsEmpty reports whether no feedback has been accumulated.
 func (v *Vector) IsEmpty() bool { return v.total == 0 }
 
-// Mass returns the total normalized probability mass: 1 once any
-// feedback exists, 0 before (the paper's "all scores add up to 1.0").
-func (v *Vector) Mass() float64 {
-	if v.total == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range v.mass {
-		sum += x
-	}
-	for _, x := range v.terms {
-		sum += x
-	}
-	return sum / v.total
-}
-
 // Reinforce records a positive signal on a chosen group: each member
 // user and each description term gains `weight` raw mass. Entries
 // previously unlearned stay at zero.

@@ -267,3 +267,19 @@ func TestPropNormalizationInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Mass returns the total normalized probability mass: 1 once any
+// feedback exists, 0 before (the paper's "all scores add up to 1.0").
+func (v *Vector) Mass() float64 {
+	if v.total == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range v.mass {
+		sum += x
+	}
+	for _, x := range v.terms {
+		sum += x
+	}
+	return sum / v.total
+}

@@ -74,8 +74,9 @@ type Config struct {
 	Workers int
 }
 
-// defaultCandidatePool is the pool cap SelectNext and ExhaustiveSelect
-// apply when Config.CandidatePool is 0, and DefaultConfig's value.
+// defaultCandidatePool is the pool cap SelectNext (and the tests'
+// exhaustive oracle) applies when Config.CandidatePool is 0, and
+// DefaultConfig's value.
 const defaultCandidatePool = 4096
 
 // DefaultConfig mirrors the paper's operating point: k = 7, 100 ms.

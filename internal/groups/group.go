@@ -26,12 +26,6 @@ func (g *Group) Jaccard(other *Group) float64 {
 	return g.Members.Jaccard(other.Members)
 }
 
-// Overlaps reports whether the two groups share at least one member —
-// the edge predicate of the group graph G.
-func (g *Group) Overlaps(other *Group) bool {
-	return g.Members.Intersects(other.Members)
-}
-
 // Space is an immutable collection of discovered groups over one
 // dataset's user universe, plus the user→groups inverted lists needed
 // to walk the overlap graph without O(n²) scans.
@@ -171,74 +165,6 @@ func (s *Space) GroupsOfUser(u int) []int32 {
 		return nil
 	}
 	return s.userGroups[u]
-}
-
-// Neighbors returns the ids of groups overlapping g (sharing ≥1
-// member), excluding g itself, in ascending id order. This materializes
-// one adjacency row of the graph G on demand via the user→groups lists:
-// cost O(Σ_{u∈g} |groups(u)|), independent of the total group count.
-func (s *Space) Neighbors(g *Group) []int {
-	seen := make(map[int32]bool)
-	g.Members.Range(func(u int) bool {
-		for _, gid := range s.userGroups[u] {
-			seen[gid] = true
-		}
-		return true
-	})
-	delete(seen, int32(g.ID))
-	out := make([]int, 0, len(seen))
-	for gid := range seen {
-		out = append(out, int(gid))
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Coverage returns the fraction of the user universe covered by at
-// least one of the given groups.
-func (s *Space) Coverage(ids []int) float64 {
-	if s.NumUsers == 0 {
-		return 0
-	}
-	u := bitset.New(s.NumUsers)
-	for _, id := range ids {
-		u.InPlaceUnion(s.groups[id].Members)
-	}
-	return float64(u.Count()) / float64(s.NumUsers)
-}
-
-// CoverageOf returns the fraction of a base group's members covered by
-// the union of the given groups — the coverage objective the greedy
-// optimizer maximizes when expanding a focal group (§II-B).
-func (s *Space) CoverageOf(base *Group, ids []int) float64 {
-	total := base.Size()
-	if total == 0 {
-		return 1
-	}
-	u := bitset.New(s.NumUsers)
-	for _, id := range ids {
-		u.InPlaceUnion(s.groups[id].Members)
-	}
-	u.InPlaceIntersect(base.Members)
-	return float64(u.Count()) / float64(total)
-}
-
-// Diversity returns 1 minus the mean pairwise Jaccard similarity of the
-// given groups: 1 for fully disjoint sets, 0 for identical ones. It is
-// the diversity objective of §II-B ("optimizing diversity provides
-// various analysis directions and reduces redundancy").
-func (s *Space) Diversity(ids []int) float64 {
-	if len(ids) < 2 {
-		return 1
-	}
-	sum, pairs := 0.0, 0
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			sum += s.groups[ids[i]].Jaccard(s.groups[ids[j]])
-			pairs++
-		}
-	}
-	return 1 - sum/float64(pairs)
 }
 
 // SortBySize orders group ids by descending member count (ties by

@@ -31,11 +31,10 @@ func (t Term) String() string { return t.Field + "=" + t.Value }
 type Vocab struct {
 	terms []Term
 	index map[Term]TermID
-	// fields records the distinct field names in first-seen order.
-	fields     []string
+	// fieldIndex numbers the distinct field names in first-seen order;
+	// byField[f] lists the term ids of field number f.
 	fieldIndex map[string]int
-	// byField[f] lists the term ids whose Field is fields[f].
-	byField [][]TermID
+	byField    [][]TermID
 }
 
 // NewVocab returns an empty vocabulary.
@@ -54,9 +53,8 @@ func (v *Vocab) Intern(field, value string) TermID {
 	v.index[t] = id
 	fi, ok := v.fieldIndex[field]
 	if !ok {
-		fi = len(v.fields)
+		fi = len(v.byField)
 		v.fieldIndex[field] = fi
-		v.fields = append(v.fields, field)
 		v.byField = append(v.byField, nil)
 	}
 	v.byField[fi] = append(v.byField[fi], id)
@@ -78,10 +76,6 @@ func (v *Vocab) Term(id TermID) Term {
 
 // Len returns the number of interned terms.
 func (v *Vocab) Len() int { return len(v.terms) }
-
-// Fields returns the distinct field names in first-seen order. The
-// returned slice must not be modified.
-func (v *Vocab) Fields() []string { return v.fields }
 
 // TermsOfField returns the ids of all terms with the given field name.
 func (v *Vocab) TermsOfField(field string) []TermID {
@@ -141,26 +135,6 @@ func (d Description) Equal(other Description) bool {
 		}
 	}
 	return true
-}
-
-// With returns a new canonical description extended by id.
-func (d Description) With(id TermID) Description {
-	out := make(Description, 0, len(d)+1)
-	inserted := false
-	for _, t := range d {
-		if t == id {
-			inserted = true
-		}
-		if !inserted && t > id {
-			out = append(out, id)
-			inserted = true
-		}
-		out = append(out, t)
-	}
-	if !inserted {
-		out = append(out, id)
-	}
-	return out
 }
 
 // Key returns a canonical string key for map indexing.

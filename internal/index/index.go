@@ -289,40 +289,6 @@ func (ix *Index) exact(gid int, minSim float64, k int) []Neighbor {
 	return out
 }
 
-// RecallAtK returns the fraction of the exact top-k of gid that the
-// materialized prefix (alone, without fallback) contains. Groups whose
-// exact list is shorter than k are measured against the shorter list.
-func (ix *Index) RecallAtK(gid, k int) float64 {
-	exact := ix.ExactNeighbors(gid, k)
-	if len(exact) == 0 {
-		return 1
-	}
-	mat := ix.lists[gid]
-	inMat := make(map[int32]bool, len(mat))
-	for _, nb := range mat {
-		inMat[nb.ID] = true
-	}
-	hit := 0
-	for _, nb := range exact {
-		if inMat[nb.ID] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(exact))
-}
-
-// MeanRecallAtK averages RecallAtK over every group — the E2 metric.
-func (ix *Index) MeanRecallAtK(k int) float64 {
-	if ix.space.Len() == 0 {
-		return 1
-	}
-	sum := 0.0
-	for gid := 0; gid < ix.space.Len(); gid++ {
-		sum += ix.RecallAtK(gid, k)
-	}
-	return sum / float64(ix.space.Len())
-}
-
 // MemoryBytes estimates the materialized footprint: one Neighbor per
 // stored entry plus slice headers.
 func (ix *Index) MemoryBytes() int {

@@ -87,8 +87,8 @@ func (c *gwClient) handler() http.Handler {
 	return c.h
 }
 
-// do issues one buffered request (recorder-backed, like
-// cluster.LocalShard's regular client).
+// do issues one buffered request, like cluster.LocalShard's regular
+// client.
 func (c *gwClient) do(method, path string, body []byte, ctype string) *http.Response {
 	var rd io.Reader
 	if body != nil {
@@ -98,69 +98,16 @@ func (c *gwClient) do(method, path string, body []byte, ctype string) *http.Resp
 	if ctype != "" {
 		req.Header.Set("Content-Type", ctype)
 	}
-	rec := httptest.NewRecorder()
-	c.handler().ServeHTTP(rec, req)
-	res := rec.Result()
-	res.Request = req
-	return res
+	return cluster.ServeInProcess(c.handler(), req)
 }
 
-// stream opens a live request (the SSE diff stream): the handler runs
-// on its own goroutine against a pipe and the response is readable the
-// moment headers are committed — the in-process mirror of
-// cluster.LocalShard's streaming client, for the gateway handler.
+// stream opens a live request (the SSE diff stream), like
+// cluster.LocalShard's streaming client: the response is readable the
+// moment headers are committed, and the stream stays on the handler
+// it was opened against.
 func (c *gwClient) stream(ctx context.Context, path string) *http.Response {
 	req := httptest.NewRequest(http.MethodGet, "http://gateway"+path, nil).WithContext(ctx)
-	pr, pw := io.Pipe()
-	sw := &pipeRecorder{header: make(http.Header), pw: pw, ready: make(chan struct{})}
-	h := c.handler()
-	go func() {
-		h.ServeHTTP(sw, req)
-		sw.commit(http.StatusOK)
-		pw.Close()
-	}()
-	<-sw.ready
-	return &http.Response{
-		StatusCode:    sw.status,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        sw.snapshot,
-		Body:          pr,
-		ContentLength: -1,
-		Request:       req,
-	}
-}
-
-// pipeRecorder is the streaming ResponseWriter behind gwClient.stream
-// (same shape as the cluster package's stream recorder: headers are
-// snapshotted inside the commit Once so reader and handler goroutines
-// never share a mutable map; Flush is a no-op because pipe writes
-// already rendezvous with the reader).
-type pipeRecorder struct {
-	header   http.Header
-	pw       *io.PipeWriter
-	once     sync.Once
-	status   int
-	snapshot http.Header
-	ready    chan struct{}
-}
-
-func (s *pipeRecorder) Header() http.Header  { return s.header }
-func (s *pipeRecorder) WriteHeader(code int) { s.commit(code) }
-func (s *pipeRecorder) Flush()               {}
-
-func (s *pipeRecorder) commit(code int) {
-	s.once.Do(func() {
-		s.status = code
-		s.snapshot = s.header.Clone()
-		close(s.ready)
-	})
-}
-
-func (s *pipeRecorder) Write(p []byte) (int, error) {
-	s.commit(http.StatusOK)
-	return s.pw.Write(p)
+	return cluster.StreamInProcess(c.handler(), req)
 }
 
 // heartbeats announces every reachable shard to the gateway — the

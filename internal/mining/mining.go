@@ -60,19 +60,6 @@ func NewTransactions(vocab *groups.Vocab, perUser [][]groups.TermID) *Transactio
 	return t
 }
 
-// Support returns the number of users carrying term id.
-func (t *Transactions) Support(id groups.TermID) int {
-	return t.Tids[id].Count()
-}
-
-// SupportOf returns the number of users carrying every term of the
-// description (intersection of tid-lists). The empty description is
-// supported by all users.
-func (t *Transactions) SupportOf(d groups.Description) int {
-	set := t.MembersOf(d)
-	return set.Count()
-}
-
 // MembersOf returns the user set carrying every term of d. The empty
 // description returns the full universe.
 func (t *Transactions) MembersOf(d groups.Description) *bitset.Set {

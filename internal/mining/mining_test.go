@@ -29,11 +29,11 @@ func TestTransactionsVertical(t *testing.T) {
 	if tx.N != 5 {
 		t.Fatalf("N = %d", tx.N)
 	}
-	if got := tx.Support(0); got != 3 {
-		t.Fatalf("Support(a) = %d", got)
+	if got := tx.Tids[0].Count(); got != 3 {
+		t.Fatalf("support of a = %d", got)
 	}
-	if got := tx.Support(2); got != 3 {
-		t.Fatalf("Support(c) = %d", got)
+	if got := tx.Tids[2].Count(); got != 3 {
+		t.Fatalf("support of c = %d", got)
 	}
 }
 
@@ -50,15 +50,12 @@ func TestTransactionsDedupSort(t *testing.T) {
 func TestSupportOfAndMembers(t *testing.T) {
 	tx := buildTx(t)
 	d := groups.NewDescription(0, 2) // a ∧ x
-	if got := tx.SupportOf(d); got != 2 {
-		t.Fatalf("SupportOf = %d", got)
-	}
 	m := tx.MembersOf(d)
 	if !m.Equal(bitset.FromIndices(5, []int{0, 1})) {
 		t.Fatalf("MembersOf = %v", m)
 	}
-	if got := tx.SupportOf(groups.NewDescription()); got != 5 {
-		t.Fatalf("empty SupportOf = %d", got)
+	if got := tx.MembersOf(groups.NewDescription()).Count(); got != 5 {
+		t.Fatalf("empty description's members = %d, want all 5", got)
 	}
 }
 

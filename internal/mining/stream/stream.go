@@ -79,9 +79,6 @@ func New(cfg Config) *Miner {
 	return m
 }
 
-// N returns the number of transactions processed so far.
-func (m *Miner) N() int { return m.n }
-
 // NumCounters returns the current number of in-core counters — the
 // quantity the lossy-counting bound keeps small.
 func (m *Miner) NumCounters() int { return len(m.entries) }

@@ -137,3 +137,6 @@ func TestKeyRoundTrip(t *testing.T) {
 		t.Fatalf("round trip %v -> %q -> %v", d, key, back)
 	}
 }
+
+// N returns the number of transactions processed so far.
+func (m *Miner) N() int { return m.n }

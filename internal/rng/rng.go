@@ -54,11 +54,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -106,9 +101,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// Choice returns a uniformly random index into a slice of length n.
-func (r *RNG) Choice(n int) int { return r.Intn(n) }
 
 // WeightedChoice returns index i with probability weights[i]/sum(weights).
 // Negative weights are treated as zero. If all weights are zero it falls

@@ -34,10 +34,7 @@ func NewZipf(r *RNG, s float64, n int) *Zipf {
 	return &Zipf{cdf: cdf, rng: r}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Next returns the next sampled rank in [0, N()).
+// Next returns the next sampled rank, in [0, n) for NewZipf(r, s, n).
 func (z *Zipf) Next() int {
 	x := z.rng.Float64()
 	lo, hi := 0, len(z.cdf)-1
@@ -50,15 +47,4 @@ func (z *Zipf) Next() int {
 		}
 	}
 	return lo
-}
-
-// Prob returns the probability mass of rank i.
-func (z *Zipf) Prob(i int) float64 {
-	if i < 0 || i >= len(z.cdf) {
-		return 0
-	}
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
 }

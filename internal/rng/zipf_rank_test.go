@@ -54,3 +54,14 @@ func TestZipfRankFrequency(t *testing.T) {
 		t.Errorf("rank 0 drawn %d times, rank %d drawn %d — Zipf head/tail inverted", head, n-1, tail)
 	}
 }
+
+// Prob returns the probability mass of rank i.
+func (z *Zipf) Prob(i int) float64 {
+	if i < 0 || i >= len(z.cdf) {
+		return 0
+	}
+	if i == 0 {
+		return z.cdf[0]
+	}
+	return z.cdf[i] - z.cdf[i-1]
+}

@@ -182,18 +182,6 @@ func ScanCatalogDir(dir string) (map[string]DatasetSpec, error) {
 	return specs, nil
 }
 
-// names returns every dataset name, sorted.
-func (c *Catalog) names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.entries))
-	for name := range c.entries {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // clockOrNow resolves the configured time source (Config.Clock, or
 // time.Now), shared by the catalog's LRU stamps and every registry's
 // recency bookkeeping.

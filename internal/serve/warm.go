@@ -21,7 +21,7 @@ import (
 // serve (or even build) an engine of its own: it receives the cluster's
 // engine as a snapshot stream — written by a current member with
 // store.Save, relayed by the gateway — and installs it only after
-// store.LoadFresh has verified the header fingerprint against the
+// store.LoadFreshBytes has verified the header fingerprint against the
 // chain of the shard's *locally computed* base fingerprint and the
 // lineage the stream records. The joiner's own dataset + config is the
 // root of trust: a stream for the wrong dataset, a different pipeline
@@ -39,6 +39,12 @@ import (
 // the stream has verified. That is the fail-closed half of the warm
 // join: a joiner that never gets its snapshot simply never serves.
 var errWarming = errors.New("dataset awaiting warm-join snapshot")
+
+// maxWarmSnapshot bounds how much of a streamed snapshot the warm
+// handler will buffer — a backstop against a runaway or hostile peer,
+// not a size policy (the largest benchmark engines are two orders of
+// magnitude smaller). A longer stream is cut and fails verification.
+const maxWarmSnapshot = 1 << 31
 
 // NewPending builds a warm-only shard server: it knows its dataset (so
 // it can verify the incoming stream's fingerprint chain) but will not
@@ -191,7 +197,7 @@ func (s *Server) handleShardWarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	baseFP := store.ComputeFingerprint(d, pcfg)
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<31))
+	raw, err := io.ReadAll(io.LimitReader(r.Body, maxWarmSnapshot))
 	if err != nil {
 		http.Error(w, "reading snapshot stream: "+err.Error(), http.StatusBadRequest)
 		return

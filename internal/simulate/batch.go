@@ -5,15 +5,14 @@ import (
 
 	"vexus/internal/bitset"
 	"vexus/internal/core"
-	"vexus/internal/greedy"
-	"vexus/internal/rng"
 )
 
 // Per-run generators derive through rng.Derive(seed, family|run): one
 // stream family per batch kind, spaced apart in the high bits so run
-// indices never overlap across kinds. The sequential batches here and
-// the parallel ones in parallel.go MUST use identical derivations —
-// the workers-1/2/8 equivalence suites pin parallel == sequential.
+// indices never overlap across kinds. The batch runners in parallel.go
+// and their sequential references in parallel_test.go MUST use
+// identical derivations — the workers-1/2/8 equivalence suites pin
+// parallel == sequential.
 const (
 	mtStream     uint64 = 1 << 40
 	stStream     uint64 = 2 << 40
@@ -29,30 +28,6 @@ type MTBatchResult struct {
 	MeanCollected  float64
 }
 
-// RunMTBatch runs the same task over `runs` seeds with fresh sessions.
-func RunMTBatch(eng *core.Engine, cfg greedy.Config, task MTTask, policy Policy, runs int, seed uint64) MTBatchResult {
-	res := MTBatchResult{Runs: runs}
-	sumIter, sumColl, successes := 0, 0, 0
-	for i := 0; i < runs; i++ {
-		r := rng.Derive(seed, mtStream|uint64(i))
-		sess := eng.NewSession(cfg)
-		out := RunMT(sess, task, policy, r)
-		sumColl += out.Collected
-		if out.Success {
-			successes++
-			sumIter += out.Iterations
-		}
-	}
-	if runs > 0 {
-		res.SuccessRate = float64(successes) / float64(runs)
-		res.MeanCollected = float64(sumColl) / float64(runs)
-	}
-	if successes > 0 {
-		res.MeanIterations = float64(sumIter) / float64(successes)
-	}
-	return res
-}
-
 // STBatchResult aggregates many ST runs; SuccessRate is the
 // satisfaction proxy of E5.
 type STBatchResult struct {
@@ -60,55 +35,6 @@ type STBatchResult struct {
 	SuccessRate    float64
 	MeanIterations float64 // over successful runs
 	MeanBestSim    float64
-}
-
-// RunSTBatch runs the same single-target task over `runs` seeds.
-func RunSTBatch(eng *core.Engine, cfg greedy.Config, task STTask, policy Policy, runs int, seed uint64) STBatchResult {
-	res := STBatchResult{Runs: runs}
-	sumIter, successes := 0, 0
-	sumSim := 0.0
-	for i := 0; i < runs; i++ {
-		r := rng.Derive(seed, stStream|uint64(i))
-		sess := eng.NewSession(cfg)
-		out := RunST(sess, task, policy, r)
-		sumSim += out.BestSimilarity
-		if out.Success {
-			successes++
-			sumIter += out.Iterations
-		}
-	}
-	if runs > 0 {
-		res.SuccessRate = float64(successes) / float64(runs)
-		res.MeanBestSim = sumSim / float64(runs)
-	}
-	if successes > 0 {
-		res.MeanIterations = float64(sumIter) / float64(successes)
-	}
-	return res
-}
-
-// RunBrowseBatch aggregates the individual-browsing baseline.
-func RunBrowseBatch(numUsers int, target *bitset.Set, quota, perIteration, maxIterations, runs int, seed uint64) STBatchResult {
-	res := STBatchResult{Runs: runs}
-	sumIter, successes := 0, 0
-	sumSim := 0.0
-	for i := 0; i < runs; i++ {
-		r := rng.Derive(seed, browseStream|uint64(i))
-		out := BrowseIndividuals(numUsers, target, quota, perIteration, maxIterations, r)
-		sumSim += out.BestSimilarity
-		if out.Success {
-			successes++
-			sumIter += out.Iterations
-		}
-	}
-	if runs > 0 {
-		res.SuccessRate = float64(successes) / float64(runs)
-		res.MeanBestSim = sumSim / float64(runs)
-	}
-	if successes > 0 {
-		res.MeanIterations = float64(sumIter) / float64(successes)
-	}
-	return res
 }
 
 // CommitteeTarget builds an E4-style target set from a conference

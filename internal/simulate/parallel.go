@@ -8,22 +8,22 @@ import (
 	"vexus/internal/rng"
 )
 
-// The parallel batch runners shard a campaign's runs over
-// internal/parallel. Every run was already independent in the
-// sequential batches — run i derives its own RNG through
-// rng.Derive(seed, family|i) (the same stream constants batch.go uses)
-// and its own fresh session off the shared immutable engine — so each
-// run writes its raw outcome into its own slot and the aggregate is
+// The batch runners shard a campaign's runs over internal/parallel.
+// Every run is independent — run i derives its own RNG through
+// rng.Derive(seed, family|i) (the stream constants in batch.go) and
+// its own fresh session off the shared immutable engine — so each run
+// writes its raw outcome into its own slot and the aggregate is
 // reduced from the slots in run order afterwards. Integer sums are
-// order-independent and the float sums are accumulated in the same
-// run order as the sequential loop, so the aggregates are exactly
-// (bit-for-bit) equal to RunMTBatch / RunSTBatch / RunBrowseBatch for
-// every worker count. Note that exact equality across *repeated*
+// order-independent and the float sums are accumulated in run order,
+// so the aggregates are exactly (bit-for-bit) equal to the sequential
+// references in parallel_test.go (one run after another) for every
+// worker count. Note that exact equality across *repeated*
 // invocations additionally requires a deterministic optimizer
-// (greedy.Config.TimeLimit = 0), same as sequentially.
+// (greedy.Config.TimeLimit = 0).
 
-// RunMTBatchParallel is RunMTBatch sharded over `workers` goroutines
-// (<= 0 means runtime.NumCPU()).
+// RunMTBatchParallel runs the same MT task over `runs` seeds with
+// fresh sessions, sharded over `workers` goroutines (<= 0 means
+// runtime.NumCPU()).
 func RunMTBatchParallel(eng *core.Engine, cfg greedy.Config, task MTTask, policy Policy, runs int, seed uint64, workers int) MTBatchResult {
 	res := MTBatchResult{Runs: runs}
 	if runs <= 0 {
@@ -53,7 +53,8 @@ func RunMTBatchParallel(eng *core.Engine, cfg greedy.Config, task MTTask, policy
 	return res
 }
 
-// RunSTBatchParallel is RunSTBatch sharded over `workers` goroutines.
+// RunSTBatchParallel runs the same single-target task over `runs`
+// seeds, sharded over `workers` goroutines.
 func RunSTBatchParallel(eng *core.Engine, cfg greedy.Config, task STTask, policy Policy, runs int, seed uint64, workers int) STBatchResult {
 	res := STBatchResult{Runs: runs}
 	if runs <= 0 {
@@ -68,8 +69,9 @@ func RunSTBatchParallel(eng *core.Engine, cfg greedy.Config, task STTask, policy
 	return reduceST(res, slots)
 }
 
-// RunBrowseBatchParallel is RunBrowseBatch sharded over `workers`
-// goroutines. The target bitset is only read concurrently.
+// RunBrowseBatchParallel aggregates the individual-browsing baseline
+// over `runs` seeds, sharded over `workers` goroutines. The target
+// bitset is only read concurrently.
 func RunBrowseBatchParallel(numUsers int, target *bitset.Set, quota, perIteration, maxIterations, runs int, seed uint64, workers int) STBatchResult {
 	res := STBatchResult{Runs: runs}
 	if runs <= 0 {
@@ -85,7 +87,7 @@ func RunBrowseBatchParallel(numUsers int, target *bitset.Set, quota, perIteratio
 
 // reduceST folds per-run ST outcomes in run order — the identical
 // accumulation order (and thus identical float rounding) to the
-// sequential batch loops.
+// sequential references.
 func reduceST(res STBatchResult, slots []STResult) STBatchResult {
 	sumIter, successes := 0, 0
 	sumSim := 0.0

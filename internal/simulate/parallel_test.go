@@ -6,6 +6,8 @@ import (
 	"vexus/internal/bitset"
 	"vexus/internal/core"
 	"vexus/internal/dataset"
+	"vexus/internal/greedy"
+	"vexus/internal/rng"
 )
 
 // TestRunMTBatchParallelEquivalence: the parallel MT campaign must
@@ -102,4 +104,80 @@ func TestCommitteeTargetPinned(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatalf("minPubs=2 target = %v, want users {0,2,3}", got)
 	}
+}
+
+// The sequential batch runners are the references the parallel ones
+// are pinned to: one run after another, aggregated in run order.
+
+// RunMTBatch runs the same task over `runs` seeds with fresh sessions.
+func RunMTBatch(eng *core.Engine, cfg greedy.Config, task MTTask, policy Policy, runs int, seed uint64) MTBatchResult {
+	res := MTBatchResult{Runs: runs}
+	sumIter, sumColl, successes := 0, 0, 0
+	for i := 0; i < runs; i++ {
+		r := rng.Derive(seed, mtStream|uint64(i))
+		sess := eng.NewSession(cfg)
+		out := RunMT(sess, task, policy, r)
+		sumColl += out.Collected
+		if out.Success {
+			successes++
+			sumIter += out.Iterations
+		}
+	}
+	if runs > 0 {
+		res.SuccessRate = float64(successes) / float64(runs)
+		res.MeanCollected = float64(sumColl) / float64(runs)
+	}
+	if successes > 0 {
+		res.MeanIterations = float64(sumIter) / float64(successes)
+	}
+	return res
+}
+
+// RunSTBatch runs the same single-target task over `runs` seeds.
+func RunSTBatch(eng *core.Engine, cfg greedy.Config, task STTask, policy Policy, runs int, seed uint64) STBatchResult {
+	res := STBatchResult{Runs: runs}
+	sumIter, successes := 0, 0
+	sumSim := 0.0
+	for i := 0; i < runs; i++ {
+		r := rng.Derive(seed, stStream|uint64(i))
+		sess := eng.NewSession(cfg)
+		out := RunST(sess, task, policy, r)
+		sumSim += out.BestSimilarity
+		if out.Success {
+			successes++
+			sumIter += out.Iterations
+		}
+	}
+	if runs > 0 {
+		res.SuccessRate = float64(successes) / float64(runs)
+		res.MeanBestSim = sumSim / float64(runs)
+	}
+	if successes > 0 {
+		res.MeanIterations = float64(sumIter) / float64(successes)
+	}
+	return res
+}
+
+// RunBrowseBatch aggregates the individual-browsing baseline.
+func RunBrowseBatch(numUsers int, target *bitset.Set, quota, perIteration, maxIterations, runs int, seed uint64) STBatchResult {
+	res := STBatchResult{Runs: runs}
+	sumIter, successes := 0, 0
+	sumSim := 0.0
+	for i := 0; i < runs; i++ {
+		r := rng.Derive(seed, browseStream|uint64(i))
+		out := BrowseIndividuals(numUsers, target, quota, perIteration, maxIterations, r)
+		sumSim += out.BestSimilarity
+		if out.Success {
+			successes++
+			sumIter += out.Iterations
+		}
+	}
+	if runs > 0 {
+		res.SuccessRate = float64(successes) / float64(runs)
+		res.MeanBestSim = sumSim / float64(runs)
+	}
+	if successes > 0 {
+		res.MeanIterations = float64(sumIter) / float64(successes)
+	}
+	return res
 }

@@ -36,10 +36,6 @@ func GreedyPolicy() Policy { return Policy{Name: "greedy"} }
 // NoisyPolicy clicks randomly with probability noise.
 func NoisyPolicy(noise float64) Policy { return Policy{Name: "noisy", Noise: noise} }
 
-// RandomPolicy ignores scores entirely (the random-walk strawman the
-// paper's interactivity principles argue against).
-func RandomPolicy() Policy { return Policy{Name: "random", Noise: 1} }
-
 // choose applies the policy to scored candidates; ties break to the
 // earliest (display order).
 func (p Policy) choose(r *rng.RNG, shown []int, score func(gid int) float64) int {

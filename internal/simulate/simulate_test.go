@@ -59,7 +59,7 @@ func TestPolicyChoose(t *testing.T) {
 	// Random policy hits all options over many draws.
 	seen := map[int]bool{}
 	for i := 0; i < 100; i++ {
-		seen[RandomPolicy().choose(r, shown, score)] = true
+		seen[NoisyPolicy(1).choose(r, shown, score)] = true
 	}
 	if len(seen) != 3 {
 		t.Fatalf("random policy coverage: %v", seen)
@@ -129,7 +129,7 @@ func TestGreedyBeatsRandomMT(t *testing.T) {
 	}
 	task := MTTask{Target: target, Quota: target.Count() / 3, MaxIterations: 12}
 	g := RunMTBatch(eng, fastCfg(), task, GreedyPolicy(), 8, 100)
-	r := RunMTBatch(eng, fastCfg(), task, RandomPolicy(), 8, 100)
+	r := RunMTBatch(eng, fastCfg(), task, NoisyPolicy(1), 8, 100)
 	if g.MeanCollected <= r.MeanCollected {
 		t.Fatalf("greedy (%v collected) should beat random (%v)",
 			g.MeanCollected, r.MeanCollected)

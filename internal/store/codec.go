@@ -20,7 +20,6 @@ type enc struct {
 }
 
 func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) uvarint(v uint64) {
 	e.b = binary.AppendUvarint(e.b, v)
@@ -64,16 +63,6 @@ func (d *dec) u8() uint8 {
 	}
 	v := d.b[d.off]
 	d.off++
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail("u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
 	return v
 }
 

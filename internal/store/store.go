@@ -149,17 +149,6 @@ func Save(w io.Writer, eng *core.Engine, fp Fingerprint) error {
 	return nil
 }
 
-// Load reads a snapshot and reassembles the engine, decoding the group
-// section across `workers` goroutines (<= 0 means runtime.NumCPU());
-// any worker count yields a bit-identical engine.
-func Load(r io.Reader, workers int) (*core.Engine, Header, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, Header{}, fmt.Errorf("store: reading snapshot: %w", err)
-	}
-	return loadBytes(data, workers)
-}
-
 // loadBytes parses a whole in-memory snapshot (the random access the
 // parallel section decode needs). A snapshot with pending DLTA
 // sections takes the replay path: only the dataset tables and META are
@@ -292,15 +281,6 @@ func loadWithDeltas(hdr Header, payload map[sectionTag][]byte, deltas [][]byte, 
 	return eng, hdr, nil
 }
 
-// ReadHeader parses just the snapshot header.
-func ReadHeader(r io.Reader) (Header, error) {
-	var b [headerLen]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return Header{}, fmt.Errorf("store: reading header: %w", err)
-	}
-	return parseHeader(b[:])
-}
-
 func parseHeader(b []byte) (Header, error) {
 	if len(b) < headerLen {
 		return Header{}, fmt.Errorf("store: %d-byte file is shorter than the %d-byte header", len(b), headerLen)
@@ -359,16 +339,6 @@ func LoadFile(path string, workers int) (*core.Engine, Header, error) {
 		return nil, Header{}, err
 	}
 	return loadBytes(data, workers)
-}
-
-// ReadHeaderFile reads just the header of a snapshot on disk.
-func ReadHeaderFile(path string) (Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, err
-	}
-	defer f.Close()
-	return ReadHeader(f)
 }
 
 // LoadFileFresh loads path only if its header fingerprint matches the

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -695,4 +696,38 @@ func TestActionLogReplayAgainstSnapshotEngine(t *testing.T) {
 			t.Fatalf("workers=%d: mutation counter %d vs %d", workers, replayed.Mutations, orig.Mutations)
 		}
 	}
+}
+
+// Load, ReadHeader and ReadHeaderFile are the tests' reader-side
+// entry points: the program loads snapshots through LoadFile,
+// BuildOrLoad and LoadFreshBytes.
+
+// Load reads a snapshot and reassembles the engine, decoding the group
+// section across `workers` goroutines (<= 0 means runtime.NumCPU());
+// any worker count yields a bit-identical engine.
+func Load(r io.Reader, workers int) (*core.Engine, Header, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, Header{}, fmt.Errorf("store: reading snapshot: %w", err)
+	}
+	return loadBytes(data, workers)
+}
+
+// ReadHeader parses just the snapshot header.
+func ReadHeader(r io.Reader) (Header, error) {
+	var b [headerLen]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return Header{}, fmt.Errorf("store: reading header: %w", err)
+	}
+	return parseHeader(b[:])
+}
+
+// ReadHeaderFile reads just the header of a snapshot on disk.
+func ReadHeaderFile(path string) (Header, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Header{}, err
+	}
+	defer f.Close()
+	return ReadHeader(f)
 }

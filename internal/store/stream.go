@@ -1,59 +1,26 @@
 package store
 
-import (
-	"fmt"
-	"io"
+import "vexus/internal/core"
 
-	"vexus/internal/core"
-)
-
-// This file is the streaming half of warm joins (internal/cluster): a
+// This file is the verifying half of warm joins (internal/cluster): a
 // current member serves its engine through Save over HTTP, and the
-// joining shard verifies and decodes the stream with LoadFresh before
-// it is allowed anywhere near the hash ring. Save already streams —
-// it writes header + CRC-framed sections to any io.Writer — so the
-// donor side needs nothing new; what a *network* consumer needs that
-// the file paths don't is freshness verification over bytes that
-// never touch disk.
+// joining shard reads the stream into memory (internal/serve's warm
+// handler) and verifies and decodes it with LoadFreshBytes before it
+// is allowed anywhere near the hash ring. Save already streams — it
+// writes header + CRC-framed sections to any io.Writer — so the donor
+// side needs nothing new; what a *network* consumer needs that the
+// file paths don't is freshness verification over bytes that never
+// touch disk.
 
-// maxStreamSnapshot bounds how much of a streamed snapshot LoadFresh
-// will buffer — a backstop against a runaway or hostile peer, not a
-// size policy (the largest benchmark engines are two orders of
-// magnitude smaller).
-const maxStreamSnapshot = 1 << 31
-
-// LoadFresh reads a complete snapshot stream and reassembles the
-// engine only if the stream's header fingerprint equals the chain of
-// the given *base* fingerprint and the lineage the stream itself
-// records — the same freshness rule as LoadFileFresh, applied to a
-// transport instead of a file. Anything less — a truncated transfer,
-// a stream for a different dataset or pipeline config, a corrupt
-// section — returns an error (ErrStale for fingerprint mismatches)
-// and no engine: the caller fails closed.
-func LoadFresh(r io.Reader, fp Fingerprint, workers int) (*core.Engine, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxStreamSnapshot+1))
-	if err != nil {
-		return nil, fmt.Errorf("store: reading snapshot stream: %w", err)
-	}
-	if len(data) > maxStreamSnapshot {
-		return nil, fmt.Errorf("store: snapshot stream exceeds %d bytes", maxStreamSnapshot)
-	}
-	return LoadFreshBytes(data, fp, workers)
-}
-
-// LoadFreshBytes is LoadFresh over an in-memory snapshot.
+// LoadFreshBytes reassembles the engine from an in-memory snapshot
+// only if the snapshot's header fingerprint equals the chain of the
+// given *base* fingerprint and the lineage the snapshot itself records
+// — the same freshness rule as LoadFileFresh, applied to bytes that
+// arrived over a transport instead of from a file. Anything less — a
+// truncated transfer, a stream for a different dataset or pipeline
+// config, a corrupt section — returns an error (ErrStale for
+// fingerprint mismatches) and no engine: the caller fails closed.
 func LoadFreshBytes(data []byte, fp Fingerprint, workers int) (*core.Engine, error) {
-	hdr, err := parseHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	dlog, deltaDigests, err := scanLineage(data)
-	if err != nil {
-		return nil, err
-	}
-	if hdr.Fingerprint != ChainFingerprint(fp, append(dlog, deltaDigests...)) {
-		return nil, ErrStale
-	}
-	eng, _, err := loadBytes(data, workers)
+	eng, _, err := loadFreshBytes(data, fp, workers)
 	return eng, err
 }
