@@ -35,12 +35,23 @@
 //
 // # Deployment shapes
 //
-//   - Single dataset (default): the synthetic dataset named by -n /
-//     -seed / -minsup is built at startup; -snapshot warm-starts it.
+// Every shape serves a dataset catalog (serve.NewCatalog), and every
+// non-warm shape builds its default dataset before it listens, so a
+// bad build stops startup.
+//
+//   - Single dataset (default): -n / -seed / -minsup are the catalog's
+//     one spec, {"default": {"dataset": "dbauthors", ...}}, served in
+//     memory. A -n of 0 means 1000 authors and a -minsup of 0 means
+//     0.02, as in a spec file.
 //
 //   - Catalog (-datasets dir/): every <name>.json in the directory
-//     declares a dataset; engines build or snapshot-load lazily, at
-//     most -max-engines stay resident. GET /api/datasets lists them.
+//     declares a dataset, with its <name>.snap snapshot alongside:
+//     loaded when its content address matches, rebuilt and rewritten
+//     when stale, and extended by every acknowledged ingest. Datasets
+//     other than the default build or load on first use; at most
+//     -max-engines stay resident. GET /api/datasets lists them. A
+//     single dataset that warm-starts is a directory holding one
+//     default.json.
 //
 //   - Cluster (internal/cluster): sessions shard across processes by
 //     rendezvous-hashed session id, with replay-based migration when
@@ -52,6 +63,11 @@
 //
 //     vexus-server -shard -addr 127.0.0.1:7101 -n 2000
 //
+//     A warm joiner (-shard -warm, single-dataset flags only) builds
+//     nothing: its spec only roots the fingerprint that the engine a
+//     gateway streams in on join must verify against. Until then it
+//     answers 503 to readiness probes and session creates.
+//
 //     Gateway — owns routing and topology, holds no session state:
 //
 //     vexus-server -cluster gateway -shards 127.0.0.1:7101,127.0.0.1:7102
@@ -62,9 +78,10 @@
 //     counting, reports shard health and residency on GET
 //     /api/v1/cluster, and migrates sessions off a shard on POST
 //     /api/v1/cluster/drain?shard= (POST /api/v1/cluster/join?shard=
-//     &addr= adds one and rebalances). Every shard must serve a
-//     bit-identical engine (same dataset flags/specs — the
-//     core.Build/store.LoadFile determinism contract); shard mode
+//     &addr= warms one from a member's resident engines, admits it
+//     and rebalances). Every shard must serve a bit-identical engine
+//     (same dataset flags/specs — the core.Build/store.LoadFile
+//     determinism contract); shard mode
 //     therefore forces the deterministic optimizer configuration
 //     (no wall-clock cutoff), so a replayed trail reproduces the
 //     exported session byte for byte.
@@ -82,12 +99,9 @@ import (
 	"time"
 
 	"vexus/internal/cluster"
-	"vexus/internal/core"
-	"vexus/internal/datagen"
 	"vexus/internal/greedy"
 	"vexus/internal/membership"
 	"vexus/internal/serve"
-	"vexus/internal/store"
 )
 
 func main() {
@@ -97,7 +111,6 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "generator seed (single-dataset mode)")
 		minSup    = flag.Float64("minsup", 0.02, "minimum group support fraction (single-dataset mode)")
 		workers   = flag.Int("workers", 0, "offline pipeline + snapshot-load workers (0 = NumCPU; any value builds bit-identical engines)")
-		snap      = flag.String("snapshot", "", "engine snapshot file for warm starts (single-dataset mode): loaded when its content address matches the dataset + pipeline config, rebuilt and overwritten when stale")
 		dir       = flag.String("datasets", "", "serve a dataset catalog: a directory of <name>.json specs with <name>.snap snapshots alongside (overrides single-dataset flags)")
 		defName   = flag.String("default-dataset", "", "catalog dataset served when a request names none (default: lexicographically first)")
 		maxEng    = flag.Int("max-engines", 8, "resident engine cap in catalog mode, 0 = unlimited (LRU eviction, session-free datasets first)")
@@ -112,7 +125,7 @@ func main() {
 		downAft   = flag.Duration("down-after", 0, "gateway: mark a member down — out of the routing set — after this heartbeat silence (0 = 20s)")
 		announce  = flag.String("announce", "", "shard: gateway base URL (http://host:port) to heartbeat membership announcements to")
 		beatEvery = flag.Duration("heartbeat", 2*time.Second, "shard: heartbeat interval for -announce")
-		warmOnly  = flag.Bool("warm", false, "shard: do not build the engine; wait for a warm-join snapshot stream (single-dataset mode, requires -shard)")
+		warmOnly  = flag.Bool("warm", false, "shard: do not build the engine; wait for a warm-join snapshot stream that verifies against the -n/-seed/-minsup spec (requires -shard)")
 		logLvl    = flag.String("log", "info", "log level: debug (includes per-request and migration spans), info, warn, error")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/ (keep off on untrusted networks)")
 	)
@@ -162,7 +175,7 @@ func main() {
 		log.Fatal("-warm requires -shard (a warm joiner is a cluster member)")
 	}
 	if *warmOnly && *dir != "" {
-		log.Fatal("-warm supports single-dataset mode only (catalog engines already load lazily)")
+		log.Fatal("-warm supports single-dataset mode only (a joiner receives only the engines its donor holds resident)")
 	}
 	if *announce != "" && !*shard {
 		log.Fatal("-announce requires -shard (only cluster members heartbeat)")
@@ -176,56 +189,36 @@ func main() {
 		gcfg.TimeLimit = 0
 	}
 
-	var srv *serve.Server
-	if *dir != "" {
-		specs, err := serve.ScanCatalogDir(*dir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cat, err := serve.NewCatalog(*dir, specs, *defName, gcfg, scfg, *workers, *maxEng)
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv = serve.NewCatalogServer(cat)
-		logger.Info("catalog ready", "datasets", len(specs), "dir", *dir,
-			"default", cat.DefaultName(), "maxResident", *maxEng)
-	} else {
-		data, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: *n, Seed: *seed})
-		if err != nil {
-			log.Fatal(err)
-		}
-		pcfg := core.DefaultPipelineConfig()
-		pcfg.Encode = datagen.DBAuthorsEncodeOptions()
-		pcfg.MinSupportFrac = *minSup
-		pcfg.Workers = *workers
-		if *warmOnly {
-			// Warm joiner: the dataset and config are the fingerprint
-			// roots the incoming snapshot stream must verify against, but
-			// no engine is built — it arrives over POST
-			// /internal/cluster/warm, and until then every session create
-			// and readiness probe answers 503.
-			srv = serve.NewPending("default", data, pcfg, gcfg, scfg)
-			logger.Info("warm-only shard: engine deferred to warm-join snapshot stream",
-				"users", data.NumUsers(), "minsup", *minSup)
-		} else {
-			start := time.Now()
-			eng, warm, err := store.BuildOrLoad(*snap, data, pcfg)
-			if eng == nil {
-				log.Fatal(err)
-			}
-			if err != nil {
-				logger.Warn("snapshot", "err", err)
-			}
-			if warm {
-				logger.Info("warm start", "groups", eng.Space.Len(), "users", data.NumUsers(),
-					"snapshot", *snap, "elapsed", time.Since(start).Round(time.Millisecond))
-			} else {
-				logger.Info("offline pipeline done", "groups", eng.Space.Len(), "users", data.NumUsers(),
-					"mine", eng.Timings.Mine)
-			}
-			srv = serve.New(eng, gcfg, scfg)
-		}
+	// Every shape is a catalog. Without -datasets, the single-dataset
+	// flags are its one spec, served in memory (no snapshot dir).
+	specs := map[string]serve.DatasetSpec{
+		"default": {Dataset: "dbauthors", N: *n, Seed: *seed, MinSup: *minSup},
 	}
+	name := "default"
+	if *dir != "" {
+		var err error
+		if specs, err = serve.ScanCatalogDir(*dir); err != nil {
+			log.Fatal(err)
+		}
+		name = *defName
+	}
+	cat, err := serve.NewCatalog(*dir, specs, name, gcfg, scfg, *workers, *maxEng)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *warmOnly {
+		// Warm joiner: the spec roots the fingerprint the incoming
+		// snapshot stream must verify against, but no engine is built —
+		// it arrives over POST /internal/cluster/warm, and until then
+		// every session create and readiness probe answers 503.
+		cat.WarmOnly()
+		logger.Info("warm-only shard: engine deferred to warm-join snapshot stream")
+	} else if err := cat.BuildDefault(); err != nil {
+		log.Fatal(err)
+	}
+	srv := serve.NewCatalogServer(cat)
+	logger.Info("catalog ready", "datasets", len(specs), "dir", *dir,
+		"default", cat.DefaultName(), "maxResident", *maxEng)
 
 	if *announce != "" {
 		gwURL := strings.TrimSuffix(*announce, "/")
@@ -254,7 +247,7 @@ func main() {
 		role = "VEXUS shard"
 	}
 	logger.Info(role+" listening", "addr", *addr, "sessionTTL", *ttl, "maxSessions", *maxSess, "pprof", *pprofOn)
-	err := http.ListenAndServe(*addr, withPprof(srv.Routes(), *pprofOn))
+	err = http.ListenAndServe(*addr, withPprof(srv.Routes(), *pprofOn))
 	srv.Close()
 	log.Fatal(err)
 }

@@ -112,18 +112,23 @@
 // section embeds a per-record offset table and decodes in parallel
 // (slot-writes again); derived state (user→group inversion, tid-lists,
 // size order) is reconstructed deterministically rather than stored.
-// The cmd/vexus and cmd/vexus-server -snapshot flags wire this in.
+// cmd/vexus -snapshot and cmd/vexus-server -datasets wire this in.
 // wallbench times the warm start end to end (restart_s) and per layer
 // (store.load_ms); BenchmarkSnapshotLoad times the decoder alone.
 //
-// On top of it, cmd/vexus-server -datasets serves a whole catalog: a
-// directory of <name>.json dataset specs with <name>.snap snapshots
-// alongside. Engines build or warm-load lazily on the first request
-// naming them (POST /api/v1/sessions?dataset=, default dataset when
-// the parameter is absent), concurrent first requests share one build,
-// at most -max-engines engines stay resident (LRU, session-free
+// Every vexus-server serves a dataset catalog, built one way
+// (serve.NewCatalog): a set of named dataset specs. Without -datasets
+// the -n/-seed/-minsup flags are its one spec, "default", held in
+// memory. -datasets names a directory of <name>.json specs with
+// <name>.snap snapshots alongside, so a single dataset that
+// warm-starts is a directory holding one default.json. The default
+// dataset builds (or warm-loads) before the server listens; any other
+// builds on the first request naming it (POST
+// /api/v1/sessions?dataset=). Concurrent first requests share one
+// build, at most -max-engines engines stay resident (LRU, session-free
 // datasets evicted first), and each dataset owns an isolated session
-// registry. GET /api/datasets lists residency; GET
+// registry. A dataset's base fingerprint, the head of its ingest
+// delta chain, is computed from its spec and from nothing else. GET /api/datasets lists residency; GET
 // /api/v1/sessions/{sid}/state carries an ETag derived from the
 // session's mutation counter and honors If-None-Match with 304, so
 // pollers stop re-downloading unchanged state snapshots.
@@ -163,9 +168,9 @@
 // double counting, reports health and residency on GET
 // /api/v1/cluster, and rebalances on POST /api/v1/cluster/drain and
 // /join — blocking traffic only per migrating session. Shards are
-// ordinary servers (single-dataset or catalog) started with -shard,
-// which enables the /internal/cluster migration surface; gateways
-// start with -cluster gateway -shards host:port,.... In-process
+// ordinary servers (one spec or a -datasets catalog) started with
+// -shard, which enables the /internal/cluster migration surface;
+// gateways start with -cluster gateway -shards host:port,.... In-process
 // shards (cluster.LocalShard) stand up a whole cluster in one test or
 // benchmark binary. wallbench measures the gateway hop
 // (cluster.hop_ms); internal/cluster's BenchmarkDrain measures the
@@ -212,11 +217,14 @@
 // refuses to load rather than route from garbage.
 //
 // Joins are warm: a joining shard never builds its own engine.
-// Started with -shard -warm it computes only the dataset fingerprint
-// (its root of trust) and answers 503 to every create and readiness
-// probe. POST /api/v1/cluster/join makes the gateway stream a current
-// member's engine snapshot (GET /internal/cluster/snapshot, the
-// internal/store section codec) straight into the joiner (POST
+// Started with -shard -warm, its one-spec catalog is marked warm-only
+// (Catalog.WarmOnly): it computes only the spec's fingerprint (its
+// root of trust) and answers 503 to every create and readiness probe.
+// POST /api/v1/cluster/join makes the gateway stream each engine a
+// current member holds resident — every shard builds its default
+// dataset before it listens, so a donor holds one from its start — as
+// a snapshot (GET /internal/cluster/snapshot, the internal/store
+// section codec) straight into the joiner (POST
 // /internal/cluster/warm) without buffering; the joiner installs only
 // after store.LoadFreshBytes verifies the stream's fingerprint chain
 // against its own locally computed base — a truncated transfer, torn

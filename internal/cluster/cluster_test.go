@@ -13,44 +13,22 @@ import (
 	"testing"
 
 	"vexus/internal/action"
-	"vexus/internal/core"
-	"vexus/internal/datagen"
 	"vexus/internal/greedy"
 	"vexus/internal/serve"
 )
 
 // ---------------------------------------------------------------------------
-// Fixture plumbing: in-process shards over one shared engine. Engines
-// are immutable after Build, so sharing one instance across shards is
-// the degenerate-but-exact case of the "bit-identical engine on every
-// shard" deployment contract.
+// Fixture plumbing: in-process shards, each building the fixture spec
+// through its own catalog, as shard processes do. One spec gives
+// bit-identical engines at any worker count: the "bit-identical engine
+// on every shard" deployment contract.
 
-var (
-	engOnce sync.Once
-	engFix  *core.Engine
-	engErr  error
-)
+// fixtureSpec is the dataset every test shard serves as "default".
+var fixtureSpec = serve.DatasetSpec{Dataset: "dbauthors", N: 300, Seed: 7, MinSup: 0.03}
 
-func buildEngine(workers int) (*core.Engine, error) {
-	data, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: 300, Seed: 7})
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.DefaultPipelineConfig()
-	cfg.Encode = datagen.DBAuthorsEncodeOptions()
-	cfg.MinSupportFrac = 0.03
-	cfg.Workers = workers
-	return core.Build(data, cfg)
-}
-
-func testEngine(t testing.TB) *core.Engine {
-	t.Helper()
-	engOnce.Do(func() { engFix, engErr = buildEngine(2) })
-	if engErr != nil {
-		t.Fatal(engErr)
-	}
-	return engFix
-}
+// fixtureWorkers is the pipeline worker count of shards outside the
+// worker-equivalence suites.
+const fixtureWorkers = 2
 
 // detGreedy is the deterministic optimizer config — the migration
 // fidelity precondition (replay re-runs the optimizer).
@@ -60,23 +38,60 @@ func detGreedy() greedy.Config {
 	return cfg
 }
 
-// shardServer builds one in-process shard over eng.
-func shardServer(t testing.TB, eng *core.Engine) *serve.Server {
+// specCatalog assembles one in-process shard serving spec as its
+// "default" dataset. Its engine is not built yet.
+func specCatalog(t testing.TB, spec serve.DatasetSpec, workers int, scfg serve.Config) (*serve.Catalog, *serve.Server) {
 	t.Helper()
-	scfg := serve.DefaultConfig()
 	scfg.ShardAPI = true
-	s := serve.New(eng, detGreedy(), scfg)
+	cat, err := serve.NewCatalog("", map[string]serve.DatasetSpec{"default": spec}, "", detGreedy(), scfg, workers, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serve.NewCatalogServer(cat)
 	t.Cleanup(s.Close)
+	return cat, s
+}
+
+// specShard is specCatalog with the engine built before it returns,
+// as vexus-server builds it before listening.
+func specShard(t testing.TB, spec serve.DatasetSpec, workers int, scfg serve.Config) *serve.Server {
+	t.Helper()
+	cat, s := specCatalog(t, spec, workers, scfg)
+	if err := cat.BuildDefault(); err != nil {
+		t.Fatal(err)
+	}
 	return s
 }
 
-// testCluster stands up n in-process shards named s0..s(n-1) behind a
+// shardServer builds one in-process shard over the fixture spec.
+func shardServer(t testing.TB) *serve.Server {
+	t.Helper()
+	return specShard(t, fixtureSpec, fixtureWorkers, serve.DefaultConfig())
+}
+
+// warmJoiner builds a warm-only fixture shard, as vexus-server -shard
+// -warm does: it serves nothing until a warm join streams its engine.
+func warmJoiner(t testing.TB) *serve.Server {
+	t.Helper()
+	cat, s := specCatalog(t, fixtureSpec, fixtureWorkers, serve.DefaultConfig())
+	cat.WarmOnly()
+	return s
+}
+
+// testCluster stands up n fixture shards named s0..s(n-1) behind a
 // gateway served over httptest.
-func testCluster(t testing.TB, eng *core.Engine, n int) (*Gateway, *httptest.Server) {
+func testCluster(t testing.TB, n int) (*Gateway, *httptest.Server) {
+	t.Helper()
+	return workersCluster(t, fixtureWorkers, n)
+}
+
+// workersCluster is testCluster with the shards' engines built at the
+// given worker count.
+func workersCluster(t testing.TB, workers, n int) (*Gateway, *httptest.Server) {
 	t.Helper()
 	shards := make([]*Shard, n)
 	for i := range shards {
-		shards[i] = LocalShard(fmt.Sprintf("s%d", i), shardServer(t, eng).Routes())
+		shards[i] = LocalShard(fmt.Sprintf("s%d", i), specShard(t, fixtureSpec, workers, serve.DefaultConfig()).Routes())
 	}
 	gw, err := NewGatewayConfig(GatewayConfig{}, shards...)
 	if err != nil {
@@ -224,8 +239,7 @@ func TestOwnerDeterministicAndMinimalDisruption(t *testing.T) {
 // Gateway basics: hashed placement, sticky routing, aggregation.
 
 func TestGatewayPlacementAndStickyRouting(t *testing.T) {
-	eng := testEngine(t)
-	gw, ts := testCluster(t, eng, 3)
+	gw, ts := testCluster(t, 3)
 
 	const n = 9
 	sids := make([]string, n)
@@ -350,8 +364,7 @@ func getJSON(t testing.TB, url string, v any) {
 // Lifecycle through the gateway: deletion, unknown sessions, 404 GC.
 
 func TestGatewayDeleteAndUnknownSession(t *testing.T) {
-	eng := testEngine(t)
-	gw, ts := testCluster(t, eng, 2)
+	gw, ts := testCluster(t, 2)
 
 	st, _ := createV1(t, ts.URL)
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/sessions/"+st.Session, nil)
@@ -381,8 +394,7 @@ func TestGatewayDeleteAndUnknownSession(t *testing.T) {
 // legacy lifecycle and read addresses; for a live session each answers
 // 404 or 405, never a proxied 200.
 func TestGatewayRemovedLegacyAddresses(t *testing.T) {
-	eng := testEngine(t)
-	_, ts := testCluster(t, eng, 2)
+	_, ts := testCluster(t, 2)
 	st, _ := createV1(t, ts.URL)
 	for _, c := range []struct{ method, path string }{
 		{http.MethodGet, "/api/state?sid=" + st.Session},
@@ -409,8 +421,7 @@ func TestGatewayRemovedLegacyAddresses(t *testing.T) {
 // Drain: replay-based migration moves every session, seamlessly.
 
 func TestGatewayDrainMigratesSessions(t *testing.T) {
-	eng := testEngine(t)
-	gw, ts := testCluster(t, eng, 3)
+	gw, ts := testCluster(t, 3)
 
 	// A handful of sessions, each advanced a little so there is real
 	// trail to replay.
@@ -507,8 +518,7 @@ func TestGatewayDrainMigratesSessions(t *testing.T) {
 // Join: the newcomer steals exactly the sessions it hash-owns.
 
 func TestGatewayJoinRebalances(t *testing.T) {
-	eng := testEngine(t)
-	gw, ts := testCluster(t, eng, 1)
+	gw, ts := testCluster(t, 1)
 
 	type sess struct{ sid, state string }
 	var sessions []sess
@@ -518,7 +528,7 @@ func TestGatewayJoinRebalances(t *testing.T) {
 		sessions = append(sessions, sess{st.Session, normalize(body, st.Session)})
 	}
 
-	newShard := LocalShard("s9", shardServer(t, eng).Routes())
+	newShard := LocalShard("s9", shardServer(t).Routes())
 	moved, err := gw.Join(newShard)
 	if err != nil {
 		t.Fatal(err)
@@ -554,12 +564,10 @@ func TestGatewayJoinRebalances(t *testing.T) {
 // Remove: the recovery path for a dead member Drain cannot talk to.
 
 func TestGatewayRemoveDeadShard(t *testing.T) {
-	eng := testEngine(t)
-
 	// A warm join of an unreachable member refuses up front — the
 	// snapshot stream cannot complete, so the newcomer is never
 	// admitted and the epoch never moves.
-	gwLive, _ := testCluster(t, eng, 1)
+	gwLive, _ := testCluster(t, 1)
 	epochBefore := gwLive.Epoch()
 	if _, err := gwLive.Join(RemoteShard("dead", "127.0.0.1:1")); err == nil {
 		t.Fatal("warm join of an unreachable shard should fail")
@@ -573,7 +581,7 @@ func TestGatewayRemoveDeadShard(t *testing.T) {
 
 	// A member that dies *after* admission is modeled by seeding it
 	// statically (static members are trusted without a warm stream).
-	s0 := LocalShard("s0", shardServer(t, eng).Routes())
+	s0 := LocalShard("s0", shardServer(t).Routes())
 	dead := RemoteShard("dead", "127.0.0.1:1")
 	gw, err := NewGatewayConfig(GatewayConfig{}, s0, dead)
 	if err != nil {
@@ -644,8 +652,7 @@ func TestGatewayRemoveDeadShard(t *testing.T) {
 // out-of-band delete) are reclaimed by the sweeper.
 
 func TestGatewaySweepReclaimsDeadRoutes(t *testing.T) {
-	eng := testEngine(t)
-	gw, ts := testCluster(t, eng, 2)
+	gw, ts := testCluster(t, 2)
 
 	dead, _ := createV1(t, ts.URL)
 	alive, _ := createV1(t, ts.URL)
@@ -684,8 +691,7 @@ func TestGatewaySweepReclaimsDeadRoutes(t *testing.T) {
 // -race (CI does).
 
 func TestGatewayDrainUnderTraffic(t *testing.T) {
-	eng := testEngine(t)
-	gw, ts := testCluster(t, eng, 2)
+	gw, ts := testCluster(t, 2)
 
 	st, _ := createV1(t, ts.URL)
 	sid := st.Session

@@ -133,10 +133,9 @@ type GatewayConfig struct {
 	// function of the sid — is reproducible run to run.
 	MintSID func() string
 	// ManualSweep disables the background route/membership sweeper
-	// goroutine; the owner drives detection explicitly through
-	// SweepMembership, and stale routes are not reconciled. Combined
-	// with Clock this makes failure detection a deterministic function
-	// of the call schedule.
+	// goroutine; the owner runs both passes explicitly through Sweep.
+	// Combined with Clock this makes failure detection and route
+	// reconciliation a deterministic function of the call schedule.
 	ManualSweep bool
 }
 
@@ -233,6 +232,16 @@ func NewGatewayConfig(cfg GatewayConfig, shards ...*Shard) (*Gateway, error) {
 	return g, nil
 }
 
+// Sweep runs both passes of the background sweeper once, in order:
+// failure detection (which fails a down member's routes closed), then
+// route reconciliation against shard residency. It is the manual
+// entry point for gateways built with GatewayConfig.ManualSweep;
+// deterministic harnesses tick it.
+func (g *Gateway) Sweep() {
+	g.sweepMembership()
+	g.sweepRoutes()
+}
+
 // Close stops the gateway's background route sweeper (idempotent).
 func (g *Gateway) Close() {
 	g.stopOnce.Do(func() { close(g.stop) })
@@ -248,13 +257,18 @@ const routeSweepInterval = 5 * time.Minute
 // migration runs mid-sweep; a session created while the sweep is
 // listing may be dropped spuriously, which is harmless — its next
 // request falls back to the rendezvous owner, which is exactly where
-// creation placed it.
+// creation placed it. Only routable members are listed: a down
+// member's routes were dropped when it went down, and listing it would
+// skip every sweep until it is removed.
 func (g *Gateway) sweepRoutes() int {
 	g.topo.Lock()
 	defer g.topo.Unlock()
 	live := make(map[string]bool)
-	for _, sh := range g.shardList() {
-		list, err := sh.sessions()
+	for _, m := range g.roster.snapshot() {
+		if !m.routable(false) {
+			continue
+		}
+		list, err := m.shard.sessions()
 		if err != nil {
 			// An unreachable shard hides its sessions; dropping their
 			// routes would misroute once it recovers. Skip the sweep.

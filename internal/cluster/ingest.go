@@ -57,15 +57,9 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var b core.IngestBatch
-	if err := dec.Decode(&b); err != nil {
+	b, err := core.DecodeIngestJSON(raw)
+	if err != nil {
 		http.Error(w, "bad ingest batch: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if b.Empty() {
-		http.Error(w, "empty ingest batch", http.StatusBadRequest)
 		return
 	}
 

@@ -59,8 +59,7 @@ func postIngestAt(t testing.TB, base, name, query string, b core.IngestBatch) (s
 // and sessions opened before the ingest keep exploring their pinned
 // version.
 func TestGatewayIngestConvergence(t *testing.T) {
-	eng := testEngine(t)
-	gw, ts := testCluster(t, eng, 2)
+	gw, ts := testCluster(t, 2)
 
 	// A pre-ingest session: it must survive the swap untouched.
 	st, _ := createV1(t, ts.URL)
@@ -95,7 +94,7 @@ func TestGatewayIngestConvergence(t *testing.T) {
 	}
 
 	// Same batch at the same seq on a standalone node: identical verdict.
-	single := httptest.NewServer(shardServer(t, eng).Routes())
+	single := httptest.NewServer(shardServer(t).Routes())
 	defer single.Close()
 	sb := clusterBatch()
 	sb.Seq = 1

@@ -60,11 +60,6 @@ func (g *Gateway) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(ack)
 }
 
-// SweepMembership runs one failure-detection pass explicitly — the
-// manual counterpart of the background sweeper, for gateways built
-// with GatewayConfig.ManualSweep (deterministic harnesses tick it).
-func (g *Gateway) SweepMembership() { g.sweepMembership() }
-
 // sweepMembership runs failure detection and fails routes closed for
 // every member the sweep marks down: its route entries are dropped, so
 // later requests for those sessions re-home by hash and read as

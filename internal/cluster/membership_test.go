@@ -15,9 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"vexus/internal/core"
-	"vexus/internal/datagen"
-	"vexus/internal/dataset"
 	"vexus/internal/membership"
 	"vexus/internal/serve"
 )
@@ -34,31 +31,16 @@ func (c *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.h.ServeHTTP(w, r)
 }
 
-// testDataset rebuilds the fixture engine's inputs — what a warm-only
-// joiner needs to verify an incoming snapshot stream.
-func testDataset(t testing.TB) (*dataset.Dataset, core.PipelineConfig) {
-	t.Helper()
-	data, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: 300, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultPipelineConfig()
-	cfg.Encode = datagen.DBAuthorsEncodeOptions()
-	cfg.MinSupportFrac = 0.03
-	return data, cfg
-}
-
 // TestDurableRouteTableReload is the restart regression the route table
 // exists for: a gateway reconstructed from its persisted table resumes
 // at the saved epoch with the full shard set and identical placement —
 // and sends ZERO requests to any shard to get there.
 func TestDurableRouteTableReload(t *testing.T) {
-	eng := testEngine(t)
 	path := filepath.Join(t.TempDir(), "routes.json")
 
 	handlers := map[string]*countingHandler{}
 	mkShard := func(name string) *Shard {
-		ch := &countingHandler{h: shardServer(t, eng).Routes()}
+		ch := &countingHandler{h: shardServer(t).Routes()}
 		handlers[name] = ch
 		return LocalShard(name, ch)
 	}
@@ -137,10 +119,9 @@ func TestDurableRouteTableReload(t *testing.T) {
 // identically — a session created through one is served through the
 // other with no route state shared between them.
 func TestTwoGatewaysSamePlacement(t *testing.T) {
-	eng := testEngine(t)
-	h0 := shardServer(t, eng).Routes()
-	h1 := shardServer(t, eng).Routes()
-	h2 := shardServer(t, eng).Routes()
+	h0 := shardServer(t).Routes()
+	h1 := shardServer(t).Routes()
+	h2 := shardServer(t).Routes()
 
 	gw1, err := NewGatewayConfig(GatewayConfig{}, LocalShard("s0", h0), LocalShard("s1", h1), LocalShard("s2", h2))
 	if err != nil {
@@ -222,10 +203,8 @@ func TestRendezvousMinimalDisruption(t *testing.T) {
 // admitted, the epoch never moves, and the joiner keeps refusing
 // traffic.
 func TestWarmJoinAbortMidStream(t *testing.T) {
-	eng := testEngine(t)
-
 	// Donor whose snapshot endpoint truncates the stream halfway.
-	donorInner := shardServer(t, eng).Routes()
+	donorInner := shardServer(t).Routes()
 	donorH := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/internal/cluster/snapshot") {
 			rec := httptest.NewRecorder()
@@ -247,12 +226,7 @@ func TestWarmJoinAbortMidStream(t *testing.T) {
 	}
 	t.Cleanup(gw.Close)
 
-	data, pcfg := testDataset(t)
-	scfg := serve.DefaultConfig()
-	scfg.ShardAPI = true
-	joiner := serve.NewPending("default", data, pcfg, detGreedy(), scfg)
-	t.Cleanup(joiner.Close)
-	joinerH := joiner.Routes()
+	joinerH := warmJoiner(t).Routes()
 
 	epochBefore := gw.Epoch()
 	if _, err := gw.Join(LocalShard("s1", joinerH)); err == nil {
@@ -273,7 +247,7 @@ func TestWarmJoinAbortMidStream(t *testing.T) {
 
 	// An intact donor warms the same joiner successfully — proving the
 	// abort above was the stream's fault, not the harness's.
-	gw2, err := NewGatewayConfig(GatewayConfig{}, LocalShard("s0", shardServer(t, eng).Routes()))
+	gw2, err := NewGatewayConfig(GatewayConfig{}, LocalShard("s0", shardServer(t).Routes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,17 +262,44 @@ func TestWarmJoinAbortMidStream(t *testing.T) {
 	}
 }
 
+// TestWarmJoinRightAfterDonorStart: a warm-only joiner joined right
+// after its donor started, before any session exists, receives the
+// default engine and turns ready. The donor builds that engine before
+// it serves (as vexus-server does before it listens); a donor that
+// built on first use would list nothing resident, and the join would
+// admit a joiner that never becomes ready.
+func TestWarmJoinRightAfterDonorStart(t *testing.T) {
+	gw, err := NewGatewayConfig(GatewayConfig{}, LocalShard("s0", shardServer(t).Routes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	joinerH := warmJoiner(t).Routes()
+	if _, err := gw.Join(LocalShard("s1", joinerH)); err != nil {
+		t.Fatalf("warm join: %v", err)
+	}
+	rec := httptest.NewRecorder()
+	joinerH.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/readyz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("joiner readyz after warm join = %d, want 200: %s", rec.Code, rec.Body)
+	}
+	rec = httptest.NewRecorder()
+	joinerH.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/sessions", nil))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("joiner create after warm join = %d, want 201: %s", rec.Code, rec.Body)
+	}
+}
+
 // TestGatewayFailureDetection drives the gossip lifecycle end to end:
 // a joined member that stops heartbeating is suspected, then marked
 // down (epoch bump, readyz names it, routes fail closed), and a
 // heartbeat brings it back (epoch bump, ready again).
 func TestGatewayFailureDetection(t *testing.T) {
-	eng := testEngine(t)
-	h1 := shardServer(t, eng).Routes()
+	h1 := shardServer(t).Routes()
 	gw, err := NewGatewayConfig(GatewayConfig{
 		SuspectAfter: 150 * time.Millisecond,
 		DownAfter:    300 * time.Millisecond,
-	}, LocalShard("s0", shardServer(t, eng).Routes()))
+	}, LocalShard("s0", shardServer(t).Routes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,16 +419,12 @@ func TestGatewayFailureDetection(t *testing.T) {
 // gateway's own hops (create, migrate, warm join) authenticate
 // transparently.
 func TestGatewayClusterAuth(t *testing.T) {
-	eng := testEngine(t)
 	const secret = "swordfish"
 
 	mkShard := func(name string) *Shard {
 		scfg := serve.DefaultConfig()
-		scfg.ShardAPI = true
 		scfg.ClusterSecret = secret
-		s := serve.New(eng, detGreedy(), scfg)
-		t.Cleanup(s.Close)
-		return LocalShard(name, s.Routes())
+		return LocalShard(name, specShard(t, fixtureSpec, fixtureWorkers, scfg).Routes())
 	}
 	gw, err := NewGatewayConfig(GatewayConfig{Secret: secret}, mkShard("s0"), mkShard("s1"))
 	if err != nil {
@@ -539,10 +536,9 @@ func post(t *testing.T, url string, body any) (int, string) {
 // the gateway cannot dial gets a client from its first heartbeat that
 // carries a good one — not only on a down→alive transition.
 func TestHeartbeatDialsClientlessMember(t *testing.T) {
-	eng := testEngine(t)
 	gw, ts := reloadedGateway(t, map[string]http.Handler{
-		"s0": shardServer(t, eng).Routes(),
-		"s1": shardServer(t, eng).Routes(),
+		"s0": shardServer(t).Routes(),
+		"s1": shardServer(t).Routes(),
 	}, memberInfo("s0", "s0:1", membership.StateAlive), memberInfo("s1", "bad", membership.StateAlive))
 
 	if got := fmt.Sprint(gw.Shards()); got != "[s0]" {
@@ -563,8 +559,7 @@ func TestHeartbeatDialsClientlessMember(t *testing.T) {
 // has no client holds readyz at 503 until the operator removes it —
 // which the 503 says to do, so remove must find it.
 func TestRemoveClientlessDownMember(t *testing.T) {
-	eng := testEngine(t)
-	_, ts := reloadedGateway(t, map[string]http.Handler{"s0": shardServer(t, eng).Routes()},
+	_, ts := reloadedGateway(t, map[string]http.Handler{"s0": shardServer(t).Routes()},
 		memberInfo("s0", "s0:1", membership.StateAlive), memberInfo("s1", "bad", membership.StateDown))
 
 	res, err := http.Get(ts.URL + "/api/v1/readyz")
@@ -594,10 +589,9 @@ func TestRemoveClientlessDownMember(t *testing.T) {
 // shard that can take sessions, so neither drain nor remove may take it
 // out, and creates keep landing.
 func TestDrainAndRemoveKeepARoutableShard(t *testing.T) {
-	eng := testEngine(t)
 	_, ts := reloadedGateway(t, map[string]http.Handler{
-		"s0": shardServer(t, eng).Routes(),
-		"s1": shardServer(t, eng).Routes(),
+		"s0": shardServer(t).Routes(),
+		"s1": shardServer(t).Routes(),
 	}, memberInfo("s0", "s0:1", membership.StateAlive), memberInfo("s1", "s1:1", membership.StateDown))
 
 	if status, body := post(t, ts.URL+"/api/v1/cluster/drain?shard=s0", nil); status == http.StatusOK {
@@ -616,12 +610,11 @@ func TestDrainAndRemoveKeepARoutableShard(t *testing.T) {
 // skipped, and the joiner still takes every session it hash-owns on
 // the live one.
 func TestJoinSkipsDownMember(t *testing.T) {
-	eng := testEngine(t)
 	unavailable := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	})
 	gw, ts := reloadedGateway(t, map[string]http.Handler{
-		"s0": shardServer(t, eng).Routes(),
+		"s0": shardServer(t).Routes(),
 		"s1": unavailable,
 	}, memberInfo("s0", "s0:1", membership.StateAlive), memberInfo("s1", "s1:1", membership.StateDown))
 
@@ -630,7 +623,7 @@ func TestJoinSkipsDownMember(t *testing.T) {
 		st, _ := createV1(t, ts.URL)
 		sids = append(sids, st.Session)
 	}
-	moved, err := gw.Join(LocalShard("s2", shardServer(t, eng).Routes()))
+	moved, err := gw.Join(LocalShard("s2", shardServer(t).Routes()))
 	if err != nil {
 		t.Fatalf("join with a down member: %v", err)
 	}
@@ -731,8 +724,7 @@ func FuzzHeartbeat(f *testing.F) {
 // a route reads only the route, so it is served while the roster lock —
 // which persistence holds across the route table's file write — is taken.
 func TestRoutedRequestSkipsRosterLock(t *testing.T) {
-	eng := testEngine(t)
-	gw, ts := testCluster(t, eng, 2)
+	gw, ts := testCluster(t, 2)
 	st, _ := createV1(t, ts.URL)
 
 	gw.roster.mu.Lock()
@@ -757,5 +749,44 @@ func TestRoutedRequestSkipsRosterLock(t *testing.T) {
 		gw.roster.mu.Unlock()
 		<-done
 		t.Fatal("routed request waited on the roster lock")
+	}
+}
+
+// TestSweepReclaimsRoutesPastDownMember: a manual-sweep gateway's
+// Sweep reconciles routes too, and a down member that was never
+// removed does not stop it. The down member answers 503 to every
+// request; its routes were dropped when it went down, so only the
+// routable members are listed.
+func TestSweepReclaimsRoutesPastDownMember(t *testing.T) {
+	unreachable := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	})
+	gw, ts := reloadedGateway(t, map[string]http.Handler{"s0": shardServer(t).Routes(), "s1": unreachable},
+		memberInfo("s0", "s0:1", membership.StateAlive), memberInfo("s1", "s1:1", membership.StateDown))
+	if got := gw.Shards(); fmt.Sprint(got) != "[s0]" {
+		t.Fatalf("routing set %v, want [s0]", got)
+	}
+
+	dead, _ := createV1(t, ts.URL)
+	alive, _ := createV1(t, ts.URL)
+	gw.mu.RLock()
+	sh := gw.routes[dead.Session].shard
+	gw.mu.RUnlock()
+	res, err := sh.do(http.MethodDelete, "/api/v1/sessions/"+dead.Session, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+
+	gw.Sweep()
+	gw.mu.RLock()
+	_, deadThere := gw.routes[dead.Session]
+	_, aliveThere := gw.routes[alive.Session]
+	gw.mu.RUnlock()
+	if deadThere {
+		t.Fatal("dead session's route survived the sweep")
+	}
+	if !aliveThere {
+		t.Fatal("live session's route was swept")
 	}
 }

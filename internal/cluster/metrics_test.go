@@ -54,17 +54,13 @@ func migrationTraces(logText, span string) map[string]bool {
 }
 
 func TestClusterObservability(t *testing.T) {
-	eng := testEngine(t)
 	logs := []*syncBuf{{}, {}}
 	mkShard := func(i int) *serve.Server {
 		scfg := serve.DefaultConfig()
-		scfg.ShardAPI = true
 		// Debug level turns the migration span logs on — exactly what
 		// the CI cluster smoke runs the shard processes with.
 		scfg.Logger = slog.New(slog.NewTextHandler(logs[i], &slog.HandlerOptions{Level: slog.LevelDebug}))
-		s := serve.New(eng, detGreedy(), scfg)
-		t.Cleanup(s.Close)
-		return s
+		return specShard(t, fixtureSpec, fixtureWorkers, scfg)
 	}
 	gw, err := NewGatewayConfig(GatewayConfig{},
 		LocalShard("s0", mkShard(0).Routes()),
@@ -186,9 +182,8 @@ func sessionsOn(t testing.TB, gw *Gateway, name string) int {
 // TestReadyzNamesDeadShard: readiness degrades to 503 naming the
 // unreachable member.
 func TestReadyzNamesDeadShard(t *testing.T) {
-	eng := testEngine(t)
 	dead := RemoteShard("dead", "127.0.0.1:1")
-	gw, err := NewGatewayConfig(GatewayConfig{}, LocalShard("s0", shardServer(t, eng).Routes()), dead)
+	gw, err := NewGatewayConfig(GatewayConfig{}, LocalShard("s0", shardServer(t).Routes()), dead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +209,9 @@ func TestReadyzNamesDeadShard(t *testing.T) {
 // routing set, so a down member is left out even though the gateway
 // keeps its client for the recovery heartbeat.
 func TestShardsGaugeCountsRoutingSet(t *testing.T) {
-	eng := testEngine(t)
 	_, ts := reloadedGateway(t, map[string]http.Handler{
-		"s0": shardServer(t, eng).Routes(),
-		"s1": shardServer(t, eng).Routes(),
+		"s0": shardServer(t).Routes(),
+		"s1": shardServer(t).Routes(),
 	}, memberInfo("s0", "s0:1", membership.StateAlive), memberInfo("s1", "s1:1", membership.StateDown))
 
 	res, err := http.Get(ts.URL + "/metrics")

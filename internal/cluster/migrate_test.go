@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"vexus/internal/action"
-	"vexus/internal/core"
 	"vexus/internal/datagen"
+	"vexus/internal/serve"
 )
 
 // TestMigrationEquivalenceAcrossWorkers is the cluster determinism
@@ -23,32 +23,37 @@ func TestMigrationEquivalenceAcrossWorkers(t *testing.T) {
 	// The trail: one of everything that mutates differently, each step
 	// derived from the session's current display so the walk is
 	// self-consistent under the deterministic optimizer.
-	steps := []func(cur stateLite, eng *core.Engine) action.Action{
-		func(cur stateLite, _ *core.Engine) action.Action {
+	data, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: fixtureSpec.N, Seed: fixtureSpec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	user := data.Users[0].ID // the fixture dataset's first user
+	steps := []func(cur stateLite) action.Action{
+		func(cur stateLite) action.Action {
 			return action.Action{Op: action.Explore, Group: cur.Shown[0].ID}
 		},
-		func(cur stateLite, _ *core.Engine) action.Action {
+		func(cur stateLite) action.Action {
 			return action.Action{Op: action.Focus, Group: cur.Shown[1].ID, Class: "gender"}
 		},
-		func(cur stateLite, _ *core.Engine) action.Action {
+		func(cur stateLite) action.Action {
 			return action.Action{Op: action.Brush, Attr: "gender", Values: []string{"female"}}
 		},
-		func(cur stateLite, _ *core.Engine) action.Action {
+		func(cur stateLite) action.Action {
 			return action.Action{Op: action.BookmarkGroup, Group: cur.Shown[2].ID}
 		},
-		func(cur stateLite, _ *core.Engine) action.Action {
+		func(cur stateLite) action.Action {
 			return action.Action{Op: action.Unlearn, Field: "gender", Value: "male"}
 		},
-		func(cur stateLite, _ *core.Engine) action.Action {
+		func(cur stateLite) action.Action {
 			return action.Action{Op: action.Explore, Group: cur.Shown[0].ID}
 		},
-		func(cur stateLite, _ *core.Engine) action.Action {
+		func(cur stateLite) action.Action {
 			return action.Action{Op: action.Backtrack, Step: 1}
 		},
-		func(cur stateLite, eng *core.Engine) action.Action {
-			return action.Action{Op: action.BookmarkUser, User: eng.Data.Users[0].ID}
+		func(cur stateLite) action.Action {
+			return action.Action{Op: action.BookmarkUser, User: user}
 		},
-		func(cur stateLite, _ *core.Engine) action.Action {
+		func(cur stateLite) action.Action {
 			return action.Action{Op: action.Explore, Group: cur.Shown[1].ID}
 		},
 	}
@@ -58,20 +63,15 @@ func TestMigrationEquivalenceAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			eng, err := buildEngine(workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			// Reference: the same trail on a single node, no cluster.
-			single := httptest.NewServer(shardServer(t, eng).Routes())
+			single := httptest.NewServer(specShard(t, fixtureSpec, workers, serve.DefaultConfig()).Routes())
 			defer single.Close()
 			refStates := make([]string, 0, len(steps))
 			refMuts := make([]uint64, 0, len(steps))
 			refSt, _ := createV1(t, single.URL)
 			cur := refSt
 			for _, mk := range steps {
-				st, body, etag := applyOne(t, single.URL, refSt.Session, mk(cur, eng))
+				st, body, etag := applyOne(t, single.URL, refSt.Session, mk(cur))
 				refStates = append(refStates, normalize(body, refSt.Session))
 				refMuts = append(refMuts, mutations(t, etag, refSt.Session))
 				cur = st
@@ -79,7 +79,7 @@ func TestMigrationEquivalenceAcrossWorkers(t *testing.T) {
 
 			// Clustered: same trail, with the session's shard drained
 			// mid-trail — the second half runs on the replayed copy.
-			gw, ts := testCluster(t, eng, 3)
+			gw, ts := workersCluster(t, workers, 3)
 			clSt, _ := createV1(t, ts.URL)
 			cur = clSt
 			for i, mk := range steps {
@@ -97,7 +97,7 @@ func TestMigrationEquivalenceAcrossWorkers(t *testing.T) {
 						t.Fatalf("session still routed to drained shard %s", owner)
 					}
 				}
-				st, body, etag := applyOne(t, ts.URL, clSt.Session, mk(cur, eng))
+				st, body, etag := applyOne(t, ts.URL, clSt.Session, mk(cur))
 				if got, want := normalize(body, clSt.Session), refStates[i]; got != want {
 					t.Fatalf("step %d: migrated state diverges from single-node\nsingle:   %s\nmigrated: %s", i, want, got)
 				}
@@ -134,8 +134,7 @@ func TestMigrationEquivalenceAcrossWorkers(t *testing.T) {
 // ingest would fail with a group-count mismatch and strand the
 // session on its shard forever.
 func TestMigrationAfterIngest(t *testing.T) {
-	eng := testEngine(t)
-	gw, ts := testCluster(t, eng, 2)
+	gw, ts := testCluster(t, 2)
 
 	st, _ := createV1(t, ts.URL)
 	st1, _, etag := applyOne(t, ts.URL, st.Session, action.Action{Op: action.Explore, Group: st.Shown[0].ID})
@@ -193,8 +192,10 @@ func TestShardImportRejectsDivergence(t *testing.T) {
 	// Source shard on the fixture engine, target on an engine with a
 	// different group space (higher minsup ⇒ fewer groups), violating
 	// the bit-identical-engines deployment contract.
-	src := LocalShard("src", shardServer(t, testEngine(t)).Routes())
-	dst := LocalShard("dst", shardServer(t, differentEngine(t)).Routes())
+	src := LocalShard("src", shardServer(t).Routes())
+	different := fixtureSpec
+	different.MinSup = 0.10
+	dst := LocalShard("dst", specShard(t, different, fixtureWorkers, serve.DefaultConfig()).Routes())
 
 	gw, err2 := NewGatewayConfig(GatewayConfig{}, src)
 	if err2 != nil {
@@ -229,12 +230,11 @@ func TestShardImportRejectsDivergence(t *testing.T) {
 // the timer stopped each iteration. Reports ms/session moved.
 func BenchmarkDrain(b *testing.B) {
 	const population, trailLen = 40, 5
-	eng := testEngine(b)
 	moved := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		gw, ts := testCluster(b, eng, 2)
+		gw, ts := testCluster(b, 2)
 		for j := 0; j < population; j++ {
 			st, _ := createV1(b, ts.URL)
 			for k := 0; k < trailLen; k++ {
@@ -256,22 +256,4 @@ func BenchmarkDrain(b *testing.B) {
 	if moved > 0 {
 		b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(moved), "ms/session")
 	}
-}
-
-// differentEngine builds an engine whose group space differs from the
-// fixture's (higher support threshold ⇒ fewer groups).
-func differentEngine(t testing.TB) *core.Engine {
-	t.Helper()
-	data, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: 300, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultPipelineConfig()
-	cfg.Encode = datagen.DBAuthorsEncodeOptions()
-	cfg.MinSupportFrac = 0.10
-	eng, err := core.Build(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
 }

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"vexus/internal/action"
-	"vexus/internal/core"
+	"vexus/internal/serve"
 )
 
 // ---------------------------------------------------------------------------
@@ -136,17 +136,12 @@ func TestStreamResumeAcrossMigration(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			eng, err := buildEngine(workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			// Reference: the full diff stream of the same trail on one
 			// node. Diff payloads carry no session id, so they compare
 			// byte-for-byte across runs.
-			refDiffs := runReferenceStream(t, eng, steps)
+			refDiffs := runReferenceStream(t, workers, steps)
 
-			gw, ts := testCluster(t, eng, 3)
+			gw, ts := workersCluster(t, workers, 3)
 			st, _ := createV1(t, ts.URL)
 			sid := st.Session
 
@@ -232,9 +227,9 @@ func TestStreamResumeAcrossMigration(t *testing.T) {
 
 // runReferenceStream drives the trail on a single node with a stream
 // attached and returns the diff payload per event id.
-func runReferenceStream(t testing.TB, eng *core.Engine, steps []func(stateLite) action.Action) map[string]string {
+func runReferenceStream(t testing.TB, workers int, steps []func(stateLite) action.Action) map[string]string {
 	t.Helper()
-	single := httptest.NewServer(shardServer(t, eng).Routes())
+	single := httptest.NewServer(specShard(t, fixtureSpec, workers, serve.DefaultConfig()).Routes())
 	defer single.Close()
 	st, _ := createV1(t, single.URL)
 	stream := openStream(t, single.URL+"/api/v1/sessions/"+st.Session+"/events", "")

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -64,6 +67,30 @@ func (b IngestBatch) AppendBinary(buf []byte) []byte {
 // snapshot fingerprint chain and shard convergence checks build on it.
 func (b IngestBatch) Digest() BatchDigest {
 	return BatchDigest(sha256.Sum256(b.AppendBinary(nil)))
+}
+
+// DecodeIngestJSON decodes the JSON body of an ingest request
+// ({users, actions, seq?}), strictly: unknown fields, anything after
+// the batch object, and a batch with no users and no actions are
+// refused. The shard's ingest endpoint and the gateway's sequencer
+// both decode through it, and the gateway re-encodes what it accepted
+// for every shard, so an accepted batch must survive json.Marshal:
+// the bytes decode again, to the same canonical encoding
+// (FuzzDecodeIngestJSON).
+func DecodeIngestJSON(raw []byte) (IngestBatch, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var b IngestBatch
+	if err := dec.Decode(&b); err != nil {
+		return IngestBatch{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return IngestBatch{}, errors.New("data after the batch object")
+	}
+	if b.Empty() {
+		return IngestBatch{}, errors.New("empty ingest batch")
+	}
+	return b, nil
 }
 
 // DecodeIngestBatch parses a canonical binary encoding produced by

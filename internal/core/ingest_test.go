@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"testing"
 
 	"vexus/internal/core"
@@ -270,6 +271,70 @@ func FuzzDecodeIngestBatch(f *testing.F) {
 		}
 		if got.Digest() != sha256.Sum256(data) {
 			t.Fatal("digest of an accepted batch is not the hash of its bytes")
+		}
+	})
+}
+
+// TestDecodeIngestJSONRefuses: unknown fields, data after the batch
+// object and batches without records are bad requests, not batches.
+func TestDecodeIngestJSONRefuses(t *testing.T) {
+	for _, body := range []string{
+		`{"users":[{"id":"u","extra":1}]}`,
+		`{"users":[{"id":"u"}],"sequence":1}`,
+		`{"users":[{"id":"u"}]} {}`,
+		`{"users":[{"id":"u"}]}]`,
+		`{"seq":4}`,
+		`{}`,
+		`null`,
+		``,
+	} {
+		if b, err := core.DecodeIngestJSON([]byte(body)); err == nil {
+			t.Fatalf("%s: accepted as %+v", body, b)
+		}
+	}
+	if _, err := core.DecodeIngestJSON([]byte(" {\"actions\":[{\"user\":\"u\",\"item\":\"i\",\"value\":1}]}\n")); err != nil {
+		t.Fatalf("batch with surrounding whitespace refused: %v", err)
+	}
+}
+
+// FuzzDecodeIngestJSON: the ingest request decoder never panics, and
+// whatever it accepts survives the gateway's re-encoding: json.Marshal
+// of the batch is accepted again and decodes to the same canonical
+// encoding, so every shard folds the batch the client sent.
+func FuzzDecodeIngestJSON(f *testing.F) {
+	raw, err := json.Marshal(ingestTestBatch())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+	for _, seed := range []string{
+		`{"seq":3,"actions":[{"user":"u","item":"i","value":-0,"time":-1}]}`,
+		`{"users":[{"id":"u","demo":{},"numeric":{"x":1e308}}],"actions":[]}`,
+		`{"users":[{"id":"\ud800\xff"}]}`,
+		`{"users":[{"id":"u","extra":1}]}`,
+		`{"users":null,"actions":null}`,
+		`{"actions":[{"user":"u","item":"i","value":1,"time":1.5}]}`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := core.DecodeIngestJSON(data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(b)
+		if err != nil {
+			t.Fatalf("accepted batch does not marshal: %v", err)
+		}
+		b2, err := core.DecodeIngestJSON(again)
+		if err != nil {
+			t.Fatalf("re-encoded batch %s refused: %v", again, err)
+		}
+		if !bytes.Equal(b.AppendBinary(nil), b2.AppendBinary(nil)) {
+			t.Fatalf("re-encoded batch %s decodes to a different batch", again)
 		}
 	})
 }

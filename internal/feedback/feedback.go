@@ -20,7 +20,7 @@
 // of raw masses indexed by TermID, grown on demand (vocabularies hold
 // tens to hundreds of terms). Every read is then one linear pass:
 // Top keeps a bounded buffer of its n best entries instead of sorting
-// the whole profile, TopUsers quickselects over one pass, Snapshot
+// the whole profile, TopUsers keeps an m-entry one, Snapshot
 // copies the slices, TermScore is an index and UserScore a binary
 // search. Reinforce merges the group's ascending members into the
 // user slices.
@@ -42,7 +42,6 @@ import (
 	"slices"
 
 	"vexus/internal/groups"
-	"vexus/internal/topk"
 )
 
 // Vector is the explorer's feedback profile; the zero value is an
@@ -228,21 +227,32 @@ type UserMass struct {
 // scores candidate alignment against this truncated view: the vector
 // is heavy-tailed, so the top slice carries almost all the user mass
 // while keeping per-candidate scoring O(m) instead of O(|profile|).
-// Only the m returned users are sorted: a quickselect first moves them
-// to the front of the profile's users.
+// A bounded m costs one pass over the profile's users that keeps the m
+// best seen so far in order, in an m-entry buffer.
 func (v *Vector) TopUsers(m int) []UserMass {
 	if v.total == 0 || len(v.users) == 0 {
 		return nil
 	}
-	out := make([]UserMass, len(v.users))
+	if m <= 0 || m >= len(v.users) {
+		out := make([]UserMass, len(v.users))
+		for i, u := range v.users {
+			out[i] = UserMass{User: u, Mass: v.mass[i] / v.total}
+		}
+		slices.SortFunc(out, compareUserMass)
+		return out
+	}
+	out := make([]UserMass, 0, m)
 	for i, u := range v.users {
-		out[i] = UserMass{User: u, Mass: v.mass[i] / v.total}
+		e := UserMass{User: u, Mass: v.mass[i] / v.total}
+		if len(out) == m {
+			if e.Mass < out[m-1].Mass || compareUserMass(e, out[m-1]) >= 0 {
+				continue // ranks after every kept user
+			}
+			out = out[:m-1]
+		}
+		j, _ := slices.BinarySearchFunc(out, e, compareUserMass)
+		out = slices.Insert(out, j, e)
 	}
-	if m > 0 && m < len(out) {
-		topk.Select(out, m, compareUserMass)
-		out = out[:m]
-	}
-	slices.SortFunc(out, compareUserMass)
 	return out
 }
 

@@ -169,7 +169,7 @@ func Run(cfg Config) (*Summary, error) {
 		h.clock.tick.Store(int64(t))
 		h.applyChaos(t)
 		h.heartbeats()
-		h.gw.SweepMembership()
+		h.gw.Sweep()
 		h.syncRing()
 		h.checkEpoch()
 		h.phaseA()

@@ -59,28 +59,24 @@ type catalogEntry struct {
 
 	// Ingestion state. baseFP is the spec dataset's content address —
 	// the head of the delta chain before any ingestion — and snap the
-	// snapshot path deltas append to ("" = in-memory only). ingestMu
-	// serializes ingests per dataset: the slow rebuild runs under it,
-	// outside catalog.mu, so exploration requests never wait on an
-	// ingest and concurrent ingests cannot interleave the seq ladder.
-	// It also serializes warm-join installs (warm.go).
+	// snapshot path deltas append to ("" = in-memory only). Both come
+	// from the spec (specInputs), by a build or a verified warm install.
+	// ingestMu serializes ingests per dataset: the slow rebuild runs
+	// under it, outside catalog.mu, so exploration requests never wait
+	// on an ingest and concurrent ingests cannot interleave the seq
+	// ladder. It also serializes warm-join installs (warm.go).
 	ingestMu sync.Mutex
 	baseFP   store.Fingerprint
 	snap     string
-
-	// Warm-only state (serve.NewPending): the spec dataset and config
-	// are known — they root the fingerprint verification of an incoming
-	// snapshot stream — but the engine must arrive over the wire; until
-	// it does, acquire answers errWarming instead of building.
-	pendingData *dataset.Dataset
-	pendingCfg  core.PipelineConfig
 }
 
-// catalog maps dataset names to lazily built engines: the first
+// Catalog maps dataset names to lazily built engines: the first
 // request for a name runs store.BuildOrLoad (snapshot warm start when
 // fresh, full pipeline otherwise) exactly once — concurrent first
 // requests wait on the same build — and an LRU bound on resident
-// engines keeps many-dataset deployments inside memory.
+// engines keeps many-dataset deployments inside memory. It is the one
+// way a Server is assembled: a single dataset is a one-spec catalog,
+// built ahead with BuildDefault, or marked WarmOnly for a joiner.
 type Catalog struct {
 	dir         string // snapshot + csv root; "" disables snapshotting
 	gcfg        greedy.Config
@@ -95,6 +91,9 @@ type Catalog struct {
 	mu      sync.Mutex
 	entries map[string]*catalogEntry
 	now     func() time.Time // injectable for LRU tests
+	// warmOnly (WarmOnly) forbids local builds: every engine must
+	// arrive as a verified warm-join snapshot stream. Guarded by mu.
+	warmOnly bool
 }
 
 // NewCatalog assembles a catalog from named specs. defaultName selects
@@ -130,33 +129,6 @@ func NewCatalog(dir string, specs map[string]DatasetSpec, defaultName string, gc
 	}
 	c.met = newServerMetrics(scfg.Telemetry, scfg.Logger, c)
 	return c, nil
-}
-
-// newSingleEngineCatalog wraps an already built engine as a one-entry
-// catalog — the classic single-dataset deployment.
-func newSingleEngineCatalog(name string, eng *core.Engine, gcfg greedy.Config, scfg Config) *Catalog {
-	c := &Catalog{
-		gcfg:        gcfg,
-		scfg:        scfg,
-		defaultName: name,
-		entries:     map[string]*catalogEntry{},
-		now:         clockOrNow(scfg),
-	}
-	c.met = newServerMetrics(scfg.Telemetry, scfg.Logger, c)
-	e := &catalogEntry{name: name, eng: eng, lastUsed: c.now()}
-	// A version-1 engine still carries its spec dataset verbatim, so
-	// its content address is computable after the fact — which is what
-	// lets a single-dataset shard donate verifiable warm-join snapshot
-	// streams (warm.go). Past version 1 the original spec dataset is
-	// gone (ingests append in place); such an engine serves fine but
-	// cannot attest a chain head, so the fingerprint stays zero and the
-	// snapshot endpoint refuses.
-	if eng.Version() == 1 {
-		e.baseFP = store.ComputeFingerprint(eng.Data, eng.Config())
-	}
-	e.reg = c.newRegistry(name, eng)
-	c.entries[name] = e
-	return c
 }
 
 // ScanCatalogDir discovers dataset specs: every *.json file in dir
@@ -237,7 +209,7 @@ func (c *Catalog) acquire(name string) (*catalogEntry, *registry, error) {
 			c.mu.Unlock()
 			return e, reg, nil
 		}
-		if e.pendingData != nil {
+		if c.warmOnly {
 			// Warm-only: the engine arrives as a verified snapshot
 			// stream or not at all — never from a local build, which
 			// is what keeps an un-warmed joiner failing closed.
@@ -390,6 +362,26 @@ func (c *Catalog) evictOverflowLocked(keep *catalogEntry) {
 // DefaultName reports the dataset served when a request names none.
 func (c *Catalog) DefaultName() string { return c.defaultName }
 
+// BuildDefault builds (or snapshot-loads) the default dataset now
+// rather than on its first request. vexus-server runs it before it
+// listens, so a bad build stops startup, and a shard is a warm-join
+// donor from its first moment (donors stream resident engines only).
+func (c *Catalog) BuildDefault() error {
+	_, _, err := c.acquire("")
+	return err
+}
+
+// WarmOnly marks the catalog warm-only (vexus-server -warm): no
+// dataset is ever built locally. Each engine must arrive as a
+// warm-join snapshot stream that verifies against its spec's
+// fingerprint (POST /internal/cluster/warm); until then, session
+// creates and readiness probes answer 503.
+func (c *Catalog) WarmOnly() {
+	c.mu.Lock()
+	c.warmOnly = true
+	c.mu.Unlock()
+}
+
 // allSessions snapshots every live session across every resident
 // dataset — the shard residency listing.
 func (c *Catalog) allSessions() []*clientSession {
@@ -533,20 +525,9 @@ func (c *Catalog) Close() {
 // It also returns the spec dataset's base fingerprint and the snapshot
 // path — the coordinates the ingest path needs to append deltas.
 func (c *Catalog) buildSpec(name string, spec DatasetSpec) (*core.Engine, bool, store.Fingerprint, string, error) {
-	d, encode, err := c.loadSpecData(spec)
+	d, pcfg, snap, err := c.specInputs(name, spec)
 	if err != nil {
-		return nil, false, store.Fingerprint{}, "", fmt.Errorf("dataset %q: %w", name, err)
-	}
-	pcfg := core.DefaultPipelineConfig()
-	pcfg.Encode = encode
-	pcfg.MinSupportFrac = spec.MinSup
-	if pcfg.MinSupportFrac == 0 {
-		pcfg.MinSupportFrac = 0.02
-	}
-	pcfg.Workers = c.workers
-	snap := ""
-	if c.dir != "" {
-		snap = filepath.Join(c.dir, name+".snap")
+		return nil, false, store.Fingerprint{}, "", err
 	}
 	fp := store.ComputeFingerprint(d, pcfg)
 	started := time.Now()
@@ -565,8 +546,33 @@ func (c *Catalog) buildSpec(name string, spec DatasetSpec) (*core.Engine, bool, 
 	} else {
 		c.met.buildSeconds.Observe(elapsed.Seconds())
 	}
-	c.met.log.Info("engine ready", "dataset", name, "warm", warm, "ms", elapsed.Milliseconds())
+	c.met.log.Info("engine ready", "dataset", name, "warm", warm, "ms", elapsed.Milliseconds(),
+		"groups", eng.Space.Len(), "users", eng.Data.NumUsers())
 	return eng, warm, fp, snap, nil
+}
+
+// specInputs resolves a spec to the inputs of its engine: the spec
+// dataset and pipeline config (the roots of its fingerprint) and the
+// snapshot path in the catalog dir ("" = in-memory only). A build and
+// a warm-join install both start here, so they agree on the
+// fingerprint by construction.
+func (c *Catalog) specInputs(name string, spec DatasetSpec) (*dataset.Dataset, core.PipelineConfig, string, error) {
+	d, encode, err := c.loadSpecData(spec)
+	if err != nil {
+		return nil, core.PipelineConfig{}, "", fmt.Errorf("dataset %q: %w", name, err)
+	}
+	pcfg := core.DefaultPipelineConfig()
+	pcfg.Encode = encode
+	pcfg.MinSupportFrac = spec.MinSup
+	if pcfg.MinSupportFrac == 0 {
+		pcfg.MinSupportFrac = 0.02
+	}
+	pcfg.Workers = c.workers
+	snap := ""
+	if c.dir != "" {
+		snap = filepath.Join(c.dir, name+".snap")
+	}
+	return d, pcfg, snap, nil
 }
 
 func (c *Catalog) loadSpecData(spec DatasetSpec) (*dataset.Dataset, mining.EncodeOptions, error) {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -238,15 +237,9 @@ func sessionTouched(cs *clientSession, ne *core.Engine) bool {
 // through the streaming lossy-counting miner without committing.
 func (s *Server) handleDatasetIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	dec := json.NewDecoder(bytes.NewReader(readBodyLimit(r, maxIngestBody)))
-	dec.DisallowUnknownFields()
-	var b core.IngestBatch
-	if err := dec.Decode(&b); err != nil {
+	b, err := core.DecodeIngestJSON(readBodyLimit(r, maxIngestBody))
+	if err != nil {
 		http.Error(w, "bad ingest batch: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if b.Empty() {
-		http.Error(w, "empty ingest batch", http.StatusBadRequest)
 		return
 	}
 	if r.URL.Query().Get("preview") == "1" {

@@ -100,12 +100,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReadyz is GET /api/v1/readyz: readiness means the default
-// dataset's engine is resident or loadable — acquire runs the normal
-// singleflight build-or-load, so the first readiness probe warms the
-// default engine and a broken catalog reports 503 with the build
+// dataset's engine is resident or loadable — BuildDefault runs the
+// normal singleflight build-or-load, so the first readiness probe warms
+// the default engine and a broken catalog reports 503 with the build
 // error.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if _, _, err := s.cat.acquire(""); err != nil {
+	if err := s.cat.BuildDefault(); err != nil {
 		http.Error(w, "catalog not ready: "+err.Error(), http.StatusServiceUnavailable)
 		return
 	}

@@ -97,7 +97,7 @@ type registry struct {
 	history map[uint64]*core.Engine
 	cfg     greedy.Config
 	// dataset is the catalog name stamped onto every session this
-	// registry creates ("default" in single-engine deployments; ""
+	// registry creates ("default" in single-dataset deployments; ""
 	// only when a registry is constructed directly, as tests do).
 	dataset string
 

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"vexus/internal/action"
-	"vexus/internal/core"
-	"vexus/internal/greedy"
 	"vexus/internal/membership"
 	"vexus/internal/telemetry"
 	"vexus/internal/viz"
@@ -102,21 +100,11 @@ func DefaultConfig() Config {
 // split — the cap bounds per-request lock hold time on a session.
 const maxBatchActions = 256
 
-// New wraps a single pre-built engine — the classic one-dataset
-// deployment, also the shape every existing test drives.
-func New(eng *core.Engine, cfg greedy.Config, scfg Config) *Server {
-	cat := newSingleEngineCatalog("default", eng, cfg, scfg)
-	return &Server{
-		cat:       cat,
-		met:       cat.met,
-		shardAPI:  scfg.ShardAPI,
-		secret:    scfg.ClusterSecret,
-		heartbeat: heartbeatOrDefault(scfg),
-	}
-}
-
-// NewCatalogServer serves a whole dataset catalog, engines built or
-// snapshot-loaded on first request.
+// NewCatalogServer serves a dataset catalog: the one way a Server is
+// built, from one spec (vexus-server's -n/-seed/-minsup) or a
+// -datasets directory of them. Engines build or snapshot-load on first
+// request, unless the catalog was built ahead (BuildDefault) or marked
+// warm-only (WarmOnly).
 func NewCatalogServer(cat *Catalog) *Server {
 	return &Server{
 		cat:       cat,

@@ -19,7 +19,13 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Fixture: one small engine shared by every test (immutable after Build).
+// Fixture: one small dataset spec. Servers build it through the
+// catalog; testEngine builds the same inputs directly, for the tests
+// that drive a registry or need an oracle, and is bit-identical to
+// every server's engine.
+
+// testSpec is the fixture dataset: 400 authors, seed 7, minsup 0.02.
+var testSpec = DatasetSpec{Dataset: "dbauthors", N: 400, Seed: 7, MinSup: 0.02}
 
 var (
 	engOnce sync.Once
@@ -30,14 +36,14 @@ var (
 func testEngine(t testing.TB) *core.Engine {
 	t.Helper()
 	engOnce.Do(func() {
-		data, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: 400, Seed: 7})
+		data, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: testSpec.N, Seed: testSpec.Seed})
 		if err != nil {
 			engErr = err
 			return
 		}
 		cfg := core.DefaultPipelineConfig()
 		cfg.Encode = datagen.DBAuthorsEncodeOptions()
-		cfg.MinSupportFrac = 0.02
+		cfg.MinSupportFrac = testSpec.MinSup
 		engFix, engErr = core.Build(data, cfg)
 	})
 	if engErr != nil {
@@ -53,11 +59,28 @@ func fastGreedy() greedy.Config {
 	return cfg
 }
 
+// specServer serves spec as the "default" dataset of a one-spec
+// catalog and builds it before returning, as vexus-server does before
+// it listens.
+func specServer(t testing.TB, spec DatasetSpec, gcfg greedy.Config, scfg Config) *Server {
+	t.Helper()
+	cat, err := NewCatalog("", map[string]DatasetSpec{"default": spec}, "", gcfg, scfg, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewCatalogServer(cat)
+	t.Cleanup(s.Close)
+	if err := cat.BuildDefault(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func testServer(t testing.TB, scfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(testEngine(t), fastGreedy(), scfg)
+	s := specServer(t, testSpec, fastGreedy(), scfg)
 	ts := httptest.NewServer(s.Routes())
-	t.Cleanup(func() { ts.Close(); s.Close() })
+	t.Cleanup(ts.Close)
 	return s, ts
 }
 

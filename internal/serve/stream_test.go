@@ -602,9 +602,9 @@ func BenchmarkStreamFanout(b *testing.B) {
 		b.Run(fmt.Sprintf("subscribers=%d", subs), func(b *testing.B) {
 			gcfg := greedy.DefaultConfig()
 			gcfg.TimeLimit = 0 // the same optimizer work every op
-			s := New(testEngine(b), gcfg, DefaultConfig())
+			s := specServer(b, testSpec, gcfg, DefaultConfig())
 			ts := httptest.NewServer(s.Routes())
-			b.Cleanup(func() { ts.Close(); s.Close() })
+			b.Cleanup(ts.Close)
 			st := createSession(b, ts)
 
 			var attached, done sync.WaitGroup

@@ -6,13 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strconv"
-	"time"
 
-	"vexus/internal/core"
-	"vexus/internal/dataset"
-	"vexus/internal/greedy"
 	"vexus/internal/store"
 	"vexus/internal/telemetry"
 )
@@ -43,77 +38,31 @@ var errWarming = errors.New("dataset awaiting warm-join snapshot")
 // maxWarmSnapshot bounds how much of a streamed snapshot the warm
 // handler will buffer — a backstop against a runaway or hostile peer,
 // not a size policy (the largest benchmark engines are two orders of
-// magnitude smaller). A longer stream is cut and fails verification.
+// magnitude smaller). A longer stream is refused with 413.
 const maxWarmSnapshot = 1 << 31
 
-// NewPending builds a warm-only shard server: it knows its dataset (so
-// it can verify the incoming stream's fingerprint chain) but will not
-// build an engine — the engine must arrive as a verified snapshot
-// stream on POST /internal/cluster/warm. Until then every session
-// create and readiness probe answers 503.
-func NewPending(name string, d *dataset.Dataset, pcfg core.PipelineConfig, gcfg greedy.Config, scfg Config) *Server {
-	c := &Catalog{
-		gcfg:        gcfg,
-		scfg:        scfg,
-		workers:     pcfg.Workers,
-		defaultName: name,
-		entries:     map[string]*catalogEntry{},
-		now:         time.Now,
-	}
-	c.met = newServerMetrics(scfg.Telemetry, scfg.Logger, c)
-	c.entries[name] = &catalogEntry{name: name, pendingData: d, pendingCfg: pcfg}
-	return &Server{
-		cat:       c,
-		met:       c.met,
-		shardAPI:  scfg.ShardAPI,
-		secret:    scfg.ClusterSecret,
-		heartbeat: heartbeatOrDefault(scfg),
-	}
-}
+// errTooLarge marks a body cut by readAtMost's limit.
+var errTooLarge = errors.New("stream exceeds size limit")
 
-// warmCoordinates resolves the dataset name to what verification
-// needs: the spec dataset and pipeline config (the fingerprint roots)
-// plus the snapshot path future ingests should append to ("" =
-// in-memory only).
-func (c *Catalog) warmCoordinates(name string) (*dataset.Dataset, core.PipelineConfig, string, error) {
-	c.mu.Lock()
-	e, ok := c.entries[name]
-	if !ok {
-		c.mu.Unlock()
-		return nil, core.PipelineConfig{}, "", fmt.Errorf("%w %q", errUnknownDataset, name)
-	}
-	if e.pendingData != nil {
-		d, pcfg := e.pendingData, e.pendingCfg
-		c.mu.Unlock()
-		return d, pcfg, "", nil
-	}
-	spec := e.spec
-	c.mu.Unlock()
-	d, encode, err := c.loadSpecData(spec)
+// readAtMost reads r to EOF, failing with errTooLarge if it holds more
+// than limit bytes. It reads one byte past the limit, so a stream of
+// exactly limit bytes passes and a longer one is never mistaken for a
+// complete (and then merely corrupt) one.
+func readAtMost(r io.Reader, limit int64) ([]byte, error) {
+	raw, err := io.ReadAll(io.LimitReader(r, limit+1))
 	if err != nil {
-		return nil, core.PipelineConfig{}, "", err
+		return raw, err
 	}
-	pcfg := core.DefaultPipelineConfig()
-	pcfg.Encode = encode
-	pcfg.MinSupportFrac = spec.MinSup
-	if pcfg.MinSupportFrac == 0 {
-		pcfg.MinSupportFrac = 0.02
+	if int64(len(raw)) > limit {
+		return nil, fmt.Errorf("%w of %d bytes", errTooLarge, limit)
 	}
-	pcfg.Workers = c.workers
-	snap := ""
-	if c.dir != "" {
-		snap = filepath.Join(c.dir, name+".snap")
-	}
-	return d, pcfg, snap, nil
+	return raw, nil
 }
 
 // handleShardSnapshot is GET /internal/cluster/snapshot?dataset=: the
 // donor side of a warm join. The resident engine streams out through
 // store.Save — header stamped with the chain of the base fingerprint
 // and the engine's lineage, so the receiver can verify it end to end.
-// A dataset without a recorded base fingerprint (an engine handed to
-// serve.New mid-lineage) refuses: it cannot produce an attestable
-// stream.
 func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 	e, _, err := s.cat.acquire(r.FormValue("dataset"))
 	if err != nil {
@@ -125,10 +74,6 @@ func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.cat.mu.Unlock()
 	if eng == nil {
 		http.Error(w, "engine not resident", http.StatusServiceUnavailable)
-		return
-	}
-	if baseFP == (store.Fingerprint{}) {
-		http.Error(w, "dataset has no recorded base fingerprint; cannot stream a verifiable snapshot", http.StatusServiceUnavailable)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -157,8 +102,9 @@ type WarmResult struct {
 // side. The body is a snapshot stream; it installs only if
 // store.LoadFreshBytes verifies its fingerprint chain against this
 // shard's own dataset + config. Every failure leaves the entry
-// exactly as it was — pending stays pending, resident stays resident —
-// so a killed or corrupt stream cannot move the shard toward serving.
+// exactly as it was — unbuilt stays unbuilt, resident stays resident —
+// so a killed, oversized or corrupt stream cannot move the shard
+// toward serving.
 func (s *Server) handleShardWarm(w http.ResponseWriter, r *http.Request) {
 	name := r.FormValue("dataset")
 	if name == "" {
@@ -191,22 +137,25 @@ func (s *Server) handleShardWarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	d, pcfg, snap, err := s.cat.warmCoordinates(name)
+	// Verification roots: the spec's own dataset and config, the same
+	// inputs a local build would use, plus the snapshot path future
+	// ingests append to.
+	d, pcfg, snap, err := s.cat.specInputs(name, e.spec)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	baseFP := store.ComputeFingerprint(d, pcfg)
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxWarmSnapshot))
+	raw, err := readAtMost(r.Body, maxWarmSnapshot)
+	if errors.Is(err, errTooLarge) {
+		http.Error(w, "snapshot stream too large: "+err.Error(), http.StatusRequestEntityTooLarge)
+		return
+	}
 	if err != nil {
 		http.Error(w, "reading snapshot stream: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	workers := s.cat.workers
-	if workers == 0 {
-		workers = pcfg.Workers
-	}
-	eng, err := store.LoadFreshBytes(raw, baseFP, workers)
+	eng, err := store.LoadFreshBytes(raw, baseFP, pcfg.Workers)
 	if err != nil {
 		s.met.log.Warn("warm join: snapshot rejected", "dataset", name, "bytes", len(raw), "err", err)
 		http.Error(w, "snapshot failed verification: "+err.Error(), http.StatusConflict)

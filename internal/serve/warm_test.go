@@ -2,37 +2,33 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
-	"vexus/internal/core"
-	"vexus/internal/datagen"
-	"vexus/internal/dataset"
 	"vexus/internal/membership"
 )
 
-// warmFixture builds the donor/joiner pair for warm-join tests: both
-// sides constructed from the same dataset + pipeline config, so the
-// joiner's locally computed fingerprint chain matches what the donor
-// streams.
-func warmFixture(t *testing.T, seed uint64, scfg Config) (*dataset.Dataset, core.PipelineConfig, *Server) {
+// warmSpec is the donor/joiner dataset of the warm-join tests: both
+// sides serve the same spec, so the joiner's locally computed
+// fingerprint chain matches what the donor streams.
+func warmSpec(seed uint64) DatasetSpec {
+	return DatasetSpec{Dataset: "dbauthors", N: 250, Seed: seed, MinSup: 0.03}
+}
+
+// warmJoiner serves spec warm-only, as vexus-server -shard -warm does.
+func warmJoiner(t *testing.T, spec DatasetSpec, scfg Config) *Server {
 	t.Helper()
-	data, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: 250, Seed: seed})
+	cat, err := NewCatalog("", map[string]DatasetSpec{"default": spec}, "", fastGreedy(), scfg, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcfg := core.DefaultPipelineConfig()
-	pcfg.Encode = datagen.DBAuthorsEncodeOptions()
-	pcfg.MinSupportFrac = 0.03
-	eng, err := core.Build(data, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	donor := New(eng, fastGreedy(), scfg)
-	t.Cleanup(donor.Close)
-	return data, pcfg, donor
+	cat.WarmOnly()
+	s := NewCatalogServer(cat)
+	t.Cleanup(s.Close)
+	return s
 }
 
 func shardConfig() Config {
@@ -55,12 +51,8 @@ func roundTrip(h http.Handler, method, path string, body []byte) *httptest.Respo
 
 func TestWarmJoinRoundTrip(t *testing.T) {
 	scfg := shardConfig()
-	data, pcfg, donor := warmFixture(t, 11, scfg)
-	donorH := donor.Routes()
-
-	joiner := NewPending("default", data, pcfg, fastGreedy(), scfg)
-	t.Cleanup(joiner.Close)
-	joinerH := joiner.Routes()
+	donorH := specServer(t, warmSpec(11), fastGreedy(), scfg).Routes()
+	joinerH := warmJoiner(t, warmSpec(11), scfg).Routes()
 
 	// Before the snapshot arrives the joiner fails closed: readiness
 	// and session creation both 503.
@@ -102,7 +94,7 @@ func TestWarmJoinRoundTrip(t *testing.T) {
 
 func TestWarmJoinFailsClosed(t *testing.T) {
 	scfg := shardConfig()
-	data, pcfg, donor := warmFixture(t, 11, scfg)
+	donor := specServer(t, warmSpec(11), fastGreedy(), scfg)
 	snap := roundTrip(donor.Routes(), http.MethodGet, "/internal/cluster/snapshot", nil)
 	if snap.Code != http.StatusOK {
 		t.Fatalf("donor snapshot: %d", snap.Code)
@@ -110,7 +102,7 @@ func TestWarmJoinFailsClosed(t *testing.T) {
 	raw := snap.Body.Bytes()
 
 	// A different dataset's stream — same shape, wrong fingerprint.
-	_, _, other := warmFixture(t, 99, scfg)
+	other := specServer(t, warmSpec(99), fastGreedy(), scfg)
 	otherSnap := roundTrip(other.Routes(), http.MethodGet, "/internal/cluster/snapshot", nil)
 
 	for _, tc := range []struct {
@@ -121,8 +113,7 @@ func TestWarmJoinFailsClosed(t *testing.T) {
 		{"garbage", []byte("definitely not a snapshot")},
 		{"wrong dataset", otherSnap.Body.Bytes()},
 	} {
-		joiner := NewPending("default", data, pcfg, fastGreedy(), scfg)
-		h := joiner.Routes()
+		h := warmJoiner(t, warmSpec(11), scfg).Routes()
 		rec := roundTrip(h, http.MethodPost, "/internal/cluster/warm", tc.body)
 		if rec.Code == http.StatusOK {
 			t.Fatalf("%s: warm install accepted (%d)", tc.name, rec.Code)
@@ -134,15 +125,13 @@ func TestWarmJoinFailsClosed(t *testing.T) {
 		if rec := roundTrip(h, http.MethodPost, "/api/v1/sessions", nil); rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("%s: create after rejected warm = %d, want 503", tc.name, rec.Code)
 		}
-		joiner.Close()
 	}
 }
 
 func TestInternalEndpointsRequireSecret(t *testing.T) {
 	scfg := shardConfig()
 	scfg.ClusterSecret = "hunter2"
-	_, _, srv := warmFixture(t, 11, scfg)
-	h := srv.Routes()
+	h := specServer(t, warmSpec(11), fastGreedy(), scfg).Routes()
 
 	paths := []struct{ method, path string }{
 		{http.MethodGet, "/internal/cluster/sessions"},
@@ -175,5 +164,27 @@ func TestInternalEndpointsRequireSecret(t *testing.T) {
 	// The public surface stays open: no secret required.
 	if rec := roundTrip(h, http.MethodPost, "/api/v1/sessions", nil); rec.Code != http.StatusCreated {
 		t.Fatalf("public create behind secret config: %d", rec.Code)
+	}
+}
+
+// TestReadAtMost pins the warm-join body bound: a stream of exactly
+// the limit is read whole, and one byte more is refused as too large
+// rather than handed on cut short, where it would read as corrupt.
+func TestReadAtMost(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		tooLong bool
+	}{{0, false}, {7, false}, {8, false}, {9, true}, {64, true}} {
+		body := bytes.Repeat([]byte{'x'}, tc.n)
+		raw, err := readAtMost(bytes.NewReader(body), 8)
+		if tc.tooLong {
+			if !errors.Is(err, errTooLarge) {
+				t.Fatalf("%d bytes at limit 8: err %v, want errTooLarge", tc.n, err)
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(raw, body) {
+			t.Fatalf("%d bytes at limit 8: read %d bytes, err %v", tc.n, len(raw), err)
+		}
 	}
 }
