@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -662,7 +663,7 @@ func TestGatewaySweepReclaimsDeadRoutes(t *testing.T) {
 	gw.mu.RLock()
 	sh := gw.routes[dead.Session].shard
 	gw.mu.RUnlock()
-	res, err := sh.do(http.MethodDelete, "/api/v1/sessions/"+dead.Session, nil, nil)
+	res, err := sh.send(context.Background(), sh.client, http.MethodDelete, "/api/v1/sessions/"+dead.Session, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

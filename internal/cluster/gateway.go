@@ -428,7 +428,7 @@ func traceHeader(ctx context.Context, header http.Header) http.Header {
 // and copies the response back verbatim, returning the status (0 when
 // the shard was unreachable).
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, sh *Shard, path string) int {
-	res, err := sh.do(r.Method, path, r.Header, r.Body)
+	res, err := sh.send(context.Background(), sh.client, r.Method, path, r.Header, r.Body)
 	if err != nil {
 		http.Error(w, "shard unreachable: "+err.Error(), http.StatusBadGateway)
 		return 0
@@ -480,7 +480,7 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 // would block migration of that session forever), and the upstream
 // request is issued through the shard's streaming client (no response
 // timeout, unbuffered transport). The ordering makes the handoff
-// airtight: stream() returns only after the shard has registered the
+// airtight: send returns only after the shard has registered the
 // subscriber and flushed response headers, so a migration that starts
 // after release necessarily finds the subscriber attached and tears it
 // down with a terminal `event: closed` reason "migrated" — the client
@@ -498,7 +498,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no shard available", http.StatusBadGateway)
 		return
 	}
-	res, err := sh.stream(r.Context(), r.URL.RequestURI(), r.Header)
+	res, err := sh.send(r.Context(), sh.streamer, http.MethodGet, r.URL.RequestURI(), r.Header, nil)
 	release()
 	if err != nil {
 		http.Error(w, "shard unreachable: "+err.Error(), http.StatusBadGateway)
@@ -532,7 +532,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if ds := r.FormValue("dataset"); ds != "" {
 		q.Set("dataset", ds)
 	}
-	res, err := sh.do(http.MethodPost, "/internal/cluster/sessions?"+q.Encode(), traceHeader(r.Context(), nil), nil)
+	res, err := sh.send(context.Background(), sh.client, http.MethodPost, "/internal/cluster/sessions?"+q.Encode(), traceHeader(r.Context(), nil), nil)
 	if err != nil {
 		http.Error(w, "shard unreachable: "+err.Error(), http.StatusBadGateway)
 		return
@@ -598,7 +598,7 @@ func (g *Gateway) migrate(sid string, from, to *Shard) error {
 	if err != nil {
 		return fmt.Errorf("export %s: %w", sid, err)
 	}
-	res, err := to.do(http.MethodPost, "/internal/cluster/sessions/"+sid+"/import",
+	res, err := to.send(context.Background(), to.client, http.MethodPost, "/internal/cluster/sessions/"+sid+"/import",
 		http.Header{"Content-Type": {"application/json"}, telemetry.TraceHeader: {trace}}, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("import %s: %w", sid, err)
@@ -625,7 +625,7 @@ func (g *Gateway) migrate(sid string, from, to *Shard) error {
 	// the client comes back through the gateway, which now routes it to
 	// the new owner, whose replayed ring serves the Last-Event-ID
 	// resume.
-	if res, err := from.do(http.MethodDelete, "/api/v1/sessions/"+sid+"?reason=migrated",
+	if res, err := from.send(context.Background(), from.client, http.MethodDelete, "/api/v1/sessions/"+sid+"?reason=migrated",
 		http.Header{telemetry.TraceHeader: {trace}}, nil); err == nil {
 		io.Copy(io.Discard, res.Body)
 		res.Body.Close()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,16 +29,15 @@ import (
 // serializing them keeps the seq ladder trivially gap-free without a
 // distributed lock.
 
-// maxClusterIngestBody mirrors the shard-side request bound.
-const maxClusterIngestBody = 8 << 20
-
 // handleIngest is POST /api/v1/datasets/{name}/ingest on the gateway.
 // ?preview=1 is read-only and proxies to one shard; a commit fans out
 // to all of them.
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	raw, _ := io.ReadAll(io.LimitReader(r.Body, maxClusterIngestBody))
-	r.Body.Close()
+	raw, ok := serve.ReadBody(w, r, serve.MaxIngestBody)
+	if !ok {
+		return
+	}
 	path := "/api/v1/datasets/" + url.PathEscape(name) + "/ingest"
 
 	if r.URL.Query().Get("preview") == "1" {
@@ -46,7 +46,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "no shard available", http.StatusBadGateway)
 			return
 		}
-		res, err := shards[0].do(http.MethodPost, path+"?preview=1",
+		res, err := shards[0].send(context.Background(), shards[0].client, http.MethodPost, path+"?preview=1",
 			traceHeader(r.Context(), http.Header{"Content-Type": {"application/json"}}), bytes.NewReader(raw))
 		if err != nil {
 			http.Error(w, "shard unreachable: "+err.Error(), http.StatusBadGateway)
@@ -73,7 +73,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		res, err := sh.do(http.MethodPost, path,
+		res, err := sh.send(context.Background(), sh.client, http.MethodPost, path,
 			traceHeader(r.Context(), http.Header{"Content-Type": {"application/json"}}), bytes.NewReader(payload))
 		if err != nil {
 			http.Error(w, fmt.Sprintf("shard %s unreachable: %v (retry with seq %d — replays are idempotent)",

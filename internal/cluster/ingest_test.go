@@ -3,8 +3,11 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"vexus/internal/action"
@@ -61,8 +64,20 @@ func postIngestAt(t testing.TB, base, name, query string, b core.IngestBatch) (s
 func TestGatewayIngestConvergence(t *testing.T) {
 	gw, ts := testCluster(t, 2)
 
-	// A pre-ingest session: it must survive the swap untouched.
+	// A pre-ingest session: it must survive the swap untouched. Its
+	// display holds groups the batch changes, so its stream, attached
+	// through the gateway, hears of the ingest.
 	st, _ := createV1(t, ts.URL)
+	stream := openStream(t, ts.URL+"/api/v1/sessions/"+st.Session+"/events", "")
+	if ev := stream.next(t); ev.name != "resync" {
+		t.Fatalf("first event %q, want resync", ev.name)
+	}
+	// Fresh sessions all show the same display, so each is notified;
+	// with one on every shard, the gateway's count is a cross-shard sum.
+	pre := 1
+	for ; pre < 64 && (sessionsOn(t, gw, "s0") == 0 || sessionsOn(t, gw, "s1") == 0); pre++ {
+		createV1(t, ts.URL)
+	}
 
 	b := clusterBatch()
 	res, hres := postIngestAt(t, ts.URL, "default", "", b)
@@ -71,6 +86,19 @@ func TestGatewayIngestConvergence(t *testing.T) {
 	}
 	if res.Seq != 1 || res.EngineVersion != 2 {
 		t.Fatalf("gateway ingest result %+v, want seq 1 → version 2", res)
+	}
+	if res.Notified != pre {
+		t.Fatalf("gateway ingest notified %d sessions, want all %d", res.Notified, pre)
+	}
+	ev := stream.next(t)
+	if ev.name != "notice" || ev.id != "" {
+		t.Fatalf("post-ingest event %q id %q, want an id-less notice", ev.name, ev.id)
+	}
+	var note struct {
+		EngineVersion uint64 `json:"engineVersion"`
+	}
+	if err := json.Unmarshal([]byte(ev.data), &note); err != nil || note.EngineVersion != 2 {
+		t.Fatalf("notice %s (err %v), want engineVersion 2", ev.data, err)
 	}
 
 	// Every shard reports the same new version.
@@ -126,6 +154,17 @@ func TestGatewayIngestConvergence(t *testing.T) {
 	}
 	if _, hres = postIngestAt(t, ts.URL, "nope", "", clusterBatch()); hres.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown dataset: status %d, want 404", hres.StatusCode)
+	}
+	// An over-limit body is refused at the gateway as too large.
+	big := bytes.Repeat([]byte(" "), serve.MaxIngestBody+1)
+	bres, err := http.Post(ts.URL+"/api/v1/datasets/default/ingest", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(bres.Body)
+	bres.Body.Close()
+	if bres.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), fmt.Sprint(serve.MaxIngestBody)) {
+		t.Fatalf("over-limit body: status %d: %s, want 413 naming %d", bres.StatusCode, msg, serve.MaxIngestBody)
 	}
 
 	// The pre-ingest session continues on its pinned engine, mutation

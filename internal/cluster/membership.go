@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -126,7 +127,7 @@ func (g *Gateway) pickDonor(exclude string) *Shard {
 func (g *Gateway) pumpSnapshot(donor, to *Shard, dataset string) error {
 	started := time.Now()
 	q := "?dataset=" + url.QueryEscape(dataset)
-	res, err := donor.doStream(http.MethodGet, "/internal/cluster/snapshot"+q, nil, nil)
+	res, err := donor.send(context.Background(), donor.streamer, http.MethodGet, "/internal/cluster/snapshot"+q, nil, nil)
 	if err != nil {
 		return fmt.Errorf("snapshot %s from %s: %w", dataset, donor.name, err)
 	}
@@ -135,7 +136,7 @@ func (g *Gateway) pumpSnapshot(donor, to *Shard, dataset string) error {
 		res.Body.Close()
 		return fmt.Errorf("snapshot %s from %s: status %d: %s", dataset, donor.name, res.StatusCode, msg)
 	}
-	wres, err := to.doStream(http.MethodPost, "/internal/cluster/warm"+q,
+	wres, err := to.send(context.Background(), to.streamer, http.MethodPost, "/internal/cluster/warm"+q,
 		http.Header{"Content-Type": {"application/octet-stream"}}, res.Body)
 	res.Body.Close()
 	if err != nil {

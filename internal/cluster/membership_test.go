@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"vexus/internal/action"
 	"vexus/internal/membership"
 	"vexus/internal/serve"
 )
@@ -288,6 +290,10 @@ func TestWarmJoinRightAfterDonorStart(t *testing.T) {
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("joiner create after warm join = %d, want 201: %s", rec.Code, rec.Body)
 	}
+	// The streamed engine is metered.
+	if got := gw.met.reg.Snapshot()["vexus_cluster_warmjoin_bytes_total"]; got <= 0 {
+		t.Fatalf("vexus_cluster_warmjoin_bytes_total = %v after a warm join, want > 0", got)
+	}
 }
 
 // TestGatewayFailureDetection drives the gossip lifecycle end to end:
@@ -341,6 +347,22 @@ func TestGatewayFailureDetection(t *testing.T) {
 		t.Fatalf("unknown member heartbeat: status %d, want 404", status)
 	}
 
+	// A session on the survivor, one mutation in before the verdict.
+	var survivor stateLite
+	for i := 0; i < 64 && survivor.Session == ""; i++ {
+		st, _ := createV1(t, ts.URL)
+		gw.mu.RLock()
+		onS0 := gw.routes[st.Session].shard.name == "s0"
+		gw.mu.RUnlock()
+		if onS0 {
+			survivor = st
+		}
+	}
+	if survivor.Session == "" {
+		t.Fatal("no session landed on s0")
+	}
+	survivor, _, _ = applyOne(t, ts.URL, survivor.Session, action.Action{Op: action.Explore, Group: survivor.Shown[0].ID})
+
 	// s1 goes silent; the sweeper marks it down within a few horizons.
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
@@ -389,6 +411,12 @@ func TestGatewayFailureDetection(t *testing.T) {
 	}
 	if !strings.Contains(string(mbody), fmt.Sprintf("vexus_cluster_epoch %d", epochJoined+1)) {
 		t.Fatal("metrics missing epoch gauge")
+	}
+
+	// The survivor's session keeps its history: its counter goes on.
+	_, _, etag := applyOne(t, ts.URL, survivor.Session, action.Action{Op: action.Explore, Group: survivor.Shown[0].ID})
+	if got := mutations(t, etag, survivor.Session); got != 3 {
+		t.Fatalf("survivor session after the down verdict at mutation %d, want 3", got)
 	}
 
 	// Creates keep landing — on the survivor only.
@@ -772,7 +800,7 @@ func TestSweepReclaimsRoutesPastDownMember(t *testing.T) {
 	gw.mu.RLock()
 	sh := gw.routes[dead.Session].shard
 	gw.mu.RUnlock()
-	res, err := sh.do(http.MethodDelete, "/api/v1/sessions/"+dead.Session, nil, nil)
+	res, err := sh.send(context.Background(), sh.client, http.MethodDelete, "/api/v1/sessions/"+dead.Session, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

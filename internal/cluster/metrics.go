@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -94,7 +95,7 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		wg.Add(1)
 		go func(i int, sh *Shard) {
 			defer wg.Done()
-			res, err := sh.do(http.MethodGet, "/api/v1/healthz", nil, nil)
+			res, err := sh.send(context.Background(), sh.client, http.MethodGet, "/api/v1/healthz", nil, nil)
 			if err != nil {
 				failures[i] = "shard " + sh.name + " unreachable: " + err.Error()
 				return

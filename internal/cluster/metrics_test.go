@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -62,7 +63,10 @@ func TestClusterObservability(t *testing.T) {
 		scfg.Logger = slog.New(slog.NewTextHandler(logs[i], &slog.HandlerOptions{Level: slog.LevelDebug}))
 		return specShard(t, fixtureSpec, fixtureWorkers, scfg)
 	}
-	gw, err := NewGatewayConfig(GatewayConfig{},
+	gwLog := &syncBuf{}
+	gw, err := NewGatewayConfig(GatewayConfig{
+		Logger: slog.New(slog.NewTextHandler(gwLog, &slog.HandlerOptions{Level: slog.LevelDebug})),
+	},
 		LocalShard("s0", mkShard(0).Routes()),
 		LocalShard("s1", mkShard(1).Routes()))
 	if err != nil {
@@ -111,9 +115,11 @@ func TestClusterObservability(t *testing.T) {
 
 	// The tracing contract: every export span the source shard logged
 	// carries a trace id that reappears on the destination's import
-	// span — one grep joins the two process logs.
+	// span and on the gateway's migrate span — one grep joins the three
+	// process logs.
 	exports := migrationTraces(logs[0].String(), "export")
 	imports := migrationTraces(logs[1].String(), "import")
+	migrates := migrationTraces(gwLog.String(), "migrate")
 	if len(exports) != moved {
 		t.Fatalf("source logged %d export traces, want %d", len(exports), moved)
 	}
@@ -123,6 +129,9 @@ func TestClusterObservability(t *testing.T) {
 		}
 		if !imports[trace] {
 			t.Errorf("export trace %s missing from destination import spans", trace)
+		}
+		if !migrates[trace] {
+			t.Errorf("export trace %s missing from the gateway's migrate spans", trace)
 		}
 	}
 
@@ -140,8 +149,8 @@ func TestClusterObservability(t *testing.T) {
 	res.Body.Close()
 	text := string(raw)
 	for _, want := range []string{
-		`vexus_gateway_requests_total{route="POST /api/v1/sessions",status="201"}`,
-		"vexus_gateway_migration_seconds_count",
+		fmt.Sprintf(`vexus_gateway_requests_total{route="POST /api/v1/sessions",status="201"} %d`+"\n", created),
+		fmt.Sprintf("vexus_gateway_migration_seconds_count %d\n", moved),
 		"vexus_gateway_latch_wait_seconds_count",
 		"vexus_gateway_shards 1",
 	} {

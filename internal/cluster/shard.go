@@ -172,15 +172,17 @@ func (s *streamRecorder) Write(p []byte) (int, error) {
 	return s.pw.Write(p)
 }
 
-// stream opens a long-lived GET against the shard (the SSE diff
-// stream) through the streaming client. The response is live: headers
-// are available as soon as the shard commits them, and the body
-// delivers events as the shard writes them. Cancelling ctx tears the
-// stream down end to end — for an in-process shard the handler shares
-// the context directly, and for a remote one the client closes the
-// connection, which the shard-side handler observes the same way.
-func (s *Shard) stream(ctx context.Context, path string, header http.Header) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+path, nil)
+// send issues one request against the shard through client: s.client
+// for bounded calls, or s.streamer for responses that are open-ended
+// (the SSE diff stream) or may outlive the bounded client's 30s (the
+// warm-join snapshot legs), whose bodies arrive as the shard writes
+// them. path must start with "/" and may carry a query string; body
+// may be nil. Cancelling ctx tears the request down end to end — for
+// an in-process shard the handler shares the context directly, and for
+// a remote one the client closes the connection, which the shard-side
+// handler observes the same way.
+func (s *Shard) send(ctx context.Context, client *http.Client, method, path string, header http.Header, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, s.base+path, body)
 	if err != nil {
 		return nil, err
 	}
@@ -190,50 +192,7 @@ func (s *Shard) stream(ctx context.Context, path string, header http.Header) (*h
 	if s.secret != "" {
 		req.Header.Set(membership.SecretHeader, s.secret)
 	}
-	res, err := s.streamer.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("shard %s: %w", s.name, err)
-	}
-	return res, nil
-}
-
-// do issues one request against the shard. path must start with "/"
-// and may carry a query string; body may be nil.
-func (s *Shard) do(method, path string, header http.Header, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequest(method, s.base+path, body)
-	if err != nil {
-		return nil, err
-	}
-	for k, vs := range header {
-		req.Header[k] = vs
-	}
-	if s.secret != "" {
-		req.Header.Set(membership.SecretHeader, s.secret)
-	}
-	res, err := s.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("shard %s: %w", s.name, err)
-	}
-	return res, nil
-}
-
-// doStream is do through the streaming client: no response timeout and
-// a live body. The warm-join pump uses it on both legs — an engine
-// snapshot can take longer than the bounded client's 30s allowance, and
-// piping donor→joiner without buffering requires a transport that hands
-// bytes over as they are written.
-func (s *Shard) doStream(method, path string, header http.Header, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequest(method, s.base+path, body)
-	if err != nil {
-		return nil, err
-	}
-	for k, vs := range header {
-		req.Header[k] = vs
-	}
-	if s.secret != "" {
-		req.Header.Set(membership.SecretHeader, s.secret)
-	}
-	res, err := s.streamer.Do(req)
+	res, err := client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: %w", s.name, err)
 	}
@@ -243,7 +202,7 @@ func (s *Shard) doStream(method, path string, header http.Header, body io.Reader
 // getJSON fetches path (with the given headers, which may be nil) and
 // decodes the JSON body into v, treating any non-200 as an error.
 func (s *Shard) getJSON(path string, header http.Header, v any) error {
-	res, err := s.do(http.MethodGet, path, header, nil)
+	res, err := s.send(context.Background(), s.client, http.MethodGet, path, header, nil)
 	if err != nil {
 		return err
 	}

@@ -36,8 +36,6 @@ type Announcer struct {
 	// Logger receives beat records at Debug and failures at Warn
 	// (nil = slog.Default()).
 	Logger *slog.Logger
-	// Client issues the heartbeat requests (nil = 5s-timeout client).
-	Client *http.Client
 }
 
 // Run drives the heartbeat loop until ctx is cancelled. The first
@@ -52,10 +50,7 @@ func (a *Announcer) Run(ctx context.Context) {
 	if log == nil {
 		log = slog.Default()
 	}
-	client := a.Client
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
-	}
+	client := &http.Client{Timeout: 5 * time.Second}
 	t := time.NewTicker(every)
 	defer t.Stop()
 	var lastEpoch uint64

@@ -174,11 +174,7 @@ func (c *Catalog) newRegistry(name string, eng *core.Engine) *registry {
 	reg.streamReplay = c.scfg.StreamReplay
 	reg.met = c.met
 	if c.scfg.SessionTTL > 0 {
-		interval := c.scfg.SweepInterval
-		if interval <= 0 {
-			interval = c.scfg.SessionTTL / 4
-		}
-		reg.startSweeper(interval)
+		reg.startSweeper(c.scfg.SessionTTL / 4)
 	}
 	return reg
 }

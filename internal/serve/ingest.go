@@ -30,9 +30,10 @@ import (
 // else's stream is byte-identical to a world where the ingest never
 // happened.
 
-// maxIngestBody bounds one ingest request body. Batches are meant to
-// be incremental — bulk history belongs in the build path.
-const maxIngestBody = 8 << 20
+// MaxIngestBody bounds one ingest request body, on a shard and on the
+// gateway that fans it out. Batches are meant to be incremental — bulk
+// history belongs in the build path.
+const MaxIngestBody = 8 << 20
 
 // errSeqConflict marks a batch whose seq is ahead of the engine
 // version — the client skipped a batch; handlers surface 409.
@@ -237,7 +238,11 @@ func sessionTouched(cs *clientSession, ne *core.Engine) bool {
 // through the streaming lossy-counting miner without committing.
 func (s *Server) handleDatasetIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	b, err := core.DecodeIngestJSON(readBodyLimit(r, maxIngestBody))
+	raw, ok := ReadBody(w, r, MaxIngestBody)
+	if !ok {
+		return
+	}
+	b, err := core.DecodeIngestJSON(raw)
 	if err != nil {
 		http.Error(w, "bad ingest batch: "+err.Error(), http.StatusBadRequest)
 		return

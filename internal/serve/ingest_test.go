@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"vexus/internal/action"
@@ -99,6 +102,17 @@ func TestIngestEndpoint(t *testing.T) {
 	if row.Version != 2 || row.Users != 402 {
 		t.Fatalf("listing after ingest: version %d users %d, want 2 and 402", row.Version, row.Users)
 	}
+	mres, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, _ := io.ReadAll(mres.Body)
+	mres.Body.Close()
+	for _, want := range []string{"\nvexus_ingest_batches_total 1\n", "\n" + `vexus_ingest_rows_total{kind="users"} 2` + "\n"} {
+		if !strings.Contains(string(scrape), want) {
+			t.Errorf("scrape after one ingest is missing %q", strings.TrimSpace(want))
+		}
+	}
 
 	// Idempotent replay: the committed seq acks without re-applying.
 	rb := serveIngestBatch()
@@ -127,6 +141,9 @@ func TestIngestEndpoint(t *testing.T) {
 	if _, hres = postIngest(t, ts, "nope", "", serveIngestBatch()); hres.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown dataset: status %d, want 404", hres.StatusCode)
 	}
+	// A body past the bound is refused as too large, naming the bound,
+	// not cut short and parsed as malformed JSON.
+	assertTooLarge(t, ts.URL+"/api/v1/datasets/default/ingest", MaxIngestBody)
 	if row := datasetRow(t, ts, "default"); row.Version != 2 {
 		t.Fatalf("failed ingests advanced the version to %d", row.Version)
 	}
@@ -267,5 +284,21 @@ func TestIngestPreviewEndpoint(t *testing.T) {
 	}
 	if row := datasetRow(t, ts, "default"); row.Version != 1 {
 		t.Fatalf("preview committed: version %d", row.Version)
+	}
+}
+
+// assertTooLarge posts a body one byte past limit (JSON whitespace,
+// which a cut read would parse as truncated) and wants 413 naming the
+// limit.
+func assertTooLarge(t testing.TB, url string, limit int) {
+	t.Helper()
+	res, err := http.Post(url, "application/json", bytes.NewReader(bytes.Repeat([]byte(" "), limit+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), fmt.Sprint(limit)) {
+		t.Fatalf("POST %s with %d bytes: status %d: %s, want 413 naming %d", url, limit+1, res.StatusCode, body, limit)
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -41,8 +40,6 @@ type Server struct {
 	// secret gates every /internal/cluster/* route behind the shared
 	// cluster secret ("" = open, the pre-auth deployment shape).
 	secret string
-	// heartbeat paces SSE comment keepalives on the events stream.
-	heartbeat time.Duration
 }
 
 // Config bounds the session registry.
@@ -53,8 +50,6 @@ type Config struct {
 	// least-recently-used idle session is evicted to admit a new
 	// explorer, and creation fails with 503 when none is idle.
 	MaxSessions int
-	// SweepInterval is how often the TTL sweeper runs (0 = TTL/4).
-	SweepInterval time.Duration
 	// ShardAPI exposes the cluster-internal migration surface
 	// (/internal/cluster/*). Enable it only on shard workers that sit
 	// behind a gateway: it lets callers choose session ids.
@@ -71,8 +66,6 @@ type Config struct {
 	// StreamReplay bounds the per-session ring of recent diff events
 	// served to Last-Event-ID resumes; larger gaps resync (0 = 256).
 	StreamReplay int
-	// StreamHeartbeat is the SSE comment-keepalive interval (0 = 15s).
-	StreamHeartbeat time.Duration
 	// Telemetry receives every metric this server records. nil means a
 	// fresh private registry (GET /metrics works out of the box), so
 	// every route is always instrumented.
@@ -107,19 +100,11 @@ const maxBatchActions = 256
 // warm-only (WarmOnly).
 func NewCatalogServer(cat *Catalog) *Server {
 	return &Server{
-		cat:       cat,
-		met:       cat.met,
-		shardAPI:  cat.scfg.ShardAPI,
-		secret:    cat.scfg.ClusterSecret,
-		heartbeat: heartbeatOrDefault(cat.scfg),
+		cat:      cat,
+		met:      cat.met,
+		shardAPI: cat.scfg.ShardAPI,
+		secret:   cat.scfg.ClusterSecret,
 	}
-}
-
-func heartbeatOrDefault(scfg Config) time.Duration {
-	if scfg.StreamHeartbeat > 0 {
-		return scfg.StreamHeartbeat
-	}
-	return defaultStreamHeartbeat
 }
 
 // close releases every resident registry's sweeper.
@@ -462,7 +447,11 @@ func (s *Server) handleV1Actions(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	acts, err := action.DecodeLog(readBody(r))
+	raw, ok := ReadBody(w, r, maxActionBody)
+	if !ok {
+		return
+	}
+	acts, err := action.DecodeLog(raw)
 	if err != nil {
 		http.Error(w, "bad action batch: "+err.Error(), http.StatusBadRequest)
 		return
@@ -506,19 +495,26 @@ func (s *Server) handleV1Actions(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// readBody slurps the request body (bounded well above the batch cap)
-// for the strict JSON decoder; a truncated body simply fails to parse.
-func readBody(r *http.Request) []byte {
-	return readBodyLimit(r, 1<<20)
-}
+// maxActionBody bounds one action batch request body, well above
+// what maxBatchActions actions encode to.
+const maxActionBody = 1 << 20
 
-// readBodyLimit is readBody with an explicit bound — the migration
-// import uses a far larger one, since a session export carries the
-// entire action trail, not one request's batch.
-func readBodyLimit(r *http.Request, limit int64) []byte {
+// ReadBody reads the request body whole, at most limit bytes. A longer
+// body is answered 413 naming the limit, rather than cut short and
+// parsed as malformed; a failed read is answered 400. Either way ok is
+// false and the response is written.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) (raw []byte, ok bool) {
 	defer r.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(r.Body, limit))
-	return raw
+	raw, err := readAtMost(r.Body, limit)
+	if errors.Is(err, errTooLarge) {
+		http.Error(w, "request body "+err.Error(), http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	if err != nil {
+		http.Error(w, "reading request body: "+err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	return raw, true
 }
 
 func (s *Server) handleGroupVizSVG(w http.ResponseWriter, r *http.Request) {

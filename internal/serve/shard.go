@@ -128,12 +128,16 @@ func (s *Server) handleShardExport(w http.ResponseWriter, r *http.Request) {
 // holds the live session, so the migration simply failed closed.
 func (s *Server) handleShardImport(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
-	var doc SessionExport
 	// A trail is ~100 bytes per action, so the 1 MiB batch bound would
 	// strand any session past ~10k actions on its shard forever; 256
 	// MiB keeps the bound nominal (a backstop against a runaway peer,
 	// not a size policy).
-	if err := json.Unmarshal(readBodyLimit(r, 1<<28), &doc); err != nil {
+	raw, ok := ReadBody(w, r, 1<<28)
+	if !ok {
+		return
+	}
+	var doc SessionExport
+	if err := json.Unmarshal(raw, &doc); err != nil {
 		http.Error(w, "bad session export: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -32,16 +32,16 @@ import (
 // full-snapshot `resync` event — the slow client pays with a snapshot,
 // the action write path pays nothing.
 
-// Stream tuning defaults (Config.StreamQueue / StreamReplay /
-// StreamHeartbeat override them).
+// Stream tuning defaults (Config.StreamQueue / StreamReplay override
+// the first two).
 const (
 	// defaultStreamQueue bounds one subscriber's in-flight event queue.
 	defaultStreamQueue = 32
 	// defaultStreamReplay bounds the per-session ring of recent diff
 	// events kept for Last-Event-ID resume; gaps beyond it resync.
 	defaultStreamReplay = 256
-	// defaultStreamHeartbeat paces SSE comment keepalives.
-	defaultStreamHeartbeat = 15 * time.Second
+	// streamHeartbeat paces SSE comment keepalives.
+	streamHeartbeat = 15 * time.Second
 )
 
 // Teardown reasons carried by the terminal `event: closed` frame.
@@ -400,7 +400,7 @@ func (s *Server) handleV1Events(w http.ResponseWriter, r *http.Request) {
 	}
 	fl.Flush()
 
-	hb := time.NewTicker(s.heartbeat)
+	hb := time.NewTicker(streamHeartbeat)
 	defer hb.Stop()
 	ctx := r.Context()
 	for {

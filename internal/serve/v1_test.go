@@ -225,6 +225,7 @@ func TestV1BatchRejects(t *testing.T) {
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized batch: status %d, want 400", res.StatusCode)
 	}
+	assertTooLarge(t, ts.URL+"/api/v1/sessions/"+st.Session+"/actions", maxActionBody)
 
 	// Unknown session → 404, missing → 400 (empty sid collapses the
 	// path, so the mux 404s it — either way it is a client error).

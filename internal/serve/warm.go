@@ -42,7 +42,7 @@ var errWarming = errors.New("dataset awaiting warm-join snapshot")
 const maxWarmSnapshot = 1 << 31
 
 // errTooLarge marks a body cut by readAtMost's limit.
-var errTooLarge = errors.New("stream exceeds size limit")
+var errTooLarge = errors.New("exceeds size limit")
 
 // readAtMost reads r to EOF, failing with errTooLarge if it holds more
 // than limit bytes. It reads one byte past the limit, so a stream of
@@ -146,13 +146,8 @@ func (s *Server) handleShardWarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	baseFP := store.ComputeFingerprint(d, pcfg)
-	raw, err := readAtMost(r.Body, maxWarmSnapshot)
-	if errors.Is(err, errTooLarge) {
-		http.Error(w, "snapshot stream too large: "+err.Error(), http.StatusRequestEntityTooLarge)
-		return
-	}
-	if err != nil {
-		http.Error(w, "reading snapshot stream: "+err.Error(), http.StatusBadRequest)
+	raw, ok := ReadBody(w, r, maxWarmSnapshot)
+	if !ok {
 		return
 	}
 	eng, err := store.LoadFreshBytes(raw, baseFP, pcfg.Workers)
