@@ -24,7 +24,6 @@ func main() {
 		"worker count for the parallel mining/simulation paths (0 = NumCPU, 1 = sequential)")
 	flag.StringVar(&benchNote, "bench-note", "",
 		"write the p7 note to this JSON file (e.g. BENCH_cluster_scale.json)")
-	flag.IntVar(&p7Users, "users", 0, "p7: population size (0 = scale preset)")
 	flag.IntVar(&p7Live, "live", 0, "p7: live analysts driving real sessions (0 = scale preset)")
 	flag.IntVar(&p7Shards, "lshards", 0, "p7: cluster size (0 = scale preset)")
 	flag.IntVar(&p7Ticks, "ticks", 0, "p7: virtual run length in ticks (0 = scale preset)")

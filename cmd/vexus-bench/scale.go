@@ -15,25 +15,23 @@ import (
 var (
 	benchNote string
 
-	p7Users  int
 	p7Live   int
 	p7Shards int
 	p7Ticks  int
 	p7Chaos  string
 )
 
-// runP7 is the cluster-scale load/chaos experiment: a Zipf population
-// of simulated analysts driving a multi-shard in-process cluster
-// through the real v1 API and SSE streams while the default fault
-// schedule (kill, gateway restart, partition/heal, drain, engine
-// eviction) runs. Any fail-closed violation (loadsim.Summary.FailClosed)
-// fails the experiment. It reports counts, not latencies: serving speed
-// is wallbench's job.
+// runP7 is the cluster-scale load/chaos experiment: analysts with
+// Zipf-ranked arrival rates driving real sessions on a multi-shard
+// in-process cluster through the v1 API and SSE streams while the
+// default fault schedule (kill, gateway restart, partition/heal,
+// drain, engine eviction) runs. Any fail-closed violation
+// (loadsim.Summary.FailClosed) fails the experiment. It reports
+// counts, not latencies: serving speed is wallbench's job.
 func runP7(seed uint64, scale string) error {
 	header("p7", "cluster fails closed under churn: no misroute, ETag break, epoch slip or ghost session")
 
 	cfg := loadsim.Config{
-		Users:  2_000,
 		Live:   48,
 		Shards: 3,
 		Ticks:  60,
@@ -41,12 +39,8 @@ func runP7(seed uint64, scale string) error {
 		Chaos:  "default",
 	}
 	if scale == "paper" {
-		cfg.Users = 10_000
 		cfg.Ticks = 120
 		cfg.Live = 64
-	}
-	if p7Users > 0 {
-		cfg.Users = p7Users
 	}
 	if p7Live > 0 {
 		cfg.Live = p7Live
@@ -72,8 +66,6 @@ func runP7(seed uint64, scale string) error {
 	}
 
 	fmt.Printf("%-26s %12s\n", "metric", "value")
-	fmt.Printf("%-26s %12d\n", "analysts", s.Users)
-	fmt.Printf("%-26s %12d\n", "virtual actions", s.VirtualActions)
 	fmt.Printf("%-26s %12d\n", "live creates", s.LiveCreates)
 	fmt.Printf("%-26s %12d\n", "sessions lost", s.SessionsLost)
 	fmt.Printf("%-26s %12d\n", "drain moved", s.DrainMoved)

@@ -28,10 +28,10 @@
 // batch returns the full state snapshot instead. The ETag header
 // always reflects the state after the applied prefix and equals
 // `"<sid>.<mutations>"`. The bundled page posts these batches.
-// Sessions have one address, /api/v1/sessions/{sid}; the only ?sid=
-// endpoints are the two SVGs the page embeds as images
-// (/api/groupviz.svg, /api/focus.svg). The ops reads /api/sessions and
-// /api/datasets take no session.
+// Sessions have one address, /api/v1/sessions/{sid}, and everything
+// about a session lives under it — the two SVGs the page embeds as
+// images included ({sid}/groupviz.svg, {sid}/focus.svg). The ops reads
+// /api/sessions and /api/datasets take no session.
 //
 // # Deployment shapes
 //

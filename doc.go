@@ -380,14 +380,15 @@
 // # Load and chaos harness
 //
 // internal/loadsim turns the whole stack into one deterministic
-// experiment: a synthetic population of analysts (Zipf rank-frequency
-// arrival rates, an explore/backtrack/focus+brush behavior mix drawn
-// from per-user rng.Derive streams) drives a multi-shard in-process
-// cluster — real gateway, real cluster.LocalShard workers, real v1
-// action batches and SSE subscriptions — while a scripted fault
-// schedule (kill a shard mid-trail, partition until the detector
-// fires, bounce the gateway against its durable route table, drain,
-// force an engine eviction) runs against it. The cluster lives entirely on an injected virtual
+// experiment: a few dozen analysts (Zipf rank-frequency arrival rates,
+// an explore/backtrack/focus+brush behavior mix drawn from per-user
+// rng.Derive streams), each holding a real session, drive a
+// multi-shard in-process cluster — real gateway, real
+// cluster.LocalShard workers, real v1 action batches and SSE
+// subscriptions — while a scripted fault schedule (kill a shard
+// mid-trail, partition until the detector fires, bounce the gateway
+// against its durable route table, drain, force an engine eviction)
+// runs against it. The cluster lives entirely on an injected virtual
 // clock with manual membership sweeps, session ids are harness-minted,
 // and every Summary accumulator folds in fixed sequential order, so
 // one Config produces a bit-identical Summary at any worker count —
@@ -396,8 +397,8 @@
 //
 // The harness is an invariant gate, not a latency benchmark: it
 // reports no latency, and serving speed is wallbench's job. The Summary
-// records action volume, availability and session loss under chaos,
-// migration-under-churn and replay cost, eviction counts scraped from
+// records session creates, availability and session loss under chaos,
+// migration-under-churn and replay cost, eviction counts read from
 // each shard's registry, SSE delivery and close reasons — and a set of
 // fail-closed invariants that must all hold: no session answered by
 // the wrong owner, no ETag (`"<sid>.<mutations>"`) discontinuity for

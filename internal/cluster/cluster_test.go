@@ -391,8 +391,35 @@ func TestGatewayDeleteAndUnknownSession(t *testing.T) {
 	}
 }
 
+// TestGatewaySessionSVGs: both SVG renderings live under the session
+// address and reach the owning shard of a 2-shard cluster; an unknown
+// session reads 404.
+func TestGatewaySessionSVGs(t *testing.T) {
+	_, ts := testCluster(t, 2)
+	st, _ := createV1(t, ts.URL)
+	applyOne(t, ts.URL, st.Session, action.Action{Op: action.Focus, Group: st.Shown[0].ID})
+	get := func(path string) (int, string, string) {
+		res, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		body, _ := io.ReadAll(res.Body)
+		return res.StatusCode, res.Header.Get("Content-Type"), string(body)
+	}
+	for _, name := range []string{"groupviz.svg", "focus.svg"} {
+		status, ctype, body := get("/api/v1/sessions/" + st.Session + "/" + name)
+		if status != http.StatusOK || ctype != "image/svg+xml" || !strings.HasPrefix(body, "<svg") {
+			t.Errorf("%s: status %d, content type %q, body %.40q", name, status, ctype, body)
+		}
+	}
+	if status, _, _ := get("/api/v1/sessions/deadbeef/groupviz.svg"); status != http.StatusNotFound {
+		t.Errorf("unknown session svg: status %d, want 404", status)
+	}
+}
+
 // TestGatewayRemovedLegacyAddresses: the gateway no longer mirrors the
-// legacy lifecycle and read addresses; for a live session each answers
+// legacy lifecycle and read addresses (the SVGs' ?sid= form included); for a live session each answers
 // 404 or 405, never a proxied 200.
 func TestGatewayRemovedLegacyAddresses(t *testing.T) {
 	_, ts := testCluster(t, 2)
@@ -400,6 +427,8 @@ func TestGatewayRemovedLegacyAddresses(t *testing.T) {
 	for _, c := range []struct{ method, path string }{
 		{http.MethodGet, "/api/state?sid=" + st.Session},
 		{http.MethodGet, "/api/v1/state?sid=" + st.Session},
+		{http.MethodGet, "/api/groupviz.svg?sid=" + st.Session},
+		{http.MethodGet, "/api/focus.svg?sid=" + st.Session},
 		{http.MethodPost, "/api/session"},
 		{http.MethodDelete, "/api/session?sid=" + st.Session},
 	} {

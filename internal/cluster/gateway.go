@@ -306,16 +306,16 @@ func (g *Gateway) Routes() http.Handler {
 	// Session lifecycle: creation picks the shard by hashing a
 	// gateway-minted sid; deletion follows the sid and drops the route.
 	handle("POST /api/v1/sessions", g.handleCreate)
-	handle("DELETE /api/v1/sessions/{sid}", g.bySID(pathSID))
+	handle("DELETE /api/v1/sessions/{sid}", g.bySID)
 
 	// Session-scoped traffic: proxied to the owner, verbatim. The SSE
 	// diff stream has its own pass-through: it must not pin the
 	// session's migration latch for the stream's lifetime.
-	handle("GET /api/v1/sessions/{sid}/state", g.bySID(pathSID))
+	handle("GET /api/v1/sessions/{sid}/state", g.bySID)
 	handle("GET /api/v1/sessions/{sid}/events", g.handleEvents)
-	handle("POST /api/v1/sessions/{sid}/actions", g.bySID(pathSID))
-	handle("GET /api/groupviz.svg", g.bySID(querySID))
-	handle("GET /api/focus.svg", g.bySID(querySID))
+	handle("POST /api/v1/sessions/{sid}/actions", g.bySID)
+	handle("GET /api/v1/sessions/{sid}/groupviz.svg", g.bySID)
+	handle("GET /api/v1/sessions/{sid}/focus.svg", g.bySID)
 
 	// Live datasets: ingestion fans out to every shard under one
 	// gateway-assigned seq (ingest.go).
@@ -346,34 +346,24 @@ func (g *Gateway) Routes() http.Handler {
 	return mux
 }
 
-// pathSID / querySID extract the session id from the v1 path and from
-// the SVG endpoints' query.
-func pathSID(r *http.Request) string  { return r.PathValue("sid") }
-func querySID(r *http.Request) string { return r.FormValue("sid") }
-
-// bySID wraps a handler that proxies the request to the shard owning
-// the extracted session id.
-func (g *Gateway) bySID(sid func(*http.Request) string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := sid(r)
-		if id == "" {
-			http.Error(w, "missing session id (create one with POST /api/v1/sessions)", http.StatusBadRequest)
-			return
-		}
-		sh, release := g.acquire(id)
-		defer release()
-		if sh == nil {
-			http.Error(w, "no shard available", http.StatusBadGateway)
-			return
-		}
-		status := g.proxy(w, r, sh, r.URL.RequestURI())
-		// A 404 means the shard no longer holds the session (TTL
-		// expiry, LRU eviction, delete): drop any stale route eagerly.
-		// 204 is the delete path's success. Routes of expired sessions
-		// nobody asks about again are reclaimed by the sweeper.
-		if status == http.StatusNotFound || status == http.StatusNoContent {
-			g.dropRoute(id)
-		}
+// bySID proxies a /api/v1/sessions/{sid}/... request to the shard
+// owning the session. {sid} is never empty: ServeMux redirects a path
+// with an empty segment to its cleaned form.
+func (g *Gateway) bySID(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("sid")
+	sh, release := g.acquire(id)
+	defer release()
+	if sh == nil {
+		http.Error(w, "no shard available", http.StatusBadGateway)
+		return
+	}
+	status := g.proxy(w, r, sh, r.URL.RequestURI())
+	// A 404 means the shard no longer holds the session (TTL
+	// expiry, LRU eviction, delete): drop any stale route eagerly.
+	// 204 is the delete path's success. Routes of expired sessions
+	// nobody asks about again are reclaimed by the sweeper.
+	if status == http.StatusNotFound || status == http.StatusNoContent {
+		g.dropRoute(id)
 	}
 }
 
@@ -488,10 +478,6 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 // resume.
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
-	if sid == "" {
-		http.Error(w, "missing session id (create one with POST /api/v1/sessions)", http.StatusBadRequest)
-		return
-	}
 	sh, release := g.acquire(sid)
 	if sh == nil {
 		release()

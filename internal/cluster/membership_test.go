@@ -473,6 +473,11 @@ func TestGatewayClusterAuth(t *testing.T) {
 	if res.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("unauthenticated heartbeat: status %d, want 401", res.StatusCode)
 	}
+	// The rejection is visible on the gateway's own request counter.
+	rejected := `vexus_gateway_requests_total{route="POST /internal/cluster/heartbeat",status="401"}`
+	if got := gw.met.reg.Snapshot()[rejected]; got != 1 {
+		t.Fatalf("%s = %v, want 1", rejected, got)
+	}
 	// ...and accepts with it.
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/internal/cluster/heartbeat", bytes.NewReader(body))
 	req.Header.Set(membership.SecretHeader, secret)

@@ -205,9 +205,8 @@ func (h *harness) partitionShard(name string, cut bool) error {
 }
 
 // drainShard migrates every session off a shard through the gateway
-// and removes it from the ring. Live analysts keep their sid and state
-// (migration replays the trail); virtual analysts re-home by
-// rendezvous hash, paying the modeled replay cost.
+// and removes it from the ring. Analysts keep their sid and state
+// (migration replays the trail).
 func (h *harness) drainShard(name string) error {
 	n := h.nodes[name]
 	if n == nil || n.killed || n.partitioned || n.drained {
@@ -236,16 +235,12 @@ func (h *harness) drainShard(name string) error {
 			continue
 		}
 		u.owner = cluster.Owner(h.ringLst, u.sid)
-		if u.live {
-			h.drainMovedLive++
-			// Migration closes the old stream ("migrated"); reattach on
-			// the new owner so delivery continues from the current state.
-			if u.sse != nil {
-				u.sse.stop()
-				h.subscribe(u)
-			}
-		} else {
-			h.virtualRehomed++
+		h.drainMovedLive++
+		// Migration closes the old stream ("migrated"); reattach on the
+		// new owner so delivery continues from the current state.
+		if u.sse != nil {
+			u.sse.stop()
+			h.subscribe(u)
 		}
 	}
 	return nil

@@ -21,7 +21,7 @@ import (
 
 // shardNode is one shard worker as the harness drives it: the server,
 // the chaos switch in front of its handler, its private telemetry
-// registry (scraped for the Summary's server-side counters), and the
+// registry (read for the Summary's server-side counters), and the
 // fault state the chaos schedule has put it in.
 type shardNode struct {
 	name  string
@@ -162,7 +162,7 @@ func (st *sseStream) stop() {
 	}
 }
 
-// subscribe attaches a real SSE subscription for a live user. The
+// subscribe attaches a real SSE subscription for a user. The
 // stream transport returns only after the shard has registered the
 // subscriber and committed headers, so from the next action on, every
 // diff is queued for this stream — which, with drop-proof queue
@@ -240,7 +240,7 @@ func (st *sseStream) read(body io.ReadCloser) {
 // are ready.
 func (h *harness) quiesceStreams() {
 	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; i < h.cfg.Live; i++ {
+	for i := range h.users {
 		u := &h.users[i]
 		if u.sse == nil || !u.alive {
 			continue
@@ -253,29 +253,6 @@ func (h *harness) quiesceStreams() {
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
-}
-
-// shardCounter scrapes one plain counter from a shard's private
-// telemetry registry (works even for killed shards — the registry
-// handler bypasses the chaos switch).
-func (h *harness) shardCounter(n *shardNode, metric string) uint64 {
-	rec := httptest.NewRecorder()
-	n.telem.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "http://metrics/metrics", nil))
-	sc := bufio.NewScanner(rec.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, metric) {
-			continue
-		}
-		rest := strings.TrimSpace(line[len(metric):])
-		if rest == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if v, err := strconv.ParseFloat(rest, 64); err == nil {
-			return uint64(v)
-		}
-	}
-	return 0
 }
 
 // restartGateway tears the gateway down and rebuilds it against the
@@ -304,29 +281,19 @@ func (h *harness) restartGateway() error {
 		if !u.alive || u.paused {
 			continue
 		}
-		if u.live {
-			res := h.gwc.do(http.MethodGet, "/api/v1/sessions/"+u.sid+"/state", nil, "")
-			sidHdr, m := parseETag(res.Header.Get("ETag"))
-			io.Copy(io.Discard, res.Body)
-			res.Body.Close()
-			switch {
-			case res.StatusCode == http.StatusOK && sidHdr == u.sid:
-				if m != u.mut {
-					h.etagBreaks++
-				}
-			case res.StatusCode == http.StatusNotFound:
-				h.restartLost++
-				h.loseUser(u, causeFailure)
-			default:
-				h.otherErrors++
+		res := h.gwc.do(http.MethodGet, "/api/v1/sessions/"+u.sid+"/state", nil, "")
+		sidHdr, m := parseETag(res.Header.Get("ETag"))
+		drainBody(res)
+		switch {
+		case res.StatusCode == http.StatusOK && sidHdr == u.sid:
+			if m != u.mut {
+				h.etagBreaks++
 			}
-			continue
-		}
-		if owner := cluster.Owner(h.ringLst, u.sid); owner != u.owner {
-			// The rebuilt gateway would re-home this sid by hash; the
-			// session lives elsewhere, so its next request reads 404.
+		case res.StatusCode == http.StatusNotFound:
 			h.restartLost++
 			h.loseUser(u, causeFailure)
+		default:
+			h.otherErrors++
 		}
 	}
 	return nil

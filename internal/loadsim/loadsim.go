@@ -1,22 +1,17 @@
 // Package loadsim is the cluster-scale workload and fault-injection
-// harness: a deterministic synthetic population of analysts driving a
-// multi-shard in-process cluster (gateway + cluster.LocalShard
-// workers) through the v1 action API and the SSE diff stream under a
-// scripted chaos schedule, counting every fail-closed violation. It
-// measures no latency: serving speed is wallbench's job.
+// harness: a deterministic set of analysts driving a multi-shard
+// in-process cluster (gateway + cluster.LocalShard workers) through
+// the v1 action API and the SSE diff stream under a scripted chaos
+// schedule, counting every fail-closed violation. It measures no
+// latency: serving speed is wallbench's job.
 //
-// The population is two-layered. Every simulated analyst lives in the
-// virtual layer: a per-user rng.Derive stream decides, tick by tick,
-// whether the analyst acts and which operation they pick
-// (explore/backtrack/focus+brush), and each act lands on the owning
-// shard when it is routable and alive, is counted unavailable when it
-// is routable but unreachable, and loses the session when routing has
-// moved on. The first Config.Live analysts are
-// additionally *live*: they create real sessions through the gateway,
-// POST real action batches (?full=1), and a deterministic subset holds
-// real SSE subscriptions — so routing, migration, ETag continuity and
-// stream teardown are exercised against the real stack while the
-// population provides cluster-scale load shape.
+// Every analyst is real. A per-user rng.Derive stream decides, tick by
+// tick, whether the analyst acts (a Zipf rank-frequency arrival rate)
+// and which operation they pick (explore/backtrack/focus+brush); the
+// analyst creates a real session through the gateway, POSTs real
+// action batches (?full=1), and a deterministic subset holds real SSE
+// subscriptions — so routing, migration, ETag continuity and stream
+// teardown are exercised against the real stack.
 //
 // Determinism contract: with the same Config (Workers excluded), the
 // Summary is bit-identical at any worker count. Everything the Summary
@@ -52,11 +47,11 @@ import (
 // streams — disjoint from the internal/simulate families (1..3 << 40).
 const loadsimUserStream uint64 = 9 << 40
 
-// Fixed population and detector shape. Arrival rates follow a Zipf
+// Fixed workload and detector shape. Arrival rates follow a Zipf
 // rank-frequency curve (exponent zipfS) clamped to [minRate, peakRate]
 // act probability per tick; failure detection marks a silent shard
 // suspect after suspectTicks and down after downTicks virtual seconds;
-// every sseEvery-th live analyst holds a diff-stream subscription.
+// every sseEvery-th analyst holds a diff-stream subscription.
 const (
 	zipfS        = 1.1
 	peakRate     = 0.9
@@ -69,11 +64,9 @@ const (
 // Config parameterizes one load/chaos run. The zero value is not
 // runnable; Run applies the documented defaults to zero fields.
 type Config struct {
-	// Users is the population size (default 10_000). User index 0 is
-	// the hottest analyst (Zipf-style rank-frequency arrival rates).
-	Users int
-	// Live is how many of the first Users indices drive real sessions
-	// through the gateway (default 64, capped at Users).
+	// Live is how many analysts drive real sessions through the
+	// gateway (default 64). User index 0 is the hottest analyst
+	// (Zipf-style rank-frequency arrival rates).
 	Live int
 	// Shards is the cluster size (default 3); shards are named
 	// "s0".."s<n-1>".
@@ -81,7 +74,7 @@ type Config struct {
 	// Ticks is the virtual duration (default 120; one tick = 1s).
 	Ticks int
 	// Workers is the parallel.ForEach worker count for the per-tick
-	// population phase (0 = NumCPU). Not part of the Summary: results
+	// analyst phase (0 = NumCPU). Not part of the Summary: results
 	// are bit-identical at any worker count.
 	Workers int
 	// Seed is the master seed; per-user streams derive from it.
@@ -101,14 +94,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Users <= 0 {
-		c.Users = 10_000
-	}
 	if c.Live <= 0 {
 		c.Live = 64
-	}
-	if c.Live > c.Users {
-		c.Live = c.Users
 	}
 	if c.Shards <= 0 {
 		c.Shards = 3
@@ -211,12 +198,8 @@ type harness struct {
 	deadSids []string
 
 	// Accumulators (phase B + chaos + audit; sequential order only).
-	virtualActions  uint64
-	actionsByOp     map[string]uint64
-	virtualCreates  int
 	liveCreates     int
 	createRetries   int
-	unavailable     int
 	unavailableLive int
 	lost            int
 	lostByCause     map[string]int
@@ -236,7 +219,6 @@ type harness struct {
 
 	drainMovedReal   int
 	drainMovedLive   int
-	virtualRehomed   int
 	replayedMut      uint64
 	sseStarted       int
 	sseFailed        int
@@ -258,7 +240,6 @@ func newHarness(cfg Config, schedule []ChaosOp) (*harness, error) {
 		nodes:                 make(map[string]*shardNode, cfg.Shards),
 		gwc:                   &gwClient{},
 		ring:                  make(map[string]bool),
-		actionsByOp:           map[string]uint64{"explore": 0, "backtrack": 0, "focusBrush": 0},
 		lostByCause:           map[string]int{causeFailure: 0, causeEviction: 0},
 		restartEpochPreserved: true,
 	}
@@ -298,8 +279,8 @@ func newHarness(cfg Config, schedule []ChaosOp) (*harness, error) {
 // initPopulation derives every analyst's rng stream and arrival rate.
 func (h *harness) initPopulation() {
 	cfg := h.cfg
-	h.users = make([]user, cfg.Users)
-	h.slots = make([]turn, cfg.Users)
+	h.users = make([]user, cfg.Live)
+	h.slots = make([]turn, cfg.Live)
 	for i := range h.users {
 		u := &h.users[i]
 		u.idx = i
@@ -309,7 +290,6 @@ func (h *harness) initPopulation() {
 			rate = minRate
 		}
 		u.rate = rate
-		u.live = i < cfg.Live
 		u.pendingCreate = true
 	}
 }
@@ -455,10 +435,11 @@ func (h *harness) teardown() {
 }
 
 // phaseA draws every analyst's tick in parallel: one due draw per user
-// per tick, operand draws and the real HTTP exchange for due live
-// users. Workers write only their own slot (h.slots[i]) and their own
-// user's rng; all shared state (gateway, shards) is internally locked
-// and order-independent. No Summary accumulator moves here.
+// per tick, then the op and operand draws and the real HTTP exchange
+// for due users with a session. Workers write only their own slot
+// (h.slots[i]) and their own user's rng; all shared state (gateway,
+// shards) is internally locked and order-independent. No Summary
+// accumulator moves here.
 func (h *harness) phaseA() {
 	parallel.ForEach(len(h.users), h.cfg.Workers, func(_, i int) {
 		u := &h.users[i]
@@ -467,9 +448,8 @@ func (h *harness) phaseA() {
 		if u.r.Float64() >= u.rate {
 			return
 		}
-		tn.due = true
 		tn.op = u.r.WeightedChoice(opWeights)
-		if !u.live || !u.alive || u.paused {
+		if !u.alive || u.paused {
 			return
 		}
 		h.liveAction(u, tn)
@@ -477,32 +457,13 @@ func (h *harness) phaseA() {
 }
 
 // phaseB folds the tick's slots into harness state sequentially in
-// user-index order: virtual action and availability counts, live-result
-// bookkeeping (ETag continuity, misroute and loss detection), then
-// session (re)creation.
+// user-index order: exchange bookkeeping (ETag continuity, misroute
+// and loss detection), then session (re)creation.
 func (h *harness) phaseB() {
 	for i := range h.users {
 		u := &h.users[i]
-		tn := &h.slots[i]
-		if tn.due && u.alive && !u.paused {
-			owner := u.owner
-			switch {
-			case h.ring[owner] && h.shardAlive(owner):
-				h.virtualActions++
-				h.actionsByOp[opNames[tn.op]]++
-				if !u.live {
-					u.mut += uint64(opCosts[tn.op])
-				}
-			case h.ring[owner]:
-				h.unavailable++ // routable but unreachable: the 502/503 window
-			default:
-				if !u.live {
-					h.loseUser(u, causeFailure) // re-homed by hash, session gone
-				}
-			}
-		}
-		if tn.did {
-			h.applyLiveResult(u, tn)
+		if h.slots[i].did {
+			h.applyLiveResult(u, &h.slots[i])
 		}
 		if u.pendingCreate && !u.paused && len(h.ringLst) > 0 {
 			h.createUser(u)
@@ -511,10 +472,10 @@ func (h *harness) phaseB() {
 }
 
 // loseUser marks a session lost fail-closed: the analyst will recreate
-// from scratch next tick. Live sids are remembered so the final audit
+// from scratch next tick. Lost sids are remembered so the final audit
 // can prove they stay dead.
 func (h *harness) loseUser(u *user, cause string) {
-	if u.live && u.sid != "" {
+	if u.sid != "" {
 		h.deadSids = append(h.deadSids, u.sid)
 	}
 	u.alive = false

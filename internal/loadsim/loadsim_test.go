@@ -51,7 +51,6 @@ func TestDefaultSchedule(t *testing.T) {
 
 func smallConfig(workers int) Config {
 	return Config{
-		Users:    400,
 		Live:     24,
 		Shards:   3,
 		Ticks:    40,
@@ -152,12 +151,11 @@ func TestFailClosedNamesEachViolation(t *testing.T) {
 	}
 }
 
-// TestChaosKillFailClosed is the CI smoke shape: a 2-shard cluster, a
-// thousand analysts, one shard killed mid-trail. Survivors keep exact
+// TestChaosKillFailClosed is the CI smoke shape: a 2-shard cluster, 32
+// analysts, one shard killed mid-trail. Survivors keep exact
 // ETag continuity; sessions on the dead shard fail closed.
 func TestChaosKillFailClosed(t *testing.T) {
 	s, err := Run(Config{
-		Users:    1000,
 		Live:     32,
 		Shards:   2,
 		Ticks:    30,
@@ -176,7 +174,7 @@ func TestChaosKillFailClosed(t *testing.T) {
 	if s.LostByCause[causeFailure] == 0 {
 		t.Errorf("losses should be attributed to failure, got %v", s.LostByCause)
 	}
-	if s.Unavailable == 0 && s.UnavailableLive == 0 {
+	if s.UnavailableLive == 0 {
 		t.Errorf("expected an unavailability window before the detector fires")
 	}
 	if s.AuditedOK == 0 {
@@ -188,7 +186,6 @@ func TestChaosKillFailClosed(t *testing.T) {
 // or closed server-side.
 func TestFaultFreeRun(t *testing.T) {
 	s, err := Run(Config{
-		Users:    300,
 		Live:     16,
 		Shards:   2,
 		Ticks:    25,
@@ -203,8 +200,8 @@ func TestFaultFreeRun(t *testing.T) {
 	if s.SessionsLost != 0 {
 		t.Errorf("fault-free run lost %d sessions (%v)", s.SessionsLost, s.LostByCause)
 	}
-	if s.Unavailable != 0 || s.UnavailableLive != 0 {
-		t.Errorf("fault-free run saw unavailability: %d/%d", s.Unavailable, s.UnavailableLive)
+	if s.UnavailableLive != 0 {
+		t.Errorf("fault-free run saw unavailability: %d", s.UnavailableLive)
 	}
 	if s.EngineEvictions != 0 {
 		t.Errorf("fault-free run evicted engines: %d", s.EngineEvictions)

@@ -13,14 +13,12 @@ import (
 	"vexus/internal/rng"
 )
 
-// user is one simulated analyst: their derived rng stream, Zipf-rank
-// arrival rate, and session state. Live users (the first Config.Live
-// indices) carry real sessions; the rest are modeled.
+// user is one analyst: their derived rng stream, Zipf-rank arrival
+// rate, and real session state.
 type user struct {
 	idx  int
 	r    *rng.RNG
 	rate float64
-	live bool
 
 	alive         bool
 	pendingCreate bool
@@ -30,7 +28,7 @@ type user struct {
 	gen           int
 	mut           uint64
 
-	// Live-only view state, parsed from ?full=1 responses.
+	// View state, parsed from ?full=1 responses.
 	shown   []int
 	histLen int
 	sse     *sseStream
@@ -39,10 +37,9 @@ type user struct {
 // turn is one user's slot for the current tick, written exclusively by
 // that user's phase-A worker and consumed by sequential phase B.
 type turn struct {
-	due bool
-	op  int
+	op int
 
-	// Live HTTP exchange result.
+	// HTTP exchange result.
 	did         bool
 	status      int
 	batchLen    int
@@ -62,11 +59,7 @@ const (
 	opFocusBrush
 )
 
-var (
-	opWeights = []float64{0.55, 0.15, 0.30}
-	opNames   = []string{"explore", "backtrack", "focusBrush"}
-	opCosts   = []int{1, 1, 2} // mutations per batch, for modeled replay cost
-)
+var opWeights = []float64{0.55, 0.15, 0.30}
 
 // liveState is the slice of the serve stateDTO the driver reads.
 type liveState struct {
@@ -79,7 +72,7 @@ type liveState struct {
 	} `json:"history"`
 }
 
-// liveAction builds and POSTs one action batch for a due live user,
+// liveAction builds and POSTs one action batch for a due user,
 // recording the exchange in the turn slot. Runs on a phase-A worker:
 // it mutates only u.r (operand draws) and the slot.
 func (h *harness) liveAction(u *user, tn *turn) {
@@ -148,7 +141,7 @@ func parseETag(etag string) (string, uint64) {
 	return etag[:dot], m
 }
 
-// applyLiveResult folds a live exchange into the user's state and the
+// applyLiveResult folds an exchange into the user's state and the
 // fail-closed counters. Sequential (phase B).
 func (h *harness) applyLiveResult(u *user, tn *turn) {
 	switch {
@@ -181,27 +174,12 @@ func (h *harness) applyLiveResult(u *user, tn *turn) {
 	}
 }
 
-// createUser opens a session for an analyst without one. Live users go
-// through the real gateway create (harness-minted sid, so rendezvous
-// placement is reproducible); virtual users mirror exactly what that
-// create would do — including failing when the rendezvous owner is
-// unreachable. Sequential (phase B and chaos ops only), which is what
-// makes the single mintNext slot safe.
+// createUser opens a session for an analyst without one through the
+// real gateway create (harness-minted sid, so rendezvous placement is
+// reproducible). Sequential (phase B and chaos ops only), which is
+// what makes the single mintNext slot safe.
 func (h *harness) createUser(u *user) {
 	u.gen++
-	if !u.live {
-		sid := fmt.Sprintf("v%07d.g%d", u.idx, u.gen)
-		owner := cluster.Owner(h.ringLst, sid)
-		if !h.shardAlive(owner) {
-			h.createRetries++
-			return
-		}
-		u.sid, u.owner = sid, owner
-		u.alive, u.pendingCreate = true, false
-		u.mut = 1 // the initial display is mutation #1
-		h.virtualCreates++
-		return
-	}
 	sid := fmt.Sprintf("u%06d.g%d", u.idx, u.gen)
 	h.mintNext = sid
 	res := h.gwc.do(http.MethodPost, "/api/v1/sessions", nil, "")
@@ -229,13 +207,13 @@ func (h *harness) createUser(u *user) {
 	}
 }
 
-// finalAudit closes the run with the fail-closed sweep: every live
+// finalAudit closes the run with the fail-closed sweep: every
 // analyst's surviving session must be exactly where the harness thinks
 // it is (200 under the exact ETag), and every sid ever lost must stay
 // dead — a 200 there would be a fail-open ghost.
 func (h *harness) finalAudit() {
 	h.quiesceStreams()
-	for i := 0; i < h.cfg.Live; i++ {
+	for i := range h.users {
 		u := &h.users[i]
 		if !u.alive || u.paused || u.sid == "" {
 			continue

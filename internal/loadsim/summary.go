@@ -11,7 +11,6 @@ import (
 // wall-clock quantity appears.
 type Summary struct {
 	// Echoed configuration (Workers deliberately absent).
-	Users  int    `json:"users"`
 	Live   int    `json:"live"`
 	Shards int    `json:"shards"`
 	Ticks  int    `json:"ticks"`
@@ -19,14 +18,10 @@ type Summary struct {
 	Chaos  string `json:"chaos"`
 
 	// Workload volume.
-	VirtualActions uint64            `json:"virtual_actions"`
-	ActionsByOp    map[string]uint64 `json:"actions_by_op"`
-	VirtualCreates int               `json:"virtual_creates"`
-	LiveCreates    int               `json:"live_creates"`
-	CreateRetries  int               `json:"create_retries"`
+	LiveCreates   int `json:"live_creates"`
+	CreateRetries int `json:"create_retries"`
 
 	// Availability and loss under chaos.
-	Unavailable     int            `json:"unavailable"`
 	UnavailableLive int            `json:"unavailable_live"`
 	SessionsLost    int            `json:"sessions_lost"`
 	LostByCause     map[string]int `json:"lost_by_cause"`
@@ -48,10 +43,11 @@ type Summary struct {
 	RestartLost    int      `json:"restart_lost"`
 	DrainMoved     int      `json:"drain_moved"`
 	DrainMovedLive int      `json:"drain_moved_live"`
-	VirtualRehomed int      `json:"virtual_rehomed"`
 	ReplayedMut    uint64   `json:"replayed_mutations"`
 
-	// Server-side counters (telemetry scrape, sorted-shard order).
+	// Server-side counters (each shard's telemetry registry, sorted-shard
+	// order; killed shards included, since the registry sits behind no
+	// chaos switch).
 	EngineEvictions uint64 `json:"engine_evictions"`
 	SessionsEvicted uint64 `json:"sessions_evicted"`
 
@@ -70,20 +66,15 @@ type Summary struct {
 // reproducible.
 func (h *harness) summary() *Summary {
 	s := &Summary{
-		Users:  h.cfg.Users,
 		Live:   h.cfg.Live,
 		Shards: h.cfg.Shards,
 		Ticks:  h.cfg.Ticks,
 		Seed:   h.cfg.Seed,
 		Chaos:  h.cfg.Chaos,
 
-		VirtualActions: h.virtualActions,
-		ActionsByOp:    h.actionsByOp,
-		VirtualCreates: h.virtualCreates,
-		LiveCreates:    h.liveCreates,
-		CreateRetries:  h.createRetries,
+		LiveCreates:   h.liveCreates,
+		CreateRetries: h.createRetries,
 
-		Unavailable:     h.unavailable,
 		UnavailableLive: h.unavailableLive,
 		SessionsLost:    h.lost,
 		LostByCause:     h.lostByCause,
@@ -103,7 +94,6 @@ func (h *harness) summary() *Summary {
 		RestartLost:    h.restartLost,
 		DrainMoved:     h.drainMovedReal,
 		DrainMovedLive: h.drainMovedLive,
-		VirtualRehomed: h.virtualRehomed,
 		ReplayedMut:    h.replayedMut,
 
 		SSEStarted:    h.sseStarted,
@@ -115,9 +105,9 @@ func (h *harness) summary() *Summary {
 	}
 
 	for _, name := range h.names {
-		n := h.nodes[name]
-		s.EngineEvictions += h.shardCounter(n, "vexus_engine_evictions_total")
-		s.SessionsEvicted += h.shardCounter(n, "vexus_sessions_evicted_total")
+		snap := h.nodes[name].telem.Snapshot()
+		s.EngineEvictions += uint64(snap["vexus_engine_evictions_total"])
+		s.SessionsEvicted += uint64(snap["vexus_sessions_evicted_total"])
 	}
 
 	for _, st := range h.streams {

@@ -266,33 +266,19 @@ func (c *Catalog) acquire(name string) (*catalogEntry, *registry, error) {
 // (rare) race the orphan is dropped and the acquire retried against
 // the rebuilt engine. Eviction after the re-check is indistinguishable
 // from eviction a moment later, which is already documented behavior.
-func (c *Catalog) createSession(name string) (*clientSession, error) {
-	return c.createSessionID(name, "")
-}
-
-// createSessionID is createSession with a caller-chosen session id
-// ("" = mint one): the cluster create and import paths, where the
-// gateway owns id assignment.
-func (c *Catalog) createSessionID(name, sid string) (*clientSession, error) {
-	return c.createSessionIDAt(name, sid, 0)
-}
-
-// createSessionIDAt additionally pins the session to a specific engine
-// version (0 = current) — the migration import path, where the
-// replayed session must land on the exact generation it was exploring
-// on its source shard, not whatever this shard has ingested up to.
-func (c *Catalog) createSessionIDAt(name, sid string, version uint64) (*clientSession, error) {
+//
+// sid "" mints a session id; the cluster create and import paths pass
+// the gateway's. version pins the session to an engine generation
+// (0 = current) — the migration import path, where the replayed
+// session must land on the exact generation it was exploring on its
+// source shard, not whatever this shard has ingested up to.
+func (c *Catalog) createSession(name, sid string, version uint64) (*clientSession, error) {
 	for {
 		e, reg, err := c.acquire(name)
 		if err != nil {
 			return nil, err
 		}
-		var cs *clientSession
-		if sid == "" {
-			cs, err = reg.create()
-		} else {
-			cs, err = reg.createWithIDAt(sid, version)
-		}
+		cs, err := reg.create(sid, version)
 		if err != nil {
 			return nil, err
 		}

@@ -176,28 +176,24 @@ func (r *registry) sessions() []*clientSession {
 // of letting a creation burst evict live explorers. The capacity check
 // runs before session construction, so a rejected burst costs a map
 // lookup, not an engine walk.
-func (r *registry) create() (*clientSession, error) {
-	return r.createWithID(newSessionID())
-}
-
-// createWithID is create with a caller-chosen session id — the cluster
+//
+// id "" mints a fresh session id. A caller-chosen id is the cluster
 // path, where the gateway picks the id so that rendezvous hashing of
 // the id routes every later request to this shard (and migration can
 // re-create the session under the same id on a new owner). A live
-// duplicate fails with errDuplicateSession; ids never recycle through
-// this path because the gateway draws them from the same 128-bit
-// space as newSessionID.
-func (r *registry) createWithID(id string) (*clientSession, error) {
-	return r.createWithIDAt(id, 0)
-}
-
-// createWithIDAt is createWithID pinned to a specific engine version —
-// the migration import path, where the replayed session must keep
-// exploring the generation it started on, whatever this shard has
-// ingested since. Version 0 (and the current version) selects the
-// current engine; any other version resolves through the retained
-// history and fails with errVersionGone when it is no longer there.
-func (r *registry) createWithIDAt(id string, version uint64) (*clientSession, error) {
+// duplicate fails with errDuplicateSession; ids never recycle because
+// the gateway draws them from the same 128-bit space as newSessionID.
+//
+// version pins the session to an engine generation — the migration
+// import path, where the replayed session must keep exploring the
+// generation it started on, whatever this shard has ingested since.
+// Version 0 (and the current version) selects the current engine; any
+// other version resolves through the retained history and fails with
+// errVersionGone when it is no longer there.
+func (r *registry) create(id string, version uint64) (*clientSession, error) {
+	if id == "" {
+		id = newSessionID()
+	}
 	cs := &clientSession{
 		id:      id,
 		dataset: r.dataset,

@@ -128,6 +128,8 @@ func (s *Server) Routes() http.Handler {
 	handle("GET /api/v1/sessions/{sid}/state", s.handleV1State)
 	handle("GET /api/v1/sessions/{sid}/events", s.handleV1Events)
 	handle("POST /api/v1/sessions/{sid}/actions", s.handleV1Actions)
+	handle("GET /api/v1/sessions/{sid}/groupviz.svg", s.handleGroupVizSVG)
+	handle("GET /api/v1/sessions/{sid}/focus.svg", s.handleFocusSVG)
 	// Live datasets: batched, sequence-numbered ingestion (and its
 	// ?preview=1 lossy-counting dry run).
 	handle("POST /api/v1/datasets/{name}/ingest", s.handleDatasetIngest)
@@ -139,12 +141,9 @@ func (s *Server) Routes() http.Handler {
 	handle("GET /api/v1/readyz", s.handleReadyz)
 	mux.Handle("GET /metrics", s.met.reg.Handler())
 
-	// Ops reads, and the two SVG renderings the bundled page embeds as
-	// <img> sources — which is why they take the session as ?sid=.
+	// Ops reads, which take no session.
 	handle("GET /api/sessions", s.handleSessions)
 	handle("GET /api/datasets", s.handleDatasets)
-	handle("GET /api/groupviz.svg", s.handleGroupVizSVG)
-	handle("GET /api/focus.svg", s.handleFocusSVG)
 
 	if s.shardAPI {
 		// Cluster-internal surface (enabled by Config.ShardAPI, i.e.
@@ -170,19 +169,10 @@ func (s *Server) Routes() http.Handler {
 	return mux
 }
 
-// session resolves the ?sid= parameter of the SVG endpoints to a live
-// session (whatever dataset it belongs to).
-func (s *Server) session(w http.ResponseWriter, r *http.Request) (*clientSession, bool) {
-	return s.sessionByID(w, r.FormValue("sid"))
-}
-
-// sessionByID resolves a session id, writing the 4xx itself when it
-// can't: 400 for a missing id, 404 for an unknown or expired one.
+// sessionByID resolves the {sid} of a session path, writing the 404
+// itself for an unknown or expired session. The id is never empty:
+// ServeMux redirects a path with an empty segment to its cleaned form.
 func (s *Server) sessionByID(w http.ResponseWriter, sid string) (*clientSession, bool) {
-	if sid == "" {
-		http.Error(w, "missing session id (create one with POST /api/v1/sessions)", http.StatusBadRequest)
-		return nil, false
-	}
 	cs, ok := s.cat.findSession(sid)
 	if !ok {
 		http.Error(w, "unknown or expired session "+sid, http.StatusNotFound)
@@ -341,7 +331,7 @@ func (s *Server) writeCreated(w http.ResponseWriter, cs *clientSession) {
 }
 
 func (s *Server) handleV1SessionCreate(w http.ResponseWriter, r *http.Request) {
-	cs, err := s.cat.createSession(r.FormValue("dataset"))
+	cs, err := s.cat.createSession(r.FormValue("dataset"), "", 0)
 	if err != nil {
 		writeCreateError(w, err)
 		return
@@ -518,7 +508,7 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) (raw []byte, 
 }
 
 func (s *Server) handleGroupVizSVG(w http.ResponseWriter, r *http.Request) {
-	cs, ok := s.session(w, r)
+	cs, ok := s.sessionByID(w, r.PathValue("sid"))
 	if !ok {
 		return
 	}
@@ -565,7 +555,7 @@ func (s *Server) handleGroupVizSVG(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFocusSVG(w http.ResponseWriter, r *http.Request) {
-	cs, ok := s.session(w, r)
+	cs, ok := s.sessionByID(w, r.PathValue("sid"))
 	if !ok {
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -249,16 +250,22 @@ func TestFocusAndSVGEndpoints(t *testing.T) {
 		t.Fatal("focus returned no histograms")
 	}
 
-	svg, err := http.Get(ts.URL + "/api/groupviz.svg?sid=" + sid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svg.Body.Close()
-	if svg.StatusCode != http.StatusOK {
-		t.Fatalf("groupviz.svg: status %d", svg.StatusCode)
-	}
-	if ct := svg.Header.Get("Content-Type"); ct != "image/svg+xml" {
-		t.Fatalf("groupviz.svg content type %q", ct)
+	for _, name := range []string{"groupviz.svg", "focus.svg"} {
+		svg, err := http.Get(ts.URL + "/api/v1/sessions/" + sid + "/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(svg.Body)
+		svg.Body.Close()
+		if svg.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", name, svg.StatusCode)
+		}
+		if ct := svg.Header.Get("Content-Type"); ct != "image/svg+xml" {
+			t.Fatalf("%s content type %q", name, ct)
+		}
+		if !strings.HasPrefix(string(body), "<svg") {
+			t.Fatalf("%s body does not start with <svg: %.40q", name, body)
+		}
 	}
 }
 
@@ -287,9 +294,12 @@ func TestBadSessionAndParams(t *testing.T) {
 		do   func() *http.Response
 		want int
 	}{
-		{"svg missing sid", func() *http.Response {
-			return call(http.MethodGet, "/api/groupviz.svg")
-		}, http.StatusBadRequest},
+		{"svg unknown sid", func() *http.Response {
+			return call(http.MethodGet, "/api/v1/sessions/deadbeef/groupviz.svg")
+		}, http.StatusNotFound},
+		{"focus svg without focus", func() *http.Response {
+			return call(http.MethodGet, "/api/v1/sessions/"+sid+"/focus.svg")
+		}, http.StatusNotFound},
 		{"state unknown sid", func() *http.Response {
 			_, res := getState(t, ts, "deadbeef")
 			return res
@@ -324,6 +334,12 @@ func TestBadSessionAndParams(t *testing.T) {
 		}, http.StatusNotFound},
 		{"removed GET /api/v1/state", func() *http.Response {
 			return call(http.MethodGet, "/api/v1/state?sid="+sid)
+		}, http.StatusNotFound},
+		{"removed GET /api/groupviz.svg", func() *http.Response {
+			return call(http.MethodGet, "/api/groupviz.svg?sid="+sid)
+		}, http.StatusNotFound},
+		{"removed GET /api/focus.svg", func() *http.Response {
+			return call(http.MethodGet, "/api/focus.svg?sid="+sid)
 		}, http.StatusNotFound},
 		{"removed POST /api/session", func() *http.Response {
 			return call(http.MethodPost, "/api/session")
@@ -369,11 +385,11 @@ func TestSessionLRUEviction(t *testing.T) {
 	clock := time.Unix(1_700_000_000, 0)
 	reg.now = func() time.Time { return clock }
 
-	first, err := reg.create()
+	first, err := reg.create("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := reg.create()
+	second, err := reg.create("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +398,7 @@ func TestSessionLRUEviction(t *testing.T) {
 	if _, ok := reg.get(first.id); !ok {
 		t.Fatal("touch first failed")
 	}
-	third, err := reg.create()
+	third, err := reg.create("", 0)
 	if err != nil {
 		t.Fatalf("create at capacity with an idle LRU: %v", err)
 	}
@@ -422,7 +438,7 @@ func TestSessionCreateBurstDoesNotEvictActive(t *testing.T) {
 func TestUnlimitedSessions(t *testing.T) {
 	reg := newRegistry(testEngine(t), fastGreedy(), 0, 0)
 	for i := 0; i < 5; i++ {
-		if _, err := reg.create(); err != nil {
+		if _, err := reg.create("", 0); err != nil {
 			t.Fatalf("create %d with unlimited sessions: %v", i, err)
 		}
 	}
@@ -437,12 +453,12 @@ func TestRegistryTTLSweep(t *testing.T) {
 	clock := time.Unix(1_700_000_000, 0)
 	reg.now = func() time.Time { return clock }
 
-	a, err := reg.create()
+	a, err := reg.create("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock = clock.Add(7 * time.Minute)
-	b, err := reg.create()
+	b, err := reg.create("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func (s *Server) handleShardSessionCreate(w http.ResponseWriter, r *http.Request
 		http.Error(w, "missing sid (the gateway assigns cluster session ids)", http.StatusBadRequest)
 		return
 	}
-	cs, err := s.cat.createSessionID(r.FormValue("dataset"), sid)
+	cs, err := s.cat.createSession(r.FormValue("dataset"), sid, 0)
 	if err != nil {
 		writeCreateError(w, err)
 		return
@@ -149,7 +149,7 @@ func (s *Server) handleShardImport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "export carries no trail", http.StatusBadRequest)
 		return
 	}
-	cs, err := s.cat.createSessionIDAt(doc.Dataset, sid, doc.EngineVersion)
+	cs, err := s.cat.createSession(doc.Dataset, sid, doc.EngineVersion)
 	if err != nil {
 		writeCreateError(w, err)
 		return

@@ -504,7 +504,7 @@ func TestEvictionPinsStreamingSessions(t *testing.T) {
 		defer reg.close()
 		clock := time.Unix(1000, 0)
 		reg.now = func() time.Time { return clock }
-		cs, err := reg.create()
+		cs, err := reg.create("", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -528,18 +528,18 @@ func TestEvictionPinsStreamingSessions(t *testing.T) {
 		defer reg.close()
 		clock := time.Unix(1000, 0)
 		reg.now = func() time.Time { return clock }
-		pinned, err := reg.create()
+		pinned, err := reg.create("", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sub := pinned.hub.subscribe(nil)
 		clock = clock.Add(time.Hour) // far past minEvictIdle
-		if _, err := reg.create(); !errors.Is(err, errServerFull) {
+		if _, err := reg.create("", 0); !errors.Is(err, errServerFull) {
 			t.Fatalf("create with the only session pinned: err %v, want errServerFull", err)
 		}
 		cs2, err := func() (*clientSession, error) {
 			pinned.hub.unsubscribe(sub)
-			return reg.create()
+			return reg.create("", 0)
 		}()
 		if err != nil {
 			t.Fatalf("create after detach: %v", err)
