@@ -177,19 +177,27 @@ func trailClick(shown []int, trail, click int) int { return shown[(trail+click)%
 func recordSteps(b *testing.B, eng *core.Engine) []browseStep {
 	var steps []browseStep
 	for trail := 0; trail < 4; trail++ {
-		sess := eng.NewSession(stepConfig())
-		shown := sess.Start()
+		s := startedSession(b, eng, stepConfig())
 		for click := 0; click < 10; click++ {
-			gid := trailClick(shown, trail, click)
-			sel, err := sess.Explore(gid)
-			if err != nil {
-				b.Fatal(err)
-			}
-			steps = append(steps, browseStep{eng.Space.Group(gid), sess.Feedback().Snapshot()})
-			shown = sel.IDs
+			gid := trailClick(s.Sess.Shown(), trail, click)
+			mustApply(b, s, action.Action{Op: action.Explore, Group: gid})
+			steps = append(steps, browseStep{eng.Space.Group(gid), s.Sess.Feedback()})
 		}
 	}
 	return steps
+}
+
+// startedSession opens a session over eng and applies Start.
+func startedSession(b *testing.B, eng *core.Engine, cfg greedy.Config) *action.Session {
+	s := action.New(eng, cfg)
+	mustApply(b, s, action.Action{Op: action.Start})
+	return s
+}
+
+func mustApply(b *testing.B, s *action.Session, a action.Action) {
+	if err := action.ApplyQuiet(s, a); err != nil {
+		b.Fatal(err)
+	}
 }
 
 func benchSelectNext(b *testing.B, eng *core.Engine, limit time.Duration) {
@@ -404,7 +412,7 @@ func BenchmarkExpertSetFormation(b *testing.B) {
 	cfg.TimeLimit = 20 * time.Millisecond
 	var iters float64
 	for i := 0; i < b.N; i++ {
-		res := simulate.RunMT(eng.NewSession(cfg), task,
+		res := simulate.RunMT(action.New(eng, cfg), task,
 			simulate.GreedyPolicy(), rng.New(uint64(i)+1))
 		iters = float64(res.Iterations)
 	}
@@ -429,7 +437,7 @@ func BenchmarkDiscussionGroups(b *testing.B) {
 	cfg.TimeLimit = 20 * time.Millisecond
 	var found float64
 	for i := 0; i < b.N; i++ {
-		res := simulate.RunST(eng.NewSession(cfg), task,
+		res := simulate.RunST(action.New(eng, cfg), task,
 			simulate.GreedyPolicy(), rng.New(uint64(i)+1))
 		if res.Success {
 			found++
@@ -468,65 +476,45 @@ func BenchmarkInteractionLatency(b *testing.B) {
 	cfg.TimeLimit = 10 * time.Millisecond
 
 	b.Run("explore", func(b *testing.B) {
-		sess := eng.NewSession(cfg)
-		sess.Start()
-		gid := sess.Shown()[0]
+		s := startedSession(b, eng, cfg)
+		explore := action.Action{Op: action.Explore, Group: s.Sess.Shown()[0]}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sess.Explore(gid); err != nil {
-				b.Fatal(err)
-			}
+			mustApply(b, s, explore)
 		}
 	})
 	b.Run("focus", func(b *testing.B) {
-		sess := eng.NewSession(cfg)
-		sess.Start()
-		gid := sess.Shown()[0]
+		s := startedSession(b, eng, cfg)
+		focus := action.Action{Op: action.Focus, Group: s.Sess.Shown()[0], Class: "gender"}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sess.Focus(gid, "gender"); err != nil {
-				b.Fatal(err)
-			}
+			mustApply(b, s, focus)
 		}
 	})
 	b.Run("brush", func(b *testing.B) {
-		sess := eng.NewSession(cfg)
-		sess.Start()
-		fv, err := sess.Focus(sess.Shown()[0], "gender")
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := startedSession(b, eng, cfg)
+		mustApply(b, s, action.Action{Op: action.Focus, Group: s.Sess.Shown()[0], Class: "gender"})
+		brush := action.Action{Op: action.Brush, Attr: "gender", Values: []string{"female"}}
+		unbrush := action.Action{Op: action.Brush, Attr: "gender"}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := fv.Brush("gender", "female"); err != nil {
-				b.Fatal(err)
-			}
-			if err := fv.ClearBrush("gender"); err != nil {
-				b.Fatal(err)
-			}
+			mustApply(b, s, brush)
+			mustApply(b, s, unbrush)
 		}
 	})
 	b.Run("backtrack", func(b *testing.B) {
-		sess := eng.NewSession(cfg)
-		sess.Start()
-		if _, err := sess.Explore(sess.Shown()[0]); err != nil {
-			b.Fatal(err)
-		}
+		s := startedSession(b, eng, cfg)
+		mustApply(b, s, action.Action{Op: action.Explore, Group: s.Sess.Shown()[0]})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sess.Backtrack(1); err != nil {
-				b.Fatal(err)
-			}
+			mustApply(b, s, action.Action{Op: action.Backtrack, Step: 1})
 		}
 	})
 	b.Run("bookmark", func(b *testing.B) {
-		sess := eng.NewSession(cfg)
-		sess.Start()
+		s := startedSession(b, eng, cfg)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sess.BookmarkGroup(i % eng.Space.Len()); err != nil {
-				b.Fatal(err)
-			}
+			mustApply(b, s, action.Action{Op: action.BookmarkGroup, Group: i % eng.Space.Len()})
 		}
 	})
 }
@@ -579,11 +567,10 @@ func BenchmarkFocus(b *testing.B) {
 		{0, 1038, "pca"},   // age=senior: covariance
 	} {
 		b.Run(fmt.Sprintf("%s/n=%d", g.method, g.size), func(b *testing.B) {
-			sess := eng.NewSession(greedy.DefaultConfig())
 			var fv *core.FocusView
 			var err error
 			for i := 0; i < b.N; i++ {
-				if fv, err = sess.Focus(g.id, ""); err != nil {
+				if fv, err = eng.Focus(g.id, ""); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -610,14 +597,11 @@ func BenchmarkFeedbackAblation(b *testing.B) {
 			cfg := greedy.DefaultConfig()
 			cfg.TimeLimit = 10 * time.Millisecond
 			cfg.FeedbackWeight = cond.weight
-			sess := eng.NewSession(cfg)
-			sess.Start()
-			gid := sess.Shown()[0]
+			s := startedSession(b, eng, cfg)
+			explore := action.Action{Op: action.Explore, Group: s.Sess.Shown()[0]}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sess.Explore(gid); err != nil {
-					b.Fatal(err)
-				}
+				mustApply(b, s, explore)
 			}
 		})
 	}

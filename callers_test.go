@@ -36,7 +36,9 @@ var callerExempt = map[string]string{
 // builds the graph of references between internal functions, and walks
 // it from the roots: references from code outside internal/, from
 // package-level initializers, and from test files of a package other
-// than the referenced function's own. A function that only its own
+// than the referenced function's own. The examples count as roots like
+// cmd/ because they are programs CI runs: its "Examples run" step runs
+// each one and fails on a non-zero exit. A function that only its own
 // package's tests reach is a test helper and belongs in a _test.go
 // file; one that nothing reaches is dead.
 func TestInternalFuncsHaveCallers(t *testing.T) {

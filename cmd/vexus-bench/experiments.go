@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"vexus/internal/action"
 	"vexus/internal/core"
 	"vexus/internal/datagen"
 	"vexus/internal/greedy"
@@ -428,39 +429,42 @@ func runE7(seed uint64, _ string) error {
 		if err != nil {
 			return err
 		}
-		sess := eng.NewSession(greedy.DefaultConfig())
-		sess.Start()
-
-		t0 := time.Now()
-		if _, err := sess.Explore(sess.Shown()[0]); err != nil {
+		as := action.New(eng, greedy.DefaultConfig())
+		if err := action.ApplyQuiet(as, action.Action{Op: action.Start}); err != nil {
 			return err
 		}
-		exploreMS := float64(time.Since(t0).Microseconds()) / 1000
-
-		t0 = time.Now()
-		fv, err := sess.Focus(sess.Focal(), "gender")
+		// Each interaction is timed as one action through the
+		// dispatcher every frontend uses.
+		timed := func(a action.Action) (time.Duration, error) {
+			t0 := time.Now()
+			err := action.ApplyQuiet(as, a)
+			return time.Since(t0), err
+		}
+		d, err := timed(action.Action{Op: action.Explore, Group: as.Sess.Shown()[0]})
 		if err != nil {
 			return err
 		}
-		focusMS := float64(time.Since(t0).Microseconds()) / 1000
+		exploreMS := float64(d.Microseconds()) / 1000
 
-		t0 = time.Now()
-		if err := fv.Brush("gender", "female"); err != nil {
+		if d, err = timed(action.Action{Op: action.Focus, Group: as.Sess.Focal(), Class: "gender"}); err != nil {
 			return err
 		}
-		brushMS := float64(time.Since(t0).Microseconds()) / 1000
+		focusMS := float64(d.Microseconds()) / 1000
 
-		t0 = time.Now()
-		if err := sess.Backtrack(0); err != nil {
+		if d, err = timed(action.Action{Op: action.Brush, Attr: "gender", Values: []string{"female"}}); err != nil {
 			return err
 		}
-		backtrackUS := float64(time.Since(t0).Nanoseconds()) / 1000
+		brushMS := float64(d.Microseconds()) / 1000
 
-		t0 = time.Now()
-		if err := sess.BookmarkGroup(0); err != nil {
+		if d, err = timed(action.Action{Op: action.Backtrack, Step: 0}); err != nil {
 			return err
 		}
-		bookmarkUS := float64(time.Since(t0).Nanoseconds()) / 1000
+		backtrackUS := float64(d.Nanoseconds()) / 1000
+
+		if d, err = timed(action.Action{Op: action.BookmarkGroup, Group: 0}); err != nil {
+			return err
+		}
+		bookmarkUS := float64(d.Nanoseconds()) / 1000
 
 		fmt.Printf("%-8d %12.1f %12.1f %12.2f %12.1f %12.1f\n",
 			users, exploreMS, focusMS, brushMS, backtrackUS, bookmarkUS)
@@ -489,13 +493,27 @@ func runE8(seed uint64, _ string) error {
 	if probe < 0 {
 		return fmt.Errorf("probe term not interned")
 	}
-	clickTarget := func(sess *core.Session) int {
-		for _, gid := range sess.Shown() {
+	clickTarget := func(as *action.Session) int {
+		shown := as.Sess.Shown()
+		for _, gid := range shown {
 			if eng.Space.Group(gid).Desc.Contains(probe) {
 				return gid
 			}
 		}
-		return sess.Shown()[0]
+		return shown[0]
+	}
+	// walk starts a session and clicks the probe four times.
+	walk := func(cfg greedy.Config) (*action.Session, error) {
+		as := action.New(eng, cfg)
+		if err := action.ApplyQuiet(as, action.Action{Op: action.Start}); err != nil {
+			return nil, err
+		}
+		for step := 0; step < 4; step++ {
+			if err := action.ApplyQuiet(as, action.Action{Op: action.Explore, Group: clickTarget(as)}); err != nil {
+				return nil, err
+			}
+		}
+		return as, nil
 	}
 	fmt.Printf("%-24s %22s %22s\n", "condition", "probe-term share", "mean alignment")
 	for _, cond := range []struct {
@@ -509,21 +527,19 @@ func runE8(seed uint64, _ string) error {
 		cfg := greedy.DefaultConfig()
 		cfg.FeedbackWeight = cond.weight
 		cfg.TimeLimit = 50 * time.Millisecond
-		sess := eng.NewSession(cfg)
-		sess.Start()
-		for step := 0; step < 4; step++ {
-			if _, err := sess.Explore(clickTarget(sess)); err != nil {
-				return err
-			}
+		as, err := walk(cfg)
+		if err != nil {
+			return err
 		}
+		fb := as.Sess.Feedback()
 		withTerm, n := 0, 0
 		sumAlign := 0.0
-		for _, gid := range sess.Shown() {
+		for _, gid := range as.Sess.Shown() {
 			g := eng.Space.Group(gid)
 			if g.Desc.Contains(probe) {
 				withTerm++
 			}
-			sumAlign += sess.Feedback().Alignment(g)
+			sumAlign += fb.Alignment(g)
 			n++
 		}
 		fmt.Printf("%-24s %20.0f%% %22.3f\n",
@@ -535,22 +551,18 @@ func runE8(seed uint64, _ string) error {
 	cfg := greedy.DefaultConfig()
 	cfg.FeedbackWeight = 1
 	cfg.TimeLimit = 50 * time.Millisecond
-	sess := eng.NewSession(cfg)
-	sess.Start()
-	for step := 0; step < 4; step++ {
-		if _, err := sess.Explore(clickTarget(sess)); err != nil {
-			return err
-		}
-	}
-	before := sess.Shown()
-	focal := sess.Focal()
-	if err := sess.Unlearn("topic", "databases"); err != nil {
+	as, err := walk(cfg)
+	if err != nil {
 		return err
 	}
-	if _, err := sess.Explore(focal); err != nil {
+	before := as.Sess.Shown()
+	if err := action.ApplyQuiet(as, action.Action{Op: action.Unlearn, Field: "topic", Value: "databases"}); err != nil {
 		return err
 	}
-	after := sess.Shown()
+	if err := action.ApplyQuiet(as, action.Action{Op: action.Explore, Group: as.Sess.Focal()}); err != nil {
+		return err
+	}
+	after := as.Sess.Shown()
 	fmt.Printf("\nunlearning topic=databases changed %d of %d displayed groups\n",
 		diffCount(before, after), len(after))
 	return nil
@@ -609,14 +621,17 @@ func runE9(seed uint64, scale string) error {
 		st.NumGroups, st.MeanSize, st.Coverage)
 
 	// One interactive step at this scale (the P3 check).
-	sess := eng.NewSession(greedy.DefaultConfig())
-	sess.Start()
-	sel, err := sess.Explore(sess.Shown()[0])
+	as := action.New(eng, greedy.DefaultConfig())
+	if err := action.ApplyQuiet(as, action.Action{Op: action.Start}); err != nil {
+		return err
+	}
+	t0 = time.Now()
+	res, err := action.Apply(as, action.Action{Op: action.Explore, Group: as.Sess.Shown()[0]})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("one Explore step: %v (coverage %.2f, diversity %.2f)\n",
-		sel.Elapsed.Round(time.Millisecond), sel.Coverage, sel.Diversity)
+		time.Since(t0).Round(time.Millisecond), res.Metrics.Coverage, res.Metrics.Diversity)
 	return nil
 }
 
@@ -632,12 +647,12 @@ func runF1(_ uint64, _ string) error {
   internal/mining/stream   lossy-counting stream miner     (ingest preview)
   internal/groups       user-group space + overlap graph G
   internal/index        per-group inverted similarity index (exact, on demand)
-online (internal/core.Session):
+online (internal/action.Session, written only by action.Apply):
   GROUPVIZ  internal/greedy + internal/viz   k diverse+covering groups, force layout
   CONTEXT   internal/feedback                normalized profile, unlearn
   STATS     internal/crossfilter + internal/lda   coordinated histograms, 2D focus view
-  HISTORY   core.Session.Backtrack           navigation trail
-  MEMO      core.Memo                        bookmarked groups/users
+  HISTORY   action.Backtrack                 navigation trail
+  MEMO      action.Memo                      bookmarked groups/users
   SAVE      internal/action                  action-log trail (save v2, replay)
 `)
 	return nil

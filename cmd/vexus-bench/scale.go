@@ -79,7 +79,7 @@ func runP7(seed uint64, scale string) error {
 	if err := s.FailClosed(); err != nil {
 		return fmt.Errorf("p7: %w", err)
 	}
-	fmt.Printf("\nfail-closed invariants: all clean (misrouted 0, etag breaks 0, epoch violations 0, ghosts 0, bad batches 0, other errors 0)\n")
+	fmt.Printf("\nfail-closed invariants: all clean (misrouted 0, etag breaks 0, epoch violations 0, ghosts 0, bad batches 0, other errors 0, drain counts agree)\n")
 
 	note := struct {
 		Experiment string           `json:"experiment"`

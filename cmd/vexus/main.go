@@ -31,6 +31,7 @@ import (
 	"os"
 	"time"
 
+	"vexus/internal/action"
 	"vexus/internal/core"
 	"vexus/internal/datagen"
 	"vexus/internal/dataset"
@@ -91,9 +92,11 @@ func main() {
 		printGroups(as.Sess)
 		return
 	}
-	sess := eng.NewSession(gcfg)
-	sess.Start()
-	repl(sess)
+	as := action.New(eng, gcfg)
+	if err := action.ApplyQuiet(as, action.Action{Op: action.Start}); err != nil {
+		log.Fatal(err)
+	}
+	repl(as)
 }
 
 // loadData resolves the dataset flag into data plus the encoding

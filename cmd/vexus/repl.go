@@ -6,15 +6,27 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
+	"vexus/internal/action"
 	"vexus/internal/core"
 	"vexus/internal/viz"
 )
 
 // repl drives an interactive exploration session over stdin/stdout.
-func repl(sess *core.Session) {
+// Every command that changes the session is one typed action through
+// action.Apply, so the session's log is the trail of the commands.
+func repl(as *action.Session) {
+	sess := as.Sess
 	eng := sess.Engine()
-	var focus *core.FocusView
+	apply := func(a action.Action) (action.Result, bool) {
+		res, err := action.Apply(as, a)
+		if err != nil {
+			fmt.Println("error:", err)
+			return res, false
+		}
+		return res, true
+	}
 	printGroups(sess)
 
 	sc := bufio.NewScanner(os.Stdin)
@@ -40,14 +52,13 @@ func repl(sess *core.Session) {
 				break
 			}
 			gid := sess.Shown()[idx]
-			sel, err := sess.Explore(gid)
-			if err != nil {
-				fmt.Println("error:", err)
+			t0 := time.Now()
+			res, ok := apply(action.Action{Op: action.Explore, Group: gid})
+			if !ok {
 				break
 			}
 			fmt.Printf("explored %q — coverage %.2f, diversity %.2f in %v\n",
-				eng.GroupLabel(gid), sel.Coverage, sel.Diversity, sel.Elapsed.Round(1e5))
-			focus = nil
+				eng.GroupLabel(gid), res.Metrics.Coverage, res.Metrics.Diversity, time.Since(t0).Round(1e5))
 			printGroups(sess)
 
 		case "focus":
@@ -56,40 +67,32 @@ func repl(sess *core.Session) {
 				fmt.Println("usage: focus <display-index>")
 				break
 			}
-			var err error
-			focus, err = sess.Focus(sess.Shown()[idx], "")
-			if err != nil {
-				fmt.Println("error:", err)
-				break
+			if _, ok := apply(action.Action{Op: action.Focus, Group: sess.Shown()[idx]}); ok {
+				printStats(as.Focus)
 			}
-			printStats(focus)
 
 		case "brush":
-			if focus == nil || len(args) < 2 {
+			if as.Focus == nil || len(args) < 2 {
 				fmt.Println("usage: focus <n> first, then brush <attr> <value…>")
 				break
 			}
-			if err := focus.Brush(args[0], args[1:]...); err != nil {
-				fmt.Println("error:", err)
-				break
+			if _, ok := apply(action.Action{Op: action.Brush, Attr: args[0], Values: args[1:]}); ok {
+				fmt.Printf("%d members selected\n", as.Focus.SelectedCount())
 			}
-			fmt.Printf("%d members selected\n", focus.SelectedCount())
 
 		case "clear":
-			if focus == nil || len(args) < 1 {
+			if as.Focus == nil || len(args) < 1 {
 				fmt.Println("usage: clear <attr>")
 				break
 			}
-			if err := focus.ClearBrush(args[0]); err != nil {
-				fmt.Println("error:", err)
-			}
+			apply(action.Action{Op: action.Brush, Attr: args[0]})
 
 		case "table":
-			if focus == nil {
+			if as.Focus == nil {
 				fmt.Println("focus a group first")
 				break
 			}
-			for _, row := range focus.Table(15) {
+			for _, row := range as.Focus.Table(15) {
 				fmt.Printf("  %-14s %4d actions  %v\n", row.ID, row.NumAct, row.Demo)
 			}
 
@@ -104,9 +107,7 @@ func repl(sess *core.Session) {
 				break
 			}
 			parts := strings.SplitN(args[0], "=", 2)
-			if err := sess.Unlearn(parts[0], parts[1]); err != nil {
-				fmt.Println("error:", err)
-			}
+			apply(action.Action{Op: action.Unlearn, Field: parts[0], Value: parts[1]})
 
 		case "history":
 			for i, st := range sess.History() {
@@ -123,12 +124,9 @@ func repl(sess *core.Session) {
 				fmt.Println("usage: back <history-index>")
 				break
 			}
-			if err := sess.Backtrack(idx); err != nil {
-				fmt.Println("error:", err)
-				break
+			if _, ok := apply(action.Action{Op: action.Backtrack, Step: idx}); ok {
+				printGroups(sess)
 			}
-			focus = nil
-			printGroups(sess)
 
 		case "mark":
 			idx, ok := argIndex(args, len(sess.Shown()))
@@ -136,23 +134,14 @@ func repl(sess *core.Session) {
 				fmt.Println("usage: mark <display-index>")
 				break
 			}
-			if err := sess.BookmarkGroup(sess.Shown()[idx]); err != nil {
-				fmt.Println("error:", err)
-			}
+			apply(action.Action{Op: action.BookmarkGroup, Group: sess.Shown()[idx]})
 
 		case "marku":
 			if len(args) != 1 {
 				fmt.Println("usage: marku <user-id>")
 				break
 			}
-			u := eng.Data.UserIndex(args[0])
-			if u < 0 {
-				fmt.Println("unknown user")
-				break
-			}
-			if err := sess.BookmarkUser(u); err != nil {
-				fmt.Println("error:", err)
-			}
+			apply(action.Action{Op: action.BookmarkUser, User: args[0]})
 
 		case "memo":
 			m := sess.Memo()
@@ -184,7 +173,7 @@ func argIndex(args []string, n int) (int, bool) {
 	return idx, true
 }
 
-func printGroups(sess *core.Session) {
+func printGroups(sess action.View) {
 	eng := sess.Engine()
 	rows := make([]viz.ASCIIGroupRow, 0, len(sess.Shown()))
 	for _, gid := range sess.Shown() {

@@ -4,7 +4,8 @@
 // user groups.
 //
 // The public surface lives under internal/ packages wired together by
-// internal/core (the engine and session), with executables in cmd/ and
+// internal/core (the engine) and internal/action (the session), with
+// executables in cmd/ and
 // runnable scenarios in examples/. bench_test.go at this root holds one
 // benchmark per experiment; cmd/vexus-bench prints the corresponding
 // paper-style tables.
@@ -43,6 +44,25 @@
 // refused ingestion, a miner name in snapshots and save files, and a
 // fingerprint branch, all for output no explorer saw.
 //
+// # Deviation: no anticipation cache
+//
+// §I says VEXUS uses the explorer profile "to anticipate follow-up
+// steps and select groups on-the-fly". An earlier core.Prefetcher did
+// this: after each display it ran the optimizer in the background for
+// every shown group, so a click on one was served from cache. It had
+// one caller, an example, and it is deleted, for three reasons. First,
+// no idle time exists to hide the work in: wallbench's analyst posts
+// each batch as soon as the previous one returns. Second, the work
+// competes with the click it anticipates: prefetching the 7 shown
+// groups costs about 7 × 3 ms of construction CPU on a 2-core host,
+// against a 4.6 ms browse explore. Third, under the default 100 ms
+// wall-clock optimizer budget a cached selection is not the one a
+// replay recomputes, so a cache in the action layer would break
+// replay's byte identity. Once the optimizer budget is deterministic
+// (ROADMAP item 3) a cache keyed by engine version, focal group and
+// profile would be replay-safe, and the question can be measured
+// again.
+//
 // # Concurrency
 //
 // internal/parallel is the worker-pool primitive behind every
@@ -70,18 +90,30 @@
 // mutates one — Engine.Ingest builds a successor version and the old
 // engine keeps serving until nobody holds it. Sessions are
 // single-explorer state. cmd/vexus-server multiplexes many
-// explorers by giving each an isolated Session behind POST
+// explorers by giving each an isolated action.Session behind POST
 // /api/v1/sessions (endpoints address it via its session id), with
 // per-session locking, a TTL sweeper for idle sessions, and LRU
 // eviction at the session cap.
 //
 // # The action layer
 //
-// internal/action is the single write path to a session: a typed,
-// versioned vocabulary of the paper's interactions (start, startFrom,
-// explore, backtrack, focus, brush, unlearn, unlearnUser,
-// bookmarkGroup, bookmarkUser) with one dispatcher, action.Apply, and
-// a batch form, ApplyAll, that reports per-action error positions.
+// internal/action is the single write path to a session, and the
+// compiler enforces it. The exploration state — display, focal group,
+// HISTORY with its profile snapshots, CONTEXT feedback profile, MEMO —
+// is unexported in action.Session, Apply is the only code that writes
+// it, and Session.Sess is a view with read methods only (its Feedback
+// returns a snapshot). internal/core keeps the engine and the pure
+// step functions Apply calls. One write stays outside: the open STATS
+// view, Session.Focus, is a *core.FocusView whose Brush and ClearBrush
+// are exported, because wallbench's traced replay times a brush by
+// calling them directly; moving them behind Apply waits for a
+// benchmark change.
+//
+// The layer is a typed, versioned vocabulary of the paper's
+// interactions (start, startFrom, explore, backtrack, focus, brush,
+// unlearn, unlearnUser, bookmarkGroup, bookmarkUser) with one
+// dispatcher, action.Apply, and a batch form, ApplyAll, that reports
+// per-action error positions.
 // The JSON codec is strict both ways — unknown fields, unknown ops
 // and misplaced operands are rejected — so stored trails cannot rot
 // silently. Every successful Apply returns a Diff computed against
@@ -90,12 +122,12 @@
 // /api/v1/sessions/{sid}/actions returns these diffs per batch entry
 // (?full=1 for a full snapshot), and the state ETag is derived from
 // the same mutation counter, so diff consumers always hold a current
-// validator. Four frontends share the path: the HTTP server (the
+// validator. Every frontend shares the path: the HTTP server (the
 // bundled page posts v1 batches), session persistence (the v2 SAVE
 // format serializes the complete action log; it is the only format
-// written or read), the vexus CLI's -script replay, and
+// written or read), the vexus CLI's REPL and -script replay,
 // internal/simulate, whose campaigns emit their trails as replayable
-// action logs.
+// action logs, vexus-bench's experiments and the examples.
 //
 // # Warm starts and the dataset catalog
 //

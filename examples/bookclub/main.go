@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"vexus/internal/action"
 	"vexus/internal/core"
 	"vexus/internal/datagen"
 	"vexus/internal/greedy"
@@ -69,10 +70,11 @@ func main() {
 
 	// One concrete session: show the agree/disagree pair the scenario
 	// describes.
-	sess := eng.NewSession(greedy.DefaultConfig())
-	sess.Start()
-	if _, err := sess.Explore(targetID); err != nil {
-		log.Fatal(err)
+	as := action.New(eng, greedy.DefaultConfig())
+	for _, a := range []action.Action{{Op: action.Start}, {Op: action.Explore, Group: targetID}} {
+		if err := action.ApplyQuiet(as, a); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Println("groups adjacent to the reader's taste:")
 	fictionIdx := 0
@@ -81,7 +83,7 @@ func main() {
 			fictionIdx = i
 		}
 	}
-	for i, v := range sess.Views("favgenre") {
+	for i, v := range as.Sess.Views("favgenre") {
 		verdict := "disagrees" // gender-neutral or other-genre groups
 		if len(v.ColorShares) > fictionIdx && v.ColorShares[fictionIdx] >= 0.5 {
 			verdict = "agrees"

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	"vexus/internal/action"
 	"vexus/internal/core"
 	"vexus/internal/datagen"
 	"vexus/internal/greedy"
@@ -38,8 +39,8 @@ func main() {
 		if target.Count() < quota {
 			quota = target.Count()
 		}
-		sess := eng.NewSession(greedy.DefaultConfig())
-		res := simulate.RunMT(sess, simulate.MTTask{
+		as := action.New(eng, greedy.DefaultConfig())
+		res := simulate.RunMT(as, simulate.MTTask{
 			Target:            target,
 			Quota:             quota,
 			MaxIterations:     20,
@@ -52,7 +53,7 @@ func main() {
 
 		// Committee composition report: the diversity dimensions the
 		// chair cares about.
-		members := sess.Memo().Users()
+		members := as.Sess.Memo().Users()
 		genders := map[string]int{}
 		countries := map[string]int{}
 		gi := data.Schema.AttrIndex("gender")

@@ -13,6 +13,7 @@ import (
 	"os"
 	"strings"
 
+	"vexus/internal/action"
 	"vexus/internal/core"
 	"vexus/internal/datagen"
 	"vexus/internal/greedy"
@@ -32,23 +33,27 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sess := eng.NewSession(greedy.DefaultConfig())
-	sess.Start()
+	as := action.New(eng, greedy.DefaultConfig())
+	apply := func(a action.Action) {
+		if err := action.ApplyQuiet(as, a); err != nil {
+			log.Fatal(err)
+		}
+	}
+	apply(action.Action{Op: action.Start})
 	// Focus on a mixed-gender group (one whose description does not
 	// pin gender), so the gender brush below has members on both sides.
-	pick := sess.Shown()[0]
-	for _, gid := range sess.Shown() {
+	shown := as.Sess.Shown()
+	pick := shown[0]
+	for _, gid := range shown {
 		if !strings.Contains(eng.GroupLabel(gid), "gender=") {
 			pick = gid
 			break
 		}
 	}
-	if _, err := sess.Explore(pick); err != nil {
-		log.Fatal(err)
-	}
+	apply(action.Action{Op: action.Explore, Group: pick})
 
 	// --- GROUPVIZ: force layout + pies colored by gender. -----------
-	views := sess.Views("gender")
+	views := as.Sess.Views("gender")
 	maxSize := 0
 	for _, v := range views {
 		if v.Size > maxSize {
@@ -81,13 +86,9 @@ func main() {
 	write("groupviz.svg", viz.GroupVizSVG(circles, 720, 480))
 
 	// --- STATS + Focus view on the focal group. ----------------------
-	fv, err := sess.Focus(pick, "topic")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := fv.Brush("gender", "female"); err != nil {
-		log.Fatal(err)
-	}
+	apply(action.Action{Op: action.Focus, Group: pick, Class: "topic"})
+	apply(action.Action{Op: action.Brush, Attr: "gender", Values: []string{"female"}})
+	fv := as.Focus
 	labels, counts, err := fv.Histogram("gender")
 	if err != nil {
 		log.Fatal(err)
@@ -113,7 +114,7 @@ func main() {
 
 	// --- HISTORY trail. ----------------------------------------------
 	var trail []string
-	for _, st := range sess.History() {
+	for _, st := range as.Sess.History() {
 		if st.Focal < 0 {
 			trail = append(trail, "start")
 			continue

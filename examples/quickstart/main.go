@@ -7,7 +7,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
+	"vexus/internal/action"
 	"vexus/internal/core"
 	"vexus/internal/datagen"
 	"vexus/internal/greedy"
@@ -34,27 +36,32 @@ func main() {
 	fmt.Printf("pipeline: %d groups (mean size %.1f) in %v mining\n\n",
 		stats.NumGroups, stats.MeanSize, eng.Timings.Mine.Round(1e6))
 
-	// 3. Explore: start, then follow the biggest group twice.
-	sess := eng.NewSession(greedy.DefaultConfig())
-	shown := sess.Start()
+	// 3. Explore: start, then follow the biggest group twice. Every
+	// interaction is a typed action applied to the session.
+	as := action.New(eng, greedy.DefaultConfig())
+	if _, err := action.Apply(as, action.Action{Op: action.Start}); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("initial GROUPVIZ (k largest groups):")
-	printShown(eng, shown)
+	printShown(eng, as.Sess.Shown())
 
 	for step := 1; step <= 3; step++ {
-		pick := sess.Shown()[0]
-		sel, err := sess.Explore(pick)
+		pick := as.Sess.Shown()[0]
+		t0 := time.Now()
+		res, err := action.Apply(as, action.Action{Op: action.Explore, Group: pick})
 		if err != nil {
 			log.Fatal(err)
 		}
+		m := res.Metrics
 		fmt.Printf("\nstep %d: clicked %q\n", step, eng.GroupLabel(pick))
 		fmt.Printf("  optimizer: coverage %.2f, diversity %.2f in %v (%d candidates)\n",
-			sel.Coverage, sel.Diversity, sel.Elapsed.Round(1e5), sel.Candidates)
-		printShown(eng, sel.IDs)
+			m.Coverage, m.Diversity, time.Since(t0).Round(1e5), m.Candidates)
+		printShown(eng, as.Sess.Shown())
 	}
 
 	// 4. The CONTEXT module shows what VEXUS has learned.
 	fmt.Println("\nCONTEXT (learned feedback):")
-	for _, e := range sess.Context(5) {
+	for _, e := range as.Sess.Context(5) {
 		fmt.Printf("  %-40s %.3f\n", e.Label, e.Score)
 	}
 }

@@ -15,14 +15,23 @@
 // op that does not take them, so a misspelled or misplaced operand can
 // never be silently dropped from a stored trail.
 //
-// Apply executes one action against a Session (a core.Session plus the
-// open STATS focus view) and reports a Result: the optimizer metrics
-// when the action ran a selection, and a Diff of everything the action
-// changed — shown groups added/removed, focal change, CONTEXT and MEMO
-// deltas, and the session's mutation counter — computed against the
-// pre-action state. Diffs are what let the server stream changes
-// instead of full state snapshots, and the mutation counter is the
-// number the session's state ETag derives from.
+// A Session holds one explorer's whole state: the display, focal
+// group, HISTORY, CONTEXT profile and MEMO as unexported fields, plus
+// the open STATS focus view. Apply is the only code that writes the
+// exploration state, so a write from another package does not compile;
+// Session.Sess is a read-only View of it. Each op's case in Apply
+// validates its operands, then mutates, then logs. internal/core
+// supplies the engine and the pure step functions the cases call: the
+// initial display, the optimizer's selection, the focus view.
+//
+// Apply executes one action against a Session and reports a Result:
+// the optimizer metrics when the action ran a selection, and a Diff of
+// everything the action changed — shown groups added/removed, focal
+// change, CONTEXT and MEMO deltas, and the session's mutation counter
+// — computed against the pre-action state. Diffs are what let the
+// server stream changes instead of full state snapshots, and the
+// mutation counter is the number the session's state ETag derives
+// from.
 package action
 
 import (

@@ -2,6 +2,7 @@ package action
 
 import (
 	"encoding/json"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -290,6 +291,74 @@ func TestApplyErrorsLeaveCountersAlone(t *testing.T) {
 	}
 	if s.Mutations != 1 || len(s.Log) != 1 {
 		t.Fatalf("failed actions moved counters: mutations=%d log=%d", s.Mutations, len(s.Log))
+	}
+}
+
+// TestFailedExploreLeavesSessionUnstarted: an Explore on a fresh
+// session starts it only if the click is valid. A failed action is not
+// logged, so a start it left behind would be missing from the trail: a
+// later bookmark would survive live but be reset by the replay's
+// auto-start.
+func TestFailedExploreLeavesSessionUnstarted(t *testing.T) {
+	s := newTestSession(t)
+	if _, err := Apply(s, Action{Op: Explore, Group: -1}); err == nil {
+		t.Fatal("invalid explore applied")
+	}
+	if n := len(s.Sess.History()); n != 0 {
+		t.Fatalf("failed explore left %d history steps", n)
+	}
+}
+
+// TestViewIsReadOnly: nothing a caller does to what Sess returns
+// reaches the session. One session's returned profile is reinforced
+// and its returned slices edited; its CONTEXT, and the Results of the
+// actions that read each edited part next, must still equal those of
+// an untouched twin on the same trail: Explore reads the profile and
+// the display, Backtrack the history, Start's reset the memo.
+func TestViewIsReadOnly(t *testing.T) {
+	eng := testEngine(t)
+	touched, twin := New(eng, detCfg()), New(eng, detCfg())
+	for _, s := range []*Session{touched, twin} {
+		if err := ApplyAllQuiet(s, []Action{
+			{Op: Start},
+			{Op: Explore, Group: eng.Largest(1)[0]},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ApplyQuiet(s, Action{Op: BookmarkGroup, Group: s.Sess.Shown()[1]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	v := touched.Sess
+	fb := v.Feedback()
+	fb.Reinforce(eng.Space.Group(v.Shown()[2]), 5)
+	fb.UnlearnUser(v.Context(1)[0].User)
+	v.Shown()[0] = -7
+	h := v.History()
+	h[0].Shown[0] = -7
+	h[0].Focal = 3
+	v.Memo().Groups()[0] = -7
+
+	if got, want := touched.Sess.Context(ContextTop), twin.Sess.Context(ContextTop); !reflect.DeepEqual(got, want) {
+		t.Fatalf("context after edits %v, want %v", got, want)
+	}
+	for _, next := range []Action{
+		{Op: Explore, Group: twin.Sess.Shown()[0]},
+		{Op: Backtrack, Step: 0},
+		{Op: Start},
+	} {
+		got, err := Apply(touched, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Apply(twin, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v after edits: %+v, want %+v", next, got, want)
+		}
 	}
 }
 

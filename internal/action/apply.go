@@ -3,9 +3,6 @@ package action
 import (
 	"fmt"
 	"time"
-
-	"vexus/internal/core"
-	"vexus/internal/greedy"
 )
 
 // ContextTop is how many CONTEXT entries the exploration surfaces
@@ -13,55 +10,6 @@ import (
 // the same window, so a diff never reports a change the full state
 // would not show).
 const ContextTop = 8
-
-// Session is the complete per-explorer state every frontend
-// manipulates: the core exploration session, the open STATS focus view
-// (nil when none), the mutation counter behind state ETags, and the
-// append-only log of successfully applied actions — the full SAVE
-// trail. Like core.Session, it is not safe for concurrent use; the
-// server serializes access per session.
-type Session struct {
-	Sess *core.Session
-	// Focus is the open STATS view; Explore, Backtrack and Start
-	// close it (the displayed groups changed under it).
-	Focus *core.FocusView
-	// Mutations counts successfully applied actions. The server's
-	// state ETag is derived from it, and every Diff carries it, so a
-	// client consuming diffs always knows its current validator.
-	Mutations uint64
-	// Log is the trail of applied actions, oldest first. Save writes
-	// it; Load rebuilds state by replaying it.
-	Log []Action
-	// OnDiff, when non-nil, is invoked after every successfully applied
-	// action with its Result — the fan-out hook behind server-push diff
-	// streams. Setting it forces Diff computation even on the quiet
-	// paths (ApplyQuiet, Load's replay), so a replayed session's hook
-	// observes exactly the Diff sequence the original applied live:
-	// that is what lets a migrated session serve Last-Event-ID resumes
-	// from its replayed history. The hook runs under whatever lock
-	// guards the session and must not block.
-	OnDiff func(Result)
-	// Observe, when non-nil, receives every successfully applied
-	// action's op and wall-clock apply duration — the telemetry hook
-	// behind per-action-type latency histograms. Timing is taken only
-	// when the hook is set, so un-instrumented sessions (replay,
-	// simulation, the deterministic equivalence suites) never read the
-	// clock. Like OnDiff it runs under the session's lock and must not
-	// block.
-	Observe func(op Kind, d time.Duration)
-}
-
-// New opens a fresh session over the engine. No action has been
-// applied yet — callers normally Apply a Start first.
-func New(eng *core.Engine, cfg greedy.Config) *Session {
-	return Wrap(eng.NewSession(cfg))
-}
-
-// Wrap lifts an existing core.Session into the action layer. The log
-// starts empty: actions applied before wrapping are not recoverable.
-func Wrap(s *core.Session) *Session {
-	return &Session{Sess: s}
-}
 
 // Metrics is the optimizer outcome of an Explore, stripped to the
 // deterministic quality numbers (wall clock stays out of API responses
@@ -148,13 +96,15 @@ func (s *Session) snap() snapshot {
 	for i, e := range ctx {
 		labels[i] = e.Label
 	}
-	m := s.Sess.Memo()
+	// No copies: apply replaces the display and MEMO slices or
+	// appends to them, never edits them in place, so these keep the
+	// pre-action contents.
 	return snapshot{
-		shown:   s.Sess.Shown(),
-		focal:   s.Sess.Focal(),
+		shown:   s.shown,
+		focal:   s.focal,
 		context: labels,
-		memoG:   m.Groups(),
-		memoU:   m.Users(),
+		memoG:   s.memo.groupIDs,
+		memoU:   s.memo.userIDs,
 	}
 }
 
@@ -207,7 +157,7 @@ func (s *Session) diffFrom(pre snapshot, op Kind) Diff {
 		Op:           op,
 		Focal:        post.focal,
 		FocalChanged: post.focal != pre.focal,
-		HistorySteps: len(s.Sess.History()),
+		HistorySteps: len(s.history),
 		Mutations:    s.Mutations,
 	}
 	d.ShownAdded, d.ShownRemoved = diffInts(pre.shown, post.shown)
@@ -226,7 +176,7 @@ func (s *Session) userIDs(users []int) []string {
 	if len(users) == 0 {
 		return nil
 	}
-	data := s.Sess.Engine().Data
+	data := s.eng.Data
 	out := make([]string, len(users))
 	for i, u := range users {
 		out[i] = data.Users[u].ID
@@ -236,10 +186,11 @@ func (s *Session) userIDs(users []int) []string {
 
 // Apply executes one action against the session. On success the action
 // is appended to the log, the mutation counter advances, and the
-// Result carries the Diff against the pre-action state. On error the
-// session is left as the underlying core operation left it (core
-// validates operands before mutating) and neither log nor counter
-// move.
+// Result carries the Diff against the pre-action state. On error
+// neither log nor counter move, and the state is as before: each op
+// validates its operands before it mutates. The one exception is an
+// optimizer error on Explore, which only an invalid greedy.Config
+// causes; the click's reinforcement then stays in the profile.
 func Apply(s *Session, a Action) (Result, error) {
 	return apply(s, a, true)
 }
@@ -272,7 +223,7 @@ func apply(s *Session, a Action, wantDiff bool) (Result, error) {
 	var metrics *Metrics
 	switch a.Op {
 	case Start:
-		s.Sess.Start()
+		s.reset(s.eng.Largest(s.cfg.K))
 		s.Focus = nil
 
 	case StartFrom:
@@ -283,16 +234,37 @@ func apply(s *Session, a Action, wantDiff bool) (Result, error) {
 		if len(a.Groups) == 0 {
 			return Result{}, fmt.Errorf("action: startFrom requires a non-empty groups list")
 		}
-		if _, err := s.Sess.StartFrom(a.Groups...); err != nil {
-			return Result{}, err
+		for _, gid := range a.Groups {
+			if err := s.checkGroup(gid); err != nil {
+				return Result{}, err
+			}
 		}
+		s.reset(append([]int(nil), a.Groups...))
 		s.Focus = nil
 
 	case Explore:
-		sel, err := s.Sess.Explore(a.Group)
+		// The central interaction (§II-B "Interactivity"): the click is
+		// implicit positive feedback, and the optimizer picks the next
+		// display for the clicked group under the updated profile.
+		if err := s.checkGroup(a.Group); err != nil {
+			return Result{}, err
+		}
+		if len(s.history) == 0 {
+			s.reset(s.eng.Largest(s.cfg.K))
+		}
+		g := s.eng.Space.Group(a.Group)
+		s.fb.Reinforce(g, 1)
+		sel, err := s.opt.SelectNext(g, s.fb, s.cfg)
 		if err != nil {
 			return Result{}, err
 		}
+		s.focal = a.Group
+		s.shown = sel.IDs
+		s.history = append(s.history, Step{
+			Focal: a.Group,
+			Shown: append([]int(nil), sel.IDs...),
+			fb:    s.fb.Snapshot(),
+		})
 		s.Focus = nil
 		metrics = &Metrics{
 			Coverage:   sel.Coverage,
@@ -303,13 +275,20 @@ func apply(s *Session, a Action, wantDiff bool) (Result, error) {
 		}
 
 	case Backtrack:
-		if err := s.Sess.Backtrack(a.Step); err != nil {
-			return Result{}, err
+		// Position, display and profile all rewind to the step, and
+		// the steps after it are discarded; MEMO is kept.
+		if a.Step < 0 || a.Step >= len(s.history) {
+			return Result{}, fmt.Errorf("action: no history step %d (have %d)", a.Step, len(s.history))
 		}
+		st := s.history[a.Step]
+		s.shown = append([]int(nil), st.Shown...)
+		s.focal = st.Focal
+		s.fb = st.fb.Snapshot()
+		s.history = s.history[:a.Step+1]
 		s.Focus = nil
 
 	case Focus:
-		fv, err := s.Sess.Focus(a.Group, a.Class)
+		fv, err := s.eng.Focus(a.Group, a.Class)
 		if err != nil {
 			return Result{}, err
 		}
@@ -330,28 +309,32 @@ func apply(s *Session, a Action, wantDiff bool) (Result, error) {
 		}
 
 	case Unlearn:
-		if err := s.Sess.Unlearn(a.Field, a.Value); err != nil {
-			return Result{}, err
+		// The explicit de-biasing interaction of §II-B.
+		id := s.eng.Space.Vocab.Lookup(a.Field, a.Value)
+		if id < 0 {
+			return Result{}, fmt.Errorf("action: unknown term %s=%s", a.Field, a.Value)
 		}
+		s.fb.Unlearn(id)
 
 	case UnlearnUser:
-		if err := s.Sess.UnlearnUser(a.User); err != nil {
+		u, err := s.user(a.User)
+		if err != nil {
 			return Result{}, err
 		}
+		s.fb.UnlearnUser(u)
 
 	case BookmarkGroup:
-		if err := s.Sess.BookmarkGroup(a.Group); err != nil {
+		if err := s.checkGroup(a.Group); err != nil {
 			return Result{}, err
 		}
+		s.memo.addGroup(a.Group)
 
 	case BookmarkUser:
-		u := s.Sess.Engine().Data.UserIndex(a.User)
-		if u < 0 {
-			return Result{}, fmt.Errorf("action: unknown user %q", a.User)
-		}
-		if err := s.Sess.BookmarkUser(u); err != nil {
+		u, err := s.user(a.User)
+		if err != nil {
 			return Result{}, err
 		}
+		s.memo.addUser(u)
 	}
 	s.Mutations++
 	s.Log = append(s.Log, a)
@@ -366,6 +349,22 @@ func apply(s *Session, a Action, wantDiff bool) (Result, error) {
 		s.Observe(a.Op, time.Since(started))
 	}
 	return res, nil
+}
+
+func (s *Session) checkGroup(gid int) error {
+	if gid < 0 || gid >= s.eng.Space.Len() {
+		return fmt.Errorf("action: no group %d", gid)
+	}
+	return nil
+}
+
+// user resolves an external user id.
+func (s *Session) user(id string) (int, error) {
+	u := s.eng.Data.UserIndex(id)
+	if u < 0 {
+		return 0, fmt.Errorf("action: unknown user %q", id)
+	}
+	return u, nil
 }
 
 // ApplyAll applies actions in order, stopping at the first failure:

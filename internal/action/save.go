@@ -21,7 +21,7 @@ type savedLog struct {
 
 // Save serializes the session's complete action log.
 func (s *Session) Save(w io.Writer) error {
-	eng := s.Sess.Engine()
+	eng := s.eng
 	saved := savedLog{
 		Version:   2,
 		NumGroups: eng.Space.Len(),
@@ -58,7 +58,7 @@ func (s *Session) Load(r io.Reader) error {
 		return fmt.Errorf("action: decoding v2 session: %w", err)
 	}
 
-	eng := s.Sess.Engine()
+	eng := s.eng
 	if saved.NumGroups != eng.Space.Len() {
 		return fmt.Errorf("action: saved session has %d groups, engine has %d",
 			saved.NumGroups, eng.Space.Len())

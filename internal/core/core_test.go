@@ -3,11 +3,9 @@ package core
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"vexus/internal/datagen"
 	"vexus/internal/dataset"
-	"vexus/internal/greedy"
 )
 
 // buildEngine creates a small DB-AUTHORS engine shared by tests.
@@ -24,12 +22,6 @@ func buildEngine(t testing.TB) *Engine {
 		t.Fatal(err)
 	}
 	return eng
-}
-
-func sessionCfg() greedy.Config {
-	cfg := greedy.DefaultConfig()
-	cfg.TimeLimit = 10 * time.Millisecond
-	return cfg
 }
 
 func TestBuildPipeline(t *testing.T) {
@@ -67,134 +59,9 @@ func TestBuildEmptyDataFails(t *testing.T) {
 	}
 }
 
-func TestSessionStartAndExplore(t *testing.T) {
-	eng := buildEngine(t)
-	s := eng.NewSession(sessionCfg())
-	shown := s.Start()
-	if len(shown) != 7 {
-		t.Fatalf("initial display = %d groups, want k=7", len(shown))
-	}
-	if s.Focal() != -1 {
-		t.Fatal("initial focal should be -1")
-	}
-	// Initial display is the largest groups, descending.
-	for i := 1; i < len(shown); i++ {
-		if eng.Space.Group(shown[i]).Size() > eng.Space.Group(shown[i-1]).Size() {
-			t.Fatal("initial display not size-ordered")
-		}
-	}
-
-	sel, err := s.Explore(shown[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.IDs) == 0 {
-		t.Fatal("explore returned no groups")
-	}
-	if s.Focal() != shown[0] {
-		t.Fatalf("focal = %d, want %d", s.Focal(), shown[0])
-	}
-	if len(s.History()) != 2 {
-		t.Fatalf("history = %d steps", len(s.History()))
-	}
-	if s.Feedback().IsEmpty() {
-		t.Fatal("explore did not reinforce feedback")
-	}
-}
-
-func TestSessionExploreInvalid(t *testing.T) {
-	eng := buildEngine(t)
-	s := eng.NewSession(sessionCfg())
-	s.Start()
-	if _, err := s.Explore(-1); err == nil {
-		t.Fatal("negative gid accepted")
-	}
-	if _, err := s.Explore(1 << 30); err == nil {
-		t.Fatal("huge gid accepted")
-	}
-}
-
-func TestSessionExploreWithoutStart(t *testing.T) {
-	eng := buildEngine(t)
-	s := eng.NewSession(sessionCfg())
-	// Explore auto-starts.
-	if _, err := s.Explore(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.History()) != 2 {
-		t.Fatalf("history = %d", len(s.History()))
-	}
-}
-
-func TestStartFrom(t *testing.T) {
-	eng := buildEngine(t)
-	s := eng.NewSession(sessionCfg())
-	shown, err := s.StartFrom(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shown) != 2 || shown[0] != 2 || shown[1] != 5 {
-		t.Fatalf("shown = %v", shown)
-	}
-	if _, err := s.StartFrom(1 << 30); err == nil {
-		t.Fatal("invalid seed group accepted")
-	}
-}
-
-func TestBacktrackRestoresEverything(t *testing.T) {
-	eng := buildEngine(t)
-	s := eng.NewSession(sessionCfg())
-	s.Start()
-	first, err := s.Explore(s.Shown()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	fbAfter1 := s.Feedback().Snapshot()
-	if len(first.IDs) == 0 {
-		t.Skip("no candidates")
-	}
-	if _, err := s.Explore(first.IDs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.History()) != 3 {
-		t.Fatalf("history = %d", len(s.History()))
-	}
-
-	if err := s.Backtrack(1); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.History()) != 2 {
-		t.Fatalf("history after backtrack = %d", len(s.History()))
-	}
-	// Display and feedback rewound to step 1.
-	gotShown := s.Shown()
-	for i, id := range first.IDs {
-		if gotShown[i] != id {
-			t.Fatalf("shown not restored: %v vs %v", gotShown, first.IDs)
-		}
-	}
-	for _, e := range fbAfter1.Top(100) {
-		var got float64
-		if e.IsUser {
-			got = s.Feedback().UserScore(e.User)
-		} else {
-			got = s.Feedback().TermScore(e.Term)
-		}
-		if got != e.Score {
-			t.Fatalf("feedback not restored for %+v: %v", e, got)
-		}
-	}
-
-	if err := s.Backtrack(99); err == nil {
-		t.Fatal("invalid step accepted")
-	}
-}
-
 func TestViewsColorShares(t *testing.T) {
 	eng := buildEngine(t)
-	s := eng.NewSession(sessionCfg())
-	s.Start()
-	views := s.Views("gender")
+	views := eng.Views(eng.Largest(7), -1, "gender")
 	if len(views) != 7 {
 		t.Fatalf("views = %d", len(views))
 	}
@@ -214,92 +81,16 @@ func TestViewsColorShares(t *testing.T) {
 		}
 	}
 	// Unknown attribute: no colors, no panic.
-	plain := s.Views("")
+	plain := eng.Views(eng.Largest(7), -1, "")
 	if plain[0].ColorShares != nil {
 		t.Fatal("uncolored view has shares")
 	}
 }
 
-func TestContextAndUnlearn(t *testing.T) {
-	eng := buildEngine(t)
-	s := eng.NewSession(sessionCfg())
-	s.Start()
-	if _, err := s.Explore(s.Shown()[0]); err != nil {
-		t.Fatal(err)
-	}
-	ctx := s.Context(5)
-	if len(ctx) == 0 {
-		t.Fatal("context empty after explore")
-	}
-	for _, e := range ctx {
-		if e.Label == "" || e.Score <= 0 {
-			t.Fatalf("bad context entry %+v", e)
-		}
-	}
-	// Unlearn the top term.
-	var top ContextEntry
-	for _, e := range ctx {
-		if !e.IsUser {
-			top = e
-			break
-		}
-	}
-	if top.Label != "" {
-		parts := strings.SplitN(top.Label, "=", 2)
-		if err := s.Unlearn(parts[0], parts[1]); err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range s.Context(100) {
-			if e.Label == top.Label {
-				t.Fatal("unlearned term still in context")
-			}
-		}
-	}
-	if err := s.Unlearn("nosuch", "value"); err == nil {
-		t.Fatal("unknown term unlearned")
-	}
-	if err := s.UnlearnUser("ghost"); err == nil {
-		t.Fatal("unknown user unlearned")
-	}
-	if err := s.UnlearnUser(eng.Data.Users[0].ID); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMemo(t *testing.T) {
-	eng := buildEngine(t)
-	s := eng.NewSession(sessionCfg())
-	s.Start()
-	if err := s.BookmarkGroup(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.BookmarkGroup(1); err != nil {
-		t.Fatal(err) // idempotent
-	}
-	if err := s.BookmarkUser(3); err != nil {
-		t.Fatal(err)
-	}
-	m := s.Memo()
-	if len(m.Groups()) != 1 || len(m.Users()) != 1 {
-		t.Fatalf("memo = %v / %v", m.Groups(), m.Users())
-	}
-	if !m.HasGroup(1) || !m.HasUser(3) || m.HasUser(4) {
-		t.Fatal("memo membership wrong")
-	}
-	if err := s.BookmarkGroup(-1); err == nil {
-		t.Fatal("invalid group bookmarked")
-	}
-	if err := s.BookmarkUser(1 << 30); err == nil {
-		t.Fatal("invalid user bookmarked")
-	}
-}
-
 func TestFocusView(t *testing.T) {
 	eng := buildEngine(t)
-	s := eng.NewSession(sessionCfg())
-	s.Start()
-	gid := s.Shown()[0]
-	fv, err := s.Focus(gid, "gender")
+	gid := eng.Largest(1)[0]
+	fv, err := eng.Focus(gid, "gender")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,9 +165,7 @@ func TestFocusView(t *testing.T) {
 
 func TestFocusProjection(t *testing.T) {
 	eng := buildEngine(t)
-	s := eng.NewSession(sessionCfg())
-	s.Start()
-	fv, err := s.Focus(s.Shown()[0], "topic")
+	fv, err := eng.Focus(eng.Largest(1)[0], "topic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,9 +183,7 @@ func TestFocusProjection(t *testing.T) {
 
 func TestFocusTable(t *testing.T) {
 	eng := buildEngine(t)
-	s := eng.NewSession(sessionCfg())
-	s.Start()
-	fv, err := s.Focus(s.Shown()[0], "")
+	fv, err := eng.Focus(eng.Largest(1)[0], "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,12 +204,10 @@ func TestFocusTable(t *testing.T) {
 
 func TestFocusInvalidInputs(t *testing.T) {
 	eng := buildEngine(t)
-	s := eng.NewSession(sessionCfg())
-	s.Start()
-	if _, err := s.Focus(-1, ""); err == nil {
+	if _, err := eng.Focus(-1, ""); err == nil {
 		t.Fatal("invalid group focused")
 	}
-	if _, err := s.Focus(0, "nosuch"); err == nil {
+	if _, err := eng.Focus(0, "nosuch"); err == nil {
 		t.Fatal("invalid class attribute accepted")
 	}
 }

@@ -1,10 +1,13 @@
-// Package core implements VEXUS itself: the offline pipeline of Fig. 1
-// (ETL'd dataset → group discovery → inverted similarity index) and the
-// interactive exploration session with the five visual modules of
-// Fig. 2 — GROUPVIZ (the k displayed groups), CONTEXT (the feedback
-// vector), STATS (crossfilter histograms + LDA focus view over a
-// group's members), HISTORY (the navigation trail with backtrack), and
-// MEMO (bookmarked groups and users, the analysis goal).
+// Package core implements the VEXUS engine: the offline pipeline of
+// Fig. 1 (ETL'd dataset → group discovery → inverted similarity index)
+// and the pure step functions an exploration session is made of — the
+// initial display (Engine.Largest), the GROUPVIZ render
+// (Engine.Views), and the STATS focus view of crossfilter histograms
+// plus LDA projection over a group's members (Engine.Focus). An Engine
+// is immutable and shared by every session over it. The session state
+// itself — display, focal group, HISTORY, the CONTEXT feedback profile
+// and MEMO — lives unexported in internal/action, whose Apply is the
+// only way to change it.
 package core
 
 import (
@@ -13,7 +16,6 @@ import (
 	"time"
 
 	"vexus/internal/dataset"
-	"vexus/internal/greedy"
 	"vexus/internal/groups"
 	"vexus/internal/index"
 	"vexus/internal/mining"
@@ -100,7 +102,7 @@ type Timings struct {
 // the unit of the engine's lineage (see Engine.Lineage).
 type BatchDigest [32]byte
 
-// Engine is the built offline state: everything a Session navigates.
+// Engine is the built offline state: everything a session navigates.
 // An engine value is immutable after Build; Ingest produces a *new*
 // engine at the next version rather than mutating in place, so
 // sessions holding an older version keep serving it unchanged.
@@ -236,9 +238,33 @@ func (e *Engine) GroupLabel(gid int) string {
 	return e.Space.Group(gid).Desc.Label(e.Space.Vocab)
 }
 
-// NewSession starts an interactive exploration over the engine.
-func (e *Engine) NewSession(cfg greedy.Config) *Session {
-	return newSession(e, cfg)
+// Largest returns the ids of the k largest groups, by descending size
+// (ties by id): the initial display of a fresh session. The slice is
+// the caller's own.
+func (e *Engine) Largest(k int) []int {
+	if k > len(e.sizeOrder) {
+		k = len(e.sizeOrder)
+	}
+	return append([]int(nil), e.sizeOrder[:k]...)
+}
+
+// Views renders the groups ids as GROUPVIZ circles, color-coded by
+// the named attribute ("" disables coloring), each with its similarity
+// to the focal group (-1 for none) — the data behind Fig. 2 (a).
+func (e *Engine) Views(ids []int, focal int, colorAttr string) []GroupView {
+	ai := -1
+	if colorAttr != "" {
+		ai = e.Data.Schema.AttrIndex(colorAttr)
+	}
+	var fg *groups.Group
+	if focal >= 0 {
+		fg = e.Space.Group(focal)
+	}
+	out := make([]GroupView, 0, len(ids))
+	for _, gid := range ids {
+		out = append(out, e.groupView(gid, ai, fg))
+	}
+	return out
 }
 
 // GroupView is one GROUPVIZ circle: enough to render size, color and

@@ -37,12 +37,13 @@ type FocusView struct {
 
 // Focus opens the STATS module on group gid. classAttr selects the LDA
 // class labels (e.g. "gender"); an empty classAttr uses the first
-// schema attribute.
-func (s *Session) Focus(gid int, classAttr string) (*FocusView, error) {
-	if gid < 0 || gid >= s.eng.Space.Len() {
+// schema attribute. The view reads no session state: it is a pure
+// function of the engine, the group and the class attribute.
+func (e *Engine) Focus(gid int, classAttr string) (*FocusView, error) {
+	if gid < 0 || gid >= e.Space.Len() {
 		return nil, fmt.Errorf("core: no group %d", gid)
 	}
-	schema := s.eng.Data.Schema
+	schema := e.Data.Schema
 	if classAttr == "" && schema.NumAttrs() > 0 {
 		classAttr = schema.Attrs[0].Name
 	}
@@ -51,11 +52,11 @@ func (s *Session) Focus(gid int, classAttr string) (*FocusView, error) {
 		return nil, fmt.Errorf("core: no attribute %q", classAttr)
 	}
 
-	members := s.eng.Space.Group(gid).Members.Indices()
+	members := e.Space.Group(gid).Members.Indices()
 	fv := &FocusView{
 		GroupID:   gid,
 		Members:   members,
-		eng:       s.eng,
+		eng:       e,
 		cf:        crossfilter.New(len(members)),
 		dims:      make(map[string]*crossfilter.Dimension, schema.NumAttrs()),
 		ClassAttr: classAttr,
@@ -68,7 +69,7 @@ func (s *Session) Focus(gid int, classAttr string) (*FocusView, error) {
 		values := make([]int, len(members))
 		card := len(attr.Values) + 1
 		for i, u := range members {
-			v := s.eng.Data.Users[u].Demo[ai]
+			v := e.Data.Users[u].Demo[ai]
 			if v == dataset.Missing {
 				v = card - 1
 			}
@@ -83,7 +84,7 @@ func (s *Session) Focus(gid int, classAttr string) (*FocusView, error) {
 	}
 
 	// LDA projection over the members' term-indicator vectors.
-	if len(members) >= 3 && s.eng.Tx.Vocab.Len() > 0 {
+	if len(members) >= 3 && e.Tx.Vocab.Len() > 0 {
 		fv.fitProjection(classIdx)
 	}
 	return fv, nil

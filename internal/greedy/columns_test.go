@@ -3,6 +3,7 @@ package greedy_test
 import (
 	"testing"
 
+	"vexus/internal/action"
 	"vexus/internal/core"
 	"vexus/internal/datagen"
 	"vexus/internal/greedy"
@@ -35,21 +36,22 @@ func BenchmarkConstructColumns(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		steps, lazy, eager = 0, 0, 0
 		for trail := 0; trail < 4; trail++ {
-			sess := eng.NewSession(cfg)
-			shown := sess.Start()
+			as := action.New(eng, cfg)
+			if err := action.ApplyQuiet(as, action.Action{Op: action.Start}); err != nil {
+				b.Fatal(err)
+			}
 			for click := 0; click < 10; click++ {
+				shown := as.Sess.Shown()
 				gid := shown[(trail+click)%len(shown)]
-				sel, err := sess.Explore(gid)
-				if err != nil {
+				if err := action.ApplyQuiet(as, action.Action{Op: action.Explore, Group: gid}); err != nil {
 					b.Fatal(err)
 				}
-				n, cols := opt.ConstructColumns(eng.Space.Group(gid), sess.Feedback().Snapshot(), cfg)
+				n, cols := opt.ConstructColumns(eng.Space.Group(gid), as.Sess.Feedback(), cfg)
 				steps++
 				lazy += cols
 				for p := 1; p < min(cfg.K, n); p++ {
 					eager += n - p
 				}
-				shown = sel.IDs
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"vexus/internal/core"
 	"vexus/internal/datagen"
 	"vexus/internal/dataset"
-	"vexus/internal/greedy"
 	"vexus/internal/lda"
 	"vexus/internal/linalg"
 )
@@ -31,10 +30,9 @@ func TestBookCrossingFocusSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := eng.NewSession(greedy.DefaultConfig())
 	pca, checked := 0, 0
 	for gid := 0; gid < eng.Space.Len(); gid += sweepStride {
-		fv, err := sess.Focus(gid, "age")
+		fv, err := eng.Focus(gid, "age")
 		if err != nil {
 			t.Fatalf("group %d: %v", gid, err)
 		}

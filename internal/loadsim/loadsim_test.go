@@ -114,7 +114,7 @@ func assertFailClosed(t *testing.T, s *Summary) {
 }
 
 // TestFailClosedNamesEachViolation: a clean Summary passes, and each
-// of the nine fail-closed conditions on its own fails with an error
+// of the ten fail-closed conditions on its own fails with an error
 // that names it.
 func TestFailClosedNamesEachViolation(t *testing.T) {
 	clean := Summary{RestartPreserved: true}
@@ -134,6 +134,7 @@ func TestFailClosedNamesEachViolation(t *testing.T) {
 		{"restart_epoch_preserved", func(s *Summary) { s.RestartPreserved = false }},
 		{"bad_batches", func(s *Summary) { s.BadBatches = 1 }},
 		{"other_errors", func(s *Summary) { s.OtherErrors = 1 }},
+		{"drain_moved_live", func(s *Summary) { s.DrainMoved, s.DrainMovedLive = 3, 2 }},
 	} {
 		s := clean
 		c.set(&s)

@@ -49,7 +49,6 @@ type Summary struct {
 	// order; killed shards included, since the registry sits behind no
 	// chaos switch).
 	EngineEvictions uint64 `json:"engine_evictions"`
-	SessionsEvicted uint64 `json:"sessions_evicted"`
 
 	// SSE delivery.
 	SSEStarted    int            `json:"sse_started"`
@@ -107,7 +106,6 @@ func (h *harness) summary() *Summary {
 	for _, name := range h.names {
 		snap := h.nodes[name].telem.Snapshot()
 		s.EngineEvictions += uint64(snap["vexus_engine_evictions_total"])
-		s.SessionsEvicted += uint64(snap["vexus_sessions_evicted_total"])
 	}
 
 	for _, st := range h.streams {
@@ -129,8 +127,11 @@ func (h *harness) summary() *Summary {
 // A correct cluster never misroutes a session, breaks ETag continuity,
 // moves the epoch out of step with the topology, fails a chaos op or
 // the final audit, answers for a lost session, loses the epoch across
-// a gateway restart, rejects a well-formed action batch, or answers
-// with a status the harness does not expect.
+// a gateway restart, rejects a well-formed action batch, answers
+// with a status the harness does not expect, or moves a different
+// number of sessions off a drained shard than the harness had live
+// there (drain_moved against drain_moved_live: a dead session moved
+// or a live one left behind).
 func (s *Summary) FailClosed() error {
 	var bad []string
 	for _, c := range []struct {
@@ -152,6 +153,9 @@ func (s *Summary) FailClosed() error {
 	}
 	if !s.RestartPreserved {
 		bad = append(bad, "restart_epoch_preserved=false")
+	}
+	if s.DrainMovedLive != s.DrainMoved {
+		bad = append(bad, fmt.Sprintf("drain_moved_live=%d (drain_moved %d)", s.DrainMovedLive, s.DrainMoved))
 	}
 	if len(bad) == 0 {
 		return nil

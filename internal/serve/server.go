@@ -258,14 +258,9 @@ func (s *Server) state(cs *clientSession) stateDTO {
 	eng := cs.eng
 	sess := cs.act.Sess
 	st := stateDTO{Session: cs.id, Dataset: cs.dataset, Focal: sess.Focal()}
-	focal := sess.Focal()
 	for _, v := range sess.Views("") {
-		sim := 0.0
-		if focal >= 0 {
-			sim = eng.Space.Group(focal).Jaccard(eng.Space.Group(v.ID))
-		}
 		st.Shown = append(st.Shown, groupDTO{
-			ID: v.ID, Label: v.Label, Size: v.Size, Similarity: sim,
+			ID: v.ID, Label: v.Label, Size: v.Size, Similarity: v.Similarity,
 		})
 	}
 	for _, e := range sess.Context(action.ContextTop) {

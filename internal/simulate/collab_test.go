@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vexus/internal/action"
-	"vexus/internal/core"
 	"vexus/internal/rng"
 )
 
@@ -29,8 +28,7 @@ func TestRunCollaborative(t *testing.T) {
 	// trail replayed on a fresh session below must land byte-identically.
 	det := fastCfg()
 	det.TimeLimit = 0
-	sess := eng.NewSession(det)
-	res := RunCollaborative(sess, task, NoisyPolicy(0.2), rng.New(42))
+	res := RunCollaborative(action.New(eng, det), task, NoisyPolicy(0.2), rng.New(42))
 
 	if res.Applied == 0 || res.Mutations != uint64(res.Applied) {
 		t.Fatalf("applied %d actions but counter is %d", res.Applied, res.Mutations)
@@ -50,7 +48,7 @@ func TestRunCollaborative(t *testing.T) {
 	// The shared trail is a replayable action log like every other
 	// simulate result: replaying it on a fresh session reproduces the
 	// same authoritative projection.
-	replay := action.Wrap(eng.NewSession(det))
+	replay := action.New(eng, det)
 	views := newCollabView()
 	replay.OnDiff = func(r action.Result) { views.apply(r.Diff) }
 	for _, a := range res.Actions {
@@ -70,8 +68,7 @@ func TestRunCollaborative(t *testing.T) {
 // result instead of panicking.
 func TestRunCollaborativeDegenerate(t *testing.T) {
 	eng := buildEngine(t)
-	sess := eng.NewSession(fastCfg())
-	if res := RunCollaborative(sess, CollabTask{Analysts: 2, Targets: []int{0}}, GreedyPolicy(), rng.New(1)); res.Applied != 0 {
+	if res := RunCollaborative(action.New(eng, fastCfg()), CollabTask{Analysts: 2, Targets: []int{0}}, GreedyPolicy(), rng.New(1)); res.Applied != 0 {
 		t.Fatalf("mismatched targets ran %d actions", res.Applied)
 	}
 }
@@ -267,19 +264,18 @@ func sortedStrings(set map[string]bool) []string {
 // their own target group (exploring the shown group most similar to
 // it, bookmarking it when satisfied), so the shared trail interleaves
 // genuinely conflicting intents.
-func RunCollaborative(sess *core.Session, task CollabTask, policy Policy, r *rng.RNG) CollabResult {
+func RunCollaborative(as *action.Session, task CollabTask, policy Policy, r *rng.RNG) CollabResult {
 	res := CollabResult{}
 	if task.Analysts <= 0 || len(task.Targets) != task.Analysts {
 		return res
 	}
-	space := sess.Engine().Space
+	space := as.Sess.Engine().Space
 
 	views := make([]*collabView, task.Analysts)
 	for i := range views {
 		views[i] = newCollabView()
 	}
 
-	as := action.Wrap(sess)
 	as.OnDiff = func(r action.Result) {
 		for _, v := range views {
 			v.apply(r.Diff)

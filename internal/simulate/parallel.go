@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"vexus/internal/action"
 	"vexus/internal/bitset"
 	"vexus/internal/core"
 	"vexus/internal/greedy"
@@ -32,8 +33,7 @@ func RunMTBatchParallel(eng *core.Engine, cfg greedy.Config, task MTTask, policy
 	slots := make([]MTResult, runs)
 	parallel.ForEach(runs, workers, func(_, i int) {
 		r := rng.Derive(seed, mtStream|uint64(i))
-		sess := eng.NewSession(cfg)
-		out := RunMT(sess, task, policy, r)
+		out := RunMT(action.New(eng, cfg), task, policy, r)
 		out.CollectedTrace = nil // aggregate only; don't retain per-run traces
 		slots[i] = out
 	})
@@ -63,8 +63,7 @@ func RunSTBatchParallel(eng *core.Engine, cfg greedy.Config, task STTask, policy
 	slots := make([]STResult, runs)
 	parallel.ForEach(runs, workers, func(_, i int) {
 		r := rng.Derive(seed, stStream|uint64(i))
-		sess := eng.NewSession(cfg)
-		slots[i] = RunST(sess, task, policy, r)
+		slots[i] = RunST(action.New(eng, cfg), task, policy, r)
 	})
 	return reduceST(res, slots)
 }

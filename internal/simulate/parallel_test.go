@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"testing"
+	"vexus/internal/action"
 
 	"vexus/internal/bitset"
 	"vexus/internal/core"
@@ -115,8 +116,7 @@ func RunMTBatch(eng *core.Engine, cfg greedy.Config, task MTTask, policy Policy,
 	sumIter, sumColl, successes := 0, 0, 0
 	for i := 0; i < runs; i++ {
 		r := rng.Derive(seed, mtStream|uint64(i))
-		sess := eng.NewSession(cfg)
-		out := RunMT(sess, task, policy, r)
+		out := RunMT(action.New(eng, cfg), task, policy, r)
 		sumColl += out.Collected
 		if out.Success {
 			successes++
@@ -140,8 +140,7 @@ func RunSTBatch(eng *core.Engine, cfg greedy.Config, task STTask, policy Policy,
 	sumSim := 0.0
 	for i := 0; i < runs; i++ {
 		r := rng.Derive(seed, stStream|uint64(i))
-		sess := eng.NewSession(cfg)
-		out := RunST(sess, task, policy, r)
+		out := RunST(action.New(eng, cfg), task, policy, r)
 		sumSim += out.BestSimilarity
 		if out.Success {
 			successes++

@@ -15,7 +15,6 @@ package simulate
 import (
 	"vexus/internal/action"
 	"vexus/internal/bitset"
-	"vexus/internal/core"
 	"vexus/internal/rng"
 )
 
@@ -85,14 +84,14 @@ type MTResult struct {
 // target users (subject to policy noise), then "recognizes" and
 // bookmarks the target members of the clicked group — the paper's
 // granular analysis step, where the chair inspects the group's member
-// table and picks the wanted people.
-func RunMT(sess *core.Session, task MTTask, policy Policy, r *rng.RNG) MTResult {
+// table and picks the wanted people. as is a fresh session
+// (action.New); the run starts it, and MTResult.Actions is its log.
+func RunMT(as *action.Session, task MTTask, policy Policy, r *rng.RNG) MTResult {
 	res := MTResult{}
-	eng := sess.Engine()
+	eng := as.Sess.Engine()
 	space := eng.Space
 	collected := bitset.New(task.Target.Len())
 
-	as := action.Wrap(sess)
 	_ = action.ApplyQuiet(as, action.Action{Op: action.Start})
 	bookmark := func(gid int) {
 		g := space.Group(gid)
@@ -115,7 +114,7 @@ func RunMT(sess *core.Session, task MTTask, policy Policy, r *rng.RNG) MTResult 
 	}
 
 	for it := 1; it <= task.MaxIterations; it++ {
-		shown := sess.Shown()
+		shown := as.Sess.Shown()
 		if len(shown) == 0 {
 			break
 		}
@@ -173,10 +172,10 @@ type STResult struct {
 // target group but recognizes affinity when seeing a group's members
 // and statistics, modeled as clicking the shown group most similar to
 // the target (with policy noise). Success is reaching a group within
-// MinSimilarity of the target.
-func RunST(sess *core.Session, task STTask, policy Policy, r *rng.RNG) STResult {
+// MinSimilarity of the target. as is a fresh session, as for RunMT.
+func RunST(as *action.Session, task STTask, policy Policy, r *rng.RNG) STResult {
 	res := STResult{}
-	space := sess.Engine().Space
+	space := as.Sess.Engine().Space
 	target := space.Group(task.TargetGroup)
 
 	satisfied := task.Satisfied
@@ -187,10 +186,9 @@ func RunST(sess *core.Session, task STTask, policy Policy, r *rng.RNG) STResult 
 		}
 	}
 
-	as := action.Wrap(sess)
 	_ = action.ApplyQuiet(as, action.Action{Op: action.Start})
 	for it := 1; it <= task.MaxIterations; it++ {
-		shown := sess.Shown()
+		shown := as.Sess.Shown()
 		if len(shown) == 0 {
 			break
 		}

@@ -76,8 +76,8 @@ func TestRunMTSucceedsOnEasyTask(t *testing.T) {
 	eng.Space.SortBySize(ids)
 	target := eng.Space.Group(ids[0]).Members.Clone()
 
-	sess := eng.NewSession(fastCfg())
-	res := RunMT(sess, MTTask{
+	as := action.New(eng, fastCfg())
+	res := RunMT(as, MTTask{
 		Target:        target,
 		Quota:         target.Count() / 2,
 		MaxIterations: 15,
@@ -98,7 +98,7 @@ func TestRunMTSucceedsOnEasyTask(t *testing.T) {
 		}
 	}
 	// Memo matches the collected count.
-	if got := len(sess.Memo().Users()); got != res.Collected {
+	if got := len(as.Sess.Memo().Users()); got != res.Collected {
 		t.Fatalf("memo has %d users, result says %d", got, res.Collected)
 	}
 }
@@ -108,7 +108,7 @@ func TestRunMTRespectsBudget(t *testing.T) {
 	// Impossible quota: more users than the target holds.
 	target := bitset.New(eng.Data.NumUsers())
 	target.Add(0)
-	res := RunMT(eng.NewSession(fastCfg()), MTTask{
+	res := RunMT(action.New(eng, fastCfg()), MTTask{
 		Target:        target,
 		Quota:         50,
 		MaxIterations: 4,
@@ -146,7 +146,7 @@ func TestRunSTReachesTarget(t *testing.T) {
 	}
 	eng.Space.SortBySize(ids)
 	target := ids[len(ids)/3]
-	res := RunST(eng.NewSession(fastCfg()), STTask{
+	res := RunST(action.New(eng, fastCfg()), STTask{
 		TargetGroup:   target,
 		MinSimilarity: 0.8,
 		MaxIterations: 20,
@@ -225,7 +225,7 @@ func TestMTInspectionCap(t *testing.T) {
 	}
 	eng.Space.SortBySize(ids)
 	target := eng.Space.Group(ids[0]).Members.Clone()
-	res := RunMT(eng.NewSession(fastCfg()), MTTask{
+	res := RunMT(action.New(eng, fastCfg()), MTTask{
 		Target:            target,
 		Quota:             target.Count(),
 		MaxIterations:     3,
@@ -258,8 +258,9 @@ func TestCampaignEmitsReplayableActionLog(t *testing.T) {
 		t.Fatal("no committee target in fixture")
 	}
 	task := MTTask{Target: target, Quota: 8, MaxIterations: 6}
-	sess := eng.NewSession(cfg)
-	out := RunMT(sess, task, GreedyPolicy(), rng.New(5))
+	as := action.New(eng, cfg)
+	out := RunMT(as, task, GreedyPolicy(), rng.New(5))
+	sess := as.Sess
 	if len(out.Actions) == 0 {
 		t.Fatal("campaign emitted no action log")
 	}
@@ -304,7 +305,7 @@ func TestSTCampaignLogsBookmark(t *testing.T) {
 	cfg := fastCfg()
 	cfg.TimeLimit = 0
 	task := STTask{TargetGroup: 0, MinSimilarity: 0, MaxIterations: 4}
-	out := RunST(eng.NewSession(cfg), task, GreedyPolicy(), rng.New(3))
+	out := RunST(action.New(eng, cfg), task, GreedyPolicy(), rng.New(3))
 	if !out.Success {
 		t.Fatal("trivial single-target task failed")
 	}

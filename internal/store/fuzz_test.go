@@ -102,9 +102,8 @@ func FuzzLoadFreshBytes(f *testing.F) {
 				t.Fatalf("group %d neighbours differ from the built engine's", gid)
 			}
 		}
-		cfg := greedy.DefaultConfig()
-		cfg.TimeLimit = 0
-		if g, w := eng.NewSession(cfg).Start(), want.NewSession(cfg).Start(); !slices.Equal(g, w) {
+		k := greedy.DefaultConfig().K
+		if g, w := eng.Largest(k), want.Largest(k); !slices.Equal(g, w) {
 			t.Fatalf("initial display %v, want %v", g, w)
 		}
 	})

@@ -179,8 +179,13 @@ func requireSameSelections(t *testing.T, want, got *core.Engine) {
 	t.Helper()
 	cfg := greedy.DefaultConfig()
 	cfg.TimeLimit = 0
-	ws, gs := want.NewSession(cfg), got.NewSession(cfg)
-	wShown, gShown := ws.Start(), gs.Start()
+	ws, gs := action.New(want, cfg), action.New(got, cfg)
+	for _, s := range []*action.Session{ws, gs} {
+		if err := action.ApplyQuiet(s, action.Action{Op: action.Start}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wShown, gShown := ws.Sess.Shown(), gs.Sess.Shown()
 	if len(wShown) != len(gShown) {
 		t.Fatalf("initial display %d groups vs %d", len(gShown), len(wShown))
 	}
@@ -191,30 +196,30 @@ func requireSameSelections(t *testing.T, want, got *core.Engine) {
 	}
 	focal := wShown[0]
 	for step := 0; step < 3; step++ {
-		wSel, err := ws.Explore(focal)
+		wRes, err := action.Apply(ws, action.Action{Op: action.Explore, Group: focal})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gSel, err := gs.Explore(focal)
+		gRes, err := action.Apply(gs, action.Action{Op: action.Explore, Group: focal})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(wSel.IDs) != len(gSel.IDs) {
-			t.Fatalf("step %d: %d ids vs %d", step, len(gSel.IDs), len(wSel.IDs))
+		wIDs, gIDs := ws.Sess.Shown(), gs.Sess.Shown()
+		if len(wIDs) != len(gIDs) {
+			t.Fatalf("step %d: %d ids vs %d", step, len(gIDs), len(wIDs))
 		}
-		for i := range wSel.IDs {
-			if wSel.IDs[i] != gSel.IDs[i] {
-				t.Fatalf("step %d slot %d: group %d vs %d", step, i, gSel.IDs[i], wSel.IDs[i])
+		for i := range wIDs {
+			if wIDs[i] != gIDs[i] {
+				t.Fatalf("step %d slot %d: group %d vs %d", step, i, gIDs[i], wIDs[i])
 			}
 		}
-		if wSel.Coverage != gSel.Coverage || wSel.Diversity != gSel.Diversity ||
-			wSel.Feedback != gSel.Feedback || wSel.Objective != gSel.Objective {
-			t.Fatalf("step %d metrics differ: %+v vs %+v", step, gSel, wSel)
+		if *wRes.Metrics != *gRes.Metrics {
+			t.Fatalf("step %d metrics differ: %+v vs %+v", step, *gRes.Metrics, *wRes.Metrics)
 		}
-		if len(wSel.IDs) == 0 {
+		if len(wIDs) == 0 {
 			break
 		}
-		focal = wSel.IDs[0]
+		focal = wIDs[0]
 	}
 }
 
