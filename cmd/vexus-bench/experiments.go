@@ -643,8 +643,7 @@ func runF1(_ uint64, _ string) error {
   internal/etl          ETL (CSV import, cleaning, schema inference)
   internal/dataset      user database [user, item, value] + demographics
   internal/mining       transaction encoding, mining bounds
-  internal/mining/lcm      LCM closed frequent itemsets   (every engine)
-  internal/mining/stream   lossy-counting stream miner     (ingest preview)
+  internal/mining/lcm      LCM closed frequent itemsets   (every engine and ingest)
   internal/groups       user-group space + overlap graph G
   internal/index        per-group inverted similarity index (exact, on demand)
 online (internal/action.Session, written only by action.Apply):

@@ -32,12 +32,8 @@ import (
 	"time"
 
 	"vexus/internal/action"
-	"vexus/internal/core"
-	"vexus/internal/datagen"
-	"vexus/internal/dataset"
-	"vexus/internal/etl"
 	"vexus/internal/greedy"
-	"vexus/internal/mining"
+	"vexus/internal/serve"
 	"vexus/internal/store"
 )
 
@@ -56,14 +52,14 @@ func main() {
 	)
 	flag.Parse()
 
-	d, encode, err := loadData(*which, *n, *seed, *users, *actions)
+	// The flags name a dataset the way a server's catalog spec does, and
+	// resolve through the same function, so the REPL mines exactly what
+	// vexus-server would serve for them.
+	spec := serve.DatasetSpec{Dataset: *which, N: *n, Seed: *seed, MinSup: *minSup, Users: *users, Actions: *actions}
+	d, pcfg, err := spec.Resolve("", *workers)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pcfg := core.DefaultPipelineConfig()
-	pcfg.Encode = encode
-	pcfg.MinSupportFrac = *minSup
-	pcfg.Workers = *workers
 	fmt.Printf("building groups over %d users …\n", d.NumUsers())
 	start := time.Now()
 	eng, warm, err := store.BuildOrLoad(*snap, d, pcfg)
@@ -97,54 +93,4 @@ func main() {
 		log.Fatal(err)
 	}
 	repl(as)
-}
-
-// loadData resolves the dataset flag into data plus the encoding
-// options appropriate to it.
-func loadData(which string, n int, seed uint64, usersPath, actionsPath string) (*dataset.Dataset, mining.EncodeOptions, error) {
-	switch which {
-	case "dbauthors":
-		d, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: n, Seed: seed})
-		return d, datagen.DBAuthorsEncodeOptions(), err
-	case "bookcrossing":
-		cfg := datagen.SmallScale(seed)
-		cfg.NumUsers = n
-		d, err := datagen.BookCrossing(cfg)
-		return d, datagen.BookCrossingEncodeOptions(), err
-	case "csv":
-		if usersPath == "" || actionsPath == "" {
-			return nil, mining.EncodeOptions{}, fmt.Errorf("-dataset csv requires -users and -actions")
-		}
-		d, err := loadCSV(usersPath, actionsPath)
-		return d, mining.DefaultEncodeOptions(), err
-	default:
-		return nil, mining.EncodeOptions{}, fmt.Errorf("unknown dataset %q", which)
-	}
-}
-
-// loadCSV infers the demographic schema from the users file, then
-// imports both tables through the ETL stage.
-func loadCSV(usersPath, actionsPath string) (*dataset.Dataset, error) {
-	uf, err := os.Open(usersPath)
-	if err != nil {
-		return nil, err
-	}
-	schema, _, err := etl.InferSchema(uf, etl.DefaultInferOptions())
-	uf.Close()
-	if err != nil {
-		return nil, fmt.Errorf("inferring schema: %w", err)
-	}
-
-	b := dataset.NewBuilder(schema)
-	urep, err := etl.LoadUsersFile(usersPath, b, schema, etl.DefaultRules())
-	if err != nil {
-		return nil, fmt.Errorf("loading users: %w", err)
-	}
-	arep, err := etl.LoadActionsFile(actionsPath, b, b.HasUser, etl.DefaultRules())
-	if err != nil {
-		return nil, fmt.Errorf("loading actions: %w", err)
-	}
-	fmt.Printf("ETL: %d user rows kept, %d action rows kept (%d dropped)\n",
-		urep.RowsKept, arep.RowsKept, urep.RowsDropped+arep.RowsDropped)
-	return b.Build()
 }

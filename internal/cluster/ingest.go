@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -29,33 +30,19 @@ import (
 // serializing them keeps the seq ladder trivially gap-free without a
 // distributed lock.
 
-// handleIngest is POST /api/v1/datasets/{name}/ingest on the gateway.
-// ?preview=1 is read-only and proxies to one shard; a commit fans out
-// to all of them.
+// handleIngest is POST /api/v1/datasets/{name}/ingest on the gateway:
+// every batch is committed, on every shard. A query string is refused
+// with 400 before any shard sees the batch, as each shard would.
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
+	if serve.RejectIngestQuery(w, r) {
+		return
+	}
 	name := r.PathValue("name")
 	raw, ok := serve.ReadBody(w, r, serve.MaxIngestBody)
 	if !ok {
 		return
 	}
 	path := "/api/v1/datasets/" + url.PathEscape(name) + "/ingest"
-
-	if r.URL.Query().Get("preview") == "1" {
-		shards := g.shardList()
-		if len(shards) == 0 {
-			http.Error(w, "no shard available", http.StatusBadGateway)
-			return
-		}
-		res, err := shards[0].send(context.Background(), shards[0].client, http.MethodPost, path+"?preview=1",
-			traceHeader(r.Context(), http.Header{"Content-Type": {"application/json"}}), bytes.NewReader(raw))
-		if err != nil {
-			http.Error(w, "shard unreachable: "+err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer res.Body.Close()
-		copyResponse(w, res)
-		return
-	}
 
 	b, err := core.DecodeIngestJSON(raw)
 	if err != nil {
@@ -95,8 +82,10 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 				sh.name, b.Seq, i, res.StatusCode, body), http.StatusBadGateway)
 			return
 		}
-		var ir serve.IngestResult
-		if err := json.Unmarshal(body, &ir); err != nil {
+		ir, err := decodeIngestReply(body, name, b.Seq)
+		if err != nil {
+			// Checked before the seq is pinned: a sequencer reply that
+			// names no valid position reaches no other shard.
 			http.Error(w, fmt.Sprintf("shard %s: bad ingest response: %v", sh.name, err), http.StatusBadGateway)
 			return
 		}
@@ -108,9 +97,11 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 			agg = ir
 			continue
 		}
-		if ir.Seq != agg.Seq || ir.EngineVersion != agg.EngineVersion {
-			http.Error(w, fmt.Sprintf("cluster divergence: shard %s at seq %d version %d, expected seq %d version %d",
-				sh.name, ir.Seq, ir.EngineVersion, agg.Seq, agg.EngineVersion), http.StatusBadGateway)
+		// decodeIngestReply held the seq to the pinned one; the
+		// version must agree too.
+		if ir.EngineVersion != agg.EngineVersion {
+			http.Error(w, fmt.Sprintf("cluster divergence: shard %s at version %d after seq %d, expected version %d",
+				sh.name, ir.EngineVersion, ir.Seq, agg.EngineVersion), http.StatusBadGateway)
 			return
 		}
 		// Sessions live on different shards; the touched-session count
@@ -121,4 +112,36 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(agg)
+}
+
+// decodeIngestReply decodes a shard's 200 reply to an ingest of the
+// named dataset, strictly: unknown fields and anything after the
+// object are refused, and so is a reply that cannot describe a commit
+// of a batch sent with seq sent (0 = let the shard assign it). A seq
+// is a position on the version ladder, so it is at least 1 and equals
+// the one sent; a fresh commit of batch k lands on version k+1, and a
+// replay (alreadyApplied) on a version past k.
+func decodeIngestReply(raw []byte, name string, sent uint64) (serve.IngestResult, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var ir serve.IngestResult
+	if err := dec.Decode(&ir); err != nil {
+		return serve.IngestResult{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return serve.IngestResult{}, errors.New("data after the reply object")
+	}
+	switch {
+	case ir.Dataset != name:
+		return serve.IngestResult{}, fmt.Errorf("reply for dataset %q, want %q", ir.Dataset, name)
+	case ir.Seq == 0:
+		return serve.IngestResult{}, errors.New("reply seq 0")
+	case sent != 0 && ir.Seq != sent:
+		return serve.IngestResult{}, fmt.Errorf("reply seq %d, sent %d", ir.Seq, sent)
+	case ir.AlreadyApplied && ir.EngineVersion <= ir.Seq:
+		return serve.IngestResult{}, fmt.Errorf("replayed seq %d at engine version %d", ir.Seq, ir.EngineVersion)
+	case !ir.AlreadyApplied && (ir.EngineVersion == 0 || ir.EngineVersion-1 != ir.Seq): // seq+1 could wrap
+		return serve.IngestResult{}, fmt.Errorf("seq %d committed at engine version %d", ir.Seq, ir.EngineVersion)
+	}
+	return ir, nil
 }

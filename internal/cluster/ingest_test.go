@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"vexus/internal/action"
@@ -182,42 +184,163 @@ func TestGatewayIngestConvergence(t *testing.T) {
 	if len(st2.Shown) == 0 {
 		t.Fatal("post-ingest session shows no groups")
 	}
+}
 
-	// Preview proxies read-only to one shard. The batch needs users the
-	// committed one did not introduce — it appends to the live engine.
-	pb := core.IngestBatch{
-		Users: []dataset.NewUser{{ID: "joiner3", Demo: map[string]string{"gender": "female"}}},
-		Actions: []dataset.NewAction{
-			{User: "joiner3", Item: "ICDE", Value: 1, Time: 2019},
-		},
+// shardVersions reads every shard's /api/datasets row for the one
+// fixture dataset and returns its engine version, in shard order.
+func shardVersions(t testing.TB, gw *Gateway) []uint64 {
+	t.Helper()
+	var out []uint64
+	for _, sh := range gw.shardList() {
+		var body datasetsDTO
+		if err := sh.getJSON("/api/datasets", nil, &body); err != nil {
+			t.Fatalf("shard %s: %v", sh.name, err)
+		}
+		if len(body.Datasets) != 1 {
+			t.Fatalf("shard %s listing %+v, want one dataset", sh.name, body.Datasets)
+		}
+		out = append(out, body.Datasets[0].Version)
 	}
-	pres, err := http.Post(ts.URL+"/api/v1/datasets/default/ingest?preview=1", "application/json",
-		bytes.NewReader(mustJSON(t, pb)))
+	return out
+}
+
+// TestGatewayIngestRejectsQuery: the ingest endpoint takes no query
+// string, on a shard and through the gateway. The retired ?preview=1
+// dry run is refused with 400 rather than ignored — ignoring it would
+// commit the batch on every shard — and no engine version moves.
+func TestGatewayIngestRejectsQuery(t *testing.T) {
+	gw, ts := testCluster(t, 2)
+	raw, err := json.Marshal(clusterBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pres.Body.Close()
-	if pres.StatusCode != http.StatusOK {
-		t.Fatalf("gateway preview status %d", pres.StatusCode)
-	}
-	var prev struct {
-		Candidates []struct {
-			Label string `json:"label"`
-		} `json:"candidates"`
-	}
-	if err := json.NewDecoder(pres.Body).Decode(&prev); err != nil {
+	sh := gw.shardList()[0]
+	res, err := sh.send(context.Background(), sh.client, http.MethodPost, "/api/v1/datasets/default/ingest?preview=1",
+		http.Header{"Content-Type": {"application/json"}}, bytes.NewReader(raw))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prev.Candidates) == 0 {
-		t.Fatal("gateway preview found no candidates")
+	res.Body.Close()
+	if res.StatusCode != http.StatusBadRequest {
+		t.Fatalf("shard %s ingest?preview=1: status %d, want 400", sh.name, res.StatusCode)
+	}
+	for _, q := range []string{"?preview=1", "?seq=1"} {
+		if _, hres := postIngestAt(t, ts.URL, "default", q, clusterBatch()); hres.StatusCode != http.StatusBadRequest {
+			t.Fatalf("gateway ingest%s: status %d, want 400", q, hres.StatusCode)
+		}
+	}
+	if v := shardVersions(t, gw); fmt.Sprint(v) != "[1 1]" {
+		t.Fatalf("shard versions %v after refused ingests, want [1 1]", v)
 	}
 }
 
-func mustJSON(t testing.TB, v any) []byte {
-	t.Helper()
-	raw, err := json.Marshal(v)
+// TestGatewayRejectsBadSequencerReply: shard 0 assigns the seq that
+// every other shard is then pinned to, so a reply naming no valid
+// position (here seq 0, which would mean "assign" on the next shard)
+// answers 502 before any other shard receives the batch.
+func TestGatewayRejectsBadSequencerReply(t *testing.T) {
+	h0 := shardServer(t).Routes()
+	var rewrote atomic.Int32 // written on the gateway's request goroutine
+	s0 := LocalShard("s0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/ingest") {
+			h0.ServeHTTP(w, r)
+			return
+		}
+		res := ServeInProcess(h0, r)
+		body, _ := io.ReadAll(res.Body)
+		if bytes.Contains(body, []byte(`"seq":1,`)) {
+			body = bytes.Replace(body, []byte(`"seq":1,`), []byte(`"seq":0,`), 1)
+			rewrote.Add(1)
+		}
+		w.WriteHeader(res.StatusCode)
+		_, _ = w.Write(body)
+	}))
+	gw, err := NewGatewayConfig(GatewayConfig{}, s0, LocalShard("s1", shardServer(t).Routes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw
+	t.Cleanup(gw.Close)
+	ts := httptest.NewServer(gw.Routes())
+	t.Cleanup(ts.Close)
+
+	if _, hres := postIngestAt(t, ts.URL, "default", "", clusterBatch()); hres.StatusCode != http.StatusBadGateway {
+		t.Fatalf("ingest with a seq-0 sequencer reply: status %d, want 502", hres.StatusCode)
+	}
+	if n := rewrote.Load(); n != 1 {
+		t.Fatalf("rewrote %d sequencer replies, want 1", n)
+	}
+	// s0 committed before its reply was altered; s1 never saw the batch.
+	if v := shardVersions(t, gw); fmt.Sprint(v) != "[2 1]" {
+		t.Fatalf("shard versions %v, want [2 1]", v)
+	}
+}
+
+// TestDecodeIngestReply pins which shard replies the gateway accepts
+// from an ingest of "default".
+func TestDecodeIngestReply(t *testing.T) {
+	for _, c := range []struct {
+		raw  string
+		sent uint64
+		ok   bool
+	}{
+		{`{"dataset":"default","seq":1,"engineVersion":2,"users":2,"actions":3}`, 0, true},
+		{`{"dataset":"default","seq":3,"engineVersion":4}`, 3, true},
+		{`{"dataset":"default","seq":1,"engineVersion":4,"alreadyApplied":true}`, 1, true},
+		{`{"dataset":"default","seq":0,"engineVersion":1}`, 0, false},
+		{`{"dataset":"default","seq":2,"engineVersion":3}`, 1, false},
+		{`{"dataset":"other","seq":1,"engineVersion":2}`, 0, false},
+		{`{"dataset":"default","seq":1,"engineVersion":3}`, 0, false},
+		{`{"dataset":"default","seq":2,"engineVersion":2,"alreadyApplied":true}`, 2, false},
+		{`{"dataset":"default","seq":18446744073709551615,"engineVersion":0}`, 0, false},
+		{`{"dataset":"default","seq":1,"engineVersion":2,"extra":1}`, 0, false},
+		{`{"dataset":"default","seq":1,"engineVersion":2} {}`, 0, false},
+		{`{"dataset":"default","seq":-1,"engineVersion":2}`, 0, false},
+		{``, 0, false},
+	} {
+		ir, err := decodeIngestReply([]byte(c.raw), "default", c.sent)
+		if (err == nil) != c.ok {
+			t.Errorf("decodeIngestReply(%s, sent %d) = %+v, %v; want ok=%v", c.raw, c.sent, ir, err, c.ok)
+		}
+	}
+}
+
+// FuzzDecodeIngestReply: whatever a shard replies, the gateway's
+// decoder never panics, and a reply it accepts names the dataset, a
+// seq on the ladder (the one sent, if any) and a version that seq can
+// produce, and survives a re-encode unchanged.
+func FuzzDecodeIngestReply(f *testing.F) {
+	for _, seed := range []struct {
+		raw  string
+		sent uint64
+	}{
+		{`{"dataset":"default","seq":1,"engineVersion":2,"users":2,"actions":3,"groups":9,"newGroups":1,"changedGroups":4,"notified":2}`, 0},
+		{`{"dataset":"default","seq":2,"engineVersion":5,"alreadyApplied":true}`, 2},
+		{`{"dataset":"default","seq":0,"engineVersion":2}`, 0},
+		{`{"dataset":"default","seq":1,"engineVersion":2}`, 7},
+		{`{"dataset":"default","seq":1,"engineVersion":2,"preview":true}`, 0},
+		{`{"dataset":"default","seq":1,"engineVersion":2}[]`, 0},
+		{`null`, 0},
+		{`not json`, 0},
+	} {
+		f.Add([]byte(seed.raw), seed.sent)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, sent uint64) {
+		ir, err := decodeIngestReply(raw, "default", sent)
+		if err != nil {
+			return
+		}
+		fresh := !ir.AlreadyApplied && ir.EngineVersion == ir.Seq+1 && ir.Seq+1 != 0
+		replay := ir.AlreadyApplied && ir.EngineVersion > ir.Seq
+		if ir.Dataset != "default" || ir.Seq == 0 || (sent != 0 && ir.Seq != sent) || !(fresh || replay) {
+			t.Fatalf("accepted %q (sent %d) as %+v", raw, sent, ir)
+		}
+		again, err := json.Marshal(ir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeIngestReply(again, "default", sent)
+		if err != nil || back != ir {
+			t.Fatalf("accepted %q as %+v, but its re-encoding %s decodes to %+v (%v)", raw, ir, again, back, err)
+		}
+	})
 }

@@ -13,8 +13,6 @@ import (
 
 	"vexus/internal/dataset"
 	"vexus/internal/groups"
-	"vexus/internal/mining"
-	"vexus/internal/mining/stream"
 )
 
 // IngestBatch is one unit of the ingestion log: new users and actions
@@ -155,9 +153,9 @@ func DecodeIngestBatch(data []byte) (IngestBatch, error) {
 // byte-identical to core.Build on the augmented dataset: encoding
 // depends on global popularity and activity quantiles and the minimum
 // support on the user count, so exactness requires re-running the
-// deterministic pipeline, not patching structures in place. (The cheap
-// lossy-counting preview of what a batch will change is IngestPreview;
-// the documented exactness boundary lives there.)
+// deterministic pipeline, not patching structures in place. It is the
+// one way streamed input reaches an engine: there is no approximate
+// dry run (see "Deviation: one group miner" in the module doc).
 func (e *Engine) Ingest(b IngestBatch) (*Engine, error) {
 	if b.Empty() {
 		return nil, fmt.Errorf("core: ingest: empty batch")
@@ -189,39 +187,6 @@ func BuildWithLineage(d *dataset.Dataset, cfg PipelineConfig, lineage []BatchDig
 	}
 	e.lineage = append([]BatchDigest(nil), lineage...)
 	return e, nil
-}
-
-// IngestPreview dry-runs a batch through the streaming miner (Jin &
-// Agrawal lossy counting, §II-A): it appends the batch to a copy of
-// the dataset, re-encodes, and feeds every transaction through
-// stream.Miner.Process, returning the Snapshot candidate set. This is
-// the discovery channel for evolving data — bounded memory, one pass
-// — and it carries the lossy-counting bound, not exactness: no
-// frequent itemset ≥ σ·N is missed, every reported count is within ε·N
-// of true, but membership bitsets and stats are not materialized.
-// Committing the batch with Ingest always rebuilds exactly. The
-// returned vocabulary is the augmented encoding's — the one the
-// itemsets' term ids live in; callers render labels against it, never
-// against the receiver's vocabulary (term ids are not stable across
-// versions).
-func (e *Engine) IngestPreview(b IngestBatch, cfg stream.Config) ([]stream.FrequentItemset, *groups.Vocab, error) {
-	d2, err := e.Data.Append(b.Users, b.Actions)
-	if err != nil {
-		return nil, nil, err
-	}
-	tx, err := mining.Encode(d2, e.cfg.Encode)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: ingest preview: encode: %w", err)
-	}
-	m := stream.New(cfg)
-	scratch := make([]groups.TermID, 0, 32)
-	for _, terms := range tx.PerUser {
-		// Process sorts and dedups in place; feed it a copy so the
-		// encoded transactions stay pristine.
-		scratch = append(scratch[:0], terms...)
-		m.Process(scratch)
-	}
-	return m.Snapshot(), tx.Vocab, nil
 }
 
 // GroupTouched reports whether a group from an older engine version is

@@ -9,7 +9,6 @@ import (
 	"vexus/internal/core"
 	"vexus/internal/datagen"
 	"vexus/internal/dataset"
-	"vexus/internal/mining/stream"
 	"vexus/internal/store"
 )
 
@@ -371,37 +370,5 @@ func TestGroupTouchedAndDiff(t *testing.T) {
 	discovered, changed := core.DiffSpaces(base.Space, ne.Space)
 	if discovered < 0 || changed == 0 {
 		t.Fatalf("DiffSpaces = (%d, %d), want at least one changed group", discovered, changed)
-	}
-}
-
-// TestIngestPreviewRunsLossy: the preview channel mines the augmented
-// stream within the lossy-counting contract and leaves the engine at
-// its version.
-func TestIngestPreviewRunsLossy(t *testing.T) {
-	d, cfg := ingestTestData(t)
-	eng, err := core.Build(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items, vocab, err := eng.IngestPreview(ingestTestBatch(), stream.Config{Support: 0.05, Epsilon: 0.005, MaxLen: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(items) == 0 {
-		t.Fatal("preview found no frequent itemsets at 5% support")
-	}
-	if vocab == nil {
-		t.Fatal("preview returned no vocabulary")
-	}
-	for _, it := range items {
-		if len(it.Terms) == 0 || it.Count <= 0 {
-			t.Fatalf("malformed preview itemset %+v", it)
-		}
-		if it.Terms.Label(vocab) == "" {
-			t.Fatal("itemset does not render against the returned vocabulary")
-		}
-	}
-	if eng.Version() != 1 {
-		t.Fatal("preview advanced the engine version")
 	}
 }

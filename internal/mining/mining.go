@@ -1,12 +1,12 @@
 // Package mining provides the shared substrate for user-group
 // discovery: the encoding of users into transactions over an interned
 // term vocabulary, vertical tid-lists for fast support counting, and
-// the bounds (Options) LCM runs under. The encoding feeds two miners:
-// internal/mining/lcm, which mines every engine's group space, and
-// internal/mining/stream, the lossy-counting preview of an ingest.
-// The paper treats VEXUS as independent of the discovery algorithm
-// (§II-A); this repository fixes LCM instead of making the miner an
-// option (see "Deviation: one group miner" in the module doc).
+// the bounds (Options) LCM runs under. The encoding feeds one miner,
+// internal/mining/lcm, which mines every engine's group space, on a
+// build and on every ingest. The paper treats VEXUS as independent of
+// the discovery algorithm (§II-A) and names stream miners too; this
+// repository fixes LCM instead of making the miner an option (see
+// "Deviation: one group miner" in the module doc).
 package mining
 
 import (

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,7 +24,7 @@ import (
 // DatasetSpec is one named dataset of a -datasets catalog directory: a
 // <name>.json file describing where the data comes from. Synthetic
 // specs carry generator parameters; csv specs point at ETL inputs
-// relative to the directory.
+// relative to the directory. The REPL builds one from its flags.
 type DatasetSpec struct {
 	// Dataset selects the source: dbauthors | bookcrossing | csv.
 	Dataset string `json:"dataset"`
@@ -539,17 +540,10 @@ func (c *Catalog) buildSpec(name string, spec DatasetSpec) (*core.Engine, bool, 
 // a warm-join install both start here, so they agree on the
 // fingerprint by construction.
 func (c *Catalog) specInputs(name string, spec DatasetSpec) (*dataset.Dataset, core.PipelineConfig, string, error) {
-	d, encode, err := c.loadSpecData(spec)
+	d, pcfg, err := spec.Resolve(c.dir, c.workers)
 	if err != nil {
 		return nil, core.PipelineConfig{}, "", fmt.Errorf("dataset %q: %w", name, err)
 	}
-	pcfg := core.DefaultPipelineConfig()
-	pcfg.Encode = encode
-	pcfg.MinSupportFrac = spec.MinSup
-	if pcfg.MinSupportFrac == 0 {
-		pcfg.MinSupportFrac = 0.02
-	}
-	pcfg.Workers = c.workers
 	snap := ""
 	if c.dir != "" {
 		snap = filepath.Join(c.dir, name+".snap")
@@ -557,31 +551,39 @@ func (c *Catalog) specInputs(name string, spec DatasetSpec) (*dataset.Dataset, c
 	return d, pcfg, snap, nil
 }
 
-func (c *Catalog) loadSpecData(spec DatasetSpec) (*dataset.Dataset, mining.EncodeOptions, error) {
+// Resolve generates or imports the spec's dataset and returns it with
+// the pipeline config it is mined under: the encoding its source needs,
+// the spec's minimum support (0 means 0.02) and the given worker count.
+// CSV paths are relative to dir. Every server and the REPL build their
+// engine from these two values.
+func (spec DatasetSpec) Resolve(dir string, workers int) (*dataset.Dataset, core.PipelineConfig, error) {
+	pcfg := core.DefaultPipelineConfig()
+	pcfg.MinSupportFrac = cmp.Or(spec.MinSup, 0.02)
+	pcfg.Workers = workers
+	var d *dataset.Dataset
+	var err error
 	switch spec.Dataset {
 	case "dbauthors":
-		n := spec.N
-		if n == 0 {
-			n = 1000
-		}
-		d, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: n, Seed: spec.Seed})
-		return d, datagen.DBAuthorsEncodeOptions(), err
+		pcfg.Encode = datagen.DBAuthorsEncodeOptions()
+		d, err = datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: cmp.Or(spec.N, 1000), Seed: spec.Seed})
 	case "bookcrossing":
 		cfg := datagen.SmallScale(spec.Seed)
-		if spec.N != 0 {
-			cfg.NumUsers = spec.N
-		}
-		d, err := datagen.BookCrossing(cfg)
-		return d, datagen.BookCrossingEncodeOptions(), err
+		cfg.NumUsers = cmp.Or(spec.N, cfg.NumUsers)
+		pcfg.Encode = datagen.BookCrossingEncodeOptions()
+		d, err = datagen.BookCrossing(cfg)
 	case "csv":
 		if spec.Users == "" || spec.Actions == "" {
-			return nil, mining.EncodeOptions{}, fmt.Errorf("csv spec needs users and actions paths")
+			return nil, core.PipelineConfig{}, fmt.Errorf("csv spec needs users and actions paths")
 		}
-		d, err := loadCSVDataset(filepath.Join(c.dir, spec.Users), filepath.Join(c.dir, spec.Actions))
-		return d, mining.DefaultEncodeOptions(), err
+		pcfg.Encode = mining.DefaultEncodeOptions()
+		d, err = loadCSVDataset(filepath.Join(dir, spec.Users), filepath.Join(dir, spec.Actions))
 	default:
-		return nil, mining.EncodeOptions{}, fmt.Errorf("unknown dataset kind %q", spec.Dataset)
+		return nil, core.PipelineConfig{}, fmt.Errorf("unknown dataset kind %q", spec.Dataset)
 	}
+	if err != nil {
+		return nil, core.PipelineConfig{}, err
+	}
+	return d, pcfg, nil
 }
 
 // loadCSVDataset imports a users/actions CSV pair through the ETL

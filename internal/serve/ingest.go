@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"vexus/internal/core"
-	"vexus/internal/mining/stream"
 	"vexus/internal/store"
 )
 
@@ -34,6 +34,19 @@ import (
 // gateway that fans it out. Batches are meant to be incremental — bulk
 // history belongs in the build path.
 const MaxIngestBody = 8 << 20
+
+// RejectIngestQuery answers 400 and reports true when an ingest request
+// carries a query string. The endpoint has no parameters; the shard and
+// the gateway both refuse rather than ignore one, because the only
+// query clients ever sent asked for a dry run that is gone, and
+// ignoring it would commit the batch.
+func RejectIngestQuery(w http.ResponseWriter, r *http.Request) bool {
+	if r.URL.RawQuery == "" {
+		return false
+	}
+	http.Error(w, "ingest takes no query parameters (got "+strconv.Quote(r.URL.RawQuery)+"); a batch is always committed", http.StatusBadRequest)
+	return true
+}
 
 // errSeqConflict marks a batch whose seq is ahead of the engine
 // version — the client skipped a batch; handlers surface 409.
@@ -234,9 +247,12 @@ func sessionTouched(cs *clientSession, ne *core.Engine) bool {
 }
 
 // handleDatasetIngest is POST /api/v1/datasets/{name}/ingest: commit a
-// batch ({users, actions, seq?}) or, with ?preview=1, dry-run it
-// through the streaming lossy-counting miner without committing.
+// batch ({users, actions, seq?}). A query string is refused with 400
+// (RejectIngestQuery).
 func (s *Server) handleDatasetIngest(w http.ResponseWriter, r *http.Request) {
+	if RejectIngestQuery(w, r) {
+		return
+	}
 	name := r.PathValue("name")
 	raw, ok := ReadBody(w, r, MaxIngestBody)
 	if !ok {
@@ -245,10 +261,6 @@ func (s *Server) handleDatasetIngest(w http.ResponseWriter, r *http.Request) {
 	b, err := core.DecodeIngestJSON(raw)
 	if err != nil {
 		http.Error(w, "bad ingest batch: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if r.URL.Query().Get("preview") == "1" {
-		s.handleIngestPreview(w, name, b)
 		return
 	}
 	res, err := s.cat.ingest(name, b)
@@ -268,77 +280,4 @@ func (s *Server) handleDatasetIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(res)
-}
-
-// IngestPreviewResult is the ?preview=1 response: the lossy-counting
-// candidate itemsets over the augmented dataset. Counts come with the
-// Jin & Agrawal bound — nothing ≥ support·N is missing, every count is
-// within epsilon·N of true — not the exactness a commit materializes.
-type IngestPreviewResult struct {
-	Dataset       string           `json:"dataset"`
-	EngineVersion uint64           `json:"engineVersion"`
-	Support       float64          `json:"support"`
-	Epsilon       float64          `json:"epsilon"`
-	Candidates    []previewItemset `json:"candidates"`
-}
-
-type previewItemset struct {
-	Label string `json:"label"`
-	Count int    `json:"count"`
-	Delta int    `json:"delta"`
-}
-
-func (s *Server) handleIngestPreview(w http.ResponseWriter, name string, b core.IngestBatch) {
-	eng, err := s.cat.engine(name)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, errUnknownDataset) {
-			status = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	cfg := stream.DefaultConfig()
-	if frac := eng.Config().MinSupportFrac; frac > cfg.Epsilon {
-		cfg.Support = frac
-	}
-	items, vocab, err := eng.IngestPreview(b, cfg)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	res := IngestPreviewResult{
-		Dataset:       name,
-		EngineVersion: eng.Version(),
-		Support:       cfg.Support,
-		Epsilon:       cfg.Epsilon,
-		Candidates:    make([]previewItemset, 0, len(items)),
-	}
-	for _, it := range items {
-		res.Candidates = append(res.Candidates, previewItemset{
-			Label: it.Terms.Label(vocab),
-			Count: it.Count,
-			Delta: it.Delta,
-		})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(res)
-}
-
-// engine resolves a dataset name to its resident engine (building on
-// first use), retrying around the acquire/evict race.
-func (c *Catalog) engine(name string) (*core.Engine, error) {
-	for {
-		e, reg, err := c.acquire(name)
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		eng := e.eng
-		resident := e.reg == reg
-		c.mu.Unlock()
-		if resident && eng != nil {
-			return eng, nil
-		}
-	}
 }

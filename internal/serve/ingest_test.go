@@ -251,39 +251,29 @@ func TestIngestNoticeAndETagSeamless(t *testing.T) {
 	}
 }
 
-// TestIngestPreviewEndpoint: ?preview=1 dry-runs the batch through the
-// streaming miner and commits nothing.
-func TestIngestPreviewEndpoint(t *testing.T) {
+// TestIngestRejectsQuery: the ingest endpoint takes no query string.
+// The retired ?preview=1 dry run, or any other query, is refused with
+// 400 instead of being ignored, so a client that meant not to commit
+// never commits.
+func TestIngestRejectsQuery(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	raw, err := json.Marshal(serveIngestBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := http.Post(ts.URL+"/api/v1/datasets/default/ingest?preview=1", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("preview status %d", res.StatusCode)
-	}
-	var out IngestPreviewResult
-	if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.EngineVersion != 1 || out.Support <= 0 || out.Epsilon <= 0 {
-		t.Fatalf("preview header %+v", out)
-	}
-	if len(out.Candidates) == 0 {
-		t.Fatal("preview found no candidates at the engine's support level")
-	}
-	for _, c := range out.Candidates {
-		if c.Label == "" || c.Count <= 0 {
-			t.Fatalf("malformed candidate %+v", c)
+	for _, q := range []string{"?preview=1", "?preview=0", "?seq=1", "?x"} {
+		res, err := http.Post(ts.URL+"/api/v1/datasets/default/ingest"+q, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(res.Body)
+		res.Body.Close()
+		if res.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "query") {
+			t.Fatalf("ingest%s: status %d: %s, want 400 naming the query", q, res.StatusCode, body)
 		}
 	}
 	if row := datasetRow(t, ts, "default"); row.Version != 1 {
-		t.Fatalf("preview committed: version %d", row.Version)
+		t.Fatalf("a refused ingest committed: version %d", row.Version)
 	}
 }
 

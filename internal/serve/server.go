@@ -130,8 +130,8 @@ func (s *Server) Routes() http.Handler {
 	handle("POST /api/v1/sessions/{sid}/actions", s.handleV1Actions)
 	handle("GET /api/v1/sessions/{sid}/groupviz.svg", s.handleGroupVizSVG)
 	handle("GET /api/v1/sessions/{sid}/focus.svg", s.handleFocusSVG)
-	// Live datasets: batched, sequence-numbered ingestion (and its
-	// ?preview=1 lossy-counting dry run).
+	// Live datasets: batched, sequence-numbered ingestion, always
+	// committed (a query string is refused with 400).
 	handle("POST /api/v1/datasets/{name}/ingest", s.handleDatasetIngest)
 
 	// Observability surface: liveness, readiness, and the Prometheus
