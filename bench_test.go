@@ -160,11 +160,10 @@ type browseStep struct {
 }
 
 // stepConfig is the optimizer configuration the trails are replayed
-// with: construction only, one worker.
+// with: construction only.
 func stepConfig() greedy.Config {
 	cfg := greedy.DefaultConfig()
 	cfg.TimeLimit = 0
-	cfg.Workers = 1
 	return cfg
 }
 

@@ -24,9 +24,6 @@ var callerExempt = map[string]string{
 	"MarshalJSON":   "json.Marshaler: encoding/json calls it",
 	"UnmarshalJSON": "json.Unmarshaler: encoding/json calls it",
 	"String":        "fmt.Stringer: fmt calls it",
-	// The benchmark module changes only in a benchmark PR; ROADMAP
-	// item 1 gives wallbench's traced run this loader.
-	"store.LoadFileFresh": "wallbench's traced run loads the snapshot file with it",
 }
 
 // TestInternalFuncsHaveCallers keeps every function and method declared

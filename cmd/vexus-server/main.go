@@ -80,7 +80,7 @@
 //     /api/v1/cluster/drain?shard= (POST /api/v1/cluster/join?shard=
 //     &addr= warms one from a member's resident engines, admits it
 //     and rebalances). Every shard must serve a bit-identical engine
-//     (same dataset flags/specs — the core.Build/store.LoadFile
+//     (same dataset flags/specs — the core.Build/store.BuildOrLoad
 //     determinism contract); shard mode
 //     therefore forces the deterministic optimizer configuration
 //     (no wall-clock cutoff), so a replayed trail reproduces the
@@ -233,7 +233,6 @@ func main() {
 			Gateways: []string{gwURL},
 			Secret:   *secret,
 			Every:    *beatEvery,
-			Info:     srv.LoadInfo,
 			RTT: srv.Telemetry().Histogram("vexus_cluster_heartbeat_rtt_seconds",
 				"Membership heartbeat round-trip time to the gateway.", nil),
 			Logger: logger,

@@ -62,7 +62,7 @@ func main() {
 	}
 	fmt.Printf("building groups over %d users …\n", d.NumUsers())
 	start := time.Now()
-	eng, warm, err := store.BuildOrLoad(*snap, d, pcfg)
+	eng, warm, _, err := store.BuildOrLoad(*snap, d, pcfg)
 	if eng == nil {
 		log.Fatal(err)
 	}

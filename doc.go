@@ -87,8 +87,10 @@
 // work owns its output slot and per-worker scratch, so any worker
 // count produces bit-identical results. The offline pipeline uses it
 // in groups.NewSpaceParallel (user→groups inversion) and
-// Space.ComputeStatsParallel; the online path uses it to score large
-// candidate pools in the greedy optimizer (greedy.Config.Workers).
+// Space.ComputeStatsParallel. The online optimizer scores its candidate
+// pool on the calling goroutine: the per-candidate work is smaller
+// than a fan-out costs, so greedy.Config.Workers is ignored (it stays
+// until the benchmark's next change, which sets it).
 //
 // Group discovery and evaluation parallelize the same way:
 // lcm.MineParallel fans the top-level PPC enumeration subtrees over
@@ -155,7 +157,17 @@
 // content address of the dataset + pipeline config
 // (store.ComputeFingerprint); store.BuildOrLoad serves a snapshot only
 // on an exact match and otherwise rebuilds and overwrites it, so a
-// stale snapshot can cost time but never correctness. The group
+// stale snapshot can cost time but never correctness.
+//
+// The trust boundary: the pipeline configuration is the caller's.
+// store.BuildOrLoad and store.LoadFreshBytes take the spec's dataset
+// and configuration, compute the fingerprint from them, and decode the
+// engine (or replay its deltas) under that configuration; the snapshot
+// stores none, and its META section holds only build timings. The
+// mined VOCB/TXNS/GRPS sections and the dataset sections (which a
+// compaction rewrites to hold the folded batches) are a cache of a
+// deterministic build, trusted under their CRCs and the fingerprint
+// chain; no load compares them with the caller's dataset. The group
 // section embeds a per-record offset table and decodes in parallel
 // (slot-writes again); derived state (user→group inversion, tid-lists,
 // size order) is reconstructed deterministically rather than stored.
@@ -203,8 +215,8 @@
 //	             unbroken across a move; clients cannot tell their
 //	             session migrated. Byte-identical states require
 //	             bit-identical engines on every shard (same dataset
-//	             spec; core.Build/store.LoadFile guarantee the rest at
-//	             any worker count) and the deterministic optimizer
+//	             spec; core.Build/store.BuildOrLoad guarantee the rest
+//	             at any worker count) and the deterministic optimizer
 //	             config (TimeLimit = 0, which -shard mode forces),
 //	             pinned by equivalence tests at workers 1, 2 and 8.
 //
@@ -228,10 +240,10 @@
 // The cluster is self-managing: the shard set is a live roster, not a
 // static flag. Each shard runs a membership.Announcer that heartbeats
 // POST /internal/cluster/heartbeat to the gateway (default every 2s,
-// -announce / -heartbeat), carrying its address, live session count
-// and per-dataset engine versions; the ack piggybacks the topology
-// epoch and the full roster back, so one round trip refreshes liveness
-// in both directions. internal/membership holds only what both sides
+// -announce / -heartbeat), carrying its name and address and nothing
+// else: a heartbeat is liveness only, and GET /api/v1/cluster polls
+// each shard's own sessions. The ack carries the topology epoch back.
+// internal/membership holds only what both sides
 // share (those wire types, the Announcer, the secret check); the
 // gateway keeps one roster in internal/cluster. Each roster entry holds
 // the member's record, its liveness state, the gateway's client for it

@@ -18,8 +18,9 @@
 //
 // Determinism contract: a migrated session is byte-identical to one
 // that never moved provided every shard serves a bit-identical engine
-// (the core.Build / store.LoadFile contract — same dataset spec, any
-// worker count) and the optimizer config is deterministic
+// (the core.Build / store.BuildOrLoad contract — same dataset spec,
+// any worker count, and a snapshot loads under the spec's own
+// configuration) and the optimizer config is deterministic
 // (greedy.Config.TimeLimit = 0, as for save/load replay). The
 // equivalence tests pin this at workers 1, 2 and 8.
 package cluster

@@ -22,8 +22,8 @@ import (
 // (when the client did not), pins that seq on every other shard, and
 // verifies all shards report the same resulting engine version. Batch
 // digests are content addresses, so same batch + same seq ⇒ the same
-// lineage entry ⇒ bit-identical engines everywhere (the store.LoadFile /
-// core.Build contract the equivalence tests pin).
+// lineage entry ⇒ bit-identical engines everywhere (the core.Build /
+// store.BuildOrLoad contract the equivalence tests pin).
 //
 // One gateway-wide mutex serializes ingests across datasets. Ingests
 // are rare, slow (each one is a rebuild) administrative writes;

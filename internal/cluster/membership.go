@@ -29,10 +29,9 @@ func (g *Gateway) Epoch() uint64 { return g.roster.Epoch() }
 func (g *Gateway) Members() []membership.MemberInfo { return g.roster.Members() }
 
 // handleHeartbeat is POST /internal/cluster/heartbeat: a shard
-// announcing itself. The ack carries the epoch and full roster — the
-// gossip piggyback that lets every member learn the topology in the
-// same round trip that refreshed its liveness. A member without a
-// client gets one from the heartbeat's address. Unknown members are
+// announcing itself. The ack carries the topology epoch, which the
+// member learns in the same round trip that refreshed its liveness. A
+// member without a client gets one from the heartbeat's address. Unknown members are
 // rejected (404): admission is the warm-join path's job, never a side
 // effect of gossip.
 func (g *Gateway) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

@@ -358,8 +358,8 @@ func (r *roster) Remove(name string) error {
 	return nil
 }
 
-// Heartbeat processes one announcement: refresh liveness and metadata,
-// dial the member if it has no client yet, and return the gossip ack.
+// Heartbeat processes one announcement: refresh liveness and the dial
+// address, dial the member if it has no client yet, and return the ack.
 // recovered reports a down→alive transition, which re-enters the
 // member into the routing set (and bumps the epoch). Unknown members
 // are rejected with errUnknownShard — admission is Join's job.
@@ -382,8 +382,6 @@ func (r *roster) refresh(hb membership.Member) (membership.Ack, bool, error) {
 	if hb.Addr != "" {
 		m.Addr = hb.Addr
 	}
-	m.Sessions = hb.Sessions
-	m.Engines = hb.Engines
 	recovered := m.State == membership.StateDown
 	if m.State != membership.StateAlive {
 		from := m.State
@@ -395,7 +393,7 @@ func (r *roster) refresh(hb membership.Member) (membership.Ack, bool, error) {
 		}
 		r.log.Info("membership: member "+string(from)+" -> alive", "member", m.Name, "epoch", r.epoch)
 	}
-	return membership.Ack{Epoch: r.epoch, Members: r.recordsLocked()}, recovered, nil
+	return membership.Ack{Epoch: r.epoch}, recovered, nil
 }
 
 // redial gives a client-less member a client dialed from its current

@@ -194,11 +194,15 @@ func Build(d *dataset.Dataset, cfg PipelineConfig) (*Engine, error) {
 	}, nil
 }
 
-// RestoreInfo carries the metadata side of a snapshot back into
-// RestoreEngine: the original build's wall clock, the normalized
-// pipeline configuration, and the ingestion lineage.
+// RestoreInfo carries what RestoreEngine needs besides the built
+// parts: the original build's wall clock, the pipeline configuration
+// the engine's later Ingest calls rebuild under, and the ingestion
+// lineage.
 type RestoreInfo struct {
 	Timings Timings
+	// Config is the caller's configuration, the one the snapshot's
+	// fingerprint was computed from (internal/store); no snapshot
+	// stores one. RestoreEngine normalizes it.
 	Config  PipelineConfig
 	Lineage []BatchDigest
 	// Miner and DefaultMiner are ignored. Only wallbench/layers.go

@@ -2,6 +2,9 @@ package etl
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -286,4 +289,56 @@ func TestInferEmptyColumn(t *testing.T) {
 	if len(g.Values) != 1 || g.Values[0] != "unknown" {
 		t.Fatalf("ghost domain = %v", g.Values)
 	}
+}
+
+// WriteUsers emits the demographic table of d as CSV in the format
+// LoadUsers reads: the round-trip test's writer.
+func WriteUsers(w io.Writer, d *dataset.Dataset) error {
+	cw := csv.NewWriter(w)
+	header := make([]string, 1+d.Schema.NumAttrs())
+	header[0] = "user"
+	for i, a := range d.Schema.Attrs {
+		header[i+1] = a.Name
+	}
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	row := make([]string, len(header))
+	for u := range d.Users {
+		row[0] = d.Users[u].ID
+		for ai := range d.Schema.Attrs {
+			if v, ok := d.DemoValue(u, ai); ok {
+				row[ai+1] = v
+			} else {
+				row[ai+1] = ""
+			}
+		}
+		if err := cw.Write(row); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// WriteActions emits the action table of d as CSV in the format
+// LoadActions reads.
+func WriteActions(w io.Writer, d *dataset.Dataset) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"user", "item", "value", "ts"}); err != nil {
+		return err
+	}
+	for _, a := range d.Actions {
+		err := cw.Write([]string{
+			d.Users[a.User].ID,
+			d.Items[a.Item].ID,
+			strconv.FormatFloat(a.Value, 'g', -1, 64),
+			strconv.FormatInt(a.Time, 10),
+		})
+		if err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }

@@ -29,7 +29,6 @@ func BenchmarkConstructColumns(b *testing.B) {
 	}
 	cfg := greedy.DefaultConfig()
 	cfg.TimeLimit = 0
-	cfg.Workers = 1
 	opt := greedy.New(eng.Space, eng.Index)
 	b.ResetTimer()
 	var steps, lazy, eager int

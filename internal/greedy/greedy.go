@@ -43,7 +43,6 @@ import (
 	"vexus/internal/feedback"
 	"vexus/internal/groups"
 	"vexus/internal/index"
-	"vexus/internal/parallel"
 )
 
 // Config parameterizes one selection step.
@@ -67,10 +66,11 @@ type Config struct {
 	// (0 = defaultCandidatePool). Larger pools raise attainable quality
 	// and cost.
 	CandidatePool int
-	// Workers bounds the goroutines scoring the candidate pool
-	// (0 = runtime.NumCPU()). Scoring parallelizes only above
-	// parallelPoolMin candidates; below it the spawn overhead exceeds
-	// the work.
+	// Workers is ignored: the pool scores its candidates on the
+	// calling goroutine, since the per-candidate work (a few TermScore
+	// adds) is smaller than a fan-out costs. Only wallbench/cluster.go
+	// sets it, and that file changes only with the benchmark; delete
+	// the field in its next change.
 	Workers int
 }
 
@@ -382,11 +382,6 @@ func (o *Optimizer) localSearch(st *selState, deadline time.Time) (rounds int, d
 	}
 }
 
-// parallelPoolMin is the pool size below which candidate scoring runs
-// on the calling goroutine: an interactive step over a few dozen
-// neighbours finishes faster than the fan-out would even start.
-const parallelPoolMin = 512
-
 // pool returns the candidates of one step: the groups the index finds
 // at similarity ≥ cfg.MinSimilarity to focal, at most cfg.CandidatePool
 // of them, sorted once by descending weighted similarity
@@ -397,13 +392,8 @@ const parallelPoolMin = 512
 // its overlap with focal from the lookup's count.
 func (o *Optimizer) pool(focal *groups.Group, fb *feedback.Vector, cfg Config) []candidate {
 	nbs := o.ix.Similar(focal.ID, cfg.MinSimilarity, cfg.CandidatePool)
-	// The term part of each candidate's alignment reads only the
-	// immutable space and profile and writes only its own slot, so
-	// large pools score across cfg.Workers goroutines with
-	// sequential-identical results.
 	cands := make([]candidate, len(nbs))
-	score := func(i int) {
-		nb := nbs[i]
+	for i, nb := range nbs {
 		g := o.space.Group(int(nb.ID))
 		align := 0.0
 		if fb != nil {
@@ -417,17 +407,6 @@ func (o *Optimizer) pool(focal *groups.Group, fb *feedback.Vector, cfg Config) [
 			id:        nb.ID,
 			size:      int32(o.ix.Size(int(nb.ID))),
 			inter:     nb.Inter,
-		}
-	}
-	if workers := parallel.Workers(cfg.Workers, len(nbs)); workers > 1 && len(nbs) >= parallelPoolMin {
-		parallel.Range(len(nbs), workers, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				score(i)
-			}
-		})
-	} else {
-		for i := range nbs {
-			score(i)
 		}
 	}
 	// The user part adds the mass of the profile's top users: one walk

@@ -2,6 +2,8 @@ package greedy
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -315,4 +317,51 @@ func TestBinomial(t *testing.T) {
 	if binomial(300, 150) != -1 {
 		t.Fatal("overflow not detected")
 	}
+}
+
+// TestSelectNextConcurrentCallers: one Optimizer shared by goroutines
+// gives every call the selection a fresh optimizer gives. The calls share the pooled slot arrays of the
+// profile's user part, so a call that saw another's slots, or a stale
+// slot left by an earlier call, would move the alignment and the
+// picks.
+func TestSelectNextConcurrentCallers(t *testing.T) {
+	s, ix := fixture(t, 31, 120, 700)
+	fb := feedback.New()
+	fb.Reinforce(s.Group(3), 1)
+	fb.Reinforce(s.Group(11), 1)
+	cfg := DefaultConfig()
+	cfg.TimeLimit = 0
+	cfg.MinSimilarity = 0
+	focals := []int{0, 5, 42, 99, 123, 250, 311, 640}
+	want := make([]Selection, len(focals))
+	for i, f := range focals {
+		sel, err := New(s, ix).SelectNext(s.Group(f), fb, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sel
+	}
+	o := New(s, ix)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range focals {
+					j := (i + w) % len(focals)
+					got, err := o.SelectNext(s.Group(focals[j]), fb, cfg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got.IDs, want[j].IDs) || got.Objective != want[j].Objective {
+						t.Errorf("caller %d focal=%d: ids %v objective %v, want %v %v",
+							w, focals[j], got.IDs, got.Objective, want[j].IDs, want[j].Objective)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -211,11 +211,9 @@ func oracleSpaces(t *testing.T) []oracleSpace {
 // TestConstructionMatchesReference: the cached construction and the
 // pool's user-list walk pick exactly what the per-candidate reference
 // picks, with bit-identical objective terms, for every focal group,
-// with and without a feedback profile, across K, the similarity bound,
-// the pool cap and the worker count. Pools of the random fixture's
-// larger groups cross parallelPoolMin, so workers 2 and 8 do shard
-// their scoring; caps 8 and 64 sit below most groups' overlap counts,
-// so the index cuts the pool before the pool sorts it.
+// with and without a feedback profile, across K, the similarity bound
+// and the pool cap. Caps 8 and 64 sit below most groups' overlap
+// counts, so the index cuts the pool before the pool sorts it.
 func TestConstructionMatchesReference(t *testing.T) {
 	for _, c := range oracleSpaces(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -229,17 +227,14 @@ func TestConstructionMatchesReference(t *testing.T) {
 }
 
 // matchReference runs SelectNext against the reference for every focal
-// group of o's space, with and without fb, across the similarity bound,
-// K and the worker count, at the default pool cap and at one of the
-// small caps. Every other focal group also runs one case of
+// group of o's space, with and without fb, across the similarity bound
+// and K, at the default pool cap and at one of the small caps. Every other focal group also runs one case of
 // weightSweep on the full pool with fb, and every bigKEvery-th one a K
 // above 255.
 func matchReference(t *testing.T, o *Optimizer, fb *feedback.Vector, smallCaps []int) {
 	t.Helper()
 	for focal := 0; focal < o.space.Len(); focal++ {
-		// The small cap rotates with the focal group, and the worker
-		// count with the focal group and K, so every (K, workers) pair
-		// runs on a third of the focal groups at every cap.
+		// The small cap rotates with the focal group.
 		for _, pool := range []int{0, smallCaps[focal%len(smallCaps)]} {
 			for _, profile := range []*feedback.Vector{nil, fb} {
 				for _, minSim := range []float64{0, 0.01} {
@@ -248,9 +243,8 @@ func matchReference(t *testing.T, o *Optimizer, fb *feedback.Vector, smallCaps [
 					cfg.CandidatePool = pool
 					cfg.MinSimilarity = minSim
 					cands := referencePool(o, o.space.Group(focal), profile, cfg)
-					for ki, k := range []int{1, 2, 7} {
+					for _, k := range []int{1, 2, 7} {
 						cfg.K = k
-						cfg.Workers = []int{1, 2, 8}[(ki+focal)%3]
 						matchOne(t, o, focal, profile, cands, cfg)
 					}
 				}
@@ -259,7 +253,6 @@ func matchReference(t *testing.T, o *Optimizer, fb *feedback.Vector, smallCaps [
 		if focal%2 == 0 {
 			cfg := weightSweep[focal/2%len(weightSweep)].apply(DefaultConfig())
 			cfg.TimeLimit = 0
-			cfg.Workers = []int{1, 2, 8}[focal/2%3]
 			matchOne(t, o, focal, fb, referencePool(o, o.space.Group(focal), fb, cfg), cfg)
 		}
 		if focal%bigKEvery == bigKEvery/2 {
@@ -306,8 +299,8 @@ func matchOne(t *testing.T, o *Optimizer, focal int, profile *feedback.Vector, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSelection(t, fmt.Sprintf("focal=%d profile=%v pool=%d minSim=%v k=%d workers=%d weights=%v/%v/%v",
-		focal, profile != nil, cfg.CandidatePool, cfg.MinSimilarity, cfg.K, cfg.Workers,
+	sameSelection(t, fmt.Sprintf("focal=%d profile=%v pool=%d minSim=%v k=%d weights=%v/%v/%v",
+		focal, profile != nil, cfg.CandidatePool, cfg.MinSimilarity, cfg.K,
 		cfg.CoverageWeight, cfg.DiversityWeight, cfg.FeedbackWeight), got, want)
 }
 

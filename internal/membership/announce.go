@@ -12,11 +12,10 @@ import (
 	"vexus/internal/telemetry"
 )
 
-// Announcer is the shard side of the gossip loop: it POSTs this
-// member's heartbeat to each configured gateway every Every, carrying
-// fresh metadata from the Info callback, and reads back the ack — the
-// topology epoch plus the full roster, which is how a shard (and its
-// logs) see the cluster without talking to any peer directly.
+// Announcer is the shard side of the liveness loop: it POSTs this
+// member's heartbeat to each configured gateway every Every and reads
+// back the ack — the topology epoch, which the shard logs when it
+// changes.
 type Announcer struct {
 	// Self identifies this member; Name must match the name the
 	// gateway admitted it under (for -shards deployments, the address).
@@ -27,8 +26,6 @@ type Announcer struct {
 	Secret string
 	// Every paces the loop (0 = 2s).
 	Every time.Duration
-	// Info refreshes gossip metadata per beat (nil = static Self).
-	Info func() (sessions int, engines map[string]uint64)
 	// RTT observes each successful heartbeat's round-trip time —
 	// registered on the shard's own registry, so the gateway's cluster
 	// rollup aggregates it across members (nil = not recorded).
@@ -53,17 +50,13 @@ func (a *Announcer) Run(ctx context.Context) {
 	client := &http.Client{Timeout: 5 * time.Second}
 	t := time.NewTicker(every)
 	defer t.Stop()
+	body, err := json.Marshal(a.Self)
+	if err != nil {
+		log.Warn("membership: encoding heartbeat", "err", err)
+		return
+	}
 	var lastEpoch uint64
 	for {
-		m := a.Self
-		if a.Info != nil {
-			m.Sessions, m.Engines = a.Info()
-		}
-		body, err := json.Marshal(m)
-		if err != nil {
-			log.Warn("membership: encoding heartbeat", "err", err)
-			return
-		}
 		for _, gw := range a.Gateways {
 			ack, err := a.beat(ctx, client, gw, body)
 			if err != nil {
@@ -71,8 +64,7 @@ func (a *Announcer) Run(ctx context.Context) {
 				continue
 			}
 			if ack.Epoch != lastEpoch {
-				log.Info("membership: topology epoch changed", "gateway", gw,
-					"epoch", ack.Epoch, "members", len(ack.Members))
+				log.Info("membership: topology epoch changed", "gateway", gw, "epoch", ack.Epoch)
 				lastEpoch = ack.Epoch
 			}
 			log.Debug("membership: heartbeat acked", "gateway", gw, "epoch", ack.Epoch)

@@ -1,8 +1,9 @@
 // Package membership is what shards and gateways share about cluster
 // membership: the wire types a heartbeat carries (Member) and its
-// answer (Ack: the topology epoch plus every member's MemberInfo and
-// State), the shard-side Announcer that sends those heartbeats, and
-// the shared-secret auth helpers every /internal/cluster/* hop uses.
+// answer (Ack: the topology epoch), the roster row the gateway keeps
+// per member (MemberInfo), the shard-side Announcer that sends those
+// heartbeats, and the shared-secret auth helpers every
+// /internal/cluster/* hop uses.
 //
 // The gateway side — the one roster of members, their liveness, the
 // epoch and the durable route table — lives in internal/cluster, the
@@ -25,19 +26,17 @@ const (
 )
 
 // Member is what a shard announces about itself: its rendezvous-hash
-// identity, dial address, and gossip metadata. The metadata rides the
-// roster so every ack paints the whole cluster, but only Name and Addr
-// affect routing.
+// identity and dial address. A heartbeat carries liveness only; the
+// gateway reads each shard's sessions from the shard itself
+// (GET /api/v1/cluster). Fields a heartbeat or a saved route table
+// carries beyond these (older members sent "sessions" and "engines")
+// are ignored.
 type Member struct {
 	Name string `json:"name"`
 	Addr string `json:"addr,omitempty"`
 	// Static marks members seeded from the -shards flag; they are
 	// exempt from failure detection until their first heartbeat.
 	Static bool `json:"static,omitempty"`
-	// Sessions and Engines are gossip metadata: live session count and
-	// per-dataset engine versions at the last heartbeat.
-	Sessions int               `json:"sessions,omitempty"`
-	Engines  map[string]uint64 `json:"engines,omitempty"`
 }
 
 // MemberInfo is one roster row: the member plus its current state.
@@ -46,10 +45,9 @@ type MemberInfo struct {
 	State State `json:"state"`
 }
 
-// Ack is a heartbeat response: the gossip piggyback. The announcing
-// shard learns the topology epoch and the full roster in the same
-// round trip that refreshed its own liveness.
+// Ack is a heartbeat response: the topology epoch, which the
+// announcing shard learns in the same round trip that refreshed its
+// own liveness.
 type Ack struct {
-	Epoch   uint64       `json:"epoch"`
-	Members []MemberInfo `json:"members"`
+	Epoch uint64 `json:"epoch"`
 }

@@ -512,9 +512,8 @@ func (c *Catalog) buildSpec(name string, spec DatasetSpec) (*core.Engine, bool, 
 	if err != nil {
 		return nil, false, store.Fingerprint{}, "", err
 	}
-	fp := store.ComputeFingerprint(d, pcfg)
 	started := time.Now()
-	eng, warm, err := store.BuildOrLoad(snap, d, pcfg)
+	eng, warm, fp, err := store.BuildOrLoad(snap, d, pcfg)
 	elapsed := time.Since(started)
 	if err != nil {
 		if eng == nil {

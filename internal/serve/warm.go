@@ -18,9 +18,10 @@ import (
 // store.Save, relayed by the gateway — and installs it only after
 // store.LoadFreshBytes has verified the header fingerprint against the
 // chain of the shard's *locally computed* base fingerprint and the
-// lineage the stream records. The joiner's own dataset + config is the
-// root of trust: a stream for the wrong dataset, a different pipeline
-// config, a truncated transfer, or a torn section can never install.
+// lineage the stream records, and has decoded it under the shard's own
+// config. The joiner's own dataset + config is the root of trust: a
+// stream for the wrong dataset, a different pipeline config, a
+// truncated transfer, or a torn section can never install.
 //
 //	GET  /internal/cluster/snapshot?dataset=  (donor: stream the engine)
 //	POST /internal/cluster/warm?dataset=      (joiner: verify + install)
@@ -145,12 +146,11 @@ func (s *Server) handleShardWarm(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	baseFP := store.ComputeFingerprint(d, pcfg)
 	raw, ok := ReadBody(w, r, maxWarmSnapshot)
 	if !ok {
 		return
 	}
-	eng, err := store.LoadFreshBytes(raw, baseFP, pcfg.Workers)
+	eng, baseFP, err := store.LoadFreshBytes(raw, d, pcfg)
 	if err != nil {
 		s.met.log.Warn("warm join: snapshot rejected", "dataset", name, "bytes", len(raw), "err", err)
 		http.Error(w, "snapshot failed verification: "+err.Error(), http.StatusConflict)
@@ -177,22 +177,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// LoadInfo reports this server's gossip metadata: live session count
-// and per-dataset resident engine versions — what the membership
-// announcer stamps on every heartbeat.
-func (s *Server) LoadInfo() (int, map[string]uint64) {
-	total, _ := s.cat.sessionCount()
-	engines := map[string]uint64{}
-	s.cat.mu.Lock()
-	for name, e := range s.cat.entries {
-		if e.eng != nil {
-			engines[name] = e.eng.Version()
-		}
-	}
-	s.cat.mu.Unlock()
-	return total, engines
 }
 
 // Telemetry exposes the server's metric registry, so process wiring

@@ -9,14 +9,18 @@ import (
 
 	"vexus/internal/core"
 	"vexus/internal/datagen"
+	"vexus/internal/dataset"
 	"vexus/internal/greedy"
 )
 
-// fuzzFix is the fuzz target's oracle: a small base engine, the engine
-// one ingested batch makes of it, and the snapshots a deployment would
+// fuzzFix is the fuzz target's oracle: the spec (a small dataset and
+// its pipeline configuration), its base engine, the engine one
+// ingested batch makes of it, and the snapshots a deployment would
 // hold for each — the base alone, and the base plus one DLTA section.
 var fuzzFix struct {
 	once            sync.Once
+	d               *dataset.Dataset
+	cfg             core.PipelineConfig
 	fp              Fingerprint
 	base, ingested  *core.Engine
 	baseSnap, delta []byte
@@ -31,7 +35,8 @@ func fuzzFixture(f *testing.F) {
 			if err != nil {
 				return err
 			}
-			cfg := testPipelineConfig()
+			cfg := withWorkers(testPipelineConfig(), 1)
+			fuzzFix.d, fuzzFix.cfg = d, cfg
 			if fuzzFix.base, err = core.Build(d, cfg); err != nil {
 				return err
 			}
@@ -56,7 +61,7 @@ func fuzzFixture(f *testing.F) {
 			// Both seeds must take the loader's success path, so the
 			// fuzzer starts from it rather than from a rejection.
 			for _, snap := range [][]byte{fuzzFix.baseSnap, fuzzFix.delta} {
-				if _, _, err := loadFreshBytes(snap, fuzzFix.fp, 1); err != nil {
+				if _, _, err := LoadFreshBytes(snap, d, cfg); err != nil {
 					return err
 				}
 			}
@@ -69,18 +74,21 @@ func fuzzFixture(f *testing.F) {
 }
 
 // FuzzLoadFreshBytes holds the snapshot loader to its trust-boundary
-// contract: whatever the bytes, loading under the spec dataset's
-// fingerprint never panics, and it either fails or returns an engine
-// that serves exactly what core.Build (and Ingest) would — the same
-// neighbour lists and the same initial display.
+// contract: whatever the bytes, loading under the spec never panics,
+// and it either fails or returns an engine that carries the spec's
+// configuration and serves exactly what core.Build (and Ingest) would
+// — the same neighbour lists and the same initial display.
 func FuzzLoadFreshBytes(f *testing.F) {
 	fuzzFixture(f)
 	f.Add(fuzzFix.baseSnap)
 	f.Add(fuzzFix.delta)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		eng, _, err := loadFreshBytes(data, fuzzFix.fp, 1)
+		eng, _, err := LoadFreshBytes(data, fuzzFix.d, fuzzFix.cfg)
 		if err != nil {
 			return
+		}
+		if eng.Config() != fuzzFix.cfg.Normalized() {
+			t.Fatalf("loaded configuration %+v, want the spec's %+v", eng.Config(), fuzzFix.cfg.Normalized())
 		}
 		// The header pins the lineage, so an accepted file is one of
 		// the two engine versions the fixture knows.

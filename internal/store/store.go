@@ -14,6 +14,10 @@
 //	then zero or more DLTA sections, then END
 //	each section: tag u32 | payload length u64 | payload | CRC-32 (IEEE)
 //
+// META holds only the base build's timings. The pipeline configuration
+// is not stored: every load takes the caller's (see Content
+// addressing).
+//
 // Everything is little-endian; counts and ids are varints; bitsets
 // travel as their raw 64-bit word arrays (internal/bitset.Words), so
 // the hot structures round-trip with bulk copies instead of
@@ -34,9 +38,28 @@
 //
 // The header fingerprint is a SHA-256 over the dataset content and the
 // result-affecting pipeline configuration (see ComputeFingerprint).
-// BuildOrLoad compares it before trusting a snapshot: a stale file —
-// new data, changed mining bounds — is rebuilt and overwritten, never
-// silently served.
+// BuildOrLoad and LoadFreshBytes take the caller's dataset and
+// configuration, compute the fingerprint from them, and compare it
+// before trusting a snapshot: a stale file — new data, changed mining
+// bounds — is rebuilt and overwritten, never silently served. The
+// engine is then decoded, or its deltas replayed, under that same
+// configuration, so the fingerprint and the configuration cannot come
+// from different places. The other sections are a cache of that
+// deterministic build: the mined VOCB, TXNS and GRPS, and the dataset
+// sections (which a compaction rewrites to hold the folded batches)
+// are trusted under their CRCs and the fingerprint chain, not compared
+// with the caller's dataset.
+//
+// # Versions
+//
+// Version 2 added the ingestion-log sections (DLOG, DLTA), the chained
+// fingerprint, and the pipeline configuration in META. Version 3
+// dropped the INDX section and the index fraction and build time from
+// META. Version 4 dropped the miner name and the default-miner flag
+// from META. Version 5 dropped the pipeline configuration from META: a
+// forged META could make a base+delta file replay under other mining
+// bounds than its fingerprint covered. A file of any other version is
+// refused and rebuilt.
 //
 // # Live datasets: deltas and compaction
 //
@@ -75,14 +98,10 @@ import (
 	"vexus/internal/parallel"
 )
 
-// Version is the snapshot format version; Load rejects files written
-// by a different one (snapshots are cache, not archive — rebuild).
-// Version 2 added the ingestion-log sections (DLOG, DLTA), the chained
-// fingerprint, and the pipeline configuration in META. Version 3
-// dropped the INDX section and the index fraction and build time from
-// META. Version 4 dropped the miner name and the default-miner flag
-// from META: LCM builds every engine, so every snapshot replays.
-const Version = 4
+// Version is the snapshot format version; every loader rejects files
+// written by a different one (snapshots are cache, not archive —
+// rebuild). The package doc's Versions section has the history.
+const Version = 5
 
 // CompactThreshold is the number of pending DLTA sections at which
 // BuildOrLoad folds the deltas into a fresh base: below it a warm
@@ -149,17 +168,27 @@ func Save(w io.Writer, eng *core.Engine, fp Fingerprint) error {
 	return nil
 }
 
-// loadBytes parses a whole in-memory snapshot (the random access the
-// parallel section decode needs). A snapshot with pending DLTA
-// sections takes the replay path: only the dataset tables and META are
-// decoded from the base, every batch is folded into the dataset, and
-// the pipeline runs once — identical to the Engine.Ingest sequence
-// that wrote the deltas, because Ingest itself is defined as a build
-// on the augmented dataset.
-func loadBytes(data []byte, workers int) (*core.Engine, Header, error) {
+// load is the one snapshot decoder behind every loader. It walks the
+// sections once, verifying each CRC, and when base is non-nil it
+// compares the header with the chain of base over the lineage the file
+// records (the DLOG digests, then the SHA-256 of each DLTA payload,
+// which is that batch's digest) before it decodes any other payload: a
+// mismatch is ErrStale. It then decodes the file, or replays its
+// pending deltas, under cfg, which is the caller's and becomes the
+// engine's configuration; the file carries none. It also returns the
+// number of pending deltas, which BuildOrLoad's compaction policy
+// needs.
+//
+// A snapshot with pending DLTA sections takes the replay path: only
+// the dataset tables are decoded from the base, every batch is folded
+// into the dataset, and the pipeline runs once — identical to the
+// Engine.Ingest sequence that wrote the deltas, because Ingest itself
+// is defined as a build on the augmented dataset. The mined sections
+// (VOCB, TXNS, GRPS) are CRC-checked but not decoded on that path.
+func load(data []byte, base *Fingerprint, cfg core.PipelineConfig) (*core.Engine, int, error) {
 	hdr, err := parseHeader(data)
 	if err != nil {
-		return nil, Header{}, err
+		return nil, 0, err
 	}
 	sr := &sectionReader{b: data, off: headerLen}
 	payload := map[sectionTag][]byte{}
@@ -169,7 +198,7 @@ func loadBytes(data []byte, workers int) (*core.Engine, Header, error) {
 	} {
 		p, err := sr.next(tag)
 		if err != nil {
-			return nil, hdr, err
+			return nil, 0, err
 		}
 		payload[tag] = p
 	}
@@ -177,42 +206,70 @@ func loadBytes(data []byte, workers int) (*core.Engine, Header, error) {
 	for {
 		tag, err := sr.peek()
 		if err != nil {
-			return nil, hdr, err
+			return nil, 0, err
 		}
 		if tag != tagDelta {
 			break
 		}
 		p, err := sr.next(tagDelta)
 		if err != nil {
-			return nil, hdr, err
+			return nil, 0, err
 		}
 		deltas = append(deltas, p)
 	}
 	if _, err := sr.next(tagEnd); err != nil {
-		return nil, hdr, err
+		return nil, 0, err
 	}
 	if n := len(data) - sr.off; n != 0 {
 		// No writer leaves bytes past END (AppendDeltaFile refuses such
 		// a file), so they mean a foreign or damaged file.
-		return nil, hdr, fmt.Errorf("store: %d trailing bytes after the END section", n)
+		return nil, 0, fmt.Errorf("store: %d trailing bytes after the END section", n)
 	}
 
 	dlog, err := decodeDlog(payload[tagDlog])
 	if err != nil {
-		return nil, hdr, err
+		return nil, 0, err
 	}
-	info, err := decodeMeta(payload[tagMeta])
+	lineage := dlog
+	for _, p := range deltas {
+		lineage = append(lineage, core.BatchDigest(sha256.Sum256(p)))
+	}
+	switch {
+	case base != nil && hdr.Fingerprint != ChainFingerprint(*base, lineage):
+		return nil, 0, ErrStale
+	case base == nil && len(deltas) > 0:
+		return nil, 0, fmt.Errorf("store: %d pending deltas need the caller's pipeline configuration to replay", len(deltas))
+	}
+	timings, err := decodeMeta(payload[tagMeta])
 	if err != nil {
-		return nil, hdr, err
+		return nil, 0, err
 	}
-	info.Lineage = dlog
 
 	if len(deltas) > 0 {
-		return loadWithDeltas(hdr, payload, deltas, info, workers)
+		d, err := decodeDataset(payload)
+		if err != nil {
+			return nil, 0, err
+		}
+		for i, p := range deltas {
+			b, err := core.DecodeIngestBatch(p)
+			if err != nil {
+				return nil, 0, fmt.Errorf("store: delta %d: %w", i, err)
+			}
+			if d, err = d.Append(b.Users, b.Actions); err != nil {
+				return nil, 0, fmt.Errorf("store: replaying delta %d: %w", i, err)
+			}
+		}
+		// The replay build reports its own timings, not the base's.
+		eng, err := core.BuildWithLineage(d, cfg, lineage)
+		if err != nil {
+			return nil, 0, fmt.Errorf("store: rebuilding from %d deltas: %w", len(deltas), err)
+		}
+		return eng, len(deltas), nil
 	}
 
 	// Independent sections decode concurrently (fork-join); within the
 	// groups section each record decodes into its own slot.
+	workers := cfg.Workers
 	var (
 		d      *dataset.Dataset
 		vocab  *groups.Vocab
@@ -228,57 +285,26 @@ func loadBytes(data []byte, workers int) (*core.Engine, Header, error) {
 	)
 	for _, err := range errs {
 		if err != nil {
-			return nil, hdr, err
+			return nil, 0, err
 		}
 	}
 	if d.NumUsers() != spaceN || tx.N != spaceN {
-		return nil, hdr, fmt.Errorf("store: universe mismatch: %d users, %d transactions, %d-user group space",
+		return nil, 0, fmt.Errorf("store: universe mismatch: %d users, %d transactions, %d-user group space",
 			d.NumUsers(), tx.N, spaceN)
 	}
 	for gi, g := range gs {
 		for _, id := range g.Desc {
 			if int(id) < 0 || int(id) >= vocab.Len() {
-				return nil, hdr, fmt.Errorf("store: group %d references term %d outside vocab of %d", gi, id, vocab.Len())
+				return nil, 0, fmt.Errorf("store: group %d references term %d outside vocab of %d", gi, id, vocab.Len())
 			}
 		}
 	}
 	space, err := groups.NewSpaceParallel(spaceN, vocab, gs, workers)
 	if err != nil {
-		return nil, hdr, fmt.Errorf("store: rebuilding group space: %w", err)
+		return nil, 0, fmt.Errorf("store: rebuilding group space: %w", err)
 	}
-	return core.RestoreEngine(d, tx, space, index.New(space), info), hdr, nil
-}
-
-// loadWithDeltas is the replay path: decode the base dataset and
-// config, fold every pending batch in, build once. The heavy mined
-// sections (VOCB, TXNS, GRPS) are CRC-checked but never decoded
-// — the replay build supersedes them.
-func loadWithDeltas(hdr Header, payload map[sectionTag][]byte, deltas [][]byte, info core.RestoreInfo, workers int) (*core.Engine, Header, error) {
-	d, err := decodeDataset(payload)
-	if err != nil {
-		return nil, hdr, err
-	}
-	lineage := info.Lineage
-	for i, p := range deltas {
-		b, err := core.DecodeIngestBatch(p)
-		if err != nil {
-			return nil, hdr, fmt.Errorf("store: delta %d: %w", i, err)
-		}
-		d, err = d.Append(b.Users, b.Actions)
-		if err != nil {
-			return nil, hdr, fmt.Errorf("store: replaying delta %d: %w", i, err)
-		}
-		lineage = append(lineage, b.Digest())
-	}
-	cfg := info.Config
-	cfg.Workers = workers
-	eng, err := core.BuildWithLineage(d, cfg, lineage)
-	if err != nil {
-		return nil, hdr, fmt.Errorf("store: rebuilding from %d deltas: %w", len(deltas), err)
-	}
-	// The original base build's wall clock is long gone from relevance
-	// here; report the replay build's own timings.
-	return eng, hdr, nil
+	info := core.RestoreInfo{Timings: timings, Config: cfg, Lineage: dlog}
+	return core.RestoreEngine(d, tx, space, index.New(space), info), 0, nil
 }
 
 func parseHeader(b []byte) (Header, error) {
@@ -330,92 +356,43 @@ func SaveFile(path string, eng *core.Engine, fp Fingerprint) error {
 	return os.Rename(tmp, path)
 }
 
-// LoadFile loads a snapshot from disk. The file is read in one
-// pre-sized slurp (os.ReadFile) straight into the in-memory parse —
-// no intermediate buffering layer to copy through.
+// LoadFile decodes the snapshot at path without verifying it against
+// any dataset or configuration: it checks the section CRCs only, and
+// refuses a file with pending deltas, which need a configuration to
+// replay. Its engine is restored with no pipeline configuration (a
+// zero RestoreInfo.Config but for the worker count, so Config reports
+// the defaults, not what the file was built under), and it must not
+// Ingest. It exists only for wallbench's traced run, which times
+// the decode; ROADMAP item 1 moves that run to LoadFreshBytes and
+// deletes LoadFile. Every other load goes through BuildOrLoad or
+// LoadFreshBytes.
 func LoadFile(path string, workers int) (*core.Engine, Header, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, Header{}, err
 	}
-	return loadBytes(data, workers)
-}
-
-// LoadFileFresh loads path only if its header fingerprint matches the
-// chain of the given *base* fingerprint and the ingestion lineage the
-// file itself records (DLOG + DLTA sections), returning ErrStale
-// otherwise — the explicit form of the freshness check BuildOrLoad
-// performs. A snapshot whose header does not equal the recomputed
-// chain head — stale base, torn delta append, foreign file — is never
-// served.
-func LoadFileFresh(path string, fp Fingerprint, workers int) (*core.Engine, error) {
-	eng, _, err := loadFresh(path, fp, workers)
-	return eng, err
-}
-
-// loadFresh is LoadFileFresh plus the pending-delta count, which
-// BuildOrLoad's compaction policy needs.
-func loadFresh(path string, fp Fingerprint, workers int) (*core.Engine, int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	return loadFreshBytes(data, fp, workers)
-}
-
-// loadFreshBytes is loadFresh over a snapshot already in memory.
-func loadFreshBytes(data []byte, fp Fingerprint, workers int) (*core.Engine, int, error) {
 	hdr, err := parseHeader(data)
 	if err != nil {
-		return nil, 0, err
+		return nil, Header{}, err
 	}
-	dlog, deltaDigests, err := scanLineage(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	head := ChainFingerprint(fp, append(dlog, deltaDigests...))
-	if hdr.Fingerprint != head {
-		return nil, 0, ErrStale
-	}
-	eng, _, err := loadBytes(data, workers)
-	return eng, len(deltaDigests), err
+	eng, _, err := load(data, nil, core.PipelineConfig{Workers: workers})
+	return eng, hdr, err
 }
 
-// scanLineage walks the section frames of an in-memory snapshot and
-// returns the chain material: the DLOG digests and the digest of every
-// DLTA payload (a DLTA payload is exactly a batch's canonical
-// encoding, so its SHA-256 is the batch digest). No payload is decoded
-// and no CRC is verified — the caller cross-checks the result against
-// the header fingerprint, a stronger statement over the same bytes,
-// and the CRCs are verified on the real load.
-func scanLineage(data []byte) (dlog, deltas []core.BatchDigest, err error) {
-	off := headerLen
-	for {
-		if off+12 > len(data) {
-			return nil, nil, fmt.Errorf("store: truncated section header at offset %d", off)
-		}
-		tag := sectionTag(binary.LittleEndian.Uint32(data[off:]))
-		n := binary.LittleEndian.Uint64(data[off+4:])
-		off += 12
-		if n > uint64(len(data)-off) {
-			return nil, nil, fmt.Errorf("store: section %q length %d overruns file", tagString(tag), n)
-		}
-		payload := data[off : off+int(n)]
-		off += int(n) + 4 // payload + CRC
-		if off > len(data) {
-			return nil, nil, fmt.Errorf("store: truncated CRC for section %q", tagString(tag))
-		}
-		switch tag {
-		case tagDlog:
-			if dlog, err = decodeDlog(payload); err != nil {
-				return nil, nil, err
-			}
-		case tagDelta:
-			deltas = append(deltas, core.BatchDigest(sha256.Sum256(payload)))
-		case tagEnd:
-			return dlog, deltas, nil
-		}
-	}
+// LoadFreshBytes reassembles the engine of an in-memory snapshot — a
+// warm join's stream (internal/serve) — under the caller's spec
+// dataset d and configuration cfg. It computes the base fingerprint of
+// (d, cfg) and returns it with the engine, and it loads only if the
+// header equals the chain of that fingerprint over the lineage the
+// snapshot records. Anything less — a truncated transfer, a stream for
+// a different dataset or configuration, a corrupt section — returns an
+// error (ErrStale for a fingerprint mismatch) and no engine: the caller
+// fails closed. The engine is decoded, or its deltas replayed, under
+// cfg, which cfg.Workers also parallelizes.
+func LoadFreshBytes(data []byte, d *dataset.Dataset, cfg core.PipelineConfig) (*core.Engine, Fingerprint, error) {
+	fp := ComputeFingerprint(d, cfg)
+	eng, _, err := load(data, &fp, cfg)
+	return eng, fp, err
 }
 
 // endFrameLen is the byte length of the END section frame (12-byte
@@ -497,7 +474,10 @@ func AppendDeltaFile(path string, b core.IngestBatch, head Fingerprint) error {
 // BuildOrLoad is the warm-start entry point: it loads the snapshot at
 // path when one exists and its fingerprint matches the given dataset +
 // configuration, and otherwise runs core.Build and writes a fresh
-// snapshot for the next start. The returned bool reports a warm load.
+// snapshot for the next start. It returns the engine, whether it was
+// a warm load, and the base fingerprint of (d, cfg), which the caller
+// needs to chain later deltas onto. A warm engine is decoded, or its
+// deltas replayed, under cfg: the file carries no configuration.
 //
 // A stale, corrupt, truncated, or version-skewed snapshot is never
 // served — it falls through to a rebuild that overwrites it. Absent
@@ -513,19 +493,25 @@ func AppendDeltaFile(path string, b core.IngestBatch, head Fingerprint) error {
 // (lineage digests moving into DLOG), so the next start replays
 // nothing. A failed compaction is a warning, not an error — the
 // replayed engine is correct either way.
-func BuildOrLoad(path string, d *dataset.Dataset, cfg core.PipelineConfig) (*core.Engine, bool, error) {
-	var fp Fingerprint
+func BuildOrLoad(path string, d *dataset.Dataset, cfg core.PipelineConfig) (*core.Engine, bool, Fingerprint, error) {
+	fp := ComputeFingerprint(d, cfg)
 	var warn error
 	if path != "" {
-		fp = ComputeFingerprint(d, cfg)
-		eng, pending, err := loadFresh(path, fp, cfg.Workers)
+		data, err := os.ReadFile(path)
+		var (
+			eng     *core.Engine
+			pending int
+		)
+		if err == nil {
+			eng, pending, err = load(data, &fp, cfg)
+		}
 		if err == nil {
 			if CompactThreshold > 0 && pending >= CompactThreshold {
 				if err := SaveFile(path, eng, fp); err != nil {
 					warn = fmt.Errorf("store: loaded %d deltas but could not compact %s: %w", pending, path, err)
 				}
 			}
-			return eng, true, warn
+			return eng, true, fp, warn
 		}
 		if !errors.Is(err, os.ErrNotExist) && !errors.Is(err, ErrStale) {
 			warn = fmt.Errorf("store: ignoring unusable snapshot %s (rebuilding): %w", path, err)
@@ -533,14 +519,14 @@ func BuildOrLoad(path string, d *dataset.Dataset, cfg core.PipelineConfig) (*cor
 	}
 	eng, err := core.Build(d, cfg)
 	if err != nil {
-		return nil, false, err
+		return nil, false, fp, err
 	}
 	if path != "" {
 		if err := SaveFile(path, eng, fp); err != nil {
 			warn = errors.Join(warn, fmt.Errorf("store: engine built but snapshot not written: %w", err))
 		}
 	}
-	return eng, false, warn
+	return eng, false, fp, warn
 }
 
 // ---------------------------------------------------------------------------
@@ -654,27 +640,12 @@ func encodeGroups(space *groups.Space) []byte {
 	return e.b
 }
 
-// encodeMeta writes the engine's metadata: build timings and the
-// normalized result-affecting pipeline scalars, which is what lets a
-// loader re-run the pipeline over replayed deltas. Workers is a
-// runtime choice, not state, and is not stored; neither is the index
-// fraction, which no engine reads.
+// encodeMeta writes the engine's build timings. The pipeline
+// configuration is the caller's at every load, so no section stores it.
 func encodeMeta(eng *core.Engine) []byte {
 	var e enc
 	e.svarint(int64(eng.Timings.Encode))
 	e.svarint(int64(eng.Timings.Mine))
-	cfg := eng.Config()
-	if cfg.Encode.Demographics {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-	e.uvarint(uint64(cfg.Encode.TopItems))
-	e.f64(cfg.Encode.LikeThreshold)
-	e.uvarint(uint64(cfg.Encode.ActivityLevels))
-	e.f64(cfg.MinSupportFrac)
-	e.uvarint(uint64(cfg.MaxLen))
-	e.uvarint(uint64(cfg.MaxGroups))
 	return e.b
 }
 
@@ -866,21 +837,13 @@ func decodeGroups(b []byte, workers int) ([]*groups.Group, int, error) {
 	return gs, numUsers, nil
 }
 
-func decodeMeta(b []byte) (core.RestoreInfo, error) {
+func decodeMeta(b []byte) (core.Timings, error) {
 	d := dec{b: b}
-	var info core.RestoreInfo
-	info.Timings = core.Timings{
+	t := core.Timings{
 		Encode: time.Duration(d.svarint()),
 		Mine:   time.Duration(d.svarint()),
 	}
-	info.Config.Encode.Demographics = d.u8() == 1
-	info.Config.Encode.TopItems = int(d.uvarint())
-	info.Config.Encode.LikeThreshold = d.f64()
-	info.Config.Encode.ActivityLevels = int(d.uvarint())
-	info.Config.MinSupportFrac = d.f64()
-	info.Config.MaxLen = int(d.uvarint())
-	info.Config.MaxGroups = int(d.uvarint())
-	return info, d.err
+	return t, d.err
 }
 
 func decodeDlog(b []byte) ([]core.BatchDigest, error) {

@@ -15,6 +15,7 @@ import (
 	"vexus/internal/action"
 	"vexus/internal/core"
 	"vexus/internal/datagen"
+	"vexus/internal/dataset"
 	"vexus/internal/greedy"
 	"vexus/internal/groups"
 	"vexus/internal/parallel"
@@ -231,13 +232,16 @@ func TestRoundTripBitIdentical(t *testing.T) {
 	if err := Save(&buf, eng, fp); err != nil {
 		t.Fatal(err)
 	}
+	if hdr, err := ReadHeader(bytes.NewReader(buf.Bytes())); err != nil || hdr.Version != Version || hdr.Fingerprint != fp {
+		t.Fatalf("header %+v, %v", hdr, err)
+	}
 	for _, workers := range workerCounts {
-		loaded, hdr, err := Load(bytes.NewReader(buf.Bytes()), workers)
+		loaded, gotFP, err := LoadFreshBytes(buf.Bytes(), eng.Data, withWorkers(cfg, workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if hdr.Version != Version || hdr.Fingerprint != fp {
-			t.Fatalf("workers=%d: header %+v", workers, hdr)
+		if gotFP != fp {
+			t.Fatalf("workers=%d: returned fingerprint %x, want %x", workers, gotFP, fp)
 		}
 		requireEnginesIdentical(t, eng, loaded)
 	}
@@ -258,7 +262,7 @@ func TestSaveIsDeterministic(t *testing.T) {
 	}
 	// And a snapshot of a loaded engine equals the original snapshot:
 	// nothing is lost or reordered across a round trip.
-	loaded, _, err := Load(bytes.NewReader(a.Bytes()), 2)
+	loaded, _, err := LoadFreshBytes(a.Bytes(), eng.Data, withWorkers(cfg, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +283,7 @@ func TestBuildOrLoadWarmStart(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "authors.snap")
 
-	cold, warm, err := BuildOrLoad(path, d, cfg)
+	cold, warm, _, err := BuildOrLoad(path, d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +293,7 @@ func TestBuildOrLoadWarmStart(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}
-	reloaded, warm, err := BuildOrLoad(path, d, cfg)
+	reloaded, warm, _, err := BuildOrLoad(path, d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +313,7 @@ func TestStaleSnapshotRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "authors.snap")
-	if _, _, err := BuildOrLoad(path, d, cfgA); err != nil {
+	if _, _, _, err := BuildOrLoad(path, d, cfgA); err != nil {
 		t.Fatal(err)
 	}
 
@@ -319,7 +323,7 @@ func TestStaleSnapshotRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, warm, err := BuildOrLoad(path, d, cfgB)
+	got, warm, _, err := BuildOrLoad(path, d, cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,12 +333,12 @@ func TestStaleSnapshotRebuilds(t *testing.T) {
 	requireEnginesIdentical(t, fresh, got)
 
 	// The stale file was overwritten: the next start under cfgB is warm.
-	if _, warm, err = BuildOrLoad(path, d, cfgB); err != nil || !warm {
+	if _, warm, _, err = BuildOrLoad(path, d, cfgB); err != nil || !warm {
 		t.Fatalf("rebuilt snapshot not warm on next start: warm=%v err=%v", warm, err)
 	}
 	// And explicit loading under cfgA now reports staleness.
-	if _, err := LoadFileFresh(path, ComputeFingerprint(d, cfgA), 1); err != ErrStale {
-		t.Fatalf("LoadFileFresh under the old config: %v, want ErrStale", err)
+	if _, err := loadFile(path, d, cfgA); err != ErrStale {
+		t.Fatalf("load under the old config: %v, want ErrStale", err)
 	}
 }
 
@@ -404,10 +408,10 @@ func TestVersion2SnapshotRebuilds(t *testing.T) {
 		if err := os.WriteFile(path, c.file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadFileFresh(path, fp, 1); err == nil {
+		if _, err := loadFile(path, d, cfg); err == nil {
 			t.Fatalf("version-%d snapshot loaded", c.version)
 		}
-		got, warm, err := BuildOrLoad(path, d, cfg)
+		got, warm, _, err := BuildOrLoad(path, d, cfg)
 		if got == nil {
 			t.Fatalf("rebuild of a version-%d snapshot failed: %v", c.version, err)
 		}
@@ -421,7 +425,7 @@ func TestVersion2SnapshotRebuilds(t *testing.T) {
 		if hdr, err := ReadHeaderFile(path); err != nil || hdr.Version != Version {
 			t.Fatalf("snapshot not rewritten in the current format: %+v, %v", hdr, err)
 		}
-		if _, warm, err := BuildOrLoad(path, d, cfg); err != nil || !warm {
+		if _, warm, _, err := BuildOrLoad(path, d, cfg); err != nil || !warm {
 			t.Fatalf("rewritten snapshot not warm on next start: warm=%v err=%v", warm, err)
 		}
 	}
@@ -449,7 +453,7 @@ func TestCorruptSnapshotRejectedAndRebuilt(t *testing.T) {
 	if _, _, err := LoadFile(path, 2); err == nil {
 		t.Fatal("corrupt snapshot loaded without error")
 	}
-	got, warm, err := BuildOrLoad(path, d, cfg)
+	got, warm, _, err := BuildOrLoad(path, d, cfg)
 	if got == nil {
 		t.Fatalf("rebuild after corruption failed: %v", err)
 	}
@@ -464,7 +468,7 @@ func TestCorruptSnapshotRejectedAndRebuilt(t *testing.T) {
 	requireEnginesIdentical(t, eng, got)
 
 	// The overwritten snapshot serves the next start warm and clean.
-	if _, warm, err := BuildOrLoad(path, d, cfg); err != nil || !warm {
+	if _, warm, _, err := BuildOrLoad(path, d, cfg); err != nil || !warm {
 		t.Fatalf("snapshot not repaired by rebuild: warm=%v err=%v", warm, err)
 	}
 }
@@ -477,7 +481,7 @@ func TestTruncatedSnapshotRejected(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for _, cut := range []int{0, 7, headerLen - 1, headerLen + 5, len(raw) / 3, len(raw) - 2} {
-		if _, _, err := Load(bytes.NewReader(raw[:cut]), 1); err == nil {
+		if _, _, err := LoadFreshBytes(raw[:cut], eng.Data, cfg); err == nil {
 			t.Fatalf("truncation at %d bytes loaded without error", cut)
 		}
 	}
@@ -492,7 +496,7 @@ func TestTrailingBytesRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := append(buf.Bytes(), 0)
-	if _, _, err := Load(bytes.NewReader(raw), 1); err == nil {
+	if _, _, err := LoadFreshBytes(raw, eng.Data, cfg); err == nil {
 		t.Fatal("snapshot with a trailing byte loaded without error")
 	}
 }
@@ -589,7 +593,7 @@ func TestSessionReplayAgainstSnapshotEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range workerCounts {
-		loaded, _, err := Load(bytes.NewReader(snap.Bytes()), workers)
+		loaded, _, err := LoadFreshBytes(snap.Bytes(), eng.Data, withWorkers(cfg, workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -624,14 +628,15 @@ func TestSessionReplayAgainstSnapshotEngine(t *testing.T) {
 
 func BenchmarkSnapshotLoad(b *testing.B) {
 	eng, cfg := builtEngine(b)
+	fp := ComputeFingerprint(eng.Data, cfg)
 	var buf bytes.Buffer
-	if err := Save(&buf, eng, ComputeFingerprint(eng.Data, cfg)); err != nil {
+	if err := Save(&buf, eng, fp); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Load(bytes.NewReader(buf.Bytes()), 0); err != nil {
+		if _, _, err := load(buf.Bytes(), &fp, withWorkers(cfg, 0)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -671,7 +676,7 @@ func TestActionLogReplayAgainstSnapshotEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range workerCounts {
-		loaded, _, err := Load(bytes.NewReader(snap.Bytes()), workers)
+		loaded, _, err := LoadFreshBytes(snap.Bytes(), eng.Data, withWorkers(cfg, workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -703,19 +708,21 @@ func TestActionLogReplayAgainstSnapshotEngine(t *testing.T) {
 	}
 }
 
-// Load, ReadHeader and ReadHeaderFile are the tests' reader-side
-// entry points: the program loads snapshots through LoadFile,
-// BuildOrLoad and LoadFreshBytes.
+// withWorkers returns cfg with its worker count set to workers.
+func withWorkers(cfg core.PipelineConfig, workers int) core.PipelineConfig {
+	cfg.Workers = workers
+	return cfg
+}
 
-// Load reads a snapshot and reassembles the engine, decoding the group
-// section across `workers` goroutines (<= 0 means runtime.NumCPU());
-// any worker count yields a bit-identical engine.
-func Load(r io.Reader, workers int) (*core.Engine, Header, error) {
-	data, err := io.ReadAll(r)
+// loadFile reads the snapshot at path and loads it under the spec
+// dataset d and configuration cfg, as a warm join loads its stream.
+func loadFile(path string, d *dataset.Dataset, cfg core.PipelineConfig) (*core.Engine, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, Header{}, fmt.Errorf("store: reading snapshot: %w", err)
+		return nil, err
 	}
-	return loadBytes(data, workers)
+	eng, _, err := LoadFreshBytes(data, d, cfg)
+	return eng, err
 }
 
 // ReadHeader parses just the snapshot header.
