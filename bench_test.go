@@ -625,3 +625,67 @@ func BenchmarkOfflinePipeline(b *testing.B) {
 		}
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Ingest — one commit's engine work on the live corpus.
+
+// BenchmarkIngest times what a shard's ingest commit computes on
+// wallbench's live corpus (DB-AUTHORS, 500 authors, minsup 0.08):
+// Engine.Ingest of a 3-author batch shaped like wallbench's writer's,
+// then the DiffSpaces summary the ingest reply carries, on one worker
+// as wallbench's shards build. Every iteration ingests into the same
+// base engine, so each pays the same rebuild.
+func BenchmarkIngest(b *testing.B) {
+	d, err := datagen.DBAuthors(datagen.DBAuthorsConfig{NumAuthors: 500, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultPipelineConfig()
+	cfg.Encode = datagen.DBAuthorsEncodeOptions()
+	cfg.MinSupportFrac = 0.08
+	cfg.Workers = 1
+	base, err := core.Build(d, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(1)
+	batches := make([]core.IngestBatch, 8)
+	for i := range batches {
+		batches[i] = liveBatch(r, i, 3)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ne, err := base.Ingest(batches[i%len(batches)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		core.DiffSpaces(base.Space, ne.Space)
+	}
+}
+
+// liveBatch is batch k of n new DB-AUTHORS authors, each with one to
+// three venue actions.
+func liveBatch(r *rng.RNG, k, n int) core.IngestBatch {
+	genders := []string{"female", "male"}
+	seniorities := []string{"junior", "senior", "very senior"}
+	var batch core.IngestBatch
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("live%03d-%d", k, i)
+		batch.Users = append(batch.Users, dataset.NewUser{
+			ID: id,
+			Demo: map[string]string{
+				"gender":    genders[r.Intn(len(genders))],
+				"seniority": seniorities[r.Intn(len(seniorities))],
+				"country":   datagen.Countries[r.Intn(len(datagen.Countries))],
+				"topic":     datagen.Topics[r.Intn(len(datagen.Topics))],
+			},
+			Numeric: map[string]float64{"pubrate": float64(1 + r.Intn(100))},
+		})
+		for a, na := 0, 1+r.Intn(3); a < na; a++ {
+			batch.Actions = append(batch.Actions, dataset.NewAction{
+				User: id, Item: datagen.Venues[r.Intn(len(datagen.Venues))], Value: 1, Time: 2018,
+			})
+		}
+	}
+	return batch
+}

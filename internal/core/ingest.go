@@ -189,44 +189,47 @@ func BuildWithLineage(d *dataset.Dataset, cfg PipelineConfig, lineage []BatchDig
 	return e, nil
 }
 
-// GroupTouched reports whether a group from an older engine version is
-// affected by the newer space: its description vanished, or its
-// membership changed. Count equality plus word-prefix equality proves
-// identity even though the newer space's bitsets live in a larger
-// universe — equal counts leave no room for extra members in the new
-// words.
-func GroupTouched(g *groups.Group, newSpace *groups.Space) bool {
+// GroupTouched reports whether group gid of an older engine version's
+// space is affected by the newer space: its description vanished, or
+// its membership changed.
+func GroupTouched(old *groups.Space, gid int, newSpace *groups.Space) bool {
+	g := old.Group(gid)
 	ng := newSpace.ByDescription(g.Desc)
-	if ng == nil {
-		return true
+	return ng == nil || !sameMembers(old, g, newSpace, ng)
+}
+
+// sameMembers reports whether group og of the older space and group ng
+// of the newer space have the same members. Size equality plus
+// word-prefix equality proves identity even though the newer space's
+// bitsets live in a larger universe — equal sizes leave no room for
+// extra members in the new words.
+func sameMembers(old *groups.Space, og *groups.Group, newSpace *groups.Space, ng *groups.Group) bool {
+	if old.Sizes()[og.ID] != newSpace.Sizes()[ng.ID] {
+		return false
 	}
-	if ng.Members.Count() != g.Members.Count() {
-		return true
-	}
-	ow, nw := g.Members.Words(), ng.Members.Words()
+	ow, nw := og.Members.Words(), ng.Members.Words()
 	if len(nw) < len(ow) {
-		return true
+		return false
 	}
 	for i, w := range ow {
 		if nw[i] != w {
-			return true
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // DiffSpaces counts the groups of the new space that are discovered
 // (description absent from old) or changed (present with different
 // membership) relative to the old space — the summary an ingest
-// response reports.
+// response reports. Each new group is looked up in old once.
 func DiffSpaces(old, new *groups.Space) (discovered, changed int) {
 	for _, ng := range new.Groups() {
 		og := old.ByDescription(ng.Desc)
-		if og == nil {
+		switch {
+		case og == nil:
 			discovered++
-			continue
-		}
-		if GroupTouched(og, new) {
+		case !sameMembers(old, og, new, ng):
 			changed++
 		}
 	}

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"testing"
 
+	"vexus/internal/bitset"
 	"vexus/internal/core"
 	"vexus/internal/datagen"
 	"vexus/internal/dataset"
+	"vexus/internal/groups"
 	"vexus/internal/store"
 )
 
@@ -351,12 +353,15 @@ func TestGroupTouchedAndDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	touched, untouched := 0, 0
+	touched, untouched, vanished := 0, 0, 0
 	for _, g := range base.Space.Groups() {
-		if core.GroupTouched(g, ne.Space) {
+		if core.GroupTouched(base.Space, g.ID, ne.Space) {
 			touched++
 		} else {
 			untouched++
+		}
+		if ne.Space.ByDescription(g.Desc) == nil {
+			vanished++
 		}
 	}
 	// Two new users in specific demographics: some groups must grow,
@@ -367,8 +372,52 @@ func TestGroupTouchedAndDiff(t *testing.T) {
 	if untouched == 0 {
 		t.Fatal("every group touched — targeted invalidation would degenerate to broadcast")
 	}
+	// Descriptions are unique in both spaces, so every changed group of
+	// the new space is one touched old group that did not vanish, and
+	// every other new group is discovered.
 	discovered, changed := core.DiffSpaces(base.Space, ne.Space)
-	if discovered < 0 || changed == 0 {
-		t.Fatalf("DiffSpaces = (%d, %d), want at least one changed group", discovered, changed)
+	kept := base.Space.Len() - vanished
+	if changed != touched-vanished || discovered != ne.Space.Len()-kept {
+		t.Fatalf("DiffSpaces = (%d, %d), want (%d, %d)", discovered, changed, ne.Space.Len()-kept, touched-vanished)
+	}
+	if changed == 0 {
+		t.Fatal("DiffSpaces found no changed group")
+	}
+}
+
+// TestDiffSpacesGrownUniverse pins the cross-version comparison on
+// hand-built spaces: a group whose only new member lies past the old
+// universe's last word is changed (only the sizes can tell), one with
+// the same members is not, and descriptions that vanish or appear are
+// counted once each.
+func TestDiffSpacesGrownUniverse(t *testing.T) {
+	vocab := groups.NewVocab()
+	a := vocab.Intern("t", "a")
+	b := vocab.Intern("t", "b")
+	c := vocab.Intern("t", "c")
+	d := vocab.Intern("t", "d")
+	space := func(n int, gs ...*groups.Group) *groups.Space {
+		s, err := groups.NewSpace(n, vocab, gs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	group := func(n int, id groups.TermID, members ...int) *groups.Group {
+		return &groups.Group{Desc: groups.NewDescription(id), Members: bitset.FromIndices(n, members)}
+	}
+	old := space(64, group(64, a, 1, 2), group(64, b, 3, 4), group(64, c, 5))
+	grown := space(70, group(70, a, 1, 2, 65), group(70, b, 3, 4), group(70, d, 66))
+	if !core.GroupTouched(old, 0, grown) {
+		t.Error("group {a} gained user 65 but reads untouched")
+	}
+	if core.GroupTouched(old, 1, grown) {
+		t.Error("group {b} kept its members but reads touched")
+	}
+	if !core.GroupTouched(old, 2, grown) {
+		t.Error("group {c} vanished but reads untouched")
+	}
+	if discovered, changed := core.DiffSpaces(old, grown); discovered != 1 || changed != 1 {
+		t.Errorf("DiffSpaces = (%d, %d), want (1, 1)", discovered, changed)
 	}
 }

@@ -1,8 +1,9 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // User is one individual in the dataset. Demo[i] is the interned value
@@ -328,11 +329,11 @@ func (d *Dataset) TopItems(n int) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(i, j int) bool {
-		if counts[idx[i]] != counts[idx[j]] {
-			return counts[idx[i]] > counts[idx[j]]
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(counts[b], counts[a]); c != 0 {
+			return c
 		}
-		return idx[i] < idx[j]
+		return cmp.Compare(a, b)
 	})
 	if n > len(idx) {
 		n = len(idx)

@@ -2,7 +2,7 @@ package groups
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"vexus/internal/bitset"
 	"vexus/internal/parallel"
@@ -17,7 +17,8 @@ type Group struct {
 	Members *bitset.Set
 }
 
-// Size returns the number of members.
+// Size returns the number of members. Code holding the group's Space
+// reads Space.Sizes instead, which counts them once.
 func (g *Group) Size() int { return g.Members.Count() }
 
 // Jaccard returns the Jaccard similarity of the two groups' member
@@ -28,7 +29,9 @@ func (g *Group) Jaccard(other *Group) float64 {
 
 // Space is an immutable collection of discovered groups over one
 // dataset's user universe, plus the user→groups inverted lists needed
-// to walk the overlap graph without O(n²) scans.
+// to walk the overlap graph without O(n²) scans, and each group's
+// size. The sizes are counted once, while the space is built; the
+// size order, the index's Jaccard and the ingest diff all read them.
 type Space struct {
 	NumUsers int
 	Vocab    *Vocab
@@ -36,7 +39,9 @@ type Space struct {
 
 	// userGroups[u] lists ids of groups containing user u, ascending.
 	userGroups [][]int32
-	byKey      map[string]int
+	// sizes[gid] is the member count of group gid.
+	sizes []int
+	byKey map[string]int
 }
 
 // NewSpace builds a space from discovered groups with one worker per
@@ -61,6 +66,7 @@ func NewSpaceParallel(numUsers int, vocab *Vocab, gs []*Group, workers int) (*Sp
 		Vocab:      vocab,
 		groups:     gs,
 		userGroups: make([][]int32, numUsers),
+		sizes:      make([]int, len(gs)),
 		byKey:      make(map[string]int, len(gs)),
 	}
 	for i, g := range gs {
@@ -78,11 +84,12 @@ func NewSpaceParallel(numUsers int, vocab *Vocab, gs []*Group, workers int) (*Sp
 	return s, nil
 }
 
-// invert fills userGroups from the groups' member sets, count then
-// fill: transient memory is workers×numUsers int32 counters (4 bytes
-// per cell, no slice headers, no append growth) and every per-user
-// list is allocated exactly once at its final size, at any worker
-// count. Small spaces run on one worker, on the calling goroutine.
+// invert fills userGroups and sizes from the groups' member sets,
+// count then fill: transient memory is workers×numUsers int32 counters
+// (4 bytes per cell, no slice headers, no append growth) and every
+// per-user list is allocated exactly once at its final size, at any
+// worker count. Small spaces run on one worker, on the calling
+// goroutine.
 func (s *Space) invert(workers int) {
 	n := len(s.groups)
 	w := parallel.Workers(workers, n)
@@ -95,15 +102,18 @@ func (s *Space) invert(workers int) {
 		bounds[k] = k * n / w
 	}
 	// Pass 1: each shard counts its per-user memberships into its own
-	// counter row.
+	// counter row, and the size of each of its groups.
 	counts := make([][]int32, w)
 	parallel.ForEach(w, w, func(_, shard int) {
 		cnt := make([]int32, s.NumUsers)
 		for gid := bounds[shard]; gid < bounds[shard+1]; gid++ {
+			size := 0
 			s.groups[gid].Members.Range(func(u int) bool {
 				cnt[u]++
+				size++
 				return true
 			})
+			s.sizes[gid] = size
 		}
 		counts[shard] = cnt
 	})
@@ -150,9 +160,15 @@ func (s *Space) Group(id int) *Group { return s.groups[id] }
 // Groups returns all groups; the slice must not be modified.
 func (s *Space) Groups() []*Group { return s.groups }
 
-// ByDescription returns the group with exactly this description, or nil.
+// Sizes returns each group's member count, indexed by group id; the
+// slice must not be modified.
+func (s *Space) Sizes() []int { return s.sizes }
+
+// ByDescription returns the group with exactly this description, or
+// nil. The lookup does not allocate while the key fits in 64 bytes.
 func (s *Space) ByDescription(d Description) *Group {
-	if i, ok := s.byKey[d.Key()]; ok {
+	var buf [64]byte
+	if i, ok := s.byKey[string(d.appendKey(buf[:0]))]; ok {
 		return s.groups[i]
 	}
 	return nil
@@ -168,15 +184,21 @@ func (s *Space) GroupsOfUser(u int) []int32 {
 }
 
 // SortBySize orders group ids by descending member count (ties by
-// ascending id) — the default presentation order of GROUPVIZ.
+// ascending id) — the default presentation order of GROUPVIZ. It sorts
+// one key per id, the size's complement above the id, whose ascending
+// order is that order; a comparator called through a function value
+// costs several times more per comparison. Sizes and ids both fit in
+// 32 bits: ids are stored as int32 in userGroups, and a size is at
+// most the user count.
 func (s *Space) SortBySize(ids []int) {
-	sort.Slice(ids, func(i, j int) bool {
-		si, sj := s.groups[ids[i]].Size(), s.groups[ids[j]].Size()
-		if si != sj {
-			return si > sj
-		}
-		return ids[i] < ids[j]
-	})
+	keys := make([]uint64, len(ids))
+	for i, id := range ids {
+		keys[i] = uint64(^uint32(s.sizes[id]))<<32 | uint64(uint32(id))
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		ids[i] = int(uint32(k))
+	}
 }
 
 // Stats summarizes a space for reports and logs.
@@ -218,7 +240,7 @@ func (s *Space) ComputeStatsParallel(workers int) Stats {
 		}
 		for gid := lo; gid < hi; gid++ {
 			g := s.groups[gid]
-			sz := g.Size()
+			sz := s.sizes[gid]
 			p.sumSize += sz
 			p.sumDesc += len(g.Desc)
 			if !p.seen || sz < p.minSize {

@@ -29,8 +29,8 @@ func randomGroups(seed uint64, u, n int) (*Vocab, []*Group) {
 
 // TestNewSpaceParallelEquivalence: at every worker count the inversion
 // produces the user→groups lists of a plain sequential append over the
-// groups, each allocated at its exact length, for spaces above and
-// below the one-worker threshold.
+// groups, each allocated at its exact length, and each group's size,
+// for spaces above and below the one-worker threshold.
 func TestNewSpaceParallelEquivalence(t *testing.T) {
 	for _, shape := range []struct{ u, n int }{{50, 40}, {120, 300}, {30, 700}} {
 		vocab, gs := randomGroups(uint64(shape.n), shape.u, shape.n)
@@ -45,6 +45,12 @@ func TestNewSpaceParallelEquivalence(t *testing.T) {
 			s, err := NewSpaceParallel(shape.u, vocab, cloneGroups(gs, shape.u), workers)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for gid, g := range gs {
+				if got := s.Sizes()[gid]; got != g.Members.Count() {
+					t.Fatalf("u=%d n=%d workers=%d: group %d size %d, want %d",
+						shape.u, shape.n, workers, gid, got, g.Members.Count())
+				}
 			}
 			for u := 0; u < shape.u; u++ {
 				got := s.GroupsOfUser(u)

@@ -7,8 +7,8 @@
 package groups
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -137,16 +137,19 @@ func (d Description) Equal(other Description) bool {
 	return true
 }
 
-// Key returns a canonical string key for map indexing.
-func (d Description) Key() string {
-	var b strings.Builder
+// Key returns a canonical string key for map indexing: the term ids
+// in decimal, comma-separated ("1,23").
+func (d Description) Key() string { return string(d.appendKey(nil)) }
+
+// appendKey appends d's Key to b.
+func (d Description) appendKey(b []byte) []byte {
 	for i, id := range d {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", id)
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return b.String()
+	return b
 }
 
 // Label renders the human-readable description, e.g.

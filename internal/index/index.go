@@ -19,6 +19,11 @@
 // be wasted. Every entry carries the overlap count |g ∩ h| its
 // similarity was computed from.
 //
+// Similarities come from counts alone: each lookup counts |g ∩ h| over
+// the space's user→groups lists, and the group sizes are the ones the
+// space counted once when it was built (groups.Space.Sizes), so the
+// index keeps no sizes of its own.
+//
 // Every list exploits the group overlap graph: Jaccard(g, h) > 0
 // requires a shared member, so candidates for g's list are exactly the
 // groups reachable through g's members (space.Neighbors), not all
@@ -49,9 +54,10 @@ type Neighbor struct {
 // Index answers inverted-list lookups over one group space.
 type Index struct {
 	space *groups.Space
-	// sizes caches each group's member count: with intersection sizes
-	// accumulated by counting (see accumulate), Jaccard reduces to
-	// |A∩B| / (|A|+|B|−|A∩B|) with no bitset work at all.
+	// sizes is the space's own group sizes (groups.Space.Sizes): with
+	// intersection sizes accumulated by counting (see accumulate),
+	// Jaccard reduces to |A∩B| / (|A|+|B|−|A∩B|) with no bitset work
+	// at all.
 	sizes []int
 	// scratch pools the |G|-sized counter arrays of exact lookups, so
 	// concurrent sessions each take one instead of allocating per call.
@@ -82,10 +88,7 @@ type scratch struct {
 // and every Neighbors call computes the exact list of its group.
 func New(space *groups.Space) *Index {
 	n := space.Len()
-	ix := &Index{space: space, sizes: make([]int, n)}
-	for gid := 0; gid < n; gid++ {
-		ix.sizes[gid] = space.Group(gid).Size()
-	}
+	ix := &Index{space: space, sizes: space.Sizes()}
 	ix.scratch.New = func() any {
 		return &scratch{cnt: make([]int32, n), touched: make([]int32, 0, 1024)}
 	}

@@ -68,22 +68,26 @@ func Encode(d *dataset.Dataset, opts EncodeOptions) (*Transactions, error) {
 	}
 
 	if opts.TopItems > 0 {
-		top := d.TopItems(opts.TopItems)
-		inTop := make(map[int]bool, len(top))
-		for _, it := range top {
-			inTop[it] = true
+		// terms[item] holds a top item's liked and disliked term ids,
+		// each -1 until its first action interns it, so ids keep
+		// first-seen order; items outside the top stay nil.
+		terms := make([]*[2]groups.TermID, d.NumItems())
+		for _, it := range d.TopItems(opts.TopItems) {
+			terms[it] = &[2]groups.TermID{-1, -1}
 		}
 		for _, a := range d.Actions {
-			if !inTop[a.Item] {
+			ids := terms[a.Item]
+			if ids == nil {
 				continue
 			}
-			field := "item:" + d.Items[a.Item].ID
-			value := "liked"
+			k, value := 0, "liked"
 			if a.Value < opts.LikeThreshold {
-				value = "disliked"
+				k, value = 1, "disliked"
 			}
-			id := vocab.Intern(field, value)
-			perUser[a.User] = append(perUser[a.User], id)
+			if ids[k] < 0 {
+				ids[k] = vocab.Intern("item:"+d.Items[a.Item].ID, value)
+			}
+			perUser[a.User] = append(perUser[a.User], ids[k])
 		}
 	}
 

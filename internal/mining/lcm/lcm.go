@@ -19,6 +19,7 @@ package lcm
 
 import (
 	"fmt"
+	"slices"
 
 	"vexus/internal/bitset"
 	"vexus/internal/groups"
@@ -106,8 +107,9 @@ func (e *enumerator) emit(desc groups.Description, members *bitset.Set) error {
 	if e.shared != nil && e.shared.exceeded() {
 		return e.budgetErr()
 	}
+	// desc is a closure, already ascending and unique: no re-sort.
 	e.out = append(e.out, &groups.Group{
-		Desc:    groups.NewDescription(desc...),
+		Desc:    slices.Clone(desc),
 		Members: members.Clone(),
 	})
 	return nil
@@ -124,14 +126,14 @@ func (e *enumerator) budgetErr() error {
 // ≤ coreI … i-1 outside the parent closure.
 func (e *enumerator) recurse(desc groups.Description, members *bitset.Set, coreI int) error {
 	nTerms := e.t.Vocab.Len()
-	inDesc := make(map[groups.TermID]bool, len(desc))
-	for _, id := range desc {
-		inDesc[id] = true
-	}
 	ext := bitset.New(e.t.N)
+	// next indexes the first term of desc not below i; desc is ascending.
+	next := 0
 	for i := coreI + 1; i < nTerms; i++ {
-		id := groups.TermID(i)
-		if inDesc[id] {
+		for next < len(desc) && int(desc[next]) < i {
+			next++
+		}
+		if next < len(desc) && int(desc[next]) == i {
 			continue
 		}
 		// Occurrence deliver: tid-set of the extension.
@@ -143,16 +145,7 @@ func (e *enumerator) recurse(desc groups.Description, members *bitset.Set, coreI
 		}
 		// Closure of desc ∪ {i} over the extension tid-set.
 		closure := e.t.Closure(ext)
-		// PPC check: no item < i may join the closure unless it was
-		// already in the parent's description.
-		ok := true
-		for _, cid := range closure {
-			if int(cid) < i && !inDesc[cid] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !prefixPreserved(closure, desc, i) {
 			continue
 		}
 		if e.opts.MaxLen > 0 && len(closure) > e.opts.MaxLen {
@@ -168,4 +161,24 @@ func (e *enumerator) recurse(desc groups.Description, members *bitset.Set, coreI
 		}
 	}
 	return nil
+}
+
+// prefixPreserved is the PPC check of extending parent with item i: no
+// term below i may join the closure unless it was already in the
+// parent's description. Both descriptions are ascending, so one merge
+// walk decides it without allocating.
+func prefixPreserved(closure, parent groups.Description, i int) bool {
+	j := 0
+	for _, cid := range closure {
+		if int(cid) >= i {
+			return true
+		}
+		for j < len(parent) && parent[j] < cid {
+			j++
+		}
+		if j == len(parent) || parent[j] != cid {
+			return false
+		}
+	}
+	return true
 }

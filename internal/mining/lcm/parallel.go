@@ -43,10 +43,6 @@ func (m *Miner) MineParallel(t *mining.Transactions, workers int) ([]*groups.Gro
 	full := bitset.New(t.N)
 	full.Fill()
 	root := t.Closure(full)
-	inRoot := make(map[groups.TermID]bool, len(root))
-	for _, id := range root {
-		inRoot[id] = true
-	}
 	var rootGroup *groups.Group
 	if len(root) > 0 && (opts.MaxLen == 0 || len(root) <= opts.MaxLen) {
 		rootGroup = &groups.Group{
@@ -61,7 +57,7 @@ func (m *Miner) MineParallel(t *mining.Transactions, workers int) ([]*groups.Gro
 	if opts.MaxGroups > 0 && base >= opts.MaxGroups && nTerms > 0 {
 		// The root alone fills the budget; any extension would exceed
 		// it. Probe cheaply whether one exists to decide the error.
-		if hasExtension(t, opts, inRoot, full) {
+		if hasExtension(t, opts, root, full) {
 			return []*groups.Group{rootGroup},
 				(&enumerator{opts: opts}).budgetErr()
 		}
@@ -89,7 +85,7 @@ func (m *Miner) MineParallel(t *mining.Transactions, workers int) ([]*groups.Gro
 			scratch[worker] = bitset.New(t.N)
 		}
 		ext := scratch[worker]
-		closure, ok := topLevelExtension(t, opts, inRoot, full, ext, i)
+		closure, ok := topLevelExtension(t, opts, root, full, ext, i)
 		if !ok {
 			return
 		}
@@ -141,8 +137,8 @@ func (m *Miner) MineParallel(t *mining.Transactions, workers int) ([]*groups.Gro
 // against the root, and MaxLen pruning. It returns the closure and
 // whether the subtree under i is enumerated at all — the single
 // definition both MineParallel's fan-out and hasExtension rely on.
-func topLevelExtension(t *mining.Transactions, opts mining.Options, inRoot map[groups.TermID]bool, full, ext *bitset.Set, i int) (groups.Description, bool) {
-	if inRoot[groups.TermID(i)] {
+func topLevelExtension(t *mining.Transactions, opts mining.Options, root groups.Description, full, ext *bitset.Set, i int) (groups.Description, bool) {
+	if root.Contains(groups.TermID(i)) {
 		return nil, false
 	}
 	ext.Copy(full)
@@ -151,10 +147,8 @@ func topLevelExtension(t *mining.Transactions, opts mining.Options, inRoot map[g
 		return nil, false
 	}
 	closure := t.Closure(ext)
-	for _, cid := range closure {
-		if int(cid) < i && !inRoot[cid] {
-			return nil, false
-		}
+	if !prefixPreserved(closure, root, i) {
+		return nil, false
 	}
 	if opts.MaxLen > 0 && len(closure) > opts.MaxLen {
 		return nil, false
@@ -165,10 +159,10 @@ func topLevelExtension(t *mining.Transactions, opts mining.Options, inRoot map[g
 // hasExtension reports whether any top-level PPC extension of the root
 // closure is frequent — i.e. whether the full enumeration holds at
 // least one group beyond the root.
-func hasExtension(t *mining.Transactions, opts mining.Options, inRoot map[groups.TermID]bool, full *bitset.Set) bool {
+func hasExtension(t *mining.Transactions, opts mining.Options, root groups.Description, full *bitset.Set) bool {
 	ext := bitset.New(t.N)
 	for i := 0; i < t.Vocab.Len(); i++ {
-		if _, ok := topLevelExtension(t, opts, inRoot, full, ext, i); ok {
+		if _, ok := topLevelExtension(t, opts, root, full, ext, i); ok {
 			return true
 		}
 	}

@@ -1,17 +1,19 @@
 // Package mining provides the shared substrate for user-group
 // discovery: the encoding of users into transactions over an interned
-// term vocabulary, vertical tid-lists for fast support counting, and
-// the bounds (Options) LCM runs under. The encoding feeds one miner,
-// internal/mining/lcm, which mines every engine's group space, on a
-// build and on every ingest. The paper treats VEXUS as independent of
-// the discovery algorithm (§II-A) and names stream miners too; this
-// repository fixes LCM instead of making the miner an option (see
-// "Deviation: one group miner" in the module doc).
+// term vocabulary, vertical tid-lists for fast support counting, the
+// closure LCM closes every candidate with (it tests only the terms of
+// one member, see Transactions.Closure), and the bounds (Options) LCM
+// runs under. The encoding feeds one miner, internal/mining/lcm, which
+// mines every engine's group space, on a build and on every ingest.
+// The paper treats VEXUS as independent of the discovery algorithm
+// (§II-A) and names stream miners too; this repository fixes LCM
+// instead of making the miner an option (see "Deviation: one group
+// miner" in the module doc).
 package mining
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"vexus/internal/bitset"
 	"vexus/internal/groups"
@@ -44,7 +46,7 @@ func NewTransactions(vocab *groups.Vocab, perUser [][]groups.TermID) *Transactio
 		t.Tids[i] = bitset.New(t.N)
 	}
 	for u, terms := range perUser {
-		sort.Slice(terms, func(i, j int) bool { return terms[i] < terms[j] })
+		slices.Sort(terms)
 		w := 0
 		for i, id := range terms {
 			if i == 0 || id != terms[i-1] {
@@ -75,14 +77,25 @@ func (t *Transactions) MembersOf(d groups.Description) *bitset.Set {
 // set: every term carried by all of those users. Closed descriptions
 // are the natural group labels ("all members share common demographics
 // and actions that describe the group", §I).
+//
+// Every term of the closure is carried by every member, so it is a
+// term of the first member u0: Closure walks only PerUser[u0] and keeps
+// the terms whose tid-list contains the whole set, LCM's closure over
+// the occurrence set. PerUser[u0] is ascending and deduplicated, so
+// the description comes out canonical with no sort.
 func (t *Transactions) Closure(members *bitset.Set) groups.Description {
-	if members.IsEmpty() {
+	u0 := -1
+	members.Range(func(u int) bool {
+		u0 = u
+		return false
+	})
+	if u0 < 0 {
 		return groups.NewDescription()
 	}
-	out := make(groups.Description, 0, 8)
-	for id := range t.Tids {
+	out := make(groups.Description, 0, len(t.PerUser[u0]))
+	for _, id := range t.PerUser[u0] {
 		if members.SubsetOf(t.Tids[id]) {
-			out = append(out, groups.TermID(id))
+			out = append(out, id)
 		}
 	}
 	return out

@@ -155,6 +155,8 @@ func (c *Catalog) applyIngest(e *catalogEntry, reg *registry, cur *core.Engine, 
 		}
 	}
 
+	res.NewGroups, res.ChangedGroups = core.DiffSpaces(cur.Space, ne.Space)
+
 	swapStart := time.Now()
 	c.mu.Lock()
 	resident := e.reg == reg
@@ -166,7 +168,6 @@ func (c *Catalog) applyIngest(e *catalogEntry, reg *registry, cur *core.Engine, 
 
 	res.EngineVersion = ne.Version()
 	res.Groups = ne.Space.Len()
-	res.NewGroups, res.ChangedGroups = core.DiffSpaces(cur.Space, ne.Space)
 
 	c.met.ingestBatches.Inc()
 	c.met.ingestRows.With("users").Add(uint64(len(b.Users)))
@@ -239,7 +240,7 @@ func sessionTouched(cs *clientSession, ne *core.Engine) bool {
 		if gid < 0 || gid >= cs.eng.Space.Len() {
 			continue
 		}
-		if core.GroupTouched(cs.eng.Space.Group(gid), ne.Space) {
+		if core.GroupTouched(cs.eng.Space, gid, ne.Space) {
 			return true
 		}
 	}

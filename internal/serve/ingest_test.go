@@ -171,7 +171,7 @@ func TestIngestNoticeAndETagSeamless(t *testing.T) {
 	}
 	gid := -1
 	for i := 0; i < base.Space.Len(); i++ {
-		if core.GroupTouched(base.Space.Group(i), ne.Space) {
+		if core.GroupTouched(base.Space, i, ne.Space) {
 			gid = i
 			break
 		}
