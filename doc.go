@@ -373,8 +373,10 @@
 //
 // Over HTTP, POST /api/v1/datasets/{name}/ingest commits a batch; it
 // takes no query parameters and refuses any with 400. Batches are sequence-numbered against the
-// engine version — replays of an applied seq are acknowledged
-// idempotently, gaps are rejected with 409 — and the delta is made
+// engine version — a replay of an applied seq is acknowledged
+// idempotently when its batch digest matches the lineage entry at that
+// seq and refused with 409 when it does not, gaps are rejected with
+// 409 — and the delta is made
 // durable before the new engine becomes visible. Existing sessions
 // stay pinned to the version they started on; only sessions whose
 // shown or focal groups the new data actually touches
@@ -387,13 +389,25 @@
 // so draining a shard after an ingest moves sessions without
 // re-aiming them at the new version.
 // GET /api/datasets reports each resident engine's version. In a
-// cluster the gateway is the sequencer: it fans the batch to every
-// shard in sorted order, pins the seq the first shard assigns, and
-// verifies all shards report the same resulting version — same batch,
-// same seq, deterministic pipeline ⇒ bit-identical engines on every
-// shard. It decodes each reply strictly: a sequencer reply that names
-// no valid seq or version answers 502 before any other shard gets the
-// batch. wallbench measures one ingest batch through the gateway
+// cluster the gateway is the sequencer: it pins one seq on every shard
+// and verifies all shards report the same resulting version and chain
+// head (the snapshot's content address, carried in every ingest reply)
+// — same batch, same seq, deterministic pipeline ⇒ bit-identical
+// engines on every shard. When it knows the seq (the client sent one,
+// or its per-dataset hint holds the version its own last commit left
+// every shard at) it sends the batch to every shard at once; otherwise
+// the first shard in sorted order assigns the seq and the rest then go
+// together. When no shard takes a stale hint, the gateway reruns the
+// batch with the first shard assigning, so the client never sees a
+// refusal of a seq it did not send. It decodes each reply strictly:
+// when the first shard assigns the seq, a reply that names no valid
+// seq or version answers 502 before any other shard gets the batch; a
+// bad reply to a pinned seq answers 502 too, and drops the hint. A
+// pinned seq has no single arbiter, so writers racing different
+// batches at one seq can split the shards; the heads then differ, and
+// that ingest and every later one answer 502 "cluster divergence"
+// rather than 200. A dataset's ingests belong on one gateway.
+// wallbench measures one ingest batch through the gateway
 // (ingest_p50_ms), its layers (core.ingest_ms, store.delta_append_ms)
 // and the warm load of a base+delta chain (restart_s).
 //

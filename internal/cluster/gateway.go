@@ -67,10 +67,18 @@ type Gateway struct {
 	routes map[string]*route // sid → residency (gateway-observed)
 
 	// ingestMu serializes dataset ingests through this gateway: one
-	// batch fans out to every shard (in sorted order, under one seq)
-	// before the next starts, keeping the per-dataset seq ladder
-	// gap-free without cross-shard coordination.
+	// batch reaches every shard, under one seq, before the next
+	// starts, keeping the per-dataset seq ladder gap-free without
+	// cross-shard coordination. It also guards nextSeq.
 	ingestMu sync.Mutex
+	// nextSeq is the per-dataset seq hint: the engine version every
+	// shard agreed on after this gateway's last commit of that
+	// dataset, so the next seq-less batch can go to every shard at
+	// once. Each shard checks a pinned seq against its own version and
+	// lineage, so a stale hint is refused, never committed; the gateway
+	// then reruns the batch with the first shard assigning the seq.
+	// Dropped on any failed ingest.
+	nextSeq map[string]uint64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -164,6 +172,7 @@ func NewGatewayConfig(cfg GatewayConfig, shards ...*Shard) (*Gateway, error) {
 	}
 	g := &Gateway{
 		routes:  make(map[string]*route),
+		nextSeq: make(map[string]uint64),
 		stop:    make(chan struct{}),
 		roster:  roster,
 		secret:  cfg.Secret,
@@ -318,8 +327,9 @@ func (g *Gateway) Routes() http.Handler {
 	handle("GET /api/v1/sessions/{sid}/groupviz.svg", g.bySID)
 	handle("GET /api/v1/sessions/{sid}/focus.svg", g.bySID)
 
-	// Live datasets: ingestion fans out to every shard under one
-	// gateway-assigned seq (ingest.go).
+	// Live datasets: ingestion fans out to every shard at once under
+	// one seq — the client's, the gateway's hint, or else the one the
+	// first shard assigns (ingest.go).
 	handle("POST /api/v1/datasets/{name}/ingest", g.handleIngest)
 
 	// Membership: shards announce themselves here. Auth-gated like

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vexus/internal/action"
 	"vexus/internal/core"
@@ -34,6 +37,17 @@ func clusterBatch() core.IngestBatch {
 			{User: "joiner2", Item: "KDD", Value: 1, Time: 2018},
 			{User: "author00001", Item: "VLDB", Value: 1, Time: 2018},
 		},
+	}
+}
+
+// oneUserBatch adds one new author, id, with one paper; distinct ids
+// make distinct batches.
+func oneUserBatch(id string) core.IngestBatch {
+	return core.IngestBatch{
+		Users: []dataset.NewUser{{ID: id, Demo: map[string]string{
+			"gender": "female", "seniority": "junior", "country": "fr", "topic": "databases",
+		}, Numeric: map[string]float64{"pubrate": 3}}},
+		Actions: []dataset.NewAction{{User: id, Item: "SIGMOD", Value: 1, Time: 2018}},
 	}
 }
 
@@ -275,6 +289,337 @@ func TestGatewayRejectsBadSequencerReply(t *testing.T) {
 	}
 }
 
+// TestGatewayRefusesDifferentBatchAtCommittedSeq: a different batch
+// sent through the gateway at a committed seq is refused with 409 by
+// every shard — not acknowledged as a replay, which would drop its rows
+// — and every shard stays at its version.
+func TestGatewayRefusesDifferentBatchAtCommittedSeq(t *testing.T) {
+	gw, ts := testCluster(t, 2)
+	if _, hres := postIngestAt(t, ts.URL, "default", "", clusterBatch()); hres.StatusCode != http.StatusOK {
+		t.Fatalf("gateway ingest status %d", hres.StatusCode)
+	}
+	other := oneUserBatch("late1")
+	other.Seq = 1
+	if _, hres := postIngestAt(t, ts.URL, "default", "", other); hres.StatusCode != http.StatusConflict {
+		t.Fatalf("different batch at committed seq 1: status %d, want 409", hres.StatusCode)
+	}
+	if v := shardVersions(t, gw); fmt.Sprint(v) != "[2 2]" {
+		t.Fatalf("shard versions %v after the refused batch, want [2 2]", v)
+	}
+}
+
+// TestGatewayIngestFansOutConcurrently: once the gateway knows the
+// seq, every shard gets the batch at once. Each of three shards holds
+// its ingest POST at a barrier until its group has arrived (5 s at
+// most): the first ingest, whose seq the first shard assigns, arrives
+// one, then two; the second, under the gateway's hint, all three at
+// once. A sequential fan-out never gathers more than one and times out.
+func TestGatewayIngestFansOutConcurrently(t *testing.T) {
+	ends := []int32{1, 3, 6} // cumulative arrivals that close each group
+	var arrived atomic.Int32
+	hold := func() bool {
+		n := arrived.Add(1)
+		end := n
+		for _, e := range ends {
+			if e >= n {
+				end = e
+				break
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for arrived.Load() < end {
+			if time.Now().After(deadline) {
+				return false
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return true
+	}
+	shards := make([]*Shard, 3)
+	for i := range shards {
+		h := shardServer(t).Routes()
+		shards[i] = LocalShard(fmt.Sprintf("s%d", i), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/ingest") && !hold() {
+				http.Error(w, "ingest barrier timed out", http.StatusGatewayTimeout)
+				return
+			}
+			h.ServeHTTP(w, r)
+		}))
+	}
+	gw, err := NewGatewayConfig(GatewayConfig{}, shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	ts := httptest.NewServer(gw.Routes())
+	t.Cleanup(ts.Close)
+
+	for i, b := range []core.IngestBatch{clusterBatch(), oneUserBatch("joiner3")} {
+		res, hres := postIngestAt(t, ts.URL, "default", "", b)
+		if hres.StatusCode != http.StatusOK || res.Seq != uint64(i+1) || res.EngineVersion != uint64(i+2) {
+			t.Fatalf("ingest %d: status %d result %+v, want seq %d → version %d", i+1, hres.StatusCode, res, i+1, i+2)
+		}
+	}
+	if n := arrived.Load(); n != 6 {
+		t.Fatalf("%d ingest POSTs reached the shards, want 6", n)
+	}
+	if v := shardVersions(t, gw); fmt.Sprint(v) != "[3 3 3]" {
+		t.Fatalf("shard versions %v, want [3 3 3]", v)
+	}
+}
+
+// TestGatewayIngestStaleHint: the gateway's seq hint is only a guess.
+// When another writer has moved every shard on, s0 refuses the hinted
+// seq (it holds a different batch). Whether s1 refuses it too or fails
+// with a 503, no shard took the batch, so the gateway reruns it with
+// the first shard assigning the seq, in the same request: the client
+// never sees the refusal of a seq it did not send. When s1 cannot be
+// reached it may hold the batch, so the gateway answers 502, and the
+// retry goes first-shard-first.
+func TestGatewayIngestStaleHint(t *testing.T) {
+	const (
+		asShard = iota
+		overloaded
+		unreachable
+	)
+	for _, c := range []struct {
+		name string
+		s1   int32 // how s1 answers the hinted ingest
+	}{{"both refuse", asShard}, {"one refuses, one fails", overloaded}, {"one refuses, one unreachable", unreachable}} {
+		t.Run(c.name, func(t *testing.T) {
+			h1 := shardServer(t).Routes()
+			var fail atomic.Int32 // s1's answer to its next ingest, reset once used
+			s1 := LocalShard("s1", h1)
+			s1.client = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+				if strings.HasSuffix(r.URL.Path, "/ingest") {
+					switch fail.Swap(asShard) {
+					case overloaded:
+						rec := httptest.NewRecorder()
+						http.Error(rec, "overloaded", http.StatusServiceUnavailable)
+						return rec.Result(), nil
+					case unreachable:
+						return nil, errors.New("connection refused")
+					}
+				}
+				return ServeInProcess(h1, r), nil
+			})}
+			gw, err := NewGatewayConfig(GatewayConfig{}, LocalShard("s0", shardServer(t).Routes()), s1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(gw.Close)
+			ts := httptest.NewServer(gw.Routes())
+			t.Cleanup(ts.Close)
+
+			if res, hres := postIngestAt(t, ts.URL, "default", "", clusterBatch()); hres.StatusCode != http.StatusOK || res.Seq != 1 {
+				t.Fatalf("gateway ingest: status %d result %+v, want seq 1", hres.StatusCode, res)
+			}
+			// The gateway's hint is now seq 2; commit a different batch
+			// there on every shard, past the gateway.
+			side := oneUserBatch("side1")
+			side.Seq = 2
+			raw, err := json.Marshal(side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sh := range gw.shardList() {
+				res, err := sh.send(context.Background(), sh.client, http.MethodPost, "/api/v1/datasets/default/ingest",
+					http.Header{"Content-Type": {"application/json"}}, bytes.NewReader(raw))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res.Body.Close()
+				if res.StatusCode != http.StatusOK {
+					t.Fatalf("shard %s direct ingest: status %d", sh.name, res.StatusCode)
+				}
+			}
+			fail.Store(c.s1)
+			res, hres := postIngestAt(t, ts.URL, "default", "", oneUserBatch("joiner3"))
+			if c.s1 == unreachable {
+				if hres.StatusCode != http.StatusBadGateway {
+					t.Fatalf("ingest past a stale hint with s1 unreachable: status %d, want 502", hres.StatusCode)
+				}
+				if v := shardVersions(t, gw); fmt.Sprint(v) != "[3 3]" {
+					t.Fatalf("shard versions %v after the 502, want [3 3]", v)
+				}
+				res, hres = postIngestAt(t, ts.URL, "default", "", oneUserBatch("joiner3"))
+			}
+			if hres.StatusCode != http.StatusOK || res.Seq != 3 || res.EngineVersion != 4 || res.AlreadyApplied {
+				t.Fatalf("ingest past a stale hint: status %d result %+v, want a commit of seq 3 → version 4", hres.StatusCode, res)
+			}
+			if v := shardVersions(t, gw); fmt.Sprint(v) != "[4 4]" {
+				t.Fatalf("shard versions %v, want [4 4]", v)
+			}
+		})
+	}
+}
+
+// roundTripFunc is an http.RoundTripper made of a function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestGatewayIngestRacingWritersDiverge: a pinned seq has no single
+// arbiter. Two gateways, each holding the hint seq 2, race different
+// batches, and the shards take them in opposite orders: s0 commits
+// racerA and refuses racerB, s1 the reverse. Both ingests answer 502.
+// The shards now sit at one version with different lineages, so every
+// later ingest, through either gateway, answers 502 "cluster
+// divergence" — their chain heads differ — and never 200.
+func TestGatewayIngestRacingWritersDiverge(t *testing.T) {
+	racers := []string{"racerA", "racerB"}
+	handlers := make([]http.Handler, len(racers))
+	for i := range handlers {
+		h := shardServer(t).Routes()
+		first := racers[i] // the racer shard i takes first
+		done := make(chan struct{})
+		var once sync.Once
+		handlers[i] = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/ingest") {
+				raw, _ := io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(raw))
+				b, _ := core.DecodeIngestJSON(raw)
+				if len(b.Users) > 0 {
+					switch id := b.Users[0].ID; {
+					case id == first:
+						defer once.Do(func() { close(done) })
+					case strings.HasPrefix(id, "racer"):
+						select {
+						case <-done:
+						case <-time.After(5 * time.Second):
+							http.Error(w, "race barrier timed out", http.StatusGatewayTimeout)
+							return
+						}
+					}
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	gws := make([]*Gateway, len(racers))
+	urls := make([]string, len(racers))
+	for i := range gws {
+		gw, err := NewGatewayConfig(GatewayConfig{}, LocalShard("s0", handlers[0]), LocalShard("s1", handlers[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(gw.Close)
+		ts := httptest.NewServer(gw.Routes())
+		t.Cleanup(ts.Close)
+		gws[i], urls[i] = gw, ts.URL
+	}
+	// Gateway A commits seq 1; gateway B replays it. Each now holds
+	// the hint seq 2.
+	if res, hres := postIngestAt(t, urls[0], "default", "", clusterBatch()); hres.StatusCode != http.StatusOK || res.EngineVersion != 2 {
+		t.Fatalf("gateway A ingest: status %d result %+v, want version 2", hres.StatusCode, res)
+	}
+	replay := clusterBatch()
+	replay.Seq = 1
+	if res, hres := postIngestAt(t, urls[1], "default", "", replay); hres.StatusCode != http.StatusOK || !res.AlreadyApplied || res.EngineVersion != 2 {
+		t.Fatalf("gateway B replay: status %d result %+v, want alreadyApplied at version 2", hres.StatusCode, res)
+	}
+
+	post := func(base string, b core.IngestBatch) (int, string, error) {
+		raw, err := json.Marshal(b)
+		if err != nil {
+			return 0, "", err
+		}
+		res, err := http.Post(base+"/api/v1/datasets/default/ingest", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			return 0, "", err
+		}
+		defer res.Body.Close()
+		body, err := io.ReadAll(res.Body)
+		return res.StatusCode, string(body), err
+	}
+	var wg sync.WaitGroup
+	for i, id := range racers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, body, err := post(urls[i], oneUserBatch(id))
+			if err != nil || status != http.StatusBadGateway {
+				t.Errorf("%s through gateway %d: status %d %s (%v), want 502", id, i, status, body, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if v := shardVersions(t, gws[0]); fmt.Sprint(v) != "[3 3]" {
+		t.Fatalf("shard versions %v after the race, want [3 3]", v)
+	}
+	for i, base := range urls {
+		status, body, err := post(base, oneUserBatch(fmt.Sprintf("later%d", i)))
+		if err != nil || status != http.StatusBadGateway || !strings.Contains(body, "cluster divergence") {
+			t.Fatalf("ingest through gateway %d after the split: status %d %s (%v), want 502 cluster divergence", i, status, body, err)
+		}
+	}
+}
+
+// TestGatewayRejectsBadHintedReply is TestGatewayRejectsBadSequencerReply
+// for a batch sent under the gateway's hint: every shard gets it at
+// once, so every shard commits, but a reply naming no valid position
+// still answers 502 and drops the hint — the next ingest goes to the
+// first shard alone, which assigns the seq.
+func TestGatewayRejectsBadHintedReply(t *testing.T) {
+	h0 := shardServer(t).Routes()
+	var tamper atomic.Bool
+	var mu sync.Mutex
+	var sent []uint64 // the seq of every ingest s0 received
+	s0 := LocalShard("s0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/ingest") {
+			h0.ServeHTTP(w, r)
+			return
+		}
+		raw, _ := io.ReadAll(r.Body)
+		b, err := core.DecodeIngestJSON(raw)
+		if err != nil {
+			t.Errorf("s0 ingest body: %v", err)
+		}
+		mu.Lock()
+		sent = append(sent, b.Seq)
+		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(raw))
+		res := ServeInProcess(h0, r)
+		body, _ := io.ReadAll(res.Body)
+		if tamper.Load() {
+			body = bytes.Replace(body, []byte(`"seq":2,`), []byte(`"seq":0,`), 1)
+		}
+		w.WriteHeader(res.StatusCode)
+		_, _ = w.Write(body)
+	}))
+	gw, err := NewGatewayConfig(GatewayConfig{}, s0, LocalShard("s1", shardServer(t).Routes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	ts := httptest.NewServer(gw.Routes())
+	t.Cleanup(ts.Close)
+
+	if _, hres := postIngestAt(t, ts.URL, "default", "", clusterBatch()); hres.StatusCode != http.StatusOK {
+		t.Fatalf("first ingest: status %d", hres.StatusCode)
+	}
+	tamper.Store(true)
+	if _, hres := postIngestAt(t, ts.URL, "default", "", oneUserBatch("joiner3")); hres.StatusCode != http.StatusBadGateway {
+		t.Fatalf("hinted ingest with a seq-0 reply: status %d, want 502", hres.StatusCode)
+	}
+	tamper.Store(false)
+	if v := shardVersions(t, gw); fmt.Sprint(v) != "[3 3]" {
+		t.Fatalf("shard versions %v after the hinted ingest, want [3 3]", v)
+	}
+	res, hres := postIngestAt(t, ts.URL, "default", "", oneUserBatch("joiner4"))
+	if hres.StatusCode != http.StatusOK || res.Seq != 3 || res.EngineVersion != 4 {
+		t.Fatalf("ingest after the 502: status %d result %+v, want seq 3 → version 4", hres.StatusCode, res)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(sent) != "[0 2 0]" {
+		t.Fatalf("s0 received seqs %v, want [0 2 0]: assigned, hinted, assigned after the hint was dropped", sent)
+	}
+}
+
 // TestDecodeIngestReply pins which shard replies the gateway accepts
 // from an ingest of "default".
 func TestDecodeIngestReply(t *testing.T) {
@@ -285,6 +630,7 @@ func TestDecodeIngestReply(t *testing.T) {
 	}{
 		{`{"dataset":"default","seq":1,"engineVersion":2,"users":2,"actions":3}`, 0, true},
 		{`{"dataset":"default","seq":3,"engineVersion":4}`, 3, true},
+		{`{"dataset":"default","seq":3,"engineVersion":4,"head":"00ff"}`, 3, true},
 		{`{"dataset":"default","seq":1,"engineVersion":4,"alreadyApplied":true}`, 1, true},
 		{`{"dataset":"default","seq":0,"engineVersion":1}`, 0, false},
 		{`{"dataset":"default","seq":2,"engineVersion":3}`, 1, false},

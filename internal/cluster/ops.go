@@ -101,9 +101,10 @@ func (g *Gateway) mergedDatasets() datasetsDTO {
 				m.Warm = row.Warm
 				m.Groups, m.Users = row.Groups, row.Users
 			}
-			// Shards converge on one version per dataset; during the
-			// brief window an ingest fan-out is mid-flight the merged
-			// row reports the furthest shard.
+			// Shards converge on one version per dataset. An ingest
+			// reaches the shards concurrently and each swaps its
+			// engine when its own rebuild ends, so while one is in
+			// flight the merged row reports the furthest shard.
 			if row.Version > m.Version {
 				m.Version = row.Version
 			}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,9 +19,14 @@ import (
 // discipline as the action log — batches are sequence-numbered against
 // the engine version (batch k applies to version k and produces k+1),
 // which makes the endpoint replayable: a retry of an already-applied
-// seq is acknowledged without re-applying, a gap is rejected with 409,
-// and the cluster gateway pins one seq across every shard so they all
-// converge on the same version.
+// seq is acknowledged without re-applying when it carries the batch
+// that seq holds (the lineage digest matches), and refused with 409
+// when it carries a different one; a gap is rejected with 409 too. The
+// cluster gateway pins one seq across every shard so they all converge
+// on the same version, and relies on these checks to catch a stale
+// seq it guessed. Every reply names the resulting engine by its chain
+// head, so the gateway can also tell apart shards that took different
+// batches at one seq.
 //
 // Sessions never see their engine change underneath them: each stays
 // pinned to the version it started on, and only sessions whose shown
@@ -48,9 +54,10 @@ func RejectIngestQuery(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// errSeqConflict marks a batch whose seq is ahead of the engine
-// version — the client skipped a batch; handlers surface 409.
-var errSeqConflict = errors.New("ingest seq ahead of engine version")
+// errSeqConflict marks a batch whose seq the engine cannot take: ahead
+// of the engine version (the client skipped a batch), or at a
+// committed seq that holds a different batch. Handlers surface 409.
+var errSeqConflict = errors.New("ingest seq conflict")
 
 // persistError marks an ingest that could not be made durable; the
 // engine was NOT swapped, so a retry is safe. Handlers surface 500.
@@ -67,7 +74,8 @@ type IngestResult struct {
 	Seq           uint64 `json:"seq"`
 	EngineVersion uint64 `json:"engineVersion"`
 	// AlreadyApplied marks an idempotent replay: the batch's seq was
-	// below the next expected one, so nothing changed.
+	// below the next expected one and already holds this very batch,
+	// so nothing changed.
 	AlreadyApplied bool `json:"alreadyApplied,omitempty"`
 	Users          int  `json:"users"`
 	Actions        int  `json:"actions"`
@@ -79,6 +87,13 @@ type IngestResult struct {
 	// Notified counts the live sessions whose display was touched by
 	// the new data and therefore received a notice event.
 	Notified int `json:"notified"`
+	// Head names the engine at EngineVersion: the hex snapshot chain
+	// head over the spec's base fingerprint and every batch in its
+	// lineage (store.ChainFingerprint). Two shards at one version hold
+	// the same engine exactly when their heads match; the gateway
+	// compares them, so shards that took different batches at one seq
+	// can never pass for converged.
+	Head string `json:"head,omitempty"`
 }
 
 // ingest commits one batch against the named dataset. The rebuild runs
@@ -121,15 +136,22 @@ func (c *Catalog) applyIngest(e *catalogEntry, reg *registry, cur *core.Engine, 
 	case b.Seq == 0:
 		b.Seq = next
 	case b.Seq < next:
-		// A replayed batch: this seq is already folded in. Acknowledge
-		// without touching anything — that is what makes gateway
-		// retries and crash-recovery replays safe.
+		// A replayed seq. Acknowledge it without touching anything
+		// when it carries the batch already folded in at that seq —
+		// that is what makes gateway retries and crash-recovery replays
+		// safe. A different batch at a committed seq would otherwise
+		// have its rows silently dropped.
+		if cur.Lineage()[b.Seq-1] != b.Digest() {
+			return res, fmt.Errorf("%w: seq %d already holds a different batch", errSeqConflict, b.Seq)
+		}
 		res.Seq = b.Seq
 		res.AlreadyApplied = true
 		res.Groups = cur.Space.Len()
+		head := store.ChainFingerprint(baseFP, cur.Lineage())
+		res.Head = hex.EncodeToString(head[:])
 		return res, nil
 	case b.Seq > next:
-		return res, fmt.Errorf("%w: batch seq %d, next expected %d", errSeqConflict, b.Seq, next)
+		return res, fmt.Errorf("%w: batch seq %d ahead of next expected %d", errSeqConflict, b.Seq, next)
 	}
 	res.Seq = b.Seq
 
@@ -146,8 +168,8 @@ func (c *Catalog) applyIngest(e *catalogEntry, reg *registry, cur *core.Engine, 
 	// fails (say the base snapshot was never written), fall back to a
 	// full compacted rewrite; only when neither lands does the ingest
 	// fail — engine unswapped, retry safe.
+	head := store.ChainFingerprint(baseFP, ne.Lineage())
 	if snap != "" {
-		head := store.ChainFingerprint(baseFP, ne.Lineage())
 		if aerr := store.AppendDeltaFile(snap, b, head); aerr != nil {
 			if serr := store.SaveFile(snap, ne, baseFP); serr != nil {
 				return res, &persistError{fmt.Errorf("append delta: %v; rewrite snapshot: %w", aerr, serr)}
@@ -168,6 +190,7 @@ func (c *Catalog) applyIngest(e *catalogEntry, reg *registry, cur *core.Engine, 
 
 	res.EngineVersion = ne.Version()
 	res.Groups = ne.Space.Len()
+	res.Head = hex.EncodeToString(head[:])
 
 	c.met.ingestBatches.Inc()
 	c.met.ingestRows.With("users").Add(uint64(len(b.Users)))

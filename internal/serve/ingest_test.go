@@ -155,6 +155,48 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesDifferentBatchAtCommittedSeq: a committed seq
+// acknowledges a replay only of the batch it holds. A different batch
+// sent at that seq is refused with 409 rather than acknowledged as
+// alreadyApplied, which would drop its rows silently, and the engine
+// stays at its version.
+func TestIngestRefusesDifferentBatchAtCommittedSeq(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	if _, hres := postIngest(t, ts, "default", "", serveIngestBatch()); hres.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", hres.StatusCode)
+	}
+	other := serveIngestBatch()
+	other.Users = other.Users[:1]
+	other.Actions = other.Actions[:1]
+	other.Seq = 1
+	if _, hres := postIngest(t, ts, "default", "", other); hres.StatusCode != http.StatusConflict {
+		t.Fatalf("different batch at committed seq 1: status %d, want 409", hres.StatusCode)
+	}
+	if row := datasetRow(t, ts, "default"); row.Version != 2 || row.Users != 402 {
+		t.Fatalf("after the refused batch: version %d users %d, want 2 and 402", row.Version, row.Users)
+	}
+}
+
+// TestIngestReplyHead: every ingest reply names the resulting engine
+// by its chain head. A replay names the engine it found, so it matches
+// the commit it repeats; the next commit names a new one.
+func TestIngestReplyHead(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	first, hres := postIngest(t, ts, "default", "", serveIngestBatch())
+	if hres.StatusCode != http.StatusOK || len(first.Head) != 64 {
+		t.Fatalf("ingest: status %d head %q, want 200 and a hex SHA-256", hres.StatusCode, first.Head)
+	}
+	replay := serveIngestBatch()
+	replay.Seq = 1
+	if res, hres := postIngest(t, ts, "default", "", replay); hres.StatusCode != http.StatusOK || !res.AlreadyApplied || res.Head != first.Head {
+		t.Fatalf("replay: status %d result %+v, want alreadyApplied with head %s", hres.StatusCode, res, first.Head)
+	}
+	next := core.IngestBatch{Actions: []dataset.NewAction{{User: "fresh1", Item: "VLDB", Value: 1, Time: 2019}}}
+	if res, hres := postIngest(t, ts, "default", "", next); hres.StatusCode != http.StatusOK || len(res.Head) != 64 || res.Head == first.Head {
+		t.Fatalf("second ingest: status %d head %q, want a new head past %s", hres.StatusCode, res.Head, first.Head)
+	}
+}
+
 // TestIngestNoticeAndETagSeamless pins the targeted-invalidation
 // contract end to end: only a session whose display intersects the
 // change hears about an ingest, the notice frame carries no event id,
