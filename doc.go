@@ -185,9 +185,11 @@
 // builds on the first request naming it (POST
 // /api/v1/sessions?dataset=). Concurrent first requests share one
 // build, at most -max-engines engines stay resident (LRU, session-free
-// datasets evicted first), and each dataset owns an isolated session
-// registry. A dataset's base fingerprint, the head of its ingest
-// delta chain, is computed from its spec and from nothing else. GET /api/datasets lists residency; GET
+// datasets evicted first), and one session table serves every
+// dataset: a session id names one session on the server, and
+// -max-sessions caps each dataset's sessions. A dataset's base
+// fingerprint, the head of its ingest delta chain, is computed from
+// its spec and from nothing else. GET /api/datasets lists residency; GET
 // /api/v1/sessions/{sid}/state carries an ETag derived from the
 // session's mutation counter and honors If-None-Match with 304, so
 // pollers stop re-downloading unchanged state snapshots.
@@ -384,8 +386,8 @@
 // an advisory id-less `event: notice` on their SSE stream, so diff
 // ids and `"<sid>.<mutations>"` ETags remain seamless for everyone.
 // Migration honors the pin: a session export names its engine
-// version, registries retain a bounded history of superseded engines,
-// and the importer replays the trail against that exact generation —
+// version, each dataset's catalog entry retains a bounded history of
+// superseded engines, and the importer replays the trail against that exact generation —
 // so draining a shard after an ingest moves sessions without
 // re-aiming them at the new version.
 // GET /api/datasets reports each resident engine's version. In a

@@ -166,8 +166,8 @@ func (g *Gateway) fanOutIngest(w http.ResponseWriter, r *http.Request, name stri
 			// decodeIngestReply held the seq to the pinned one; the
 			// version and the chain head must agree too.
 			if ir.EngineVersion != agg.EngineVersion || ir.Head != agg.Head {
-				http.Error(w, fmt.Sprintf("cluster divergence: shard %s at version %d (head %q) after seq %d, expected version %d (head %q)",
-					sh.name, ir.EngineVersion, ir.Head, ir.Seq, agg.EngineVersion, agg.Head), http.StatusBadGateway)
+				http.Error(w, fmt.Sprintf("cluster divergence: shard %s at version %d (head %q) after seq %d, reference shard %s at version %d (head %q)",
+					sh.name, ir.EngineVersion, ir.Head, ir.Seq, shards[0].name, agg.EngineVersion, agg.Head), http.StatusBadGateway)
 				return agg, false
 			}
 			// Sessions live on different shards; the touched-session

@@ -465,7 +465,8 @@ func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { retu
 // racerA and refuses racerB, s1 the reverse. Both ingests answer 502.
 // The shards now sit at one version with different lineages, so every
 // later ingest, through either gateway, answers 502 "cluster
-// divergence" — their chain heads differ — and never 200.
+// divergence" — their chain heads differ — and never 200. The 502
+// names the straying shard and the reference shard it was held to.
 func TestGatewayIngestRacingWritersDiverge(t *testing.T) {
 	racers := []string{"racerA", "racerB"}
 	handlers := make([]http.Handler, len(racers))
@@ -554,6 +555,11 @@ func TestGatewayIngestRacingWritersDiverge(t *testing.T) {
 		status, body, err := post(base, oneUserBatch(fmt.Sprintf("later%d", i)))
 		if err != nil || status != http.StatusBadGateway || !strings.Contains(body, "cluster divergence") {
 			t.Fatalf("ingest through gateway %d after the split: status %d %s (%v), want 502 cluster divergence", i, status, body, err)
+		}
+		// The 502 names both sides: the straying shard and the first
+		// shard, whose reply every other is held to.
+		if !strings.Contains(body, "shard s1 at version") || !strings.Contains(body, "reference shard s0 at version") {
+			t.Fatalf("divergence 502 through gateway %d does not name both shards: %s", i, body)
 		}
 	}
 }

@@ -129,7 +129,7 @@ func TestMigrationEquivalenceAcrossWorkers(t *testing.T) {
 // TestMigrationAfterIngest: a session created before an ingest stays
 // pinned to its engine generation even across a migration onto a
 // shard that has ingested past it — the export names the engine
-// version and the importer resolves it through the target registry's
+// version and the importer resolves it through the target dataset's
 // retained history. Without the version pin, every drain after any
 // ingest would fail with a group-count mismatch and strand the
 // session on its shard forever.

@@ -10,7 +10,7 @@ import (
 	"vexus/internal/serve"
 )
 
-// The ops surface: cross-shard aggregation for the two registry
+// The ops surface: cross-shard aggregation for the two occupancy
 // endpoints the single-node server already had (so dashboards work
 // unchanged against a gateway), plus the cluster's own status and
 // topology endpoints.

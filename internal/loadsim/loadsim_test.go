@@ -2,6 +2,8 @@ package loadsim
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -65,8 +67,17 @@ func smallConfig(workers int) Config {
 // TestSummaryDeterministicAcrossWorkers is the determinism contract:
 // the Summary marshals byte-identically at workers 1, 2 and 8, and the
 // fail-closed invariants all hold through the full default chaos
-// schedule (kill, restart, partition/heal, drain, evict).
+// schedule (kill, restart, partition/heal, drain, evict). The
+// workers=1 Summary must also match testdata/summary-small.json
+// byte for byte: any change in what the harness observes shows up as
+// a diff of that file, which a change that means to move the Summary
+// rewrites (json.MarshalIndent with two spaces, plus a newline) and
+// explains.
 func TestSummaryDeterministicAcrossWorkers(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "summary-small.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var base []byte
 	for _, workers := range []int{1, 2, 8} {
 		s, err := Run(smallConfig(workers))
@@ -79,6 +90,10 @@ func TestSummaryDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if base == nil {
 			base = enc
+			indented, _ := json.MarshalIndent(s, "", "  ")
+			if got := string(indented) + "\n"; got != string(golden) {
+				t.Errorf("workers=1 summary differs from testdata/summary-small.json:\n%s", got)
+			}
 			assertFailClosed(t, s)
 			if len(s.ChaosApplied) < 5 {
 				t.Errorf("chaos schedule underapplied: %v", s.ChaosApplied)

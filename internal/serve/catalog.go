@@ -44,15 +44,32 @@ type DatasetSpec struct {
 var errUnknownDataset = errors.New("unknown dataset")
 
 // catalogEntry is one named dataset and, once someone asks for it, its
-// resident engine + session registry. All fields below the spec are
-// guarded by catalog.mu; the slow build itself runs outside the lock
-// with `building` as the singleflight latch.
+// resident engine. Its sessions live in the catalog's one session
+// table. All fields below the spec are guarded by catalog.mu; the slow
+// build itself runs outside the lock with `building` as the
+// singleflight latch.
 type catalogEntry struct {
 	name string
 	spec DatasetSpec
 
-	eng      *core.Engine
-	reg      *registry
+	// eng is the dataset's current engine (nil = not resident): the
+	// version new sessions start on. An ingest swaps it; existing
+	// sessions keep the pointer they were created with
+	// (clientSession.eng). Engine versions are immutable, so a session
+	// pinned to an older version keeps serving it unchanged until the
+	// session ends.
+	eng *core.Engine
+	// history retains superseded engine versions, keyed by Version():
+	// an ingest records the outgoing engine here (bounded by
+	// engineHistoryCap, oldest first out) so a migration import can pin
+	// its replayed session to the exact generation it was exploring on
+	// the source shard. nil until the first ingest; dropped on eviction.
+	history map[uint64]*core.Engine
+	// live counts this dataset's rows in the session table — the
+	// per-dataset capacity Config.MaxSessions bounds. Only
+	// createSession and dropLocked change it.
+	live int
+
 	err      error         // last build error (waiters + /api/datasets status)
 	building chan struct{} // non-nil while a build is in flight; closed when done
 	warm     bool          // last build was a snapshot load
@@ -85,16 +102,27 @@ type Catalog struct {
 	workers     int
 	maxResident int // resident-engine cap (0 = unlimited)
 	defaultName string
-	// met is the telemetry bundle shared with the Server and every
-	// registry this catalog creates; always non-nil.
+	// met is the telemetry bundle shared with the Server; always
+	// non-nil.
 	met *serverMetrics
 
+	// mu guards the entries' resident state and the session table. Lock
+	// order: a session's mutex before mu, mu before a stream hub's.
 	mu      sync.Mutex
 	entries map[string]*catalogEntry
-	now     func() time.Time // injectable for LRU tests
+	// sessions is the server's one session table, keyed by session id:
+	// ids are unique per server, whatever dataset a session explores.
+	sessions map[string]*sessionEntry
+	now      func() time.Time // recency stamps, TTL sweeps and LRU eviction
 	// warmOnly (WarmOnly) forbids local builds: every engine must
 	// arrive as a verified warm-join snapshot stream. Guarded by mu.
 	warmOnly bool
+
+	// stop ends the TTL sweeper, and Close waits on sweeper for it to
+	// exit.
+	stopOnce sync.Once
+	stop     chan struct{}
+	sweeper  sync.WaitGroup
 }
 
 // NewCatalog assembles a catalog from named specs. defaultName selects
@@ -123,12 +151,18 @@ func NewCatalog(dir string, specs map[string]DatasetSpec, defaultName string, gc
 		maxResident: maxResident,
 		defaultName: defaultName,
 		entries:     make(map[string]*catalogEntry, len(specs)),
+		sessions:    make(map[string]*sessionEntry),
 		now:         clockOrNow(scfg),
+		stop:        make(chan struct{}),
 	}
 	for name, spec := range specs {
 		c.entries[name] = &catalogEntry{name: name, spec: spec}
 	}
 	c.met = newServerMetrics(scfg.Telemetry, scfg.Logger, c)
+	if scfg.SessionTTL > 0 {
+		c.sweeper.Add(1)
+		go c.sweepEvery(scfg.SessionTTL / 4)
+	}
 	return c, nil
 }
 
@@ -156,8 +190,7 @@ func ScanCatalogDir(dir string) (map[string]DatasetSpec, error) {
 }
 
 // clockOrNow resolves the configured time source (Config.Clock, or
-// time.Now), shared by the catalog's LRU stamps and every registry's
-// recency bookkeeping.
+// time.Now).
 func clockOrNow(scfg Config) func() time.Time {
 	if scfg.Clock != nil {
 		return scfg.Clock
@@ -165,53 +198,46 @@ func clockOrNow(scfg Config) func() time.Time {
 	return time.Now
 }
 
-// newRegistry builds the per-dataset session registry (its sweeper
-// included), stamping sessions with the dataset name.
-func (c *Catalog) newRegistry(name string, eng *core.Engine) *registry {
-	reg := newRegistry(eng, c.gcfg, c.scfg.SessionTTL, c.scfg.MaxSessions)
-	reg.now = c.now
-	reg.dataset = name
-	reg.streamQueue = c.scfg.StreamQueue
-	reg.streamReplay = c.scfg.StreamReplay
-	reg.met = c.met
-	if c.scfg.SessionTTL > 0 {
-		reg.startSweeper(c.scfg.SessionTTL / 4)
+// acquire resolves a dataset name ("" = default) to its entry and
+// resident engine, building or snapshot-loading it on first use.
+func (c *Catalog) acquire(name string) (*catalogEntry, *core.Engine, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, err := c.residentLocked(name)
+	if err != nil {
+		return nil, nil, err
 	}
-	return reg
+	return e, e.eng, nil
 }
 
-// acquire resolves a dataset name ("" = default) to its resident
-// engine + registry, building or snapshot-loading it on first use.
-// Exactly one goroutine builds; concurrent requests for the same name
-// wait for that build and share its outcome, and requests for other
-// datasets are unaffected. A failed build reports its error to the
-// requests that waited on it, but the *next* request starts a fresh
-// build — a transient failure (a CSV mid-copy, a blip on networked
-// storage) must not poison the dataset until restart. The last error
-// stays visible on /api/datasets.
-func (c *Catalog) acquire(name string) (*catalogEntry, *registry, error) {
+// residentLocked resolves a dataset name ("" = default) to its entry,
+// whose engine is resident on success. The caller holds c.mu, and
+// holds it again on return; it is dropped only while a build runs or
+// is waited on. Exactly one goroutine builds; concurrent requests for
+// the same name wait for that build and share its outcome, and
+// requests for other datasets are unaffected. A failed build reports
+// its error to the requests that waited on it, but the *next* request
+// starts a fresh build — a transient failure (a CSV mid-copy, a blip
+// on networked storage) must not poison the dataset until restart. The
+// last error stays visible on /api/datasets.
+func (c *Catalog) residentLocked(name string) (*catalogEntry, error) {
 	if name == "" {
 		name = c.defaultName
 	}
+	e, ok := c.entries[name]
+	if !ok {
+		return nil, fmt.Errorf("%w %q", errUnknownDataset, name)
+	}
 	for {
-		c.mu.Lock()
-		e, ok := c.entries[name]
-		if !ok {
-			c.mu.Unlock()
-			return nil, nil, fmt.Errorf("%w %q", errUnknownDataset, name)
-		}
 		e.lastUsed = c.now()
 		if e.eng != nil {
-			reg := e.reg
-			c.mu.Unlock()
-			return e, reg, nil
+			return e, nil
 		}
 		if c.warmOnly {
 			// Warm-only: the engine arrives as a verified snapshot
 			// stream or not at all — never from a local build, which
 			// is what keeps an un-warmed joiner failing closed.
-			c.mu.Unlock()
-			return nil, nil, fmt.Errorf("dataset %q: %w", e.name, errWarming)
+			return nil, fmt.Errorf("dataset %q: %w", e.name, errWarming)
 		}
 		if e.building != nil {
 			done := e.building
@@ -222,14 +248,10 @@ func (c *Catalog) acquire(name string) (*catalogEntry, *registry, error) {
 			// entry already evicted again re-resolves from the top.
 			c.mu.Lock()
 			if e.eng != nil {
-				reg := e.reg
-				c.mu.Unlock()
-				return e, reg, nil
+				return e, nil
 			}
-			err := e.err
-			c.mu.Unlock()
-			if err != nil {
-				return nil, nil, err
+			if e.err != nil {
+				return nil, e.err
 			}
 			continue
 		}
@@ -241,65 +263,31 @@ func (c *Catalog) acquire(name string) (*catalogEntry, *registry, error) {
 
 		c.mu.Lock()
 		e.building = nil
+		close(done)
 		if err != nil {
 			e.err = err
-			c.mu.Unlock()
-			close(done)
-			return nil, nil, err
+			return nil, err
 		}
-		e.eng, e.warm, e.lastUsed = eng, warm, c.now()
-		e.baseFP, e.snap = fp, snap
-		e.reg = c.newRegistry(name, eng)
-		reg := e.reg
-		c.evictOverflowLocked(e)
-		c.mu.Unlock()
-		close(done)
-		return e, reg, nil
+		c.installLocked(e, eng, warm, fp, snap)
+		return e, nil
 	}
 }
 
-// createSession acquires the named dataset and opens a session in its
-// registry. The residency re-check closes the window between acquire
-// returning a registry and the session landing in it: a concurrent
-// build of another dataset could evict this one in between, which
-// would strand the new session in a registry findSession no longer
-// scans — the caller would receive a sid that never resolves. On that
-// (rare) race the orphan is dropped and the acquire retried against
-// the rebuilt engine. Eviction after the re-check is indistinguishable
-// from eviction a moment later, which is already documented behavior.
-//
-// sid "" mints a session id; the cluster create and import paths pass
-// the gateway's. version pins the session to an engine generation
-// (0 = current) — the migration import path, where the replayed
-// session must land on the exact generation it was exploring on its
-// source shard, not whatever this shard has ingested up to.
-func (c *Catalog) createSession(name, sid string, version uint64) (*clientSession, error) {
-	for {
-		e, reg, err := c.acquire(name)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := reg.create(sid, version)
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		resident := e.reg == reg
-		c.mu.Unlock()
-		if resident {
-			return cs, nil
-		}
-		reg.remove(cs.id, reasonEvicted)
-	}
+// installLocked makes eng the resident engine of e — a local build or
+// a verified warm-join stream — and then holds the resident-engine
+// cap. The caller holds c.mu and has checked that e is not resident.
+func (c *Catalog) installLocked(e *catalogEntry, eng *core.Engine, warm bool, baseFP store.Fingerprint, snap string) {
+	e.eng, e.warm, e.lastUsed = eng, warm, c.now()
+	e.baseFP, e.snap, e.err = baseFP, snap, nil
+	c.evictOverflowLocked(e)
 }
 
 // evictOverflowLocked drops least-recently-used resident engines until
 // the cap holds, never touching `keep` (the engine just built).
-// Entries whose registries still hold live sessions are evicted last —
-// capacity is capacity, but an abandoned dataset goes first. Evicted
-// datasets rebuild (or warm-load from their snapshot) on next use;
-// their sessions are gone, exactly like a TTL expiry. The caller holds
-// c.mu.
+// Entries that still hold live sessions are evicted last — capacity is
+// capacity, but an abandoned dataset goes first. Evicted datasets
+// rebuild (or warm-load from their snapshot) on next use; their
+// sessions are gone, exactly like a TTL expiry. The caller holds c.mu.
 func (c *Catalog) evictOverflowLocked(keep *catalogEntry) {
 	if c.maxResident <= 0 {
 		return
@@ -316,7 +304,7 @@ func (c *Catalog) evictOverflowLocked(keep *catalogEntry) {
 			if e == keep {
 				continue
 			}
-			n := e.reg.count()
+			n := e.live
 			switch {
 			case victim == nil:
 				victim, victimSessions = e, n
@@ -334,9 +322,13 @@ func (c *Catalog) evictOverflowLocked(keep *catalogEntry) {
 		// Streaming clients get a terminal `event: closed` naming the
 		// reason before their sessions vanish — an eviction must not be
 		// indistinguishable from a network fault.
-		victim.reg.closeStreams(reasonEvicted)
-		victim.reg.close()
-		victim.eng, victim.reg, victim.warm = nil, nil, false
+		for _, se := range c.sessions {
+			if se.ds == victim {
+				se.cs.hub.close(reasonEvicted)
+				c.dropLocked(se)
+			}
+		}
+		victim.eng, victim.history, victim.warm = nil, nil, false
 		c.met.engineEvictions.Inc()
 		c.met.log.Info("engine evicted", "dataset", victim.name, "sessions", victimSessions)
 	}
@@ -365,66 +357,6 @@ func (c *Catalog) WarmOnly() {
 	c.mu.Unlock()
 }
 
-// allSessions snapshots every live session across every resident
-// dataset — the shard residency listing.
-func (c *Catalog) allSessions() []*clientSession {
-	c.mu.Lock()
-	regs := make([]*registry, 0, len(c.entries))
-	for _, e := range c.entries {
-		if e.reg != nil {
-			regs = append(regs, e.reg)
-		}
-	}
-	c.mu.Unlock()
-	var out []*clientSession
-	for _, reg := range regs {
-		out = append(out, reg.sessions()...)
-	}
-	return out
-}
-
-// findSession resolves a session id across every resident dataset,
-// touching the owning entry's recency on a hit.
-func (c *Catalog) findSession(sid string) (*clientSession, bool) {
-	c.mu.Lock()
-	type pair struct {
-		e   *catalogEntry
-		reg *registry
-	}
-	regs := make([]pair, 0, len(c.entries))
-	for _, e := range c.entries {
-		if e.reg != nil {
-			regs = append(regs, pair{e, e.reg})
-		}
-	}
-	c.mu.Unlock()
-	for _, p := range regs {
-		if cs, ok := p.reg.get(sid); ok {
-			c.mu.Lock()
-			p.e.lastUsed = c.now()
-			c.mu.Unlock()
-			return cs, true
-		}
-	}
-	return nil, false
-}
-
-// removeSession deletes sid from whichever dataset owns it; reason is
-// what any attached streams are told in their terminal closed event.
-func (c *Catalog) removeSession(sid, reason string) {
-	c.mu.Lock()
-	regs := make([]*registry, 0, len(c.entries))
-	for _, e := range c.entries {
-		if e.reg != nil {
-			regs = append(regs, e.reg)
-		}
-	}
-	c.mu.Unlock()
-	for _, reg := range regs {
-		reg.remove(sid, reason)
-	}
-}
-
 // DatasetStatus is one row of GET /api/datasets.
 type DatasetStatus struct {
 	Name     string `json:"name"`
@@ -451,7 +383,7 @@ func (c *Catalog) status() []DatasetStatus {
 		if e.eng != nil {
 			st.Groups = e.eng.Space.Len()
 			st.Users = e.eng.Data.NumUsers()
-			st.Sessions = e.reg.count()
+			st.Sessions = e.live
 			st.Version = e.eng.Version()
 		}
 		if e.err != nil {
@@ -469,37 +401,12 @@ func (c *Catalog) status() []DatasetStatus {
 // engine is not built yet.
 func (c *Catalog) sessionCount() (int, map[string]int) {
 	c.mu.Lock()
-	type pair struct {
-		name string
-		reg  *registry
-	}
-	regs := make([]pair, 0, len(c.entries))
-	for _, e := range c.entries {
-		regs = append(regs, pair{e.name, e.reg})
-	}
-	c.mu.Unlock()
-	total := 0
-	per := make(map[string]int, len(regs))
-	for _, p := range regs {
-		n := 0
-		if p.reg != nil {
-			n = p.reg.count()
-		}
-		per[p.name] = n
-		total += n
-	}
-	return total, per
-}
-
-// close stops every resident registry's sweeper.
-func (c *Catalog) Close() {
-	c.mu.Lock()
 	defer c.mu.Unlock()
+	per := make(map[string]int, len(c.entries))
 	for _, e := range c.entries {
-		if e.reg != nil {
-			e.reg.close()
-		}
+		per[e.name] = e.live
 	}
+	return len(c.sessions), per
 }
 
 // buildSpec materializes one spec: generate or import the dataset,

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"vexus/internal/action"
+	"vexus/internal/core"
 )
 
 // writeSpecs populates a catalog dir with two small synthetic datasets
@@ -232,23 +233,23 @@ func TestCatalogSingleflight(t *testing.T) {
 	}
 	defer cat.Close()
 	const callers = 8
-	entries := make([]*catalogEntry, callers)
+	engines := make([]*core.Engine, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, _, err := cat.acquire("authors")
+			_, eng, err := cat.acquire("authors")
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			entries[i] = e
+			engines[i] = eng
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < callers; i++ {
-		if entries[i] == nil || entries[0] == nil || entries[i].eng != entries[0].eng {
+		if engines[i] == nil || engines[i] != engines[0] {
 			t.Fatalf("caller %d got a different engine instance", i)
 		}
 	}
@@ -319,5 +320,53 @@ func TestStateETagRoundTrip(t *testing.T) {
 	}
 	if got := res3.Header.Get("ETag"); got != newTag {
 		t.Fatalf("refetch ETag %q, want %q", got, newTag)
+	}
+}
+
+// TestSessionIDUniquePerServer: a session id names one session on a
+// server, whatever dataset it explores. A cluster create or a
+// migration import under a live id answers 409 even when it names
+// another dataset — here one built from the same spec, where the
+// trail would replay cleanly — and the live session is untouched.
+func TestSessionIDUniquePerServer(t *testing.T) {
+	specs := map[string]DatasetSpec{"main": testSpec, "spare": testSpec}
+	cat, err := NewCatalog("", specs, "main", fastGreedy(), shardConfig(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewCatalogServer(cat)
+	t.Cleanup(s.Close)
+	h := s.Routes()
+
+	if rec := roundTrip(h, http.MethodPost, "/internal/cluster/sessions?sid=X&dataset=main", nil); rec.Code != http.StatusCreated {
+		t.Fatalf("create X in main: status %d %s", rec.Code, rec.Body)
+	}
+	if rec := roundTrip(h, http.MethodPost, "/internal/cluster/sessions?sid=X&dataset=spare", nil); rec.Code != http.StatusConflict {
+		t.Fatalf("create X in spare: status %d %s, want 409", rec.Code, rec.Body)
+	}
+	rec := roundTrip(h, http.MethodGet, "/internal/cluster/sessions/X/export", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("export X: status %d", rec.Code)
+	}
+	var doc SessionExport
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc.Dataset = "spare"
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := roundTrip(h, http.MethodPost, "/internal/cluster/sessions/X/import", raw); rec.Code != http.StatusConflict {
+		t.Fatalf("import X into spare: status %d %s, want 409", rec.Code, rec.Body)
+	}
+
+	rec = roundTrip(h, http.MethodGet, "/internal/cluster/sessions", nil)
+	var list []ShardSessionInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 1 || list[0] != (ShardSessionInfo{Session: "X", Dataset: "main", Mutations: 1}) {
+		t.Fatalf("residency %+v, want X alone, on main, untouched", list)
 	}
 }

@@ -99,24 +99,26 @@ type IngestResult struct {
 // ingest commits one batch against the named dataset. The rebuild runs
 // under the entry's ingestMu — never under catalog.mu — so exploration
 // requests proceed throughout; the engine swap at the end is a pointer
-// write under catalog.mu.
+// write under catalog.mu. The engine the rebuild starts from is the
+// residency token: the swap happens only if the entry still holds it.
 func (c *Catalog) ingest(name string, b core.IngestBatch) (IngestResult, error) {
 	for {
-		e, reg, err := c.acquire(name)
+		e, cur, err := c.acquire(name)
 		if err != nil {
 			return IngestResult{}, err
 		}
 		e.ingestMu.Lock()
 		c.mu.Lock()
-		if e.reg != reg || e.eng == nil {
-			// Evicted between acquire and here: rebuild and retry.
+		if e.eng != cur {
+			// Evicted, or moved on by another ingest, between acquire
+			// and here: resolve the current engine and retry.
 			c.mu.Unlock()
 			e.ingestMu.Unlock()
 			continue
 		}
-		cur, baseFP, snap := e.eng, e.baseFP, e.snap
+		baseFP, snap := e.baseFP, e.snap
 		c.mu.Unlock()
-		res, err := c.applyIngest(e, reg, cur, baseFP, snap, b)
+		res, err := c.applyIngest(e, cur, baseFP, snap, b)
 		e.ingestMu.Unlock()
 		return res, err
 	}
@@ -124,7 +126,7 @@ func (c *Catalog) ingest(name string, b core.IngestBatch) (IngestResult, error) 
 
 // applyIngest is the seq check → rebuild → persist → swap → notify
 // ladder; the caller holds e.ingestMu (and nothing else).
-func (c *Catalog) applyIngest(e *catalogEntry, reg *registry, cur *core.Engine, baseFP store.Fingerprint, snap string, b core.IngestBatch) (IngestResult, error) {
+func (c *Catalog) applyIngest(e *catalogEntry, cur *core.Engine, baseFP store.Fingerprint, snap string, b core.IngestBatch) (IngestResult, error) {
 	res := IngestResult{
 		Dataset:       e.name,
 		EngineVersion: cur.Version(),
@@ -181,8 +183,17 @@ func (c *Catalog) applyIngest(e *catalogEntry, reg *registry, cur *core.Engine, 
 
 	swapStart := time.Now()
 	c.mu.Lock()
-	resident := e.reg == reg
+	resident := e.eng == cur
 	if resident {
+		// New sessions start on ne from here on; the outgoing engine
+		// joins the bounded history, where migration imports pinned to
+		// it can still find it. Each ingest adds one to the version, so
+		// the entry that falls out is exactly engineHistoryCap back.
+		if e.history == nil {
+			e.history = make(map[uint64]*core.Engine)
+		}
+		e.history[cur.Version()] = cur
+		delete(e.history, cur.Version()-engineHistoryCap)
 		e.eng = ne
 		e.lastUsed = c.now()
 	}
@@ -209,22 +220,21 @@ func (c *Catalog) applyIngest(e *catalogEntry, reg *registry, cur *core.Engine, 
 		}
 		return res, nil
 	}
-	reg.swapEngine(ne)
 	c.met.ingestSwap.Observe(time.Since(swapStart).Seconds())
-	res.Notified = notifyTouched(reg, ne, e.name, b.Seq)
+	res.Notified = c.notifyTouched(e.name, ne, b.Seq)
 	c.met.log.Info("ingest committed",
 		"dataset", e.name, "seq", res.Seq, "version", res.EngineVersion,
 		"users", res.Users, "actions", res.Actions, "notified", res.Notified)
 	return res, nil
 }
 
-// notifyTouched sends the advisory notice to exactly the sessions
-// whose current display intersects the change. The event carries no id
-// — writeSSE omits the id line — so it never advances a client's
-// Last-Event-ID cursor and the session's diff stream and ETags remain
-// seamless; clients treat it as "the dataset moved on, start a fresh
-// session to see version N".
-func notifyTouched(reg *registry, ne *core.Engine, dataset string, seq uint64) int {
+// notifyTouched sends the advisory notice to exactly the sessions of
+// the dataset whose current display intersects the change. The event
+// carries no id — writeSSE omits the id line — so it never advances a
+// client's Last-Event-ID cursor and the session's diff stream and ETags
+// remain seamless; clients treat it as "the dataset moved on, start a
+// fresh session to see version N".
+func (c *Catalog) notifyTouched(dataset string, ne *core.Engine, seq uint64) int {
 	data, _ := json.Marshal(struct {
 		Dataset       string `json:"dataset"`
 		EngineVersion uint64 `json:"engineVersion"`
@@ -233,7 +243,10 @@ func notifyTouched(reg *registry, ne *core.Engine, dataset string, seq uint64) i
 	}{dataset, ne.Version(), seq, "dataset updated"})
 	ev := streamEvent{name: "notice", data: data}
 	n := 0
-	for _, cs := range reg.sessions() {
+	for _, cs := range c.allSessions() {
+		if cs.dataset != dataset {
+			continue
+		}
 		cs.mu.Lock()
 		touched := sessionTouched(cs, ne)
 		cs.mu.Unlock()

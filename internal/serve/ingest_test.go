@@ -239,14 +239,11 @@ func TestIngestNoticeAndETagSeamless(t *testing.T) {
 	// Deterministic negative: a rebuild of the same data has an
 	// identical space, so no group reads as touched and the notice
 	// reaches nobody — targeted invalidation, not broadcast.
-	s.cat.mu.Lock()
-	reg := s.cat.entries["default"].reg
-	s.cat.mu.Unlock()
 	same, err := core.Build(base.Data, base.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := notifyTouched(reg, same, "default", 1); n != 0 {
+	if n := s.cat.notifyTouched("default", same, 1); n != 0 {
 		t.Fatalf("identical engine notified %d sessions, want 0", n)
 	}
 

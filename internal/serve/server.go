@@ -42,13 +42,14 @@ type Server struct {
 	secret string
 }
 
-// Config bounds the session registry.
+// Config bounds the session table and configures serving.
 type Config struct {
 	// SessionTTL evicts sessions idle longer than this (0 disables).
 	SessionTTL time.Duration
-	// MaxSessions caps live sessions (0 = unlimited); at capacity the
-	// least-recently-used idle session is evicted to admit a new
-	// explorer, and creation fails with 503 when none is idle.
+	// MaxSessions caps each dataset's live sessions (0 = unlimited); at
+	// capacity the dataset's least-recently-used idle session is
+	// evicted to admit a new explorer, and creation fails with 503 when
+	// none is idle.
 	MaxSessions int
 	// ShardAPI exposes the cluster-internal migration surface
 	// (/internal/cluster/*). Enable it only on shard workers that sit
@@ -107,7 +108,7 @@ func NewCatalogServer(cat *Catalog) *Server {
 	}
 }
 
-// close releases every resident registry's sweeper.
+// Close stops the catalog's TTL sweeper and ends every attached stream.
 func (s *Server) Close() { s.cat.Close() }
 
 func (s *Server) Routes() http.Handler {
@@ -356,7 +357,7 @@ func (s *Server) deleteReason(r *http.Request) string {
 	return reasonDeleted
 }
 
-// handleSessions reports registry occupancy — the ops view of a
+// handleSessions reports session occupancy — the ops view of a
 // multi-explorer deployment — total and per dataset (every catalog
 // dataset appears, non-resident ones at 0).
 func (s *Server) handleSessions(w http.ResponseWriter, _ *http.Request) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,20 +11,21 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"vexus/internal/action"
 	"vexus/internal/core"
 	"vexus/internal/datagen"
+	"vexus/internal/dataset"
 	"vexus/internal/greedy"
 )
 
 // ---------------------------------------------------------------------------
 // Fixture: one small dataset spec. Servers build it through the
 // catalog; testEngine builds the same inputs directly, for the tests
-// that drive a registry or need an oracle, and is bit-identical to
-// every server's engine.
+// that need an oracle, and is bit-identical to every server's engine.
 
 // testSpec is the fixture dataset: 400 authors, seed 7, minsup 0.02.
 var testSpec = DatasetSpec{Dataset: "dbauthors", N: 400, Seed: 7, MinSup: 0.02}
@@ -377,42 +379,96 @@ func TestSessionDelete(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry behavior: LRU capacity eviction and TTL sweeping.
+// Session table behavior: LRU capacity eviction, TTL sweeping and the
+// engine-version pin, driven through a catalog.
 
+// testClock is a hand-advanced Config.Clock; atomic, so a catalog's
+// sweeper goroutine may read it while a test advances it.
+type testClock struct{ ns atomic.Int64 }
+
+func newTestClock() *testClock {
+	c := &testClock{}
+	c.ns.Store(time.Unix(1_700_000_000, 0).UnixNano())
+	return c
+}
+
+func (c *testClock) now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *testClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// clockedCatalog serves specs in memory, "default" by default, with the
+// given session TTL and per-dataset session cap, on a hand-advanced
+// clock, and builds the default dataset before returning.
+func clockedCatalog(t testing.TB, specs map[string]DatasetSpec, ttl time.Duration, maxSessions int) (*Catalog, *testClock) {
+	t.Helper()
+	clk := newTestClock()
+	scfg := Config{SessionTTL: ttl, MaxSessions: maxSessions, Clock: clk.now}
+	cat, err := NewCatalog("", specs, "default", fastGreedy(), scfg, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cat.Close)
+	if err := cat.BuildDefault(); err != nil {
+		t.Fatal(err)
+	}
+	return cat, clk
+}
+
+// mustCreate opens a session on dataset ("" = default) under sid ("" =
+// minted) at the current engine version.
+func mustCreate(t testing.TB, cat *Catalog, dataset, sid string) *clientSession {
+	t.Helper()
+	cs, err := cat.createSession(dataset, sid, 0)
+	if err != nil {
+		t.Fatalf("create %q in %q: %v", sid, dataset, err)
+	}
+	return cs
+}
+
+// TestSessionLRUEviction: at a dataset's capacity, a create first
+// evicts that dataset's least-recently-used session, but only one idle
+// for at least minEvictIdle; and the cap counts each dataset's
+// sessions on its own.
 func TestSessionLRUEviction(t *testing.T) {
-	eng := testEngine(t)
-	reg := newRegistry(eng, fastGreedy(), 0, 2)
-	clock := time.Unix(1_700_000_000, 0)
-	reg.now = func() time.Time { return clock }
+	cat, clk := clockedCatalog(t, map[string]DatasetSpec{
+		"default": testSpec,
+		"spare":   {Dataset: "dbauthors", N: 200, Seed: 11, MinSup: 0.05},
+	}, 0, 2)
 
-	first, err := reg.create("", 0)
-	if err != nil {
-		t.Fatal(err)
+	// The first session's sid is the smaller, so only the touch below
+	// keeps it: at equal recency the tie-break would take it.
+	first := mustCreate(t, cat, "", "a")
+	second := mustCreate(t, cat, "", "b")
+	if _, err := cat.createSession("", "", 0); !errors.Is(err, errServerFull) {
+		t.Fatalf("create at capacity with no session idle %v: err %v, want errServerFull", minEvictIdle, err)
 	}
-	second, err := reg.create("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock = clock.Add(time.Minute)
+	// Another dataset's sessions neither count against this cap nor
+	// serve as its victims.
+	mustCreate(t, cat, "spare", "")
+	mustCreate(t, cat, "spare", "")
+
+	clk.advance(time.Minute)
 	// Touch the first so the second is the LRU when the third arrives.
-	if _, ok := reg.get(first.id); !ok {
+	if _, ok := cat.findSession(first.id); !ok {
 		t.Fatal("touch first failed")
 	}
-	third, err := reg.create("", 0)
+	third, err := cat.createSession("", "", 0)
 	if err != nil {
 		t.Fatalf("create at capacity with an idle LRU: %v", err)
 	}
-	if _, ok := reg.get(second.id); ok {
+	if _, ok := cat.findSession(second.id); ok {
 		t.Fatal("LRU session survived capacity eviction")
 	}
 	for _, cs := range []*clientSession{first, third} {
-		if _, ok := reg.get(cs.id); !ok {
+		if _, ok := cat.findSession(cs.id); !ok {
 			t.Fatalf("session %s evicted wrongly", cs.id)
 		}
 	}
+	if total, per := cat.sessionCount(); total != 4 || per["default"] != 2 || per["spare"] != 2 {
+		t.Fatalf("occupancy %d %v, want 2 sessions on each of 2 datasets", total, per)
+	}
 }
 
-// TestSessionCreateBurstDoesNotEvictActive: when the registry is full
+// TestSessionCreateBurstDoesNotEvictActive: when a dataset is full
 // of recently active sessions, a creation burst gets 503s instead of
 // evicting live explorers.
 func TestSessionCreateBurstDoesNotEvictActive(t *testing.T) {
@@ -433,50 +489,98 @@ func TestSessionCreateBurstDoesNotEvictActive(t *testing.T) {
 	}
 }
 
-// TestUnlimitedSessions: max <= 0 means no cap (mirroring ttl <= 0 =
-// never expire), not a one-session server.
-func TestUnlimitedSessions(t *testing.T) {
-	reg := newRegistry(testEngine(t), fastGreedy(), 0, 0)
-	for i := 0; i < 5; i++ {
-		if _, err := reg.create("", 0); err != nil {
-			t.Fatalf("create %d with unlimited sessions: %v", i, err)
-		}
+// TestSessionLRUTieBreak: sessions that share one recency stamp (a
+// coarse or virtual clock) are evicted smallest sid first, whatever
+// order the table's map iteration visits them in.
+func TestSessionLRUTieBreak(t *testing.T) {
+	cat, clk := clockedCatalog(t, map[string]DatasetSpec{"default": testSpec}, 0, 3)
+	for _, sid := range []string{"c", "a", "b"} {
+		mustCreate(t, cat, "", sid)
 	}
-	if reg.count() != 5 {
-		t.Fatalf("count = %d, want 5", reg.count())
+	clk.advance(time.Minute)
+	for _, want := range []string{"a", "b", "c"} {
+		mustCreate(t, cat, "", "new-"+want)
+		if _, ok := cat.findSession(want); ok {
+			t.Fatalf("session %q survived; the tie should have evicted it", want)
+		}
 	}
 }
 
-func TestRegistryTTLSweep(t *testing.T) {
-	eng := testEngine(t)
-	reg := newRegistry(eng, fastGreedy(), 10*time.Minute, 100)
-	clock := time.Unix(1_700_000_000, 0)
-	reg.now = func() time.Time { return clock }
+// TestUnlimitedSessions: max <= 0 means no cap (mirroring ttl <= 0 =
+// never expire), not a one-session server.
+func TestUnlimitedSessions(t *testing.T) {
+	cat, _ := clockedCatalog(t, map[string]DatasetSpec{"default": testSpec}, 0, 0)
+	for i := 0; i < 5; i++ {
+		if _, err := cat.createSession("", "", 0); err != nil {
+			t.Fatalf("create %d with unlimited sessions: %v", i, err)
+		}
+	}
+	if total, _ := cat.sessionCount(); total != 5 {
+		t.Fatalf("count = %d, want 5", total)
+	}
+}
 
-	a, err := reg.create("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock = clock.Add(7 * time.Minute)
-	b, err := reg.create("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.sweep(); n != 0 {
+func TestSessionTTLSweep(t *testing.T) {
+	cat, clk := clockedCatalog(t, map[string]DatasetSpec{"default": testSpec}, 10*time.Minute, 100)
+
+	a := mustCreate(t, cat, "", "")
+	clk.advance(7 * time.Minute)
+	b := mustCreate(t, cat, "", "")
+	if n := cat.sweep(); n != 0 {
 		t.Fatalf("sweep evicted %d sessions before TTL", n)
 	}
-	clock = clock.Add(5 * time.Minute) // a idle 12m, b idle 5m
-	if n := reg.sweep(); n != 1 {
+	clk.advance(5 * time.Minute) // a idle 12m, b idle 5m
+	if n := cat.sweep(); n != 1 {
 		t.Fatalf("sweep evicted %d sessions, want 1", n)
 	}
-	if _, ok := reg.get(a.id); ok {
+	if _, ok := cat.findSession(a.id); ok {
 		t.Fatal("idle session survived the sweep")
 	}
-	if _, ok := reg.get(b.id); !ok {
+	if _, ok := cat.findSession(b.id); !ok {
 		t.Fatal("active session was swept")
 	}
-	if reg.count() != 1 {
-		t.Fatalf("count = %d, want 1", reg.count())
+	if total, _ := cat.sessionCount(); total != 1 {
+		t.Fatalf("count = %d, want 1", total)
+	}
+}
+
+// TestSessionVersionPin: a create that names an engine version (the
+// migration import) lands on exactly that generation while the dataset
+// retains it — the current one, or one of the last engineHistoryCap an
+// ingest superseded — and fails with errVersionGone once it has aged
+// out.
+func TestSessionVersionPin(t *testing.T) {
+	cat, _ := clockedCatalog(t, map[string]DatasetSpec{"default": testSpec}, 0, 0)
+	v1 := mustCreate(t, cat, "", "").eng
+	ingest := func(i int) {
+		t.Helper()
+		b := core.IngestBatch{Actions: []dataset.NewAction{{User: "author00001", Item: "VLDB", Value: 1, Time: int64(2019 + i)}}}
+		if _, err := cat.ingest("", b); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+	}
+	ingest(0)
+	if cs, err := cat.createSession("", "pinned", 1); err != nil || cs.eng != v1 {
+		t.Fatalf("create pinned to version 1 after one ingest: err %v", err)
+	}
+	for i := 1; i <= engineHistoryCap; i++ {
+		ingest(i)
+	}
+	cur := uint64(engineHistoryCap + 2)
+	if got := mustCreate(t, cat, "", "").eng.Version(); got != cur {
+		t.Fatalf("fresh session on version %d, want %d", got, cur)
+	}
+	for v := cur - engineHistoryCap; v <= cur; v++ {
+		cs, err := cat.createSession("", fmt.Sprint("at", v), v)
+		if err != nil || cs.eng.Version() != v {
+			t.Fatalf("create pinned to retained version %d: err %v", v, err)
+		}
+	}
+	if _, err := cat.createSession("", "gone", 1); !errors.Is(err, errVersionGone) {
+		t.Fatalf("create pinned to aged-out version 1: err %v, want errVersionGone", err)
+	}
+	if _, ok := cat.findSession("pinned"); !ok {
+		t.Fatal("a session pinned to an aged-out version must keep serving it")
 	}
 }
 

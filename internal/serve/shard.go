@@ -41,7 +41,7 @@ type SessionExport struct {
 	Trail     json.RawMessage `json:"trail"`
 	// EngineVersion names the engine generation the session is pinned
 	// to. The importer replays the trail against this exact version
-	// (resolved through the target registry's retained history), so a
+	// (resolved through the dataset's retained engine history), so a
 	// session keeps exploring the generation it started on even when
 	// the new owner has ingested past it. Zero — an export from before
 	// live datasets — means "current".

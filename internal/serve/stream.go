@@ -92,9 +92,9 @@ func (sub *subscriber) markLost(drops *telemetry.Counter) {
 // never miss or double-see an event around its registration point.
 type streamHub struct {
 	// subsGauge / drops are the hub's telemetry instruments, handed
-	// over by the registry at session creation. Both are nil-safe
-	// no-ops when unset (direct hub construction in tests), so hub
-	// code calls them unconditionally.
+	// over by createSession. Both are nil-safe no-ops when unset
+	// (direct hub construction in tests), so hub code calls them
+	// unconditionally.
 	subsGauge *telemetry.Gauge
 	drops     *telemetry.Counter
 

@@ -497,62 +497,43 @@ func TestStreamOverflowDropsToResync(t *testing.T) {
 // sweeper and the LRU capacity evictor must both skip a session whose
 // hub has attached streams, and resume evicting once they detach.
 func TestEvictionPinsStreamingSessions(t *testing.T) {
-	eng := testEngine(t)
-
 	t.Run("ttl-sweep", func(t *testing.T) {
-		reg := newRegistry(eng, fastGreedy(), time.Minute, 0)
-		defer reg.close()
-		clock := time.Unix(1000, 0)
-		reg.now = func() time.Time { return clock }
-		cs, err := reg.create("", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cat, clk := clockedCatalog(t, map[string]DatasetSpec{"default": testSpec}, time.Minute, 0)
+		cs := mustCreate(t, cat, "", "")
 		sub := cs.hub.subscribe(nil)
-		clock = clock.Add(time.Hour)
-		if n := reg.sweep(); n != 0 {
+		clk.advance(time.Hour)
+		if n := cat.sweep(); n != 0 {
 			t.Fatalf("sweep reaped %d sessions under a live stream", n)
 		}
-		if _, ok := reg.get(cs.id); !ok {
+		if _, ok := cat.findSession(cs.id); !ok {
 			t.Fatal("streaming session swept")
 		}
-		clock = clock.Add(time.Hour) // get() above refreshed recency
+		clk.advance(time.Hour) // findSession above refreshed recency
 		cs.hub.unsubscribe(sub)
-		if n := reg.sweep(); n != 1 {
+		if n := cat.sweep(); n != 1 {
 			t.Fatalf("sweep after detach reaped %d, want 1", n)
 		}
 	})
 
 	t.Run("lru-capacity", func(t *testing.T) {
-		reg := newRegistry(eng, fastGreedy(), 0, 1)
-		defer reg.close()
-		clock := time.Unix(1000, 0)
-		reg.now = func() time.Time { return clock }
-		pinned, err := reg.create("", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cat, clk := clockedCatalog(t, map[string]DatasetSpec{"default": testSpec}, 0, 1)
+		pinned := mustCreate(t, cat, "", "")
 		sub := pinned.hub.subscribe(nil)
-		clock = clock.Add(time.Hour) // far past minEvictIdle
-		if _, err := reg.create("", 0); !errors.Is(err, errServerFull) {
+		clk.advance(time.Hour) // far past minEvictIdle
+		if _, err := cat.createSession("", "", 0); !errors.Is(err, errServerFull) {
 			t.Fatalf("create with the only session pinned: err %v, want errServerFull", err)
 		}
-		cs2, err := func() (*clientSession, error) {
-			pinned.hub.unsubscribe(sub)
-			return reg.create("", 0)
-		}()
-		if err != nil {
+		pinned.hub.unsubscribe(sub)
+		if _, err := cat.createSession("", "", 0); err != nil {
 			t.Fatalf("create after detach: %v", err)
 		}
-		if _, ok := reg.get(pinned.id); ok {
+		if _, ok := cat.findSession(pinned.id); ok {
 			t.Fatal("unpinned LRU session survived capacity eviction")
 		}
-		// The evicted session's streams (none now, but the hub) closed
-		// with a final reason.
+		// The evicted session's hub closed with a final reason.
 		if s := pinned.hub.subscribe(nil); s != nil {
 			t.Fatal("evicted session's hub still accepts subscribers")
 		}
-		_ = cs2
 	})
 }
 

@@ -65,18 +65,14 @@ func readAtMost(r io.Reader, limit int64) ([]byte, error) {
 // store.Save — header stamped with the chain of the base fingerprint
 // and the engine's lineage, so the receiver can verify it end to end.
 func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
-	e, _, err := s.cat.acquire(r.FormValue("dataset"))
+	e, eng, err := s.cat.acquire(r.FormValue("dataset"))
 	if err != nil {
 		writeCreateError(w, err)
 		return
 	}
 	s.cat.mu.Lock()
-	eng, baseFP := e.eng, e.baseFP
+	baseFP := e.baseFP
 	s.cat.mu.Unlock()
-	if eng == nil {
-		http.Error(w, "engine not resident", http.StatusServiceUnavailable)
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Vexus-Dataset", e.name)
 	w.Header().Set("X-Vexus-Engine-Version", strconv.FormatUint(eng.Version(), 10))
@@ -159,10 +155,7 @@ func (s *Server) handleShardWarm(w http.ResponseWriter, r *http.Request) {
 
 	s.cat.mu.Lock()
 	if e.eng == nil {
-		e.eng, e.warm, e.lastUsed = eng, true, s.cat.now()
-		e.baseFP, e.snap = baseFP, snap
-		e.reg = s.cat.newRegistry(name, eng)
-		e.err = nil
+		s.cat.installLocked(e, eng, true, baseFP, snap)
 	}
 	installed := e.eng
 	s.cat.mu.Unlock()

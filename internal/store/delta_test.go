@@ -90,43 +90,60 @@ func TestDeltaRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBuildOrLoadCompactsPastThreshold: a warm load with enough
-// pending deltas rewrites the snapshot compacted in place.
+// TestBuildOrLoadCompactsPastThreshold: a warm load leaves fewer than
+// CompactThreshold pending deltas in place, and at CompactThreshold it
+// rewrites the snapshot compacted in place.
 func TestBuildOrLoadCompactsPastThreshold(t *testing.T) {
 	base, cfg := builtEngine(t)
 	fp := ComputeFingerprint(base.Data, cfg)
-	b := deltaBatch(1)
-	ne, err := base.Ingest(b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "live.snap")
 	if err := SaveFile(path, base, fp); err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendDeltaFile(path, b, ChainFingerprint(fp, ne.Lineage())); err != nil {
-		t.Fatal(err)
+	pendingIn := func() int {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, pending, err := load(raw, &fp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pending
 	}
 
-	old := CompactThreshold
-	CompactThreshold = 1
-	defer func() { CompactThreshold = old }()
-
+	ne := base
+	for seq := uint64(1); seq <= CompactThreshold; seq++ {
+		b := deltaBatch(1)
+		if seq > 1 {
+			b = core.IngestBatch{Seq: seq, Actions: []dataset.NewAction{
+				{User: "author00003", Item: "VLDB", Value: 1, Time: 2018 + int64(seq)},
+			}}
+		}
+		var err error
+		if ne, err = ne.Ingest(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := AppendDeltaFile(path, b, ChainFingerprint(fp, ne.Lineage())); err != nil {
+			t.Fatal(err)
+		}
+		if seq == CompactThreshold-1 {
+			if _, warm, _, err := BuildOrLoad(path, base.Data, cfg); err != nil || !warm {
+				t.Fatalf("base+%d deltas did not warm-start: %v", seq, err)
+			}
+			if pending := pendingIn(); pending != int(seq) {
+				t.Fatalf("a load below the threshold left %d pending deltas, want %d", pending, seq)
+			}
+		}
+	}
 	got, warm, _, err := BuildOrLoad(path, base.Data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm {
-		t.Fatal("base+delta snapshot did not warm-start")
+	if err != nil || !warm {
+		t.Fatalf("base+deltas snapshot did not warm-start: %v", err)
 	}
 	requireEnginesIdentical(t, ne, got)
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, pending, err := load(raw, &fp, cfg); err != nil || pending != 0 {
-		t.Fatalf("BuildOrLoad left %d deltas uncompacted (err %v)", pending, err)
+	if pending := pendingIn(); pending != 0 {
+		t.Fatalf("BuildOrLoad left %d deltas uncompacted", pending)
 	}
 	// The compacted file still warm-starts from the same spec inputs.
 	again, warm, _, err := BuildOrLoad(path, base.Data, cfg)

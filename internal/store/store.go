@@ -110,7 +110,7 @@ const Version = 5
 // grow without bound. The compacted batches' digests move into the
 // DLOG section, keeping the fingerprint chain verifiable from the
 // original spec dataset.
-var CompactThreshold = 4
+const CompactThreshold = 4
 
 var magic = [8]byte{'V', 'X', 'S', 'N', 'A', 'P', 0, '\n'}
 
@@ -506,7 +506,7 @@ func BuildOrLoad(path string, d *dataset.Dataset, cfg core.PipelineConfig) (*cor
 			eng, pending, err = load(data, &fp, cfg)
 		}
 		if err == nil {
-			if CompactThreshold > 0 && pending >= CompactThreshold {
+			if pending >= CompactThreshold {
 				if err := SaveFile(path, eng, fp); err != nil {
 					warn = fmt.Errorf("store: loaded %d deltas but could not compact %s: %w", pending, path, err)
 				}
